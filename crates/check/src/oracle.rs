@@ -270,8 +270,8 @@ pub fn run_bgpc_case_with(d: &mut impl Draw, forced: Option<KernelImpl>) -> Resu
         &format!("{label}: dynamic vs stealing @1"),
     )?;
 
-    // Kernel equivalence: at one thread the scalar spec loops and the
-    // vectorized forbidden-set kernels must color identically.
+    // Kernel equivalence: at one thread the scalar and vectorized
+    // first-fit word scans must color identically.
     let other_kernel = match kernel {
         KernelImpl::Scalar => KernelImpl::Simd,
         _ => KernelImpl::Scalar,
@@ -386,7 +386,7 @@ pub fn run_d2gc_case_with(d: &mut impl Draw, forced: Option<KernelImpl>) -> Resu
     let wide = bgpc::d2gc::runner::color_d2gc(&g64, &order, &schedule1, &pool1);
     same_colors(&a.colors, &wide.colors, &format!("{label}: u32 vs u64 @1"))?;
 
-    // Kernel equivalence at one thread (vectorized dist-2 row sweeps vs
+    // Kernel equivalence at one thread (vectorized first-fit word scan vs
     // the scalar spec).
     let other_kernel = match kernel {
         KernelImpl::Scalar => KernelImpl::Simd,

@@ -50,21 +50,6 @@ impl Colors {
         self.slots[u].load(Ordering::Relaxed)
     }
 
-    /// Base pointer of the color array for the vectorized gather kernels
-    /// (`AtomicI32` is guaranteed to have the same in-memory
-    /// representation as `i32`).
-    ///
-    /// Reads through this pointer are part of the same deliberate race as
-    /// [`Colors::get`]: each gathered lane is an aligned 32-bit load,
-    /// equivalent to a relaxed atomic load on every supported target, and
-    /// stale lanes only cause extra conflicts for the repair phase —
-    /// exactly the scalar contract. Writes must keep going through
-    /// [`Colors::set`]/[`Colors::clear`].
-    #[inline]
-    pub fn as_ptr(&self) -> *const Color {
-        self.slots.as_ptr() as *const Color
-    }
-
     /// Writes the color of vertex `u`.
     #[inline]
     pub fn set(&self, u: usize, c: Color) {

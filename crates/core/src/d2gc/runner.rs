@@ -112,7 +112,7 @@ pub(crate) fn run_speculative_d2gc<F: ForbiddenSet, I: CsrIndex>(
     // Per-run state reset, mirroring [`crate::runner`] (see ThreadCtx docs).
     for ctx in scratch.iter_mut() {
         ctx.reset_for_run();
-        ctx.set_kernel(schedule.kernel);
+        ctx.fb.set_kernel(schedule.kernel);
     }
     let eager_queue = (!schedule.lazy_queue).then(|| SharedQueue::new(n));
 

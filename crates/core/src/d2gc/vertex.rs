@@ -10,7 +10,6 @@ use sparse::CsrIndex;
 
 use crate::ctx::ThreadCtx;
 use crate::forbidden::ForbiddenSet;
-use crate::simd;
 use crate::tuning::PREFETCH_AHEAD;
 use crate::workqueue::{merge_local_queues, SharedQueue};
 use crate::{Balance, Colors, UNCOLORED};
@@ -35,8 +34,6 @@ pub fn color_workqueue_vertex<F: ForbiddenSet, I: CsrIndex>(
             let items = &w[range];
             let mut probes = 0u64;
             let mut prefetches = 0u64;
-            let mut vstats = simd::VecStats::default();
-            let vector = ctx.kernel.has_gather();
             for (k, &wv) in items.iter().enumerate() {
                 if let Some(&next) = items.get(k + PREFETCH_AHEAD) {
                     g.prefetch_nbor(next as usize);
@@ -54,20 +51,13 @@ pub fn color_workqueue_vertex<F: ForbiddenSet, I: CsrIndex>(
                             probes += 1;
                         }
                     }
-                    // The distance-2 rows dominate the traversal; long rows
-                    // take the vectorized gather, short ones stay scalar.
-                    let pins = g.nbor(u as usize);
-                    if vector && pins.len() >= simd::GATHER_LANES {
-                        simd::gather_mark(colors, pins, wv, &mut ctx.fb, &mut vstats);
-                    } else {
-                        for &x in pins {
-                            if x != wv {
-                                let cx = colors.get(x as usize);
-                                if cx != UNCOLORED {
-                                    ctx.fb.insert(cx);
-                                    if trace::COMPILED {
-                                        probes += 1;
-                                    }
+                    for &x in g.nbor(u as usize) {
+                        if x != wv {
+                            let cx = colors.get(x as usize);
+                            if cx != UNCOLORED {
+                                ctx.fb.insert(cx);
+                                if trace::COMPILED {
+                                    probes += 1;
                                 }
                             }
                         }
@@ -80,9 +70,8 @@ pub fn color_workqueue_vertex<F: ForbiddenSet, I: CsrIndex>(
                 if let Some(r) = rec {
                     let mut local = trace::CounterSheet::new();
                     local.add(trace::Counter::VerticesColored, items.len() as u64);
-                    local.add(trace::Counter::ForbiddenProbes, probes + vstats.probes);
-                    local.add(trace::Counter::PrefetchIssues, prefetches + vstats.prefetches);
-                    local.add(trace::Counter::SimdPathHits, vstats.blocks);
+                    local.add(trace::Counter::ForbiddenProbes, probes);
+                    local.add(trace::Counter::PrefetchIssues, prefetches);
                     r.merge(tid, &local);
                 }
             }
@@ -111,8 +100,6 @@ pub fn remove_conflicts_vertex<F: ForbiddenSet, I: CsrIndex>(
             let items = &w[range];
             let mut conflicts = 0u64;
             let mut prefetches = 0u64;
-            let mut vstats = simd::VecStats::default();
-            let vector = ctx.kernel.has_gather();
             for (k, &wv) in items.iter().enumerate() {
                 if let Some(&next) = items.get(k + PREFETCH_AHEAD) {
                     g.prefetch_nbor(next as usize);
@@ -130,12 +117,7 @@ pub fn remove_conflicts_vertex<F: ForbiddenSet, I: CsrIndex>(
                         break 'detect;
                     }
                     let pins = g.nbor(u as usize);
-                    let hit = if vector && pins.len() >= simd::GATHER_LANES {
-                        simd::conflict_in_pins(colors, pins, wv, cw, &mut vstats)
-                    } else {
-                        pins.iter().any(|&x| x < wv && colors.get(x as usize) == cw)
-                    };
-                    if hit {
+                    if pins.iter().any(|&x| x < wv && colors.get(x as usize) == cw) {
                         conflicted = true;
                         break 'detect;
                     }
@@ -154,8 +136,7 @@ pub fn remove_conflicts_vertex<F: ForbiddenSet, I: CsrIndex>(
                 if let Some(r) = rec {
                     let mut local = trace::CounterSheet::new();
                     local.add(trace::Counter::ConflictsDetected, conflicts);
-                    local.add(trace::Counter::PrefetchIssues, prefetches + vstats.prefetches);
-                    local.add(trace::Counter::SimdPathHits, vstats.blocks);
+                    local.add(trace::Counter::PrefetchIssues, prefetches);
                     r.merge(tid, &local);
                 }
             }

@@ -58,13 +58,6 @@ pub trait ForbiddenSet: Send {
     /// [`StampSet`] executable spec) ignore the request, which is exactly
     /// the scalar-stays-the-spec contract.
     fn set_kernel(&mut self, _kernel: KernelImpl) {}
-
-    /// Hints that the storage backing `color` will be touched soon.
-    ///
-    /// Default no-op; issued by the vectorized gather path one lane block
-    /// ahead of its insert sub-loop.
-    #[inline]
-    fn prefetch_word(&self, _color: Color) {}
 }
 
 /// A forbidden-color set that is "emptied" in O(1).
@@ -191,11 +184,6 @@ impl ForbiddenSet for StampSet {
     }
 
     // set_kernel: default no-op — the StampSet *is* the scalar spec.
-
-    #[inline]
-    fn prefetch_word(&self, color: Color) {
-        sparse::prefetch::prefetch_read(&self.stamp, color.max(0) as usize);
-    }
 }
 
 /// Word-packed, epoch-stamped forbidden set: one `u64` bitmap word per 64
@@ -272,6 +260,12 @@ impl BitStampSet {
     #[inline]
     pub(crate) fn raw_mark(&self) -> u64 {
         self.mark
+    }
+
+    /// The resolved first-fit dispatch tier.
+    #[cfg(test)]
+    pub(crate) fn kernel(&self) -> ActiveKernel {
+        self.kernel
     }
 
     /// The bitmap word covering colors `64*wi .. 64*wi + 64`, reading
@@ -435,16 +429,20 @@ impl ForbiddenSet for BitStampSet {
     fn set_kernel(&mut self, kernel: KernelImpl) {
         self.kernel = kernel.resolve();
     }
-
-    #[inline]
-    fn prefetch_word(&self, color: Color) {
-        sparse::prefetch::prefetch_read(&self.entries, color.max(0) as usize / 64);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn set_kernel_resolves_and_sticks() {
+        let mut s = BitStampSet::with_capacity(32);
+        s.set_kernel(KernelImpl::Scalar);
+        assert_eq!(s.kernel(), ActiveKernel::Scalar);
+        s.set_kernel(KernelImpl::Auto);
+        assert_eq!(s.kernel(), KernelImpl::Auto.resolve());
+    }
 
     #[test]
     fn insert_and_contains() {

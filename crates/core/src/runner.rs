@@ -180,7 +180,7 @@ pub(crate) fn run_speculative_bgpc<F: ForbiddenSet, I: CsrIndex>(
     // ever hoisted out and reused across calls (see ThreadCtx docs).
     for ctx in scratch.iter_mut() {
         ctx.reset_for_run();
-        ctx.set_kernel(schedule.kernel);
+        ctx.fb.set_kernel(schedule.kernel);
     }
     // Eager shared queue, only allocated when the schedule needs it.
     let eager_queue = (!schedule.lazy_queue).then(|| SharedQueue::new(n));

@@ -1,27 +1,29 @@
-//! Runtime-dispatched SIMD kernels for the forbidden-set hot paths.
+//! Runtime-dispatched SIMD first-fit scan over [`crate::BitStampSet`]
+//! words.
 //!
 //! Mirrors the [`crate::StampSet`] / [`crate::BitStampSet`] pattern one
-//! level down: the scalar loops in [`crate::forbidden`], [`crate::vertex`],
-//! [`crate::net`] and [`crate::d2gc`] remain the executable specification,
-//! and every vectorized routine in this module must return *bit-identical*
-//! answers (a property test drives randomized states through both paths).
+//! level down: the scalar word loop in [`crate::forbidden`] remains the
+//! executable specification, and the vectorized scan in this module must
+//! return *bit-identical* answers (a property test drives randomized
+//! states through both paths). The distance-2 mark and conflict sweeps of
+//! [`crate::vertex`], [`crate::net`] and [`crate::d2gc`] are scalar on
+//! every tier.
 //!
 //! Dispatch is runtime-detected on x86-64 (`is_x86_feature_detected!`):
 //!
-//! * **AVX2** — 2 forbidden-set words per first-fit probe, 8-lane color
-//!   gathers (`vpgatherdd`) for the forbidden-mark and conflict sweeps.
-//! * **SSE2** — the x86-64 baseline: packed stamp-compare first-fit, one
-//!   word per probe. SSE2 has no gather instruction, so the mark/conflict
-//!   sweeps stay scalar at this tier.
+//! * **AVX2** — packed stamp-compare first-fit, four forbidden-set words
+//!   (256 colors) per loop iteration.
+//! * **SSE2** — the x86-64 baseline: the same compare, two words per
+//!   iteration.
 //! * **Scalar** — every other architecture, and the `--kernel scalar`
-//!   override. Identical to the spec loops by construction (it *is* them).
+//!   override. Identical to the spec by construction (it *is* the spec
+//!   loop).
 //!
 //! The public face is [`KernelImpl`] — the `--kernel scalar|simd|auto`
-//! axis threaded through [`crate::Schedule`] and
-//! [`crate::ctx::ThreadCtx`] — which resolves to an [`ActiveKernel`]
-//! once per run.
+//! axis carried by [`crate::Schedule`] and installed into each thread's
+//! forbidden set — which resolves to an [`ActiveKernel`] once per run.
 
-use crate::color::{Color, Colors, UNCOLORED};
+use crate::color::Color;
 use crate::forbidden::WordEntry;
 
 /// Requested kernel implementation — the `--kernel` axis.
@@ -92,9 +94,9 @@ pub enum ActiveKernel {
     /// The executable-spec scalar loops.
     #[default]
     Scalar,
-    /// x86-64 baseline: packed first-fit word scan, scalar gathers.
+    /// x86-64 baseline: packed first-fit scan, two words per iteration.
     Sse2,
-    /// 8-lane gathers + 2-word first-fit probes.
+    /// Packed first-fit scan, four words per iteration.
     Avx2,
 }
 
@@ -112,14 +114,6 @@ impl ActiveKernel {
     #[inline]
     pub fn is_vector(self) -> bool {
         !matches!(self, ActiveKernel::Scalar)
-    }
-
-    /// Whether the 8-lane color-gather paths (forbidden-mark, conflict
-    /// sweep) are available. SSE2 lacks a gather instruction, so only the
-    /// first-fit word scan is vectorized at that tier.
-    #[inline]
-    pub fn has_gather(self) -> bool {
-        matches!(self, ActiveKernel::Avx2)
     }
 }
 
@@ -147,10 +141,6 @@ pub fn isa_features() -> &'static str {
         ActiveKernel::Scalar => "scalar",
     }
 }
-
-/// Lane width of the 32-bit gather paths; pin lists shorter than this go
-/// straight to the scalar spec loop.
-pub(crate) const GATHER_LANES: usize = 8;
 
 // ---------------------------------------------------------------------------
 // First-fit over BitStampSet words
@@ -279,249 +269,6 @@ unsafe fn avx2_scan(entries: &[WordEntry], mark: u64, mut wi: usize) -> Color {
     scalar_scan(entries, mark, wi)
 }
 
-// ---------------------------------------------------------------------------
-// Gather paths over the shared color array
-// ---------------------------------------------------------------------------
-//
-// The gathers read the racing `Colors` array through a raw pointer (see
-// `Colors::as_ptr`): each lane is an aligned 32-bit read, equivalent to
-// the relaxed atomic loads of the scalar spec. Stale values are expected
-// and repaired by the conflict phase, exactly as in the scalar loops.
-
-/// Counter sink for the vectorized sweeps, flushed by the kernels into
-/// [`trace::Counter`] sheets once per chunk.
-#[derive(Default, Clone, Copy)]
-pub(crate) struct VecStats {
-    /// Forbidden-set inserts issued (matches the scalar probe counter).
-    pub probes: u64,
-    /// Software prefetches issued (colors + forbidden-set words).
-    pub prefetches: u64,
-    /// 8-lane vector blocks executed ([`trace::Counter::SimdPathHits`]).
-    pub blocks: u64,
-}
-
-/// Vectorized forbidden-mark gather over one pin list: for every pin
-/// `u != skip` whose color is assigned, inserts that color into `fb`.
-/// Pass `u32::MAX` as `skip` to mark unconditionally.
-///
-/// Exactly equivalent to the scalar spec loop (insert order differs, but
-/// forbidden sets are order-insensitive); only call when
-/// [`ActiveKernel::has_gather`] — callers keep the scalar loop as the
-/// other arm of the branch.
-///
-/// Pins must index into `colors` (a graph invariant for adjacency lists).
-pub(crate) fn gather_mark<F: crate::ForbiddenSet>(
-    colors: &Colors,
-    pins: &[u32],
-    skip: u32,
-    fb: &mut F,
-    stats: &mut VecStats,
-) {
-    debug_assert!(pins.iter().all(|&u| (u as usize) < colors.len()));
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: has_gather() implies AVX2 was runtime-detected; pins are
-    // in-bounds per the debug_assert'd graph invariant.
-    unsafe {
-        gather_mark_avx2(colors.as_ptr(), pins, skip, fb, stats);
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        // Unreachable in practice (has_gather() is never true here); keep
-        // the scalar spec so the call site compiles on every arch.
-        for &u in pins {
-            if u != skip {
-                let cu = colors.get(u as usize);
-                if cu != UNCOLORED {
-                    fb.insert(cu);
-                    stats.probes += 1;
-                }
-            }
-        }
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn gather_mark_avx2<F: crate::ForbiddenSet>(
-    base: *const i32,
-    pins: &[u32],
-    skip: u32,
-    fb: &mut F,
-    stats: &mut VecStats,
-) {
-    use std::arch::x86_64::*;
-    let skipv = _mm256_set1_epi32(skip as i32);
-    let unc = _mm256_set1_epi32(UNCOLORED);
-    let mut buf = [0i32; GATHER_LANES];
-    let mut k = 0;
-    while k + GATHER_LANES <= pins.len() {
-        // Prefetch the next block's color words — the forbidden-mark
-        // source — one block ahead of the gather.
-        if k + 2 * GATHER_LANES <= pins.len() {
-            for &p in &pins[k + GATHER_LANES..k + 2 * GATHER_LANES] {
-                sparse::prefetch::prefetch_ptr(base.add(p as usize));
-            }
-            stats.prefetches += GATHER_LANES as u64;
-        }
-        // SAFETY: 8 in-bounds u32 indices; every gathered address is
-        // base + pin, in-bounds by the caller's invariant.
-        let idx = _mm256_loadu_si256(pins.as_ptr().add(k) as *const __m256i);
-        let cols = _mm256_i32gather_epi32::<4>(base, idx);
-        let drop = _mm256_or_si256(
-            _mm256_cmpeq_epi32(cols, unc),
-            _mm256_cmpeq_epi32(idx, skipv),
-        );
-        let mut keep =
-            !(_mm256_movemask_ps(_mm256_castsi256_ps(drop)) as u32) & 0xFF;
-        stats.blocks += 1;
-        if keep != 0 {
-            _mm256_storeu_si256(buf.as_mut_ptr() as *mut __m256i, cols);
-            // Hint the forbidden-set words these colors land in before the
-            // insert sub-loop touches them (satellite: prefetch the
-            // forbidden-set words, not just the adjacency).
-            let mut m = keep;
-            while m != 0 {
-                fb.prefetch_word(buf[m.trailing_zeros() as usize]);
-                stats.prefetches += 1;
-                m &= m - 1;
-            }
-            while keep != 0 {
-                fb.insert(buf[keep.trailing_zeros() as usize]);
-                stats.probes += 1;
-                keep &= keep - 1;
-            }
-        }
-        k += GATHER_LANES;
-    }
-    // Scalar spec tail.
-    for &u in &pins[k..] {
-        if u != skip {
-            // SAFETY: in-bounds aligned 32-bit read (see module note on
-            // the racing color array).
-            let cu = *base.add(u as usize);
-            if cu != UNCOLORED {
-                fb.insert(cu);
-                stats.probes += 1;
-            }
-        }
-    }
-}
-
-/// Vectorized conflict sweep: `true` iff some pin `u < wv` currently
-/// holds color `cw` — the inner test of Algorithm 5 over one pin list.
-///
-/// Only call when [`ActiveKernel::has_gather`]; same answer as the scalar
-/// `any` loop (the scalar spec stops at the first hit, the vector path
-/// merely reads a few extra lanes of the racing array).
-pub(crate) fn conflict_in_pins(
-    colors: &Colors,
-    pins: &[u32],
-    wv: u32,
-    cw: Color,
-    stats: &mut VecStats,
-) -> bool {
-    debug_assert!(pins.iter().all(|&u| (u as usize) < colors.len()));
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: has_gather() implies AVX2; pins are in-bounds.
-    unsafe {
-        conflict_avx2(colors.as_ptr(), pins, wv, cw, stats)
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        let _ = stats;
-        pins.iter()
-            .any(|&u| u < wv && colors.get(u as usize) == cw)
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn conflict_avx2(
-    base: *const i32,
-    pins: &[u32],
-    wv: u32,
-    cw: Color,
-    stats: &mut VecStats,
-) -> bool {
-    use std::arch::x86_64::*;
-    // Unsigned `u < wv` via the sign-bias trick on the signed compare.
-    let bias = _mm256_set1_epi32(i32::MIN);
-    let wvv = _mm256_set1_epi32((wv as i32) ^ i32::MIN);
-    let cwv = _mm256_set1_epi32(cw);
-    let mut k = 0;
-    while k + GATHER_LANES <= pins.len() {
-        // SAFETY: 8 in-bounds indices; gathered addresses in-bounds.
-        let idx = _mm256_loadu_si256(pins.as_ptr().add(k) as *const __m256i);
-        let cols = _mm256_i32gather_epi32::<4>(base, idx);
-        let lower = _mm256_cmpgt_epi32(wvv, _mm256_xor_si256(idx, bias));
-        let hit = _mm256_and_si256(lower, _mm256_cmpeq_epi32(cols, cwv));
-        stats.blocks += 1;
-        if _mm256_movemask_epi8(hit) != 0 {
-            return true;
-        }
-        k += GATHER_LANES;
-    }
-    pins[k..].iter().any(|&u| {
-        // SAFETY: in-bounds aligned 32-bit read.
-        u < wv && *base.add(u as usize) == cw
-    })
-}
-
-/// Batched color gather for the net-based marking pass: fills `out` with
-/// `colors[pins[j]]` for every pin, so the (read-only) marking logic can
-/// run over a local buffer.
-///
-/// Only valid for passes that do not write `colors` between the gather
-/// and the last use of `out` on this thread — true for Algorithm 8's
-/// marking pass, *not* for the conflict-removal pass (which clears colors
-/// mid-scan and would diverge from the spec on duplicate pins).
-pub(crate) fn gather_colors(
-    colors: &Colors,
-    pins: &[u32],
-    out: &mut Vec<Color>,
-    stats: &mut VecStats,
-) {
-    debug_assert!(pins.iter().all(|&u| (u as usize) < colors.len()));
-    out.clear();
-    out.reserve(pins.len());
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: has_gather() implies AVX2; pins are in-bounds.
-    unsafe {
-        gather_colors_avx2(colors.as_ptr(), pins, out, stats);
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        let _ = stats;
-        out.extend(pins.iter().map(|&u| colors.get(u as usize)));
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn gather_colors_avx2(
-    base: *const i32,
-    pins: &[u32],
-    out: &mut Vec<Color>,
-    stats: &mut VecStats,
-) {
-    use std::arch::x86_64::*;
-    let mut buf = [0i32; GATHER_LANES];
-    let mut k = 0;
-    while k + GATHER_LANES <= pins.len() {
-        // SAFETY: 8 in-bounds indices; gathered addresses in-bounds.
-        let idx = _mm256_loadu_si256(pins.as_ptr().add(k) as *const __m256i);
-        let cols = _mm256_i32gather_epi32::<4>(base, idx);
-        _mm256_storeu_si256(buf.as_mut_ptr() as *mut __m256i, cols);
-        out.extend_from_slice(&buf);
-        stats.blocks += 1;
-        k += GATHER_LANES;
-    }
-    for &u in &pins[k..] {
-        // SAFETY: in-bounds aligned 32-bit read.
-        out.push(*base.add(u as usize));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -542,7 +289,6 @@ mod tests {
     fn scalar_request_always_resolves_scalar() {
         assert_eq!(KernelImpl::Scalar.resolve(), ActiveKernel::Scalar);
         assert!(!ActiveKernel::Scalar.is_vector());
-        assert!(!ActiveKernel::Scalar.has_gather());
     }
 
     #[test]
@@ -588,55 +334,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn gather_paths_match_scalar_spec() {
-        let colors = Colors::new(64);
-        for u in 0..64 {
-            if u % 3 != 0 {
-                colors.set(u, (u % 7) as Color);
-            }
-        }
-        let pins: Vec<u32> = (0..64).rev().collect();
-        let mut stats = VecStats::default();
-
-        // gather_mark vs the scalar loop, with and without a skip pin.
-        for skip in [u32::MAX, 5, 63] {
-            let mut vec_fb = BitStampSet::with_capacity(64);
-            vec_fb.advance();
-            gather_mark(&colors, &pins, skip, &mut vec_fb, &mut stats);
-            let mut ref_fb = BitStampSet::with_capacity(64);
-            ref_fb.advance();
-            for &u in &pins {
-                if u != skip {
-                    let cu = colors.get(u as usize);
-                    if cu != UNCOLORED {
-                        ref_fb.insert(cu);
-                    }
-                }
-            }
-            for c in 0..16 {
-                assert_eq!(vec_fb.contains(c), ref_fb.contains(c), "skip={skip} c={c}");
-            }
-        }
-
-        // conflict_in_pins vs the scalar any-loop.
-        for wv in [0u32, 7, 33, 64] {
-            for cw in 0..8 {
-                let want = pins.iter().any(|&u| u < wv && colors.get(u as usize) == cw);
-                assert_eq!(
-                    conflict_in_pins(&colors, &pins, wv, cw, &mut stats),
-                    want,
-                    "wv={wv} cw={cw}"
-                );
-            }
-        }
-
-        // gather_colors vs direct loads.
-        let mut out = Vec::new();
-        gather_colors(&colors, &pins, &mut out, &mut stats);
-        let want: Vec<Color> = pins.iter().map(|&u| colors.get(u as usize)).collect();
-        assert_eq!(out, want);
     }
 }

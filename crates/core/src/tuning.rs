@@ -5,15 +5,10 @@
 //! performance but never changes any coloring result — the property that
 //! lets an autotuner explore them freely.
 
-/// How many queue positions ahead the gather loops hint the cache about
-/// the next vertex's adjacency row. The queue entries are random vertex
-/// ids, so without the hint every `nets(w)` access is a cold indirect
-/// load; four items covers the gather latency without thrashing L1.
-///
-/// The vectorized gather path additionally prefetches the *color words*
-/// one [`crate::simd`] block ahead and the forbidden-set words of each
-/// gathered block (see `BitStampSet::prefetch_word`) — adjacency, marks
-/// source, and mark destination are all hinted.
+/// How many queue positions ahead the vertex-based loops hint the cache
+/// about the next vertex's adjacency row. The queue entries are random
+/// vertex ids, so without the hint every `nets(w)` access is a cold
+/// indirect load; four items covers that latency without thrashing L1.
 pub const PREFETCH_AHEAD: usize = 4;
 
 /// Neighborhood size (max net size for BGPC, max degree for D2GC) above

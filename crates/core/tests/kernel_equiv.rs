@@ -1,5 +1,8 @@
 //! Property tests: the `--kernel` axis never changes the coloring.
 //!
+//! The axis selects only the tier of the first-fit word scan (the
+//! distance-2 mark and conflict sweeps are scalar on every tier), so these
+//! tests pin the remaining scalar ≡ SIMD first-fit contract end to end.
 //! At one thread there is no speculation — every run is deterministic —
 //! so forcing [`bgpc::KernelImpl::Scalar`] and [`bgpc::KernelImpl::Simd`]
 //! through the same schedule must produce bit-identical colorings on both

@@ -19,10 +19,11 @@ pub enum Counter {
     ConflictsDetected,
     /// Forbidden-set inserts while gathering a distance-2 neighborhood.
     ForbiddenProbes,
-    /// Software prefetch hints issued by the gather loops.
+    /// Software prefetch hints issued ahead of adjacency-row walks.
     PrefetchIssues,
-    /// 8-lane vector blocks executed by the SIMD gather/conflict kernels
-    /// (zero under `--kernel scalar` or when pin lists are too short).
+    /// Vector blocks executed by a SIMD neighborhood sweep. No kernel has
+    /// one (the mark and conflict sweeps are scalar), so this reads zero;
+    /// the variant stays so existing trace consumers keep their column.
     SimdPathHits,
     /// Steals won from a victim in the thief's near tier (same physical
     /// core/package under the topology model). Subset of `StealsWon`.

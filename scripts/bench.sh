@@ -23,7 +23,9 @@
 #                                 # message volume -> BENCH_dist.json
 #
 # The coloring modes additionally accept, after the mode flag:
-#   --kernel scalar|simd|auto     # pin the forbidden-set kernel axis
+#   --kernel scalar|simd|auto     # pin the tier of the first-fit word scan
+#                                 # (the only vectorized kernel; the mark
+#                                 # and conflict sweeps are always scalar)
 #   --pin                         # pin workers core-major (see par::topo)
 #   --kernel-sweep                # run the report once per kernel side,
 #                                 # writing BENCH_coloring_scalar.json and

@@ -55,10 +55,12 @@ CHECK_SEED="${CHECK_SEED:-20260806}"
 step_end "check-smoke"
 
 step_begin "check smoke: forced --kernel scalar / --kernel simd sweeps"
-# The same seeded oracle instances with the forbidden-set kernel axis
-# pinned to each side of the scalar ≡ simd contract: any divergence
-# between the spec loops and the vectorized kernels fails tier-1 here
-# even on hosts where the random axis draw would rarely pick one side.
+# The same seeded oracle instances with the kernel axis pinned to each
+# side of the scalar ≡ simd contract. The axis selects only the
+# first-fit word scan (the mark and conflict sweeps are scalar on every
+# tier), so these two sweeps pin that the SSE2/AVX2 scan never diverges
+# from the scalar spec, even on hosts where the random axis draw would
+# rarely pick one side.
 ./target/release/check_smoke --seed "$CHECK_SEED" --cases 60 --kernel scalar
 ./target/release/check_smoke --seed "$CHECK_SEED" --cases 60 --kernel simd
 step_end "check-smoke-kernels"
