@@ -378,7 +378,7 @@ fn run_bgpc<F: ForbiddenSet, I: CsrIndex>(
     let mut num_colors = 0;
     let mut rounds = 0;
     for _ in 0..reps {
-        let r = bgpc::color_bgpc_with_set::<F, I>(g, order, schedule, pool, RunnerOpts::default());
+        let r = bgpc::color_with_set::<F, _>(g, order, schedule, pool, RunnerOpts::default());
         if let Err(e) = verify_bgpc(g, &r.colors) {
             eprintln!(
                 "FATAL: invalid BGPC coloring ({dataset}, {}, {threads}t, {set_impl}): {e}",
@@ -644,7 +644,7 @@ fn autotune_bgpc<I: CsrIndex>(
             online: Some(OnlineTuner::default()),
             ..Default::default()
         };
-        let r = bgpc::engine::color_bgpc_with_config(&g, &order, cfg, pool, opts);
+        let r = bgpc::engine::color_with_config(&g, &order, cfg, pool, opts);
         let colors = match perm {
             Some(p) => sparse::unpermute(&r.colors, p),
             None => r.colors.clone(),
@@ -688,7 +688,7 @@ fn autotune_d2gc<I: CsrIndex>(
             online: Some(OnlineTuner::default()),
             ..Default::default()
         };
-        let r = bgpc::engine::color_d2gc_with_config(&g, &order, cfg, pool, opts);
+        let r = bgpc::engine::color_with_config(&g, &order, cfg, pool, opts);
         let colors = match perm {
             Some(p) => sparse::unpermute(&r.colors, p),
             None => r.colors.clone(),
@@ -810,7 +810,7 @@ fn delta_record(
             let t = Instant::now();
             let a = bgpc::apply_delta(m, &delta).expect("delta applies");
             let dirty = a.dirty_bgpc();
-            let r = bgpc::recolor_bgpc_incremental(
+            let r = bgpc::recolor_incremental(
                 &g2,
                 &base.colors,
                 dirty,
@@ -856,7 +856,7 @@ fn delta_record(
             let t = Instant::now();
             let a = bgpc::apply_delta(m, &delta).expect("delta applies");
             let dirty = a.dirty_d2gc();
-            let r = bgpc::recolor_d2gc_incremental(
+            let r = bgpc::recolor_incremental(
                 &g2,
                 &base.colors,
                 &dirty,

@@ -26,7 +26,7 @@
 //! runs from sub-seed `split_mix64(seed + i)` and any failure replays
 //! standalone via `check_smoke --autotune --replay-case SEED`.
 
-use bgpc::engine::{color_bgpc_with_config, color_d2gc_with_config};
+use bgpc::engine::color_with_config;
 use bgpc::runner::RunnerOpts;
 use bgpc::verify::{verify_bgpc, verify_d2gc};
 use bgpc::{Balance, Color, Engine, EngineChoice, OnlineTuner, Schedule};
@@ -136,13 +136,13 @@ pub fn run_autotune_bgpc_case(d: &mut impl Draw, engine: &Engine) -> Result<(), 
         IndexWidth::U32 => {
             let gp = BipartiteGraph::from_matrix(&mp);
             let order = pick_ordering(d).vertex_order_bgpc(&gp);
-            color_bgpc_with_config(&gp, &order, cfg, &pool, opts)
+            color_with_config(&gp, &order, cfg, &pool, opts)
         }
         IndexWidth::U64 => {
             let mp64: Csr<u64> = mp.to_index::<u64>();
             let gp = BipartiteGraph::from_matrix(&mp64);
             let order = pick_ordering(d).vertex_order_bgpc(&gp);
-            color_bgpc_with_config(&gp, &order, cfg, &pool, opts)
+            color_with_config(&gp, &order, cfg, &pool, opts)
         }
     };
     let colors = match &perm {
@@ -192,13 +192,13 @@ pub fn run_autotune_d2gc_case(d: &mut impl Draw, engine: &Engine) -> Result<(), 
         IndexWidth::U32 => {
             let gp = Graph::from_symmetric_matrix(&mp);
             let order = pick_ordering(d).vertex_order_d2(&gp);
-            color_d2gc_with_config(&gp, &order, cfg, &pool, opts)
+            color_with_config(&gp, &order, cfg, &pool, opts)
         }
         IndexWidth::U64 => {
             let mp64: Csr<u64> = mp.to_index::<u64>();
             let gp = Graph::from_symmetric_matrix(&mp64);
             let order = pick_ordering(d).vertex_order_d2(&gp);
-            color_d2gc_with_config(&gp, &order, cfg, &pool, opts)
+            color_with_config(&gp, &order, cfg, &pool, opts)
         }
     };
     let colors = match &perm {

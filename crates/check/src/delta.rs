@@ -6,8 +6,7 @@
 //! draws a random **mutation batch** — insertions of absent edges and
 //! deletions of present edges — applies it through
 //! [`bgpc::apply_delta`], and recolors incrementally with
-//! [`bgpc::recolor_bgpc_incremental`] /
-//! [`bgpc::recolor_d2gc_incremental`] seeded from the base coloring and
+//! [`bgpc::recolor_incremental`] seeded from the base coloring and
 //! the delta's dirty set. The oracle then checks:
 //!
 //! * **Validity on the mutated graph** — the incremental coloring must
@@ -36,9 +35,9 @@
 //! `scripts/verify.sh`) and by the in-crate tests.
 
 use bgpc::verify::{verify_bgpc, verify_d2gc};
-use bgpc::incremental::{recolor_bgpc_incremental_with_set, recolor_d2gc_incremental_with_set};
+use bgpc::incremental::recolor_incremental_with_set;
 use bgpc::{
-    apply_delta, recolor_bgpc_incremental, recolor_d2gc_incremental, Balance, BitStampSet, Color,
+    apply_delta, recolor_incremental, Balance, BitStampSet, Color,
     CsrDelta, KernelImpl, RunnerOpts, Schedule, StampSet,
 };
 use graph::{BipartiteGraph, Graph};
@@ -240,7 +239,7 @@ pub fn run_delta_bgpc_case_with(
 
     // Incremental recolor: valid on the mutated graph, not degraded,
     // bounded regression for first-fit.
-    let inc = recolor_bgpc_incremental(
+    let inc = recolor_incremental(
         &g2,
         &base.colors,
         dirty,
@@ -283,7 +282,7 @@ pub fn run_delta_bgpc_case_with(
     if !noop.dirty_bgpc().is_empty() || noop.matrix != m {
         return Err(format!("{label}: empty delta is not a no-op"));
     }
-    let id = recolor_bgpc_incremental(
+    let id = recolor_incremental(
         &g,
         &base.colors,
         noop.dirty_bgpc(),
@@ -305,18 +304,18 @@ pub fn run_delta_bgpc_case_with(
     let pool1 = Pool::new(1);
     let base1 = bgpc::color_bgpc(&g, &order, &schedule, &pool1);
     let opts = RunnerOpts::default();
-    let a = recolor_bgpc_incremental(
+    let a = recolor_incremental(
         &g2, &base1.colors, dirty, &order2, &schedule, &pool1, opts.clone(),
     );
-    let b = recolor_bgpc_incremental(
+    let b = recolor_incremental(
         &g2, &base1.colors, dirty, &order2, &schedule, &pool1, opts.clone(),
     );
     same_colors(&a.colors, &b.colors, &format!("{label}: @1 run-twice"))?;
 
-    let stamp = recolor_bgpc_incremental_with_set::<StampSet, u32>(
+    let stamp = recolor_incremental_with_set::<StampSet, _>(
         &g2, &base1.colors, dirty, &order2, &schedule, &pool1, opts.clone(),
     );
-    let bitstamp = recolor_bgpc_incremental_with_set::<BitStampSet, u32>(
+    let bitstamp = recolor_incremental_with_set::<BitStampSet, _>(
         &g2, &base1.colors, dirty, &order2, &schedule, &pool1, opts.clone(),
     );
     same_colors(
@@ -327,7 +326,7 @@ pub fn run_delta_bgpc_case_with(
 
     let m64 = applied.matrix.to_index::<u64>();
     let g64 = BipartiteGraph::from_matrix(&m64);
-    let wide = recolor_bgpc_incremental(
+    let wide = recolor_incremental(
         &g64, &base1.colors, dirty, &order2, &schedule, &pool1, opts.clone(),
     );
     same_colors(&a.colors, &wide.colors, &format!("{label}: u32 vs u64 @1"))?;
@@ -337,7 +336,7 @@ pub fn run_delta_bgpc_case_with(
         _ => KernelImpl::Scalar,
     };
     let kflipped = schedule.clone().with_kernel(other_kernel);
-    let kc = recolor_bgpc_incremental(&g2, &base1.colors, dirty, &order2, &kflipped, &pool1, opts);
+    let kc = recolor_incremental(&g2, &base1.colors, dirty, &order2, &kflipped, &pool1, opts);
     same_colors(
         &a.colors,
         &kc.colors,
@@ -416,7 +415,7 @@ pub fn run_delta_d2gc_case_with(
         .map_err(|e| format!("{label}: symmetrization rejected: {e}"))?;
 
     let pool = Pool::new(threads);
-    let base = bgpc::d2gc::runner::color_d2gc(&g, &order, &schedule, &pool);
+    let base = bgpc::d2gc::color_d2gc(&g, &order, &schedule, &pool);
     verify_d2gc(&g, &base.colors).map_err(|e| format!("{label}: invalid base coloring: {e}"))?;
 
     let applied = apply_delta(&m, &delta).map_err(|e| format!("{label}: apply_delta: {e}"))?;
@@ -433,7 +432,7 @@ pub fn run_delta_d2gc_case_with(
     let order2 = ordering.vertex_order_d2(&g2);
     let dirty = applied.dirty_d2gc();
 
-    let inc = recolor_d2gc_incremental(
+    let inc = recolor_incremental(
         &g2,
         &base.colors,
         &dirty,
@@ -454,7 +453,7 @@ pub fn run_delta_d2gc_case_with(
             g2.n_vertices()
         ));
     }
-    let full = bgpc::d2gc::runner::color_d2gc(&g2, &order2, &schedule, &pool);
+    let full = bgpc::d2gc::color_d2gc(&g2, &order2, &schedule, &pool);
     verify_d2gc(&g2, &full.colors)
         .map_err(|e| format!("{label}: full recolor invalid on mutated graph: {e}"))?;
     if balance == Balance::Unbalanced {
@@ -471,7 +470,7 @@ pub fn run_delta_d2gc_case_with(
     // Empty-delta identity.
     let noop = apply_delta(&m, &CsrDelta::empty())
         .map_err(|e| format!("{label}: empty delta rejected: {e}"))?;
-    let id = recolor_d2gc_incremental(
+    let id = recolor_incremental(
         &g,
         &base.colors,
         &noop.dirty_d2gc(),
@@ -490,20 +489,20 @@ pub fn run_delta_d2gc_case_with(
 
     // One-thread battery.
     let pool1 = Pool::new(1);
-    let base1 = bgpc::d2gc::runner::color_d2gc(&g, &order, &schedule, &pool1);
+    let base1 = bgpc::d2gc::color_d2gc(&g, &order, &schedule, &pool1);
     let opts = RunnerOpts::default();
-    let a = recolor_d2gc_incremental(
+    let a = recolor_incremental(
         &g2, &base1.colors, &dirty, &order2, &schedule, &pool1, opts.clone(),
     );
-    let b = recolor_d2gc_incremental(
+    let b = recolor_incremental(
         &g2, &base1.colors, &dirty, &order2, &schedule, &pool1, opts.clone(),
     );
     same_colors(&a.colors, &b.colors, &format!("{label}: @1 run-twice"))?;
 
-    let stamp = recolor_d2gc_incremental_with_set::<StampSet, u32>(
+    let stamp = recolor_incremental_with_set::<StampSet, _>(
         &g2, &base1.colors, &dirty, &order2, &schedule, &pool1, opts.clone(),
     );
-    let bitstamp = recolor_d2gc_incremental_with_set::<BitStampSet, u32>(
+    let bitstamp = recolor_incremental_with_set::<BitStampSet, _>(
         &g2, &base1.colors, &dirty, &order2, &schedule, &pool1, opts.clone(),
     );
     same_colors(
@@ -514,7 +513,7 @@ pub fn run_delta_d2gc_case_with(
 
     let m64 = applied.matrix.to_index::<u64>();
     let g64 = Graph::from_symmetric_matrix(&m64);
-    let wide = recolor_d2gc_incremental(
+    let wide = recolor_incremental(
         &g64, &base1.colors, &dirty, &order2, &schedule, &pool1, opts.clone(),
     );
     same_colors(&a.colors, &wide.colors, &format!("{label}: u32 vs u64 @1"))?;
@@ -525,7 +524,7 @@ pub fn run_delta_d2gc_case_with(
     };
     let kflipped = schedule.clone().with_kernel(other_kernel);
     let kc =
-        recolor_d2gc_incremental(&g2, &base1.colors, &dirty, &order2, &kflipped, &pool1, opts);
+        recolor_incremental(&g2, &base1.colors, &dirty, &order2, &kflipped, &pool1, opts);
     same_colors(
         &a.colors,
         &kc.colors,

@@ -240,9 +240,9 @@ pub fn run_bgpc_case_with(d: &mut impl Draw, forced: Option<KernelImpl>) -> Resu
 
     let opts = RunnerOpts::default();
     let stamp =
-        bgpc::color_bgpc_with_set::<StampSet, u32>(&g, &order, &schedule1, &pool1, opts.clone());
+        bgpc::color_with_set::<StampSet, _>(&g, &order, &schedule1, &pool1, opts.clone());
     let bitstamp =
-        bgpc::color_bgpc_with_set::<BitStampSet, u32>(&g, &order, &schedule1, &pool1, opts);
+        bgpc::color_with_set::<BitStampSet, _>(&g, &order, &schedule1, &pool1, opts);
     same_colors(
         &stamp.colors,
         &bitstamp.colors,
@@ -302,7 +302,7 @@ pub fn run_d2gc_case_with(d: &mut impl Draw, forced: Option<KernelImpl>) -> Resu
     let g = Graph::from_symmetric_matrix(&m);
     let order = pick_ordering(d).vertex_order_d2(&g);
 
-    let set = Schedule::d2gc_set();
+    let set = Schedule::all();
     let idx = d.usize_in(0..set.len());
     let balance = pick_balance(d);
     let sched = pick_sched(d);
@@ -320,7 +320,7 @@ pub fn run_d2gc_case_with(d: &mut impl Draw, forced: Option<KernelImpl>) -> Resu
     );
 
     let pool = Pool::new(threads);
-    let res = bgpc::d2gc::runner::color_d2gc(&g, &order, &schedule, &pool);
+    let res = bgpc::d2gc::color_d2gc(&g, &order, &schedule, &pool);
     verify_d2gc(&g, &res.colors).map_err(|e| format!("{label}: invalid coloring: {e}"))?;
     if let Some(reason) = &res.degraded {
         return Err(format!("{label}: unexpectedly degraded: {reason}"));
@@ -345,7 +345,7 @@ pub fn run_d2gc_case_with(d: &mut impl Draw, forced: Option<KernelImpl>) -> Resu
     // One-thread battery.
     let pool1 = Pool::new(1);
     let base = Schedule::v_v_64d();
-    let par1 = bgpc::d2gc::runner::color_d2gc(&g, &order, &base, &pool1);
+    let par1 = bgpc::d2gc::color_d2gc(&g, &order, &base, &pool1);
     let (seq_colors, seq_k) = bgpc::seq::color_d2gc_seq(&g, &order);
     same_colors(
         &par1.colors,
@@ -360,19 +360,19 @@ pub fn run_d2gc_case_with(d: &mut impl Draw, forced: Option<KernelImpl>) -> Resu
     }
 
     let schedule1 = {
-        let mut s = Schedule::d2gc_set().into_iter().nth(idx).expect("in range");
+        let mut s = Schedule::all().into_iter().nth(idx).expect("in range");
         s = s.with_balance(balance).with_sched(sched).with_kernel(kernel);
         s
     };
-    let a = bgpc::d2gc::runner::color_d2gc(&g, &order, &schedule1, &pool1);
-    let b = bgpc::d2gc::runner::color_d2gc(&g, &order, &schedule1, &pool1);
+    let a = bgpc::d2gc::color_d2gc(&g, &order, &schedule1, &pool1);
+    let b = bgpc::d2gc::color_d2gc(&g, &order, &schedule1, &pool1);
     same_colors(&a.colors, &b.colors, &format!("{label}: @1 run-twice"))?;
 
     let opts = RunnerOpts::default();
-    let stamp = bgpc::d2gc::runner::color_d2gc_with_set::<StampSet, u32>(
+    let stamp = bgpc::color_with_set::<StampSet, _>(
         &g, &order, &schedule1, &pool1, opts.clone(),
     );
-    let bitstamp = bgpc::d2gc::runner::color_d2gc_with_set::<BitStampSet, u32>(
+    let bitstamp = bgpc::color_with_set::<BitStampSet, _>(
         &g, &order, &schedule1, &pool1, opts,
     );
     same_colors(
@@ -383,7 +383,7 @@ pub fn run_d2gc_case_with(d: &mut impl Draw, forced: Option<KernelImpl>) -> Resu
 
     let m64 = m.to_index::<u64>();
     let g64 = Graph::from_symmetric_matrix(&m64);
-    let wide = bgpc::d2gc::runner::color_d2gc(&g64, &order, &schedule1, &pool1);
+    let wide = bgpc::d2gc::color_d2gc(&g64, &order, &schedule1, &pool1);
     same_colors(&a.colors, &wide.colors, &format!("{label}: u32 vs u64 @1"))?;
 
     // Kernel equivalence at one thread (vectorized first-fit word scan vs
@@ -393,7 +393,7 @@ pub fn run_d2gc_case_with(d: &mut impl Draw, forced: Option<KernelImpl>) -> Resu
         _ => KernelImpl::Scalar,
     };
     let kflipped = schedule1.clone().with_kernel(other_kernel);
-    let kc = bgpc::d2gc::runner::color_d2gc(&g, &order, &kflipped, &pool1);
+    let kc = bgpc::d2gc::color_d2gc(&g, &order, &kflipped, &pool1);
     same_colors(
         &a.colors,
         &kc.colors,

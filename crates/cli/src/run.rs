@@ -114,55 +114,52 @@ fn load(input: &Input) -> Result<Csr, Failure> {
     }
 }
 
+/// Runs the speculative driver on `g`: with the engine-resolved `config`
+/// (its schedule and forced forbidden-set representation) under
+/// `--autotune`, otherwise with `schedule` and the driver's per-instance
+/// dispatch.
+fn run_driver<G: bgpc::Neighborhood>(
+    g: &G,
+    order: &[u32],
+    schedule: &Schedule,
+    pool: &Pool,
+    config: Option<&bgpc::EngineConfig>,
+    opts: bgpc::RunnerOpts,
+) -> bgpc::ColoringResult {
+    match config {
+        Some(cfg) => bgpc::engine::color_with_config(g, order, cfg, pool, opts),
+        None => bgpc::color_with_opts(g, order, schedule, pool, opts),
+    }
+}
+
 /// Runs the BGPC driver on an already-relabeled pattern at width `I`.
-/// `forbidden` forces the engine-chosen forbidden-set representation;
-/// `None` keeps the runner's per-instance dispatch.
 fn run_bgpc_width<I: CsrIndex>(
     m: Csr<I>,
     schedule: &Schedule,
     ordering: Ordering,
     pool: &Pool,
-    forbidden: Option<bgpc::ForbiddenKind>,
+    config: Option<&bgpc::EngineConfig>,
     opts: bgpc::RunnerOpts,
 ) -> Result<bgpc::ColoringResult, Failure> {
     let g = BipartiteGraph::try_from_matrix_owned(m)
         .map_err(|e| Failure::new(EXIT_GRAPH, e.to_string()))?;
     let order = ordering.vertex_order_bgpc(&g);
-    Ok(match forbidden {
-        Some(bgpc::ForbiddenKind::Stamp) => {
-            bgpc::color_bgpc_with_set::<bgpc::StampSet, I>(&g, &order, schedule, pool, opts)
-        }
-        Some(bgpc::ForbiddenKind::BitStamp) => {
-            bgpc::color_bgpc_with_set::<bgpc::BitStampSet, I>(&g, &order, schedule, pool, opts)
-        }
-        None => bgpc::color_bgpc_with_opts(&g, &order, schedule, pool, opts),
-    })
+    Ok(run_driver(&g, &order, schedule, pool, config, opts))
 }
 
-/// Runs the D2GC driver on an already-relabeled pattern at width `I`
-/// (same `forbidden` contract as [`run_bgpc_width`]).
+/// Runs the D2GC driver on an already-relabeled pattern at width `I`.
 fn run_d2gc_width<I: CsrIndex>(
     m: &Csr<I>,
     schedule: &Schedule,
     ordering: Ordering,
     pool: &Pool,
-    forbidden: Option<bgpc::ForbiddenKind>,
+    config: Option<&bgpc::EngineConfig>,
     opts: bgpc::RunnerOpts,
 ) -> Result<bgpc::ColoringResult, Failure> {
     let g = Graph::try_from_symmetric_matrix(m)
         .map_err(|e| Failure::new(EXIT_GRAPH, e.to_string()))?;
     let order = ordering.vertex_order_d2(&g);
-    Ok(match forbidden {
-        Some(bgpc::ForbiddenKind::Stamp) => {
-            bgpc::d2gc::color_d2gc_with_set::<bgpc::StampSet, I>(&g, &order, schedule, pool, opts)
-        }
-        Some(bgpc::ForbiddenKind::BitStamp) => {
-            bgpc::d2gc::color_d2gc_with_set::<bgpc::BitStampSet, I>(
-                &g, &order, schedule, pool, opts,
-            )
-        }
-        None => bgpc::d2gc::color_d2gc_with_opts(&g, &order, schedule, pool, opts),
-    })
+    Ok(run_driver(&g, &order, schedule, pool, config, opts))
 }
 
 /// Maps a coloring computed on a relabeled instance back to original ids.
@@ -194,7 +191,7 @@ fn color(args: ColorArgs) -> Result<(), Failure> {
     let mut schedule = args.schedule.clone();
     let mut relabel = args.relabel;
     let mut width_request = args.index_width;
-    let mut forbidden: Option<bgpc::ForbiddenKind> = None;
+    let mut engine_cfg: Option<bgpc::EngineConfig> = None;
     if args.autotune {
         match args.problem {
             Problem::Bgpc | Problem::D2gc => {
@@ -217,7 +214,7 @@ fn color(args: ColorArgs) -> Result<(), Failure> {
                 schedule = cfg.schedule.clone();
                 relabel = cfg.relabel;
                 width_request = Some(cfg.index_width);
-                forbidden = Some(cfg.forbidden);
+                engine_cfg = Some(cfg);
             }
             _ => out!("autotune: no table for {:?}; using explicit flags", args.problem),
         }
@@ -268,14 +265,14 @@ fn color(args: ColorArgs) -> Result<(), Failure> {
             let (pm, perm) = relabel.apply_columns(&matrix);
             let r = match width {
                 IndexWidth::U32 => {
-                    run_bgpc_width(pm, &schedule, args.ordering, &pool, forbidden, opts)?
+                    run_bgpc_width(pm, &schedule, args.ordering, &pool, engine_cfg.as_ref(), opts)?
                 }
                 IndexWidth::U64 => run_bgpc_width(
                     pm.to_index::<u64>(),
                     &schedule,
                     args.ordering,
                     &pool,
-                    forbidden,
+                    engine_cfg.as_ref(),
                     opts,
                 )?,
             };
@@ -309,7 +306,7 @@ fn color(args: ColorArgs) -> Result<(), Failure> {
                             &schedule,
                             args.ordering,
                             &pool,
-                            forbidden,
+                            engine_cfg.as_ref(),
                             opts,
                         )?,
                         IndexWidth::U64 => run_d2gc_width(
@@ -317,7 +314,7 @@ fn color(args: ColorArgs) -> Result<(), Failure> {
                             &schedule,
                             args.ordering,
                             &pool,
-                            forbidden,
+                            engine_cfg.as_ref(),
                             opts,
                         )?,
                     };

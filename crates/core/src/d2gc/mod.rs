@@ -1,15 +1,31 @@
-//! Distance-2 graph coloring (paper §IV).
+//! Distance-2 graph coloring (paper §IV): BGPC over closed-neighborhood
+//! nets.
 //!
-//! D2GC reuses the BGPC machinery with one twist: the input is a unipartite
-//! graph, so each vertex plays both roles — it is a colored vertex *and*
-//! the "net" formed by its closed neighborhood. The net-based kernels
-//! therefore start by processing the middle vertex's own color before its
-//! adjacency list (Algorithms 9 and 10), and the reverse first-fit cursor
-//! starts at `|nbor(v)|` instead of `|vtxs(v)| − 1` since the thread colors
-//! up to `|nbor(v)| + 1` vertices per net.
+//! The paper adapts every BGPC algorithm to D2GC "with a single
+//! difference": each vertex `v` is both a colored vertex and the net
+//! `N[v] = {v} ∪ nbor(v)`, processed middle vertex first (Algorithms 9
+//! and 10). [`graph::Graph`] implements [`crate::neighborhood::Neighborhood`]
+//! that way, so D2GC runs the one speculative driver and the one set of
+//! vertex- and net-based kernels BGPC runs; the reverse first-fit cursor
+//! `net_size(v) − 1` is Algorithm 9's `|nbor(v)|`.
 
-pub mod net;
-pub mod runner;
-pub mod vertex;
+use graph::Graph;
+use par::Pool;
+use sparse::CsrIndex;
 
-pub use runner::{color_d2gc, color_d2gc_with_opts, color_d2gc_with_set, try_color_d2gc};
+use crate::{ColoringResult, RunnerOpts, Schedule};
+
+pub use crate::runner::{
+    color_with_opts as color_d2gc_with_opts, color_with_set as color_d2gc_with_set,
+};
+
+/// Runs the full speculative D2GC loop with the given [`Schedule`] — see
+/// [`crate::color_with_opts`].
+pub fn color_d2gc<I: CsrIndex>(
+    g: &Graph<I>,
+    order: &[u32],
+    schedule: &Schedule,
+    pool: &Pool,
+) -> ColoringResult {
+    crate::color_with_opts(g, order, schedule, pool, RunnerOpts::default())
+}

@@ -12,10 +12,10 @@
 //! 2. [`apply_delta`] merges the batch into a fresh CSR in one
 //!    O(nnz + |delta|) pass and reports the **dirty set** — the vertices
 //!    whose color may have become invalid or wasteful.
-//! 3. [`recolor_bgpc_incremental`] / [`recolor_d2gc_incremental`] seed
-//!    the existing speculative drivers with the previous coloring and a
-//!    work queue containing *only* the dirty vertices, then run the
-//!    ordinary color-then-repair loop until clean. Every runner feature
+//! 3. [`recolor_incremental`] seeds the speculative driver — for BGPC or
+//!    D2GC — with the previous coloring and a work queue containing
+//!    *only* the dirty vertices, then runs the ordinary color-then-repair
+//!    loop until clean. Every runner feature
 //!    — [`crate::ctx::ThreadCtx`] scratch, forbidden-set dispatch, the SIMD
 //!    kernels, all [`Schedule`]s, and [`RunnerOpts`]
 //!    (deadline/cancel/online tuner) — applies unchanged.
@@ -56,7 +56,7 @@
 //! # Example
 //!
 //! ```
-//! use bgpc::incremental::{apply_delta, recolor_bgpc_incremental, CsrDelta};
+//! use bgpc::incremental::{apply_delta, recolor_incremental, CsrDelta};
 //! use bgpc::{RunnerOpts, Schedule};
 //! use graph::{BipartiteGraph, Ordering};
 //!
@@ -77,7 +77,7 @@
 //! assert_eq!(dirty, vec![9]);
 //!
 //! let g2 = BipartiteGraph::try_from_matrix_owned(applied.matrix).unwrap();
-//! let r = recolor_bgpc_incremental(
+//! let r = recolor_incremental(
 //!     &g2, &full.colors, &dirty, &order,
 //!     &Schedule::v_v(), &pool, RunnerOpts::default(),
 //! );
@@ -86,14 +86,13 @@
 
 use std::fmt;
 
-use graph::{BipartiteGraph, Graph};
 use par::Pool;
 use sparse::{Csr, CsrIndex};
 
-use crate::d2gc::runner::run_speculative_d2gc;
 use crate::forbidden::ForbiddenSet;
 use crate::metrics::ColoringResult;
-use crate::runner::{run_speculative_bgpc, RunnerOpts};
+use crate::neighborhood::Neighborhood;
+use crate::runner::{with_forbidden_set, Run, RunnerOpts, WithSet};
 use crate::{Color, Colors, Schedule, UNCOLORED};
 
 /// A rejected delta, with enough structure to say exactly which edge of
@@ -465,7 +464,7 @@ pub fn apply_delta<I: CsrIndex>(
 /// Seeds a color array from a previous run, uncoloring the dirty set.
 /// Returns the seeded array, the deduplicated dirty queue, and the
 /// largest base color still pinned (for forbidden-set sizing).
-fn seed_colors(base_colors: &[Color], dirty: &[u32]) -> (Colors, Vec<u32>, Color) {
+pub(crate) fn seed_colors(base_colors: &[Color], dirty: &[u32]) -> (Colors, Vec<u32>, Color) {
     let colors = Colors::new(base_colors.len());
     for (u, &c) in base_colors.iter().enumerate() {
         if c != UNCOLORED {
@@ -485,13 +484,14 @@ fn seed_colors(base_colors: &[Color], dirty: &[u32]) -> (Colors, Vec<u32>, Color
     (colors, w0, max_base)
 }
 
-/// Incrementally recolors a BGPC instance after a mutation: `g` is the
+/// Incrementally recolors an instance after a mutation: `g` is the
 /// **mutated** graph, `base_colors` the coloring of the pre-mutation
 /// graph, and `dirty` the vertices whose colors may no longer be valid
-/// (from [`DeltaApplied::dirty_bgpc`]). Stable vertices keep their
-/// colors; only the dirty set (plus any conflict losers the speculative
-/// loop discovers) is recolored. Dispatches the forbidden-set
-/// representation per instance exactly like [`crate::color_bgpc_with_opts`].
+/// ([`DeltaApplied::dirty_bgpc`] for BGPC; [`DeltaApplied::dirty_d2gc`]
+/// on a [`CsrDelta::symmetrized`] delta for D2GC). Stable vertices keep
+/// their colors; only the dirty set (plus any conflict losers the
+/// speculative loop discovers) is recolored. Dispatches the forbidden-set
+/// representation per instance exactly like [`crate::color_with_opts`].
 ///
 /// `order` must cover every vertex of `g` — it is the repair order for
 /// degraded runs and the rebuild set for net-based conflict phases.
@@ -505,8 +505,8 @@ fn seed_colors(base_colors: &[Color], dirty: &[u32]) -> (Colors, Vec<u32>, Color
 /// changes the pattern's dimensions, so a length mismatch means the
 /// coloring belongs to a different graph. Callers holding untrusted
 /// pairings (the serve daemon) check lengths before calling.
-pub fn recolor_bgpc_incremental<I: CsrIndex>(
-    g: &BipartiteGraph<I>,
+pub fn recolor_incremental<G: Neighborhood>(
+    g: &G,
     base_colors: &[Color],
     dirty: &[u32],
     order: &[u32],
@@ -514,22 +514,13 @@ pub fn recolor_bgpc_incremental<I: CsrIndex>(
     pool: &Pool,
     opts: RunnerOpts,
 ) -> ColoringResult {
-    if g.max_net_size() > crate::tuning::DENSE_FORBIDDEN_CUTOFF {
-        recolor_bgpc_incremental_with_set::<crate::StampSet, I>(
-            g, base_colors, dirty, order, schedule, pool, opts,
-        )
-    } else {
-        recolor_bgpc_incremental_with_set::<crate::BitStampSet, I>(
-            g, base_colors, dirty, order, schedule, pool, opts,
-        )
-    }
+    with_forbidden_set(g, None, seeded_run(g, base_colors, dirty, order, schedule, pool, opts))
 }
 
-/// [`recolor_bgpc_incremental`] generic over the forbidden-set
-/// representation `F`, for harnesses that pin the representation axis.
-#[allow(clippy::too_many_arguments)]
-pub fn recolor_bgpc_incremental_with_set<F: ForbiddenSet, I: CsrIndex>(
-    g: &BipartiteGraph<I>,
+/// [`recolor_incremental`] with the forbidden-set representation `F`
+/// forced, for harnesses that pin the representation axis.
+pub fn recolor_incremental_with_set<F: ForbiddenSet, G: Neighborhood>(
+    g: &G,
     base_colors: &[Color],
     dirty: &[u32],
     order: &[u32],
@@ -537,74 +528,44 @@ pub fn recolor_bgpc_incremental_with_set<F: ForbiddenSet, I: CsrIndex>(
     pool: &Pool,
     opts: RunnerOpts,
 ) -> ColoringResult {
+    seeded_run(g, base_colors, dirty, order, schedule, pool, opts).run::<F>()
+}
+
+/// Problem-named aliases of [`recolor_incremental`].
+pub use self::{
+    recolor_incremental as recolor_bgpc_incremental,
+    recolor_incremental as recolor_d2gc_incremental,
+};
+
+fn seeded_run<'a, G: Neighborhood>(
+    g: &'a G,
+    base_colors: &'a [Color],
+    dirty: &'a [u32],
+    order: &'a [u32],
+    schedule: &'a Schedule,
+    pool: &'a Pool,
+    opts: RunnerOpts,
+) -> Run<'a, G> {
     assert_eq!(
         base_colors.len(),
         g.n_vertices(),
         "base coloring does not match the mutated graph's vertex count"
     );
-    let (colors, w0, max_base) = seed_colors(base_colors, dirty);
-    // First-fit may need to step past every pinned base color as well as
-    // the structural bound; the sets grow on demand, this sizes the
-    // first allocation.
-    let capacity = g.max_net_size().max((max_base + 1) as usize) + 64;
-    run_speculative_bgpc::<F, I>(g, order, colors, w0, capacity, schedule, pool, opts)
-}
-
-/// Incrementally recolors a D2GC instance after a mutation — the
-/// unipartite twin of [`recolor_bgpc_incremental`], with `dirty` from
-/// [`DeltaApplied::dirty_d2gc`] on a [`CsrDelta::symmetrized`] delta.
-///
-/// # Panics
-///
-/// Panics if `base_colors.len() != g.n_vertices()` (same contract as the
-/// BGPC entry point).
-pub fn recolor_d2gc_incremental<I: CsrIndex>(
-    g: &Graph<I>,
-    base_colors: &[Color],
-    dirty: &[u32],
-    order: &[u32],
-    schedule: &Schedule,
-    pool: &Pool,
-    opts: RunnerOpts,
-) -> ColoringResult {
-    if g.max_degree() > crate::tuning::DENSE_FORBIDDEN_CUTOFF {
-        recolor_d2gc_incremental_with_set::<crate::StampSet, I>(
-            g, base_colors, dirty, order, schedule, pool, opts,
-        )
-    } else {
-        recolor_d2gc_incremental_with_set::<crate::BitStampSet, I>(
-            g, base_colors, dirty, order, schedule, pool, opts,
-        )
+    Run {
+        g,
+        order,
+        seed: Some((base_colors, dirty)),
+        schedule,
+        pool,
+        opts,
     }
-}
-
-/// [`recolor_d2gc_incremental`] generic over the forbidden-set
-/// representation `F`.
-#[allow(clippy::too_many_arguments)]
-pub fn recolor_d2gc_incremental_with_set<F: ForbiddenSet, I: CsrIndex>(
-    g: &Graph<I>,
-    base_colors: &[Color],
-    dirty: &[u32],
-    order: &[u32],
-    schedule: &Schedule,
-    pool: &Pool,
-    opts: RunnerOpts,
-) -> ColoringResult {
-    assert_eq!(
-        base_colors.len(),
-        g.n_vertices(),
-        "base coloring does not match the mutated graph's vertex count"
-    );
-    let (colors, w0, max_base) = seed_colors(base_colors, dirty);
-    let capacity = g.max_degree().max((max_base + 1) as usize) + 64;
-    run_speculative_d2gc::<F, I>(g, order, colors, w0, capacity, schedule, pool, opts)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::verify::{verify_bgpc, verify_d2gc};
-    use graph::Ordering;
+    use graph::{BipartiteGraph, Graph, Ordering};
 
     fn base_pattern() -> Csr {
         sparse::gen::bipartite_uniform(40, 60, 500, 11)
@@ -751,7 +712,7 @@ mod tests {
         let g2 = BipartiteGraph::from_matrix(&applied.matrix);
 
         for schedule in Schedule::all() {
-            let r = recolor_bgpc_incremental(
+            let r = recolor_incremental(
                 &g2,
                 &full.colors,
                 applied.dirty_bgpc(),
@@ -785,7 +746,7 @@ mod tests {
         let order = Ordering::Natural.vertex_order_bgpc(&g);
         let pool = Pool::new(2);
         let full = crate::color_bgpc(&g, &order, &Schedule::v_v(), &pool);
-        let r = recolor_bgpc_incremental(
+        let r = recolor_incremental(
             &g,
             &full.colors,
             &[],
@@ -829,7 +790,7 @@ mod tests {
         let g2 = Graph::from_symmetric_matrix(&applied.matrix);
 
         for schedule in Schedule::d2gc_set() {
-            let r = recolor_d2gc_incremental(
+            let r = recolor_incremental(
                 &g2,
                 &full.colors,
                 &applied.dirty_d2gc(),
@@ -855,7 +816,7 @@ mod tests {
         let d = CsrDelta::try_new(vec![(0, 2)], vec![]).unwrap();
         let applied = apply_delta(&m, &d).unwrap();
         let g2 = BipartiteGraph::from_matrix(&applied.matrix);
-        let r = recolor_bgpc_incremental(
+        let r = recolor_incremental(
             &g2,
             &base,
             applied.dirty_bgpc(),
@@ -877,7 +838,7 @@ mod tests {
         let g = BipartiteGraph::from_matrix(&m);
         let order = Ordering::Natural.vertex_order_bgpc(&g);
         let pool = Pool::new(1);
-        recolor_bgpc_incremental(
+        recolor_incremental(
             &g,
             &[0, 1, 2],
             &[0],

@@ -9,7 +9,10 @@
 //!   vertices sharing a net (`V_B` vertex) receive different colors. This is
 //!   the column-coloring problem behind sparse Jacobian compression.
 //! * **D2GC**: color a graph so each vertex differs from everything within
-//!   distance 2 — the symmetric/Hessian variant.
+//!   distance 2 — the symmetric/Hessian variant. It is BGPC over
+//!   closed-neighborhood nets: vertex `v`'s net is `N[v] = {v} ∪ nbor(v)`,
+//!   so both problems run the same driver and kernels, written once over
+//!   the [`Neighborhood`] trait ([`neighborhood`] has the mapping).
 //!
 //! # The optimistic framework
 //!
@@ -27,6 +30,9 @@
 //! * [`color_bgpc`] / [`seq::color_bgpc_seq`] — parallel / sequential BGPC.
 //! * [`d2gc::color_d2gc`] / [`seq::color_d2gc_seq`] — parallel / sequential
 //!   D2GC.
+//! * [`color_with_opts`], [`color_with_set`], [`try_color`],
+//!   [`recolor_incremental`], [`engine::color_with_config`] and
+//!   [`seq::color_seq`] — the generic entry points, for either problem.
 //! * [`Schedule`] — which algorithm combination to run ([`Schedule::all`]
 //!   lists the paper's eight).
 //! * [`Balance`] — the B1/B2 cardinality-balancing heuristics (§V).
@@ -63,6 +69,7 @@ pub mod forbidden;
 pub mod incremental;
 pub mod jp;
 pub mod metrics;
+pub mod neighborhood;
 pub mod net;
 pub mod recolor;
 pub mod runner;
@@ -83,16 +90,14 @@ pub use engine::{
 };
 pub use error::ColoringError;
 pub use forbidden::{BitStampSet, ForbiddenSet, StampSet};
-pub use incremental::{
-    apply_delta, recolor_bgpc_incremental, recolor_d2gc_incremental, CsrDelta, DeltaApplied,
-    DeltaError,
-};
+pub use incremental::{apply_delta, recolor_incremental, CsrDelta, DeltaApplied, DeltaError};
 pub use metrics::{
     ColoringResult, DegradeReason, FailedPhase, IterationMetrics, TunerAction,
     TunerActionKind,
 };
-pub use runner::{
-    color_bgpc, color_bgpc_with_opts, color_bgpc_with_set, try_color_bgpc, RunnerOpts,
-};
+pub use neighborhood::Neighborhood;
+pub use runner::{color_bgpc, color_with_opts, color_with_set, try_color, RunnerOpts};
+/// Problem-named aliases of the generic drivers.
+pub use runner::{color_with_opts as color_bgpc_with_opts, color_with_set as color_bgpc_with_set};
 pub use schedule::{PhaseKind, Schedule};
 pub use simd::{ActiveKernel, KernelImpl};

@@ -38,7 +38,9 @@ pub struct IterationMetrics {
     pub color_kind: PhaseKind,
     /// Phase kind used for conflict removal.
     pub conflict_kind: PhaseKind,
-    /// Wall time of the coloring phase.
+    /// Wall time of the coloring phase. On a degraded run's last row it
+    /// also holds the sequential repair's time, the only coloring a
+    /// deadline or iteration-cap row does.
     pub color_time: Duration,
     /// Wall time of the conflict-removal phase.
     pub conflict_time: Duration,

@@ -1,4 +1,5 @@
-//! The speculative coloring driver (Algorithm 1) for BGPC.
+//! The speculative coloring driver (Algorithm 1), for BGPC and D2GC
+//! alike: one loop, generic over the [`Neighborhood`] it colors.
 
 use std::time::{Duration, Instant};
 
@@ -7,15 +8,17 @@ use par::{Pool, ThreadScratch};
 use sparse::CsrIndex;
 
 use crate::ctx::ThreadCtx;
+use crate::engine::ForbiddenKind;
 use crate::error::{validate_order, ColoringError};
 use crate::forbidden::ForbiddenSet;
 use crate::metrics::{
     count_distinct_colors, ColoringResult, DegradeReason, FailedPhase, IterationMetrics,
     ThreadIterStats,
 };
+use crate::neighborhood::Neighborhood;
 use crate::schedule::PhaseKind;
 use crate::workqueue::SharedQueue;
-use crate::{net, vertex, Colors, Schedule, UNCOLORED};
+use crate::{net, vertex, BitStampSet, Color, Colors, Schedule, StampSet, UNCOLORED};
 
 /// Default iteration cap before the driver abandons speculation and colors
 /// the remaining queue sequentially. Real runs finish in a handful of
@@ -60,18 +63,52 @@ impl Default for RunnerOpts {
 
 impl RunnerOpts {
     /// Whether the deadline has passed or the cancel token was tripped.
-    /// Polled by the drivers once per speculative iteration.
+    /// Polled by the driver once per speculative iteration.
     pub fn expired(&self) -> bool {
         self.deadline.is_some_and(|d| Instant::now() >= d)
             || self.cancel.as_ref().is_some_and(|c| c.is_cancelled())
     }
 }
 
-/// Runs the full speculative BGPC loop with the given [`Schedule`].
+/// Runs the full speculative BGPC loop with the given [`Schedule`] — see
+/// [`color_with_opts`].
+pub fn color_bgpc<I: CsrIndex>(
+    g: &BipartiteGraph<I>,
+    order: &[u32],
+    schedule: &Schedule,
+    pool: &Pool,
+) -> ColoringResult {
+    color_with_opts(g, order, schedule, pool, RunnerOpts::default())
+}
+
+/// [`color_with_opts`] with default options and an order validated
+/// against the vertex set — the entry point for untrusted inputs (CLI,
+/// external order files).
+pub fn try_color<G: Neighborhood>(
+    g: &G,
+    order: &[u32],
+    schedule: &Schedule,
+    pool: &Pool,
+) -> Result<ColoringResult, ColoringError> {
+    validate_order(order, g.n_vertices())?;
+    Ok(color_with_opts(g, order, schedule, pool, RunnerOpts::default()))
+}
+
+/// Runs the full speculative loop on `g` with the given [`Schedule`]
+/// and [`RunnerOpts`].
 ///
-/// `order` is the processing order of the colored side (`V_A`); it doubles
+/// `order` is the processing order of the colored vertices; it doubles
 /// as the initial work queue. Returns the final (valid, complete) coloring
-/// plus per-iteration metrics.
+/// plus per-iteration metrics. The schedule's net/vertex switching,
+/// chunking, queue strategy, net-coloring variant and balancing knobs
+/// apply to BGPC and D2GC alike.
+///
+/// Picks the forbidden-set representation per instance: the word-packed
+/// [`crate::BitStampSet`] by default, the per-color [`crate::StampSet`]
+/// when [`Neighborhood::max_neighborhood`] (max net size for BGPC, max
+/// degree for D2GC) exceeds [`crate::tuning::DENSE_FORBIDDEN_CUTOFF`]
+/// (insert-dominated regime — see the constant's docs for why). Use
+/// [`color_with_set`] to force a representation.
 ///
 /// # Fault model
 ///
@@ -79,366 +116,303 @@ impl RunnerOpts {
 /// abort the run: the partial state is repaired sequentially and the
 /// result is flagged via [`ColoringResult::degraded`]. The coloring is
 /// valid and complete either way.
-pub fn color_bgpc<I: CsrIndex>(
-    g: &BipartiteGraph<I>,
-    order: &[u32],
-    schedule: &Schedule,
-    pool: &Pool,
-) -> ColoringResult {
-    color_bgpc_with_opts(g, order, schedule, pool, RunnerOpts::default())
-}
-
-/// [`color_bgpc`] with an order validated against the vertex set — the
-/// entry point for untrusted inputs (CLI, external order files).
-pub fn try_color_bgpc<I: CsrIndex>(
-    g: &BipartiteGraph<I>,
-    order: &[u32],
-    schedule: &Schedule,
-    pool: &Pool,
-) -> Result<ColoringResult, ColoringError> {
-    validate_order(order, g.n_vertices())?;
-    Ok(color_bgpc(g, order, schedule, pool))
-}
-
-/// [`color_bgpc`] with explicit [`RunnerOpts`]. Picks the forbidden-set
-/// representation per instance: the word-packed [`crate::BitStampSet`]
-/// by default, the per-color [`crate::StampSet`] when the largest net
-/// exceeds [`crate::tuning::DENSE_FORBIDDEN_CUTOFF`] (insert-dominated
-/// regime — see the constant's docs for why). Use
-/// [`color_bgpc_with_set`] to force a representation.
-pub fn color_bgpc_with_opts<I: CsrIndex>(
-    g: &BipartiteGraph<I>,
+pub fn color_with_opts<G: Neighborhood>(
+    g: &G,
     order: &[u32],
     schedule: &Schedule,
     pool: &Pool,
     opts: RunnerOpts,
 ) -> ColoringResult {
-    if g.max_net_size() > crate::tuning::DENSE_FORBIDDEN_CUTOFF {
-        color_bgpc_with_set::<crate::StampSet, I>(g, order, schedule, pool, opts)
-    } else {
-        color_bgpc_with_set::<crate::BitStampSet, I>(g, order, schedule, pool, opts)
-    }
+    let run = Run { g, order, seed: None, schedule, pool, opts };
+    with_forbidden_set(g, None, run)
 }
 
-/// [`color_bgpc`] generic over the forbidden-set representation `F` —
+/// [`color_with_opts`] with the forbidden-set representation `F` forced —
 /// the benchmark harness runs the same driver with [`crate::StampSet`]
 /// and [`crate::BitStampSet`] to measure the representation in isolation.
-pub fn color_bgpc_with_set<F: ForbiddenSet, I: CsrIndex>(
-    g: &BipartiteGraph<I>,
+pub fn color_with_set<F: ForbiddenSet, G: Neighborhood>(
+    g: &G,
     order: &[u32],
     schedule: &Schedule,
     pool: &Pool,
     opts: RunnerOpts,
 ) -> ColoringResult {
-    let n = g.n_vertices();
-    let colors = Colors::new(n);
-    let w0 = order.to_vec();
-    run_speculative_bgpc::<F, I>(
-        g,
-        order,
-        colors,
-        w0,
-        g.max_net_size() + 64,
-        schedule,
-        pool,
-        opts,
-    )
+    Run { g, order, seed: None, schedule, pool, opts }.run::<F>()
 }
 
-/// The speculative color-then-repair loop over an explicit starting
-/// state: a (possibly pre-seeded) color array and an initial work queue.
-///
-/// `color_bgpc_with_set` calls this with an all-[`UNCOLORED`] array and
-/// `w0 == order`; [`crate::incremental`] seeds `colors` from a previous
-/// run and restricts `w0` to the dirty vertices. Either way `order` must
-/// cover every vertex — it is the repair order for degraded runs and the
-/// rebuild set for net-based conflict phases, both of which may need to
-/// requeue vertices outside `w0`.
-///
-/// `capacity` sizes the per-thread forbidden sets; seeded callers must
-/// cover the largest base color in addition to the structural bound
-/// (the sets grow on demand, so this is a first-allocation hint, not a
-/// correctness requirement).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_speculative_bgpc<F: ForbiddenSet, I: CsrIndex>(
-    g: &BipartiteGraph<I>,
-    order: &[u32],
-    colors: Colors,
-    w0: Vec<u32>,
-    capacity: usize,
-    schedule: &Schedule,
-    pool: &Pool,
-    opts: RunnerOpts,
-) -> ColoringResult {
-    let n = g.n_vertices();
-    debug_assert_eq!(order.len(), n, "order must cover every vertex");
-    let mut scratch: ThreadScratch<ThreadCtx<F, I>> = ThreadScratch::new(pool.threads(), |_| {
-        ThreadCtx::new(capacity)
-    });
-    // Balancer cursors and queues are per-run state: reset defensively so
-    // the run is reproducible even if the scratch construction above is
-    // ever hoisted out and reused across calls (see ThreadCtx docs).
-    for ctx in scratch.iter_mut() {
-        ctx.reset_for_run();
-        ctx.fb.set_kernel(schedule.kernel);
+/// A computation generic over the forbidden-set representation, so
+/// [`with_forbidden_set`] can choose the representation at run time.
+pub(crate) trait WithSet {
+    /// What the computation returns.
+    type Output;
+    /// Runs the computation with representation `F`.
+    fn run<F: ForbiddenSet>(self) -> Self::Output;
+}
+
+/// The per-instance forbidden-set dispatch: runs `job` with `kind`'s
+/// representation, or when `None` with [`ForbiddenKind::auto_for`] the
+/// instance's [`Neighborhood::max_neighborhood`].
+pub(crate) fn with_forbidden_set<G: Neighborhood, J: WithSet>(
+    g: &G,
+    kind: Option<ForbiddenKind>,
+    job: J,
+) -> J::Output {
+    match kind.unwrap_or_else(|| ForbiddenKind::auto_for(g.max_neighborhood())) {
+        ForbiddenKind::Stamp => job.run::<StampSet>(),
+        ForbiddenKind::BitStamp => job.run::<BitStampSet>(),
     }
-    // Eager shared queue, only allocated when the schedule needs it.
-    let eager_queue = (!schedule.lazy_queue).then(|| SharedQueue::new(n));
+}
 
-    // The online tuner refines a working copy between iterations;
-    // `schedule` itself stays the caller's requested configuration.
-    let mut live = schedule.clone();
-    let mut tuner_actions = Vec::new();
+/// One speculative run's inputs.
+pub(crate) struct Run<'a, G> {
+    pub(crate) g: &'a G,
+    /// Processing order; it must cover every vertex — it is the initial
+    /// queue of an unseeded run, the repair order for degraded runs and
+    /// the rebuild set for net-based conflict phases, which may requeue
+    /// vertices outside a seeded queue.
+    pub(crate) order: &'a [u32],
+    /// `Some((base, dirty))` starts from a previous coloring `base` with
+    /// the `dirty` vertices uncolored and queued ([`crate::incremental`]);
+    /// `None` starts all-[`UNCOLORED`] with `order` queued.
+    pub(crate) seed: Option<(&'a [Color], &'a [u32])>,
+    pub(crate) schedule: &'a Schedule,
+    pub(crate) pool: &'a Pool,
+    pub(crate) opts: RunnerOpts,
+}
 
-    let mut w: Vec<u32> = w0;
-    let mut iterations = Vec::new();
-    let mut degraded: Option<DegradeReason> = None;
-    let rec = pool.tracer();
-    let start = Instant::now();
+impl<G: Neighborhood> WithSet for Run<'_, G> {
+    type Output = ColoringResult;
 
-    let mut iter = 0usize;
-    while !w.is_empty() {
-        if opts.expired() {
-            // Deadline/cancellation: stop speculating and repair the
-            // best-so-far partial state into a valid, complete coloring.
-            // The repair is sequential but touches only what the finished
-            // iterations left dirty, so a late trip costs little.
-            degraded = Some(DegradeReason::DeadlineExceeded { iter });
-            let queue_in = w.len();
-            traced_repair(g, order, &colors, rec, iter);
-            w.clear();
-            iterations.push(IterationMetrics {
-                iter,
-                queue_in,
-                color_kind: PhaseKind::Vertex,
-                conflict_kind: PhaseKind::Vertex,
-                color_time: start.elapsed(),
-                conflict_time: Duration::ZERO,
-                queue_out: 0,
-                per_thread: Vec::new(),
-            });
-            break;
-        }
-        if iter >= opts.max_iterations {
-            // Liveness fallback: sequentially color what's left. The
-            // remaining queue holds losers whose stale colors the next
-            // coloring phase would have overwritten, so repair first.
-            degraded = Some(DegradeReason::IterationCap {
-                cap: opts.max_iterations,
-            });
-            let queue_in = w.len();
-            traced_repair(g, order, &colors, rec, iter);
-            w.clear();
-            iterations.push(IterationMetrics {
-                iter,
-                queue_in,
-                color_kind: PhaseKind::Vertex,
-                conflict_kind: PhaseKind::Vertex,
-                color_time: start.elapsed(),
-                conflict_time: Duration::ZERO,
-                queue_out: 0,
-                per_thread: Vec::new(),
-            });
-            break;
-        }
-
-        let queue_in = w.len();
-        let color_kind = live.color_kind(iter);
-        let conflict_kind = live.conflict_kind(iter);
-
-        // Counter snapshots bracket each phase so the per-iteration
-        // `ThreadIterStats` are exact deltas of the monotonic sheets; the
-        // runner itself executes on team member 0 between regions, which
-        // is the reader side of the recorder's partitioning contract.
-        let snap_start = rec.map(|r| r.snapshot_counters());
-        let color_start_ns = rec.map(|r| r.now_ns());
-        let t_color = Instant::now();
-        let color_outcome = par::contain(|| match color_kind {
-            PhaseKind::Vertex => vertex::color_workqueue_vertex(
-                g,
-                &w,
-                &colors,
-                pool,
-                live.chunk,
-                live.sched,
-                live.balance,
-                &scratch,
-            ),
-            PhaseKind::Net => net::color_workqueue_net(
-                g,
-                &colors,
-                pool,
-                live.sched,
-                live.net_variant,
-                live.balance,
-                &scratch,
-            ),
-        });
-        let color_time = t_color.elapsed();
-        if let (Some(r), Some(ts)) = (rec, color_start_ns) {
-            r.record_span(
-                0,
-                trace::SpanKind::Color,
-                iter as u32,
-                ts,
-                r.now_ns().saturating_sub(ts),
-            );
-        }
-        let snap_color = rec.map(|r| r.snapshot_counters());
-
-        if let Err(fault) = color_outcome {
-            degraded = Some(DegradeReason::WorkerPanic {
-                phase: FailedPhase::Color,
-                iter,
-                message: fault.first_message(),
-            });
-            traced_repair(g, order, &colors, rec, iter);
-            w.clear();
-            iterations.push(IterationMetrics {
-                iter,
-                queue_in,
-                color_kind,
-                conflict_kind,
-                color_time,
-                conflict_time: Duration::ZERO,
-                queue_out: 0,
-                per_thread: Vec::new(),
-            });
-            break;
-        }
-
-        let conflict_start_ns = rec.map(|r| r.now_ns());
-        let t_conflict = Instant::now();
-        let conflict_outcome = par::contain(|| match conflict_kind {
-            PhaseKind::Vertex => vertex::remove_conflicts_vertex(
-                g,
-                &w,
-                &colors,
-                pool,
-                live.chunk,
-                live.sched,
-                eager_queue.as_ref(),
-                &mut scratch,
-            ),
-            PhaseKind::Net => {
-                net::remove_conflicts_net(g, &colors, pool, live.sched, &scratch);
-                net::collect_uncolored(order, &colors, pool, &mut scratch)
-            }
-        });
-        let conflict_time = t_conflict.elapsed();
-        if let (Some(r), Some(ts)) = (rec, conflict_start_ns) {
-            r.record_span(
-                0,
-                trace::SpanKind::Conflict,
-                iter as u32,
-                ts,
-                r.now_ns().saturating_sub(ts),
-            );
-        }
-
-        let wnext = match conflict_outcome {
-            Ok(wnext) => wnext,
-            Err(fault) => {
-                degraded = Some(DegradeReason::WorkerPanic {
-                    phase: FailedPhase::Conflict,
-                    iter,
-                    message: fault.first_message(),
-                });
-                traced_repair(g, order, &colors, rec, iter);
-                w.clear();
-                iterations.push(IterationMetrics {
-                    iter,
-                    queue_in,
-                    color_kind,
-                    conflict_kind,
-                    color_time,
-                    conflict_time,
-                    queue_out: 0,
-                    per_thread: Vec::new(),
-                });
-                break;
+    /// The speculative color-then-repair loop.
+    fn run<F: ForbiddenSet>(self) -> ColoringResult {
+        let Run { g, order, seed, schedule, pool, opts } = self;
+        let n = g.n_vertices();
+        debug_assert_eq!(order.len(), n, "order must cover every vertex");
+        // The per-thread forbidden sets grow on demand; this sizes their
+        // first allocation. Seeded runs must also step past every pinned
+        // base color.
+        let (colors, mut w, capacity) = match seed {
+            None => (Colors::new(n), order.to_vec(), g.max_neighborhood() + 64),
+            Some((base, dirty)) => {
+                let (colors, w0, max_base) = crate::incremental::seed_colors(base, dirty);
+                let bound = g.max_neighborhood().max((max_base + 1) as usize);
+                (colors, w0, bound + 64)
             }
         };
+        let mut scratch: ThreadScratch<ThreadCtx<F, G::Index>> =
+            ThreadScratch::new(pool.threads(), |_| ThreadCtx::new(capacity));
+        // Balancer cursors and queues are per-run state: reset defensively
+        // so the run is reproducible even if the scratch construction above
+        // is ever hoisted out and reused across calls (see ThreadCtx docs).
+        for ctx in scratch.iter_mut() {
+            ctx.reset_for_run();
+            ctx.fb.set_kernel(schedule.kernel);
+        }
+        // Eager shared queue, only allocated when the schedule needs it.
+        let eager_queue = (!schedule.lazy_queue).then(|| SharedQueue::new(n));
 
-        // A dropped eager-queue entry is a conflict loser that will never
-        // be recolored — left alone, the loop would terminate with that
-        // stale, conflicting color in place. Surface the overflow as an
-        // explicit degraded run and repair sequentially, exactly like a
-        // contained fault.
-        if let Some(q) = eager_queue.as_ref() {
-            if q.has_overflowed() {
-                degraded = Some(DegradeReason::QueueOverflow {
-                    iter,
-                    dropped: q.dropped(),
-                });
-                traced_repair(g, order, &colors, rec, iter);
-                iterations.push(IterationMetrics {
-                    iter,
-                    queue_in,
-                    color_kind,
-                    conflict_kind,
-                    color_time,
-                    conflict_time,
-                    queue_out: 0,
-                    per_thread: Vec::new(),
-                });
-                break;
+        // The online tuner refines a working copy between iterations;
+        // `schedule` itself stays the caller's requested configuration.
+        let mut live = schedule.clone();
+        let mut tuner_actions = Vec::new();
+
+        let mut iterations = Vec::new();
+        let mut degraded: Option<DegradeReason> = None;
+        let rec = pool.tracer();
+        let start = Instant::now();
+
+        let mut iter = 0usize;
+        while !w.is_empty() {
+            let mut m = IterationMetrics {
+                iter,
+                queue_in: w.len(),
+                color_kind: PhaseKind::Vertex,
+                conflict_kind: PhaseKind::Vertex,
+                color_time: Duration::ZERO,
+                conflict_time: Duration::ZERO,
+                queue_out: 0,
+                per_thread: Vec::new(),
+            };
+            let outcome = if opts.expired() {
+                Err(DegradeReason::DeadlineExceeded { iter })
+            } else if iter >= opts.max_iterations {
+                Err(DegradeReason::IterationCap {
+                    cap: opts.max_iterations,
+                })
+            } else {
+                m.color_kind = live.color_kind(iter);
+                m.conflict_kind = live.conflict_kind(iter);
+                'iteration: {
+                    // Counter snapshots bracket each phase so the
+                    // per-iteration `ThreadIterStats` are exact deltas of
+                    // the monotonic sheets; the runner itself executes on
+                    // team member 0 between regions, which is the reader
+                    // side of the recorder's partitioning contract.
+                    let snap_start = rec.map(|r| r.snapshot_counters());
+                    let span = rec.map(|r| r.now_ns());
+                    let t_color = Instant::now();
+                    let color_outcome = par::contain(|| match m.color_kind {
+                        PhaseKind::Vertex => vertex::color_workqueue_vertex(
+                            g,
+                            &w,
+                            &colors,
+                            pool,
+                            live.chunk,
+                            live.sched,
+                            live.balance,
+                            &scratch,
+                        ),
+                        PhaseKind::Net => net::color_workqueue_net(
+                            g,
+                            &colors,
+                            pool,
+                            live.sched,
+                            live.net_variant,
+                            live.balance,
+                            &scratch,
+                        ),
+                    });
+                    m.color_time = t_color.elapsed();
+                    close_span(rec, span, trace::SpanKind::Color, iter);
+                    let snap_color = rec.map(|r| r.snapshot_counters());
+                    if let Err(fault) = color_outcome {
+                        break 'iteration Err(DegradeReason::WorkerPanic {
+                            phase: FailedPhase::Color,
+                            iter,
+                            message: fault.first_message(),
+                        });
+                    }
+
+                    let span = rec.map(|r| r.now_ns());
+                    let t_conflict = Instant::now();
+                    let conflict_outcome = par::contain(|| match m.conflict_kind {
+                        PhaseKind::Vertex => vertex::remove_conflicts_vertex(
+                            g,
+                            &w,
+                            &colors,
+                            pool,
+                            live.chunk,
+                            live.sched,
+                            eager_queue.as_ref(),
+                            &mut scratch,
+                        ),
+                        PhaseKind::Net => {
+                            net::remove_conflicts_net(g, &colors, pool, live.sched, &scratch);
+                            net::collect_uncolored(g, order, &colors, pool, &mut scratch)
+                        }
+                    });
+                    m.conflict_time = t_conflict.elapsed();
+                    close_span(rec, span, trace::SpanKind::Conflict, iter);
+                    let wnext = match conflict_outcome {
+                        Ok(wnext) => wnext,
+                        Err(fault) => {
+                            break 'iteration Err(DegradeReason::WorkerPanic {
+                                phase: FailedPhase::Conflict,
+                                iter,
+                                message: fault.first_message(),
+                            })
+                        }
+                    };
+
+                    // A dropped eager-queue entry is a conflict loser that
+                    // will never be recolored — left alone, the loop would
+                    // terminate with that stale, conflicting color in
+                    // place. Surface the overflow as an explicit degraded
+                    // run and repair sequentially, exactly like a contained
+                    // fault.
+                    if let Some(q) = eager_queue.as_ref().filter(|q| q.has_overflowed()) {
+                        break 'iteration Err(DegradeReason::QueueOverflow {
+                            iter,
+                            dropped: q.dropped(),
+                        });
+                    }
+
+                    m.per_thread = per_thread_slices(&snap_start, &snap_color, rec);
+                    if trace::COMPILED
+                        && m.conflict_kind == PhaseKind::Vertex
+                        && !m.per_thread.is_empty()
+                    {
+                        // Trace/queue invariant: the vertex-based conflict
+                        // phase pushes each loser exactly once, so the merged
+                        // per-thread conflict counts must equal |W_next|.
+                        // (Net-based phases rebuild the queue from *all*
+                        // uncolored vertices, which can include vertices the
+                        // net coloring never reached — no equality there.)
+                        let counted: u64 = m
+                            .per_thread
+                            .iter()
+                            .map(|t| t.conflict.get(trace::Counter::ConflictsDetected))
+                            .sum();
+                        debug_assert_eq!(
+                            counted,
+                            wnext.len() as u64,
+                            "per-thread conflict counts disagree with queue size"
+                        );
+                    }
+                    Ok(wnext)
+                }
+            };
+
+            match outcome {
+                Ok(wnext) => {
+                    m.queue_out = wnext.len();
+                    iterations.push(m);
+                    if let Some(tuner) = &opts.online {
+                        let m = iterations.last().expect("metrics just pushed");
+                        tuner_actions.extend(tuner.refine(&mut live, m, pool.threads()));
+                    }
+                    w = wnext;
+                    iter += 1;
+                }
+                Err(reason) => {
+                    // Stop speculating and repair the best-so-far partial
+                    // state into a valid, complete coloring. The repair is
+                    // sequential but touches only what the finished
+                    // iterations left dirty, so a late trip costs little.
+                    // It is a coloring pass, so its time joins the row's
+                    // color phase.
+                    let t_repair = Instant::now();
+                    let span = rec.map(|r| r.now_ns());
+                    repair_sequential(g, order, &colors);
+                    close_span(rec, span, trace::SpanKind::Repair, iter);
+                    m.color_time += t_repair.elapsed();
+                    iterations.push(m);
+                    degraded = Some(reason);
+                    break;
+                }
             }
         }
 
-        let per_thread = per_thread_slices(&snap_start, &snap_color, rec);
-        if trace::COMPILED && conflict_kind == PhaseKind::Vertex && !per_thread.is_empty() {
-            // Trace/queue invariant: the vertex-based conflict phase pushes
-            // each loser exactly once, so the merged per-thread conflict
-            // counts must equal |W_next|. (Net-based phases rebuild the
-            // queue from *all* uncolored vertices, which can include
-            // vertices the net coloring never reached — no equality there.)
-            let counted: u64 = per_thread
-                .iter()
-                .map(|t| t.conflict.get(trace::Counter::ConflictsDetected))
-                .sum();
-            debug_assert_eq!(
-                counted,
-                wnext.len() as u64,
-                "per-thread conflict counts disagree with queue size"
-            );
+        let colors = colors.snapshot();
+        let num_colors = count_distinct_colors(&colors);
+        ColoringResult {
+            colors,
+            num_colors,
+            iterations,
+            total_time: start.elapsed(),
+            degraded,
+            tuner_actions,
         }
-
-        iterations.push(IterationMetrics {
-            iter,
-            queue_in,
-            color_kind,
-            conflict_kind,
-            color_time,
-            conflict_time,
-            queue_out: wnext.len(),
-            per_thread,
-        });
-        if let Some(tuner) = &opts.online {
-            let m = iterations.last().expect("metrics just pushed");
-            tuner_actions.extend(tuner.refine(&mut live, m, pool.threads()));
-        }
-        w = wnext;
-        iter += 1;
     }
+}
 
-    let colors = colors.snapshot();
-    let num_colors = count_distinct_colors(&colors);
-    ColoringResult {
-        colors,
-        num_colors,
-        iterations,
-        total_time: start.elapsed(),
-        degraded,
-        tuner_actions,
+/// Records a team-member-0 span of `kind` from `start_ns` to now, when
+/// tracing is on.
+fn close_span(
+    rec: Option<&trace::Recorder>,
+    start_ns: Option<u64>,
+    kind: trace::SpanKind,
+    iter: usize,
+) {
+    if let (Some(r), Some(ts)) = (rec, start_ns) {
+        r.record_span(0, kind, iter as u32, ts, r.now_ns().saturating_sub(ts));
     }
 }
 
 /// Builds the per-iteration thread slices from the phase-bracketing
 /// counter snapshots: `color = mid − start`, `conflict = now − mid`.
-/// Returns an empty vec when tracing is off. Shared with the D2GC driver,
-/// which brackets its phases the same way.
-pub(crate) fn per_thread_slices(
+/// Returns an empty vec when tracing is off.
+fn per_thread_slices(
     snap_start: &Option<Vec<trace::CounterSheet>>,
     snap_color: &Option<Vec<trace::CounterSheet>>,
     rec: Option<&trace::Recorder>,
@@ -459,49 +433,6 @@ pub(crate) fn per_thread_slices(
     }
 }
 
-/// [`repair_sequential`] wrapped in a [`trace::SpanKind::Repair`] span so
-/// degraded runs are visible (and attributable) in the trace timeline.
-fn traced_repair<I: CsrIndex>(
-    g: &BipartiteGraph<I>,
-    order: &[u32],
-    colors: &Colors,
-    rec: Option<&trace::Recorder>,
-    iter: usize,
-) {
-    let ts = rec.map(|r| r.now_ns());
-    repair_sequential(g, order, colors);
-    if let (Some(r), Some(ts)) = (rec, ts) {
-        r.record_span(
-            0,
-            trace::SpanKind::Repair,
-            iter as u32,
-            ts,
-            r.now_ns().saturating_sub(ts),
-        );
-    }
-}
-
-/// Colors `w` sequentially with first-fit against the *current* state —
-/// conflict-free by construction.
-fn sequential_fallback<I: CsrIndex>(g: &BipartiteGraph<I>, w: &[u32], colors: &Colors) {
-    let mut fb = crate::BitStampSet::with_capacity(g.max_net_size() + 64);
-    for &wv in w {
-        let wu = wv as usize;
-        fb.advance();
-        for &v in g.nets(wu) {
-            for &u in g.vtxs(v as usize) {
-                if u != wv {
-                    let cu = colors.get(u as usize);
-                    if cu != crate::UNCOLORED {
-                        fb.insert(cu);
-                    }
-                }
-            }
-        }
-        colors.set(wu, fb.first_fit_from(0));
-    }
-}
-
 /// Repairs an arbitrary partial — possibly conflicting — coloring into a
 /// valid, complete one, sequentially.
 ///
@@ -511,21 +442,22 @@ fn sequential_fallback<I: CsrIndex>(g: &BipartiteGraph<I>, w: &[u32], colors: &C
 /// every later duplicate, then first-fit colors all uncolored vertices in
 /// `order`. Each recolored vertex avoids every color currently visible in
 /// its distance-2 neighborhood, so the final coloring is valid regardless
-/// of which writes the faulted phase completed.
-fn repair_sequential<I: CsrIndex>(g: &BipartiteGraph<I>, order: &[u32], colors: &Colors) {
-    let n = g.n_vertices();
-    let mut max_c: crate::Color = -1;
-    for u in 0..n {
+/// of which writes the faulted phase completed. (For D2GC the nets are the
+/// closed neighborhoods: a distance-2 coloring is valid exactly when every
+/// `N[v]` is rainbow.)
+fn repair_sequential<G: Neighborhood>(g: &G, order: &[u32], colors: &Colors) {
+    let mut max_c: Color = -1;
+    for u in 0..g.n_vertices() {
         max_c = max_c.max(colors.get(u));
     }
     let width = (max_c + 1) as usize + 1;
     let mut stamp = vec![usize::MAX; width];
     let mut holder = vec![0u32; width];
     for v in 0..g.n_nets() {
-        for &u in g.vtxs(v) {
+        g.for_each_pin(v, |u| {
             let c = colors.get(u as usize);
             if c == UNCOLORED {
-                continue;
+                return;
             }
             let ci = c as usize;
             if stamp[ci] == v && holder[ci] != u {
@@ -534,25 +466,45 @@ fn repair_sequential<I: CsrIndex>(g: &BipartiteGraph<I>, order: &[u32], colors: 
                 stamp[ci] = v;
                 holder[ci] = u;
             }
-        }
+        });
     }
-    let uncolored: Vec<u32> = order
-        .iter()
-        .copied()
-        .filter(|&u| colors.get(u as usize) == UNCOLORED)
-        .collect();
-    sequential_fallback(g, &uncolored, colors);
+    // Colors the uncolored vertices with first-fit against the *current*
+    // state — conflict-free by construction.
+    let mut fb = BitStampSet::with_capacity(g.max_neighborhood() + 64);
+    for &wv in order {
+        let wu = wv as usize;
+        if colors.get(wu) != UNCOLORED {
+            continue;
+        }
+        fb.advance();
+        for &v in g.nets(wu) {
+            g.for_each_pin(v as usize, |u| {
+                if u != wv {
+                    let cu = colors.get(u as usize);
+                    if cu != UNCOLORED {
+                        fb.insert(cu);
+                    }
+                }
+            });
+        }
+        colors.set(wu, fb.first_fit_from(0));
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::verify::verify_bgpc;
+    use crate::d2gc::color_d2gc;
+    use crate::verify::{verify_bgpc, verify_d2gc};
     use crate::Balance;
-    use graph::Ordering;
+    use graph::{Graph, Ordering};
 
     fn medium_instance() -> BipartiteGraph {
         BipartiteGraph::from_matrix(&sparse::gen::bipartite_uniform(80, 120, 1500, 7))
+    }
+
+    fn mesh() -> Graph {
+        Graph::from_symmetric_matrix(&sparse::gen::grid2d(12, 12, 1))
     }
 
     #[test]
@@ -660,6 +612,93 @@ mod tests {
         assert!(
             k_sl <= k_nat + 1,
             "smallest-last regressed badly: {k_sl} vs natural {k_nat}"
+        );
+    }
+
+    #[test]
+    fn d2gc_every_schedule_valid_single_thread() {
+        let g = mesh();
+        let order = Ordering::Natural.vertex_order_d2(&g);
+        let pool = Pool::new(1);
+        for schedule in Schedule::all() {
+            let r = color_d2gc(&g, &order, &schedule, &pool);
+            verify_d2gc(&g, &r.colors)
+                .unwrap_or_else(|e| panic!("{}: {e}", schedule.name()));
+            assert!(r.num_colors > g.max_degree());
+        }
+    }
+
+    #[test]
+    fn d2gc_every_schedule_valid_parallel() {
+        let g = mesh();
+        let order = Ordering::Natural.vertex_order_d2(&g);
+        let pool = Pool::new(4);
+        for schedule in Schedule::all() {
+            let r = color_d2gc(&g, &order, &schedule, &pool);
+            verify_d2gc(&g, &r.colors)
+                .unwrap_or_else(|e| panic!("{}: {e}", schedule.name()));
+        }
+    }
+
+    #[test]
+    fn d2gc_single_thread_vv_matches_sequential() {
+        let g = mesh();
+        let order = Ordering::Natural.vertex_order_d2(&g);
+        let pool = Pool::new(1);
+        let r = color_d2gc(&g, &order, &Schedule::v_v(), &pool);
+        let (seq_colors, seq_k) = crate::seq::color_d2gc_seq(&g, &order);
+        assert_eq!(r.colors, seq_colors);
+        assert_eq!(r.num_colors, seq_k);
+    }
+
+    #[test]
+    fn d2gc_balanced_valid() {
+        let g = mesh();
+        let order = Ordering::Natural.vertex_order_d2(&g);
+        let pool = Pool::new(3);
+        for balance in [Balance::B1, Balance::B2] {
+            let schedule = Schedule::n1_n2().with_balance(balance);
+            let r = color_d2gc(&g, &order, &schedule, &pool);
+            verify_d2gc(&g, &r.colors).unwrap();
+        }
+    }
+
+    #[test]
+    fn d2gc_powerlaw_graph_all_schedules() {
+        let m = sparse::gen::chung_lu(300, 2400, 2.3, 60, true, 5);
+        let g = Graph::from_symmetric_matrix(&m);
+        let order = Ordering::Natural.vertex_order_d2(&g);
+        let pool = Pool::new(4);
+        for schedule in Schedule::all() {
+            let r = color_d2gc(&g, &order, &schedule, &pool);
+            verify_d2gc(&g, &r.colors)
+                .unwrap_or_else(|e| panic!("{}: {e}", schedule.name()));
+        }
+    }
+
+    #[test]
+    fn degraded_run_phase_times_fit_in_total_time() {
+        // The iteration-cap row times only its sequential repair, so the
+        // phase times never double-count the iterations before it.
+        let g = BipartiteGraph::from_matrix(&sparse::gen::bipartite_skewed(
+            3000, 20000, 200000, 1.0, 600, 7,
+        ));
+        let order = Ordering::Natural.vertex_order_bgpc(&g);
+        let pool = Pool::new(1);
+        let opts = RunnerOpts {
+            max_iterations: 1,
+            ..RunnerOpts::default()
+        };
+        let r = color_with_opts(&g, &order, &Schedule::n1_n2(), &pool, opts);
+        assert!(matches!(r.degraded, Some(DegradeReason::IterationCap { cap: 1 })));
+        assert_eq!(r.rounds(), 2);
+        verify_bgpc(&g, &r.colors).unwrap();
+        assert!(
+            r.color_time() + r.conflict_time() <= r.total_time,
+            "phases {:?} + {:?} exceed total {:?}",
+            r.color_time(),
+            r.conflict_time(),
+            r.total_time
         );
     }
 }

@@ -9,87 +9,58 @@ use sparse::CsrIndex;
 
 use crate::forbidden::ForbiddenSet;
 use crate::metrics::count_distinct_colors;
-use crate::{BitStampSet, Color, StampSet, UNCOLORED};
-
-/// Net-size/degree cutoff for the forbidden-set representation, matching
-/// the parallel runners: giant neighborhoods are insert-dominated, where
-/// the stamp array's single-store insert beats the bitmap.
-const DENSE_THRESHOLD: usize = 128;
+use crate::neighborhood::Neighborhood;
+use crate::runner::{with_forbidden_set, WithSet};
+use crate::tuning::PREFETCH_AHEAD;
+use crate::{Color, UNCOLORED};
 
 /// Sequential first-fit BGPC over `order`. Returns the coloring and the
 /// number of distinct colors.
 pub fn color_bgpc_seq<I: CsrIndex>(g: &BipartiteGraph<I>, order: &[u32]) -> (Vec<Color>, usize) {
-    if g.max_net_size() > DENSE_THRESHOLD {
-        color_bgpc_seq_with_set::<StampSet, I>(g, order)
-    } else {
-        color_bgpc_seq_with_set::<BitStampSet, I>(g, order)
-    }
+    color_seq(g, order)
 }
 
-/// [`color_bgpc_seq`] generic over the forbidden-set representation.
-pub fn color_bgpc_seq_with_set<F: ForbiddenSet, I: CsrIndex>(
-    g: &BipartiteGraph<I>,
+/// Sequential first-fit D2GC over `order`.
+pub fn color_d2gc_seq<I: CsrIndex>(g: &Graph<I>, order: &[u32]) -> (Vec<Color>, usize) {
+    color_seq(g, order)
+}
+
+/// Sequential first-fit over `order` for either problem, with the
+/// forbidden-set representation picked per instance exactly like the
+/// parallel driver's.
+pub fn color_seq<G: Neighborhood>(g: &G, order: &[u32]) -> (Vec<Color>, usize) {
+    struct Seq<'a, G>(&'a G, &'a [u32]);
+    impl<G: Neighborhood> WithSet for Seq<'_, G> {
+        type Output = (Vec<Color>, usize);
+        fn run<F: ForbiddenSet>(self) -> Self::Output {
+            color_seq_with_set::<F, G>(self.0, self.1)
+        }
+    }
+    with_forbidden_set(g, None, Seq(g, order))
+}
+
+/// [`color_seq`] with the forbidden-set representation `F` forced.
+pub fn color_seq_with_set<F: ForbiddenSet, G: Neighborhood>(
+    g: &G,
     order: &[u32],
 ) -> (Vec<Color>, usize) {
     let mut colors = vec![UNCOLORED; g.n_vertices()];
-    let mut fb = F::with_capacity(g.max_net_size().max(16));
+    let mut fb = F::with_capacity(g.seq_capacity());
     for (k, &w) in order.iter().enumerate() {
-        if let Some(&next) = order.get(k + crate::vertex::PREFETCH_AHEAD) {
+        if let Some(&next) = order.get(k + PREFETCH_AHEAD) {
             g.prefetch_nets(next as usize);
         }
         let wu = w as usize;
         fb.advance();
         for &v in g.nets(wu) {
-            for &u in g.vtxs(v as usize) {
+            g.for_each_pin(v as usize, |u| {
                 if u != w {
                     let cu = colors[u as usize];
                     if cu != UNCOLORED {
                         fb.insert(cu);
                     }
                 }
-            }
-        }
-        colors[wu] = fb.first_fit_from(0);
-    }
-    let k = count_distinct_colors(&colors);
-    (colors, k)
-}
-
-/// Sequential first-fit D2GC over `order`.
-pub fn color_d2gc_seq<I: CsrIndex>(g: &Graph<I>, order: &[u32]) -> (Vec<Color>, usize) {
-    if g.max_degree() > DENSE_THRESHOLD {
-        color_d2gc_seq_with_set::<StampSet, I>(g, order)
-    } else {
-        color_d2gc_seq_with_set::<BitStampSet, I>(g, order)
-    }
-}
-
-/// [`color_d2gc_seq`] generic over the forbidden-set representation.
-pub fn color_d2gc_seq_with_set<F: ForbiddenSet, I: CsrIndex>(
-    g: &Graph<I>,
-    order: &[u32],
-) -> (Vec<Color>, usize) {
-    let mut colors = vec![UNCOLORED; g.n_vertices()];
-    let mut fb = F::with_capacity(g.max_degree() + 16);
-    for (k, &w) in order.iter().enumerate() {
-        if let Some(&next) = order.get(k + crate::vertex::PREFETCH_AHEAD) {
-            g.prefetch_nbor(next as usize);
-        }
-        let wu = w as usize;
-        fb.advance();
-        for &u in g.nbor(wu) {
-            let cu = colors[u as usize];
-            if cu != UNCOLORED {
-                fb.insert(cu);
-            }
-            for &x in g.nbor(u as usize) {
-                if x != w {
-                    let cx = colors[x as usize];
-                    if cx != UNCOLORED {
-                        fb.insert(cx);
-                    }
-                }
-            }
+            });
         }
         colors[wu] = fb.first_fit_from(0);
     }

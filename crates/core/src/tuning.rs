@@ -20,8 +20,9 @@ pub const PREFETCH_AHEAD: usize = 4;
 /// array's single-store insert wins end to end (see `BENCH_coloring.json`,
 /// which records both representations per schedule).
 ///
-/// One definition, three consumers: the BGPC runner dispatch, the D2GC
-/// runner dispatch, and [`crate::engine::ForbiddenKind::auto_for`].
+/// Read only by [`crate::engine::ForbiddenKind::auto_for`], the rule the
+/// one per-instance dispatch applies for every driver (parallel, seeded
+/// and sequential, BGPC and D2GC) and the engine reuses.
 pub const DENSE_FORBIDDEN_CUTOFF: usize = 128;
 
 /// Largest nonzero count a `u32` row pointer can address — re-exported

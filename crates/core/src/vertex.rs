@@ -1,23 +1,21 @@
-//! Vertex-based BGPC phases (Algorithms 4 and 5) — the ColPack baseline.
+//! Vertex-based phases (Algorithms 4 and 5) — the ColPack baseline, for
+//! BGPC and D2GC alike.
 //!
 //! Both phases walk the distance-2 neighborhood *from the queued vertex*:
-//! `nets(w) → vtxs(v)`. In the first iteration this touches every net
-//! `|vtxs(v)|` times, so the traversal is `Θ(Σ_v |vtxs(v)|²)` — the cost
-//! the net-based phases of [`crate::net`] attack.
+//! every net of `w`, then every pin of that net (for D2GC: `nbor(w)`, then
+//! each `N[u]` — see [`crate::neighborhood`]). In the first iteration this
+//! touches every net `|vtxs(v)|` times, so the traversal is
+//! `Θ(Σ_v |vtxs(v)|²)` — the cost the net-based phases of [`crate::net`]
+//! attack.
 
-use graph::BipartiteGraph;
 use par::{Pool, Sched, ThreadScratch};
-use sparse::CsrIndex;
 
 use crate::ctx::ThreadCtx;
 use crate::forbidden::ForbiddenSet;
+use crate::neighborhood::Neighborhood;
+use crate::tuning::PREFETCH_AHEAD;
 use crate::workqueue::{merge_local_queues, SharedQueue};
 use crate::{Balance, Colors, UNCOLORED};
-
-// Hoisted to the tunable-constant module next to the SIMD dispatch; the
-// re-export keeps the historical `vertex::PREFETCH_AHEAD` path working for
-// the sequential and D2GC kernels.
-pub(crate) use crate::tuning::PREFETCH_AHEAD;
 
 /// Algorithm 4 — optimistic coloring of the work queue `w`, vertex-based.
 ///
@@ -26,19 +24,19 @@ pub(crate) use crate::tuning::PREFETCH_AHEAD;
 /// distance-2 neighborhood. Races with concurrent writers are expected and
 /// repaired by the following conflict-removal phase.
 #[allow(clippy::too_many_arguments)] // mirrors the paper kernel's parameter list
-pub fn color_workqueue_vertex<F: ForbiddenSet, I: CsrIndex>(
-    g: &BipartiteGraph<I>,
+pub fn color_workqueue_vertex<F: ForbiddenSet, G: Neighborhood>(
+    g: &G,
     w: &[u32],
     colors: &Colors,
     pool: &Pool,
     chunk: usize,
     sched: Sched,
     balance: Balance,
-    scratch: &ThreadScratch<ThreadCtx<F, I>>,
+    scratch: &ThreadScratch<ThreadCtx<F, G::Index>>,
 ) {
     let rec = pool.tracer();
     pool.for_sched(sched, w.len(), chunk, |tid, range| {
-        par::faults::fire("bgpc.color", tid);
+        par::faults::fire(G::FAULT_COLOR, tid);
         scratch.with(tid, |ctx| {
             let items = &w[range];
             // Counter sinks live in registers and are flushed once per
@@ -57,13 +55,15 @@ pub fn color_workqueue_vertex<F: ForbiddenSet, I: CsrIndex>(
                 ctx.fb.advance();
                 let nets = g.nets(wu);
                 for (j, &v) in nets.iter().enumerate() {
-                    if let Some(&vnext) = nets.get(j + 1) {
-                        g.prefetch_vtxs(vnext as usize);
-                        if trace::COMPILED {
-                            prefetches += 1;
+                    if G::PREFETCH_PINS {
+                        if let Some(&vnext) = nets.get(j + 1) {
+                            g.prefetch_pins(vnext as usize);
+                            if trace::COMPILED {
+                                prefetches += 1;
+                            }
                         }
                     }
-                    for &u in g.vtxs(v as usize) {
+                    g.for_each_pin(v as usize, |u| {
                         if u != wv {
                             let cu = colors.get(u as usize);
                             if cu != UNCOLORED {
@@ -73,7 +73,7 @@ pub fn color_workqueue_vertex<F: ForbiddenSet, I: CsrIndex>(
                                 }
                             }
                         }
-                    }
+                    });
                 }
                 let col = balance.pick(wv, &ctx.fb, &mut ctx.balancer);
                 colors.set(wu, col);
@@ -103,20 +103,20 @@ pub fn color_workqueue_vertex<F: ForbiddenSet, I: CsrIndex>(
 /// 64D lazy strategy collects conflicts in thread-private queues merged
 /// after the join. Returns `W_next`.
 #[allow(clippy::too_many_arguments)] // mirrors the paper kernel's parameter list
-pub fn remove_conflicts_vertex<F: ForbiddenSet, I: CsrIndex>(
-    g: &BipartiteGraph<I>,
+pub fn remove_conflicts_vertex<F: ForbiddenSet, G: Neighborhood>(
+    g: &G,
     w: &[u32],
     colors: &Colors,
     pool: &Pool,
     chunk: usize,
     sched: Sched,
     eager: Option<&SharedQueue>,
-    scratch: &mut ThreadScratch<ThreadCtx<F, I>>,
+    scratch: &mut ThreadScratch<ThreadCtx<F, G::Index>>,
 ) -> Vec<u32> {
-    let scratch_ref: &ThreadScratch<ThreadCtx<F, I>> = scratch;
+    let scratch_ref: &ThreadScratch<ThreadCtx<F, G::Index>> = scratch;
     let rec = pool.tracer();
     pool.for_sched(sched, w.len(), chunk, |tid, range| {
-        par::faults::fire("bgpc.conflict", tid);
+        par::faults::fire(G::FAULT_CONFLICT, tid);
         scratch_ref.with(tid, |ctx| {
             let items = &w[range];
             let mut conflicts = 0u64;
@@ -131,17 +131,16 @@ pub fn remove_conflicts_vertex<F: ForbiddenSet, I: CsrIndex>(
                 let wu = wv as usize;
                 let cw = colors.get(wu);
                 debug_assert_ne!(cw, UNCOLORED, "conflict scan on uncolored vertex");
-                'detect: for &v in g.nets(wu) {
-                    let pins = g.vtxs(v as usize);
-                    if pins.iter().any(|&u| u < wv && colors.get(u as usize) == cw) {
-                        match eager {
-                            Some(q) => q.push_staged(&mut ctx.stage, wv),
-                            None => ctx.local_queue.push(wv),
-                        }
-                        if trace::COMPILED {
-                            conflicts += 1;
-                        }
-                        break 'detect;
+                let lost = g.nets(wu).iter().any(|&v| {
+                    g.any_pin(v as usize, |u| u < wv && colors.get(u as usize) == cw)
+                });
+                if lost {
+                    match eager {
+                        Some(q) => q.push_staged(&mut ctx.stage, wv),
+                        None => ctx.local_queue.push(wv),
+                    }
+                    if trace::COMPILED {
+                        conflicts += 1;
                     }
                 }
             }
@@ -171,7 +170,8 @@ pub fn remove_conflicts_vertex<F: ForbiddenSet, I: CsrIndex>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::verify::verify_bgpc;
+    use crate::verify::{verify_bgpc, verify_d2gc};
+    use graph::{BipartiteGraph, Graph};
     use sparse::Csr;
 
     fn clique_graph() -> BipartiteGraph {
@@ -179,7 +179,26 @@ mod tests {
         BipartiteGraph::from_matrix(&Csr::from_rows(6, &[vec![0, 1, 2, 3, 4, 5]]))
     }
 
-    fn run_until_valid(g: &BipartiteGraph, pool: &Pool, eager: bool, sched: Sched) -> Vec<i32> {
+    fn cycle6() -> Graph {
+        Graph::from_symmetric_matrix(&Csr::from_rows(
+            6,
+            &[
+                vec![1, 5],
+                vec![0, 2],
+                vec![1, 3],
+                vec![2, 4],
+                vec![3, 5],
+                vec![0, 4],
+            ],
+        ))
+    }
+
+    fn run_until_valid<G: Neighborhood<Index = u32>>(
+        g: &G,
+        pool: &Pool,
+        eager: bool,
+        sched: Sched,
+    ) -> Vec<i32> {
         let n = g.n_vertices();
         let colors = Colors::new(n);
         let mut scratch: ThreadScratch<ThreadCtx> =
@@ -314,5 +333,30 @@ mod tests {
             }
             verify_bgpc(&g, &colors.snapshot()).unwrap();
         }
+    }
+
+    #[test]
+    fn d2gc_cycle_single_thread() {
+        let g = cycle6();
+        let colors = run_until_valid(&g, &Pool::new(1), false, Sched::Dynamic);
+        verify_d2gc(&g, &colors).unwrap();
+        // C6 at distance 2 needs exactly 3 colors.
+        assert_eq!(crate::metrics::count_distinct_colors(&colors), 3);
+    }
+
+    #[test]
+    fn d2gc_cycle_parallel() {
+        let g = cycle6();
+        for sched in Sched::all() {
+            let colors = run_until_valid(&g, &Pool::new(4), false, sched);
+            verify_d2gc(&g, &colors).unwrap();
+        }
+    }
+
+    #[test]
+    fn d2gc_random_graph_parallel_eager_queue() {
+        let g = Graph::from_symmetric_matrix(&sparse::gen::erdos_renyi(60, 150, 3));
+        let colors = run_until_valid(&g, &Pool::new(3), true, Sched::Stealing);
+        verify_d2gc(&g, &colors).unwrap();
     }
 }

@@ -4,7 +4,7 @@
 //! valid coloring even on degenerate instances. Explicit overrides beat
 //! the table on every axis.
 
-use bgpc::engine::color_bgpc_with_config;
+use bgpc::engine::color_with_config;
 use bgpc::runner::RunnerOpts;
 use bgpc::verify::{verify_bgpc, verify_d2gc};
 use bgpc::{Engine, EngineChoice, OnlineTuner, Overrides, Schedule};
@@ -48,7 +48,7 @@ fn selection_is_invariant_to_thread_count() {
         let pool = Pool::new(threads);
         let choice = engine.select_bgpc(&g);
         assert_same_choice(&reference, &choice, &format!("threads {threads}"));
-        let res = color_bgpc_with_config(
+        let res = color_with_config(
             &g,
             &order,
             &choice.config,
@@ -105,7 +105,7 @@ fn degenerate_instances_select_and_run() {
         }
         let order = Ordering::Natural.vertex_order_bgpc(&g);
         let pool = Pool::new(2);
-        let res = color_bgpc_with_config(&g, &order, &a.config, &pool, RunnerOpts::default());
+        let res = color_with_config(&g, &order, &a.config, &pool, RunnerOpts::default());
         verify_bgpc(&g, &res.colors).unwrap_or_else(|e| panic!("{name}: invalid: {e}"));
         assert!(res.degraded.is_none(), "{name}: degraded");
         if name == "star" {
@@ -128,7 +128,7 @@ fn degenerate_d2gc_instances_select_and_run() {
         assert_same_choice(&a, &engine.select_d2gc(&g), name);
         let order = Ordering::Natural.vertex_order_d2(&g);
         let pool = Pool::new(2);
-        let res = bgpc::engine::color_d2gc_with_config(
+        let res = bgpc::engine::color_with_config(
             &g,
             &order,
             &a.config,
@@ -161,7 +161,7 @@ fn explicit_overrides_beat_the_engine_end_to_end() {
     let m64 = m.to_index::<u64>();
     let g64 = BipartiteGraph::from_matrix(&m64);
     let order = Ordering::Natural.vertex_order_bgpc(&g64);
-    let res = color_bgpc_with_config(&g64, &order, &cfg, &Pool::new(3), RunnerOpts::default());
+    let res = color_with_config(&g64, &order, &cfg, &Pool::new(3), RunnerOpts::default());
     verify_bgpc(&g64, &res.colors).expect("overridden config colors validly");
 
     // An empty override set is the identity.

@@ -26,7 +26,7 @@ use crate::sync::{lock_recover, wait_recover};
 /// dirty vertices of the applied delta. Present only on jobs admitted
 /// through the `Update` verb when the base graph's coloring was still in
 /// the result cache — the executor then recolors just the dirty set via
-/// [`bgpc::recolor_bgpc_incremental`] instead of running from scratch.
+/// [`bgpc::recolor_incremental`] instead of running from scratch.
 #[derive(Clone, Debug)]
 pub struct UpdateSeed {
     /// The cached coloring of the *base* graph (original vertex ids).

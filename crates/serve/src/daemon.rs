@@ -614,7 +614,7 @@ fn run_job(shared: &Arc<Shared>, pool: &par::Pool, engine: &bgpc::Engine, job: &
                 .clone()
                 .unwrap_or_else(bgpc::Schedule::n1_n2);
             let order = graph::Ordering::Natural.vertex_order_bgpc(&g);
-            let r = bgpc::recolor_bgpc_incremental(
+            let r = bgpc::recolor_incremental(
                 &g,
                 &seed.base_colors,
                 &seed.dirty,
@@ -630,7 +630,7 @@ fn run_job(shared: &Arc<Shared>, pool: &par::Pool, engine: &bgpc::Engine, job: &
             // stub as the cached config.
             Some(schedule) => {
                 let order = graph::Ordering::Natural.vertex_order_bgpc(&g);
-                let r = bgpc::color_bgpc_with_opts(&g, &order, schedule, pool, opts);
+                let r = bgpc::color_with_opts(&g, &order, schedule, pool, opts);
                 Ok::<_, String>((r, format!("schedule={}", schedule.name())))
             }
             // Engine-routed: featurize, select a full config, apply its
@@ -650,13 +650,13 @@ fn run_job(shared: &Arc<Shared>, pool: &par::Pool, engine: &bgpc::Engine, job: &
                     sparse::IndexWidth::U32 => {
                         let gp = BipartiteGraph::from_matrix(&pm);
                         let order: Vec<u32> = (0..gp.n_vertices() as u32).collect();
-                        bgpc::engine::color_bgpc_with_config(&gp, &order, cfg, pool, opts)
+                        bgpc::engine::color_with_config(&gp, &order, cfg, pool, opts)
                     }
                     sparse::IndexWidth::U64 => {
                         let pm = pm.to_index::<u64>();
                         let gp = BipartiteGraph::from_matrix(&pm);
                         let order: Vec<u32> = (0..gp.n_vertices() as u32).collect();
-                        bgpc::engine::color_bgpc_with_config(&gp, &order, cfg, pool, opts)
+                        bgpc::engine::color_with_config(&gp, &order, cfg, pool, opts)
                     }
                 };
                 if let Some(p) = &perm {

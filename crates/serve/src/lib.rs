@@ -14,7 +14,7 @@
 //!                    │   ▲                 (bounded,        │  owns the
 //!                    │   │ Backpressure     3 lanes)        │  par::Pool
 //!                    │   └──── when full                    ▼
-//!                    │                              color_bgpc_with_opts
+//!                    │                                color_with_opts
 //!                    │                               (deadline + cancel)
 //!                    └◀── Result / typed error ◀─── ResultCache (crash-safe)
 //! ```
@@ -36,7 +36,7 @@
 //!   verb ships the base graph plus an edge delta. When the base
 //!   coloring is still cached, the daemon applies the delta with
 //!   [`bgpc::apply_delta`] and recolors *only* the dirty vertices via
-//!   [`bgpc::recolor_bgpc_incremental`], seeded from the cached colors —
+//!   [`bgpc::recolor_incremental`], seeded from the cached colors —
 //!   the reply is flagged as a cache hit and a clean result is stored
 //!   under the mutated graph's fingerprint so update chains keep
 //!   hitting. On a miss the mutated graph is colored from scratch.

@@ -338,7 +338,7 @@ impl JobRequest {
 /// The daemon fingerprints the base graph, looks its coloring up in the
 /// result cache, applies the delta with [`bgpc::apply_delta`] and — on a
 /// hit — recolors only the delta's dirty vertices via
-/// [`bgpc::recolor_bgpc_incremental`], seeding from the cached colors.
+/// [`bgpc::recolor_incremental`], seeding from the cached colors.
 /// On a miss the mutated graph is colored from scratch. Either way the
 /// reply is an ordinary [`FrameKind::Result`] frame for the *mutated*
 /// graph.

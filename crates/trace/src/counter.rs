@@ -17,7 +17,9 @@ pub enum Counter {
     VerticesColored,
     /// Conflicts detected — vertices pushed to the next work queue.
     ConflictsDetected,
-    /// Forbidden-set inserts while gathering a distance-2 neighborhood.
+    /// Forbidden-set probes: one per insert in the vertex-based gathers
+    /// and net-based conflict removal, one per pin visited in the
+    /// net-based coloring passes.
     ForbiddenProbes,
     /// Software prefetch hints issued ahead of adjacency-row walks.
     PrefetchIssues,
