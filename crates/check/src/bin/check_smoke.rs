@@ -28,8 +28,9 @@
 //! * `--dist` — run *only* the sharded-coloring oracle sweep
 //!   ([`check::sharded`]): shard-count × partitioner cases driven
 //!   through the multi-process coordinator over loopback worker
-//!   daemons, checked against the single-node baseline. A standalone
-//!   stage so `scripts/verify.sh` can gate it with its own case budget.
+//!   daemons, checked for equality with the in-memory runner. A
+//!   standalone stage so `scripts/verify.sh` can gate it with its own
+//!   case budget.
 //! * `--autotune` — run *only* the engine-selection oracle sweep
 //!   ([`check::autotune`]): deterministic selection, schedule-name
 //!   round-trips, and engine-chosen configs verifying end-to-end. A

@@ -1,24 +1,27 @@
-//! The sharded oracle: multi-process coloring against the single-node
-//! baseline.
+//! The sharded oracle: multi-process coloring against the in-memory
+//! runner.
 //!
 //! Each *case* draws a randomized bipartite instance, a shard count from
 //! {1, 2, 4, 8} and a partitioner (block / cyclic / random), then colors
 //! it twice: once through the [`dist::Coordinator`] over real `serve`
 //! worker daemons (every superstep crosses TCP), and once through the
-//! in-process [`dist::DistRunner`] on the same partition. The oracle
+//! in-memory [`dist::DistRunner`] on the same partition. The oracle
 //! checks:
 //!
-//! * **Validity in original ids** — both colorings must pass
+//! * **Validity in original ids** — the sharded coloring must pass
 //!   [`bgpc::verify::verify_bgpc`] against the drawn pattern.
 //! * **No degrade on a clean fleet** — the workers are healthy, so a
 //!   `degraded` outcome means the coordinator lost a superstep.
 //! * **Bounded quality** — speculative re-coloring jitters the color
-//!   choice inside a window capped at [`JITTER_WINDOW_MAX`], so both
-//!   paths must stay within `Δ₂(G) + 1 + JITTER_WINDOW_MAX` colors.
+//!   choice inside a window capped at [`JITTER_WINDOW_MAX`], so the run
+//!   must stay within `Δ₂(G) + 1 + JITTER_WINDOW_MAX` colors.
 //! * **Superstep accounting** — conflicts recorded for round *i* are
 //!   exactly the vertices re-colored in round *i + 1*, the final round
 //!   is conflict-free, and a single shard colors everything in one
 //!   round with zero boundary messages.
+//! * **One state machine** — both paths drive the same shard workers
+//!   through the same round loop, so the in-memory run must equal the
+//!   sharded one exactly: the same colors and the same supersteps.
 //!
 //! Worker daemons run in-process (hermetic, no spawned binaries) but
 //! speak the real length-prefixed protocol over loopback TCP. The sweep
@@ -32,17 +35,12 @@ use bgpc::verify::verify_bgpc;
 use dist::{Coordinator, DistRunner, Partition};
 use graph::BipartiteGraph;
 use rng::{split_mix64, Pcg32};
+use serve::shard::JITTER_WINDOW_MAX;
 
 use crate::oracle::{max_d2_degree_bgpc, Draw, OracleFailure, PcgDraw};
 
 /// Largest shard count a case can draw; the fleet size.
 pub const MAX_SHARDS: usize = 8;
-
-/// The widest k-th-available jitter window the speculative recoloring
-/// rounds use (see `dist::bsp` and `serve::shard` — the window is
-/// `min(4 * superstep, 64)`). Bounds the quality cost of symmetry
-/// breaking: every color picked is at most this far past first-fit.
-pub const JITTER_WINDOW_MAX: usize = 64;
 
 /// A loopback fleet of in-process `serve` worker daemons, shut down on
 /// drop.
@@ -167,22 +165,14 @@ pub fn run_sharded_case(d: &mut impl Draw, addrs: &[String]) -> Result<(), Strin
         ));
     }
 
-    // Differential baseline: the in-process runner on the same partition
-    // must verify and respect the same bound.
+    // Differential baseline: the in-memory runner on the same partition
+    // runs the same state machine, so it must match exactly.
     let baseline = DistRunner::new(&g, partition).run();
-    verify_bgpc(&g, &baseline.colors)
-        .map_err(|e| format!("{label}: single-node baseline invalid: {e}"))?;
-    if baseline.num_colors > bound {
+    if baseline.colors != outcome.colors || baseline.supersteps != outcome.supersteps {
         return Err(format!(
-            "{label}: baseline {} colors exceeds the bound of {bound}",
-            baseline.num_colors
-        ));
-    }
-    if outcome.colors.len() != baseline.colors.len() {
-        return Err(format!(
-            "{label}: sharded colored {} vertices, baseline {}",
-            outcome.colors.len(),
-            baseline.colors.len()
+            "{label}: in-memory run ({} colors, supersteps {:?}) differs from sharded \
+             ({} colors, supersteps {:?})",
+            baseline.num_colors, baseline.supersteps, outcome.num_colors, outcome.supersteps
         ));
     }
 

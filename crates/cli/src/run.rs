@@ -973,15 +973,7 @@ fn run_shard(
         if let Some(cap) = max_supersteps {
             runner = runner.with_max_supersteps(cap);
         }
-        let r = runner.run();
-        let outcome = dist::ShardOutcome {
-            colors: r.colors,
-            num_colors: r.num_colors,
-            supersteps: r.supersteps,
-            n_shards: requested.max(1),
-            degraded: None,
-        };
-        (outcome, 0)
+        (runner.run(), 0)
     } else {
         let partition = make_partition(partition_kind, n, live.len(), part_seed)
             .map_err(|e| Failure::new(EXIT_USAGE, e))?;

@@ -1,115 +1,18 @@
-//! The BSP speculative coloring loop.
+//! The in-memory transport: [`DistRunner`] runs one
+//! [`ShardWorker`] per rank in this process through the coordinator's
+//! round loop, so rounds, conflicts and message volume can be studied
+//! on one machine without daemons.
 
-use bgpc::{Color, StampSet, UNCOLORED};
+use std::sync::Arc;
+
 use graph::BipartiteGraph;
+use serve::shard::remote_shards;
+use serve::ShardWorker;
 
-use crate::Partition;
+use crate::coord::run_rounds;
+use crate::{Partition, ShardOutcome, MAX_SUPERSTEPS};
 
-/// Round bound before the serial-cleanup fallback kicks in. Real
-/// frameworks also bound their communication rounds; large
-/// distance-2-clique instances (giant nets split across many ranks) can
-/// otherwise take `Ω(max net / ranks)` supersteps.
-pub const MAX_SUPERSTEPS: usize = 512;
-
-/// splitmix64-style hash for the color-jitter draw.
-#[inline]
-fn mix(a: u64, b: u64) -> u64 {
-    let mut z = a
-        .wrapping_mul(0x9E3779B97F4A7C15)
-        .wrapping_add(b)
-        .wrapping_add(0x85EBCA6B);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
-}
-
-/// The `k`-th smallest color not in the forbidden set.
-fn kth_available(fb: &StampSet, k: usize) -> Color {
-    let mut col = fb.first_fit_from(0);
-    for _ in 0..k {
-        col = fb.first_fit_from(col + 1);
-    }
-    col
-}
-
-/// Sequentially colors every queued vertex against the merged owner
-/// views, writing the result into all views (the bounded-round fallback).
-fn serial_cleanup(
-    g: &BipartiteGraph,
-    partition: &Partition,
-    views: &mut [Vec<Color>],
-    queues: &[Vec<u32>],
-    fb: &mut StampSet,
-) {
-    // Merge: the owner's view holds the authoritative color per vertex.
-    let n = g.n_vertices();
-    let mut global = vec![UNCOLORED; n];
-    for (v, c) in global.iter_mut().enumerate() {
-        *c = views[partition.owner(v)][v];
-    }
-    // Queued vertices are recolored against the merged state.
-    for queue in queues {
-        for &w in queue {
-            global[w as usize] = UNCOLORED;
-        }
-    }
-    for queue in queues {
-        for &w in queue {
-            let wu = w as usize;
-            fb.advance();
-            for &net in g.nets(wu) {
-                for &u in g.vtxs(net as usize) {
-                    if u != w {
-                        let cu = global[u as usize];
-                        if cu != UNCOLORED {
-                            fb.insert(cu);
-                        }
-                    }
-                }
-            }
-            global[wu] = fb.first_fit_from(0);
-        }
-    }
-    for view in views.iter_mut() {
-        view.copy_from_slice(&global);
-    }
-}
-
-/// Accounting for one superstep.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SuperstepStats {
-    /// Vertices colored this superstep (across ranks).
-    pub colored: usize,
-    /// Boundary messages sent (one per (vertex, interested rank) pair).
-    pub messages: usize,
-    /// Conflicts detected after the flush (vertices re-queued).
-    pub conflicts: usize,
-}
-
-/// Result of a distributed coloring run.
-#[derive(Clone, Debug)]
-pub struct DistResult {
-    /// Final colors (valid, complete).
-    pub colors: Vec<Color>,
-    /// Distinct colors used.
-    pub num_colors: usize,
-    /// Per-superstep statistics.
-    pub supersteps: Vec<SuperstepStats>,
-}
-
-impl DistResult {
-    /// Number of supersteps (communication rounds) to convergence.
-    pub fn rounds(&self) -> usize {
-        self.supersteps.len()
-    }
-
-    /// Total message volume.
-    pub fn total_messages(&self) -> usize {
-        self.supersteps.iter().map(|s| s.messages).sum()
-    }
-}
-
-/// A deterministic BSP simulation of distributed speculative BGPC.
+/// A deterministic BSP run of distributed speculative BGPC, in memory.
 ///
 /// ```
 /// use dist::{DistRunner, Partition};
@@ -124,34 +27,28 @@ impl DistResult {
 pub struct DistRunner<'g> {
     graph: &'g BipartiteGraph,
     partition: Partition,
-    /// interested[v] = ranks other than the owner that must learn v's
-    /// color (owners of v's distance-2 neighbors).
-    interested: Vec<Vec<u32>>,
-    /// Round bound before the serial-cleanup fallback (see
+    /// Per vertex, the number of ranks other than the owner that must
+    /// learn its color (owners of its distance-2 neighbors).
+    interested: Vec<u32>,
+    /// Round bound before the sequential repair (see
     /// [`DistRunner::with_max_supersteps`]).
     max_supersteps: usize,
 }
 
 impl<'g> DistRunner<'g> {
-    /// Prepares a runner: computes, per vertex, the set of remote ranks
-    /// owning any of its distance-2 neighbors.
+    /// Prepares a runner: counts, per vertex, the remote ranks owning
+    /// any of its distance-2 neighbors.
     pub fn new(graph: &'g BipartiteGraph, partition: Partition) -> Self {
         assert_eq!(partition.len(), graph.n_vertices());
-        let p = partition.n_ranks();
-        let mut interested = vec![Vec::new(); graph.n_vertices()];
-        let mut mark = vec![usize::MAX; p];
-        for (v, interested_v) in interested.iter_mut().enumerate() {
-            let own = partition.owner(v);
-            for &net in graph.nets(v) {
-                for &u in graph.vtxs(net as usize) {
-                    let r = partition.owner(u as usize);
-                    if r != own && mark[r] != v {
-                        mark[r] = v;
-                        interested_v.push(r as u32);
-                    }
-                }
-            }
-        }
+        let mut mark = vec![usize::MAX; partition.n_ranks()];
+        let mut ranks = Vec::new();
+        let interested = (0..graph.n_vertices())
+            .map(|v| {
+                ranks.clear();
+                remote_shards(graph, partition.owners(), v, &mut mark, &mut ranks);
+                ranks.len() as u32
+            })
+            .collect();
         Self {
             graph,
             partition,
@@ -160,9 +57,9 @@ impl<'g> DistRunner<'g> {
         }
     }
 
-    /// Overrides the round bound before the serial-cleanup fallback
-    /// (default [`MAX_SUPERSTEPS`]). Primarily a test hook: a tiny bound
-    /// forces the fallback on instances that would otherwise converge.
+    /// Overrides the round bound before the sequential repair (default
+    /// [`MAX_SUPERSTEPS`]). Primarily a test hook: a tiny bound forces
+    /// the repair on instances that would otherwise converge.
     pub fn with_max_supersteps(mut self, cap: usize) -> Self {
         self.max_supersteps = cap.max(1);
         self
@@ -170,10 +67,10 @@ impl<'g> DistRunner<'g> {
 
     /// One full boundary exchange's message volume: the sum over all
     /// vertices of their interested remote-rank counts. This is what a
-    /// flush of every boundary vertex costs, and what the serial-cleanup
-    /// fallback charges for its implicit all-to-all view merge.
+    /// flush of every boundary vertex costs, and what the sequential
+    /// repair of a capped run charges for its implicit all-to-all merge.
     pub fn boundary_volume(&self) -> usize {
-        self.interested.iter().map(|i| i.len()).sum()
+        self.interested.iter().map(|&i| i as usize).sum()
     }
 
     /// Fraction of vertices with at least one interested remote rank —
@@ -182,137 +79,37 @@ impl<'g> DistRunner<'g> {
         if self.interested.is_empty() {
             return 0.0;
         }
-        self.interested.iter().filter(|i| !i.is_empty()).count() as f64
+        self.interested.iter().filter(|&&i| i > 0).count() as f64
             / self.interested.len() as f64
     }
 
-    /// Runs the speculative BSP loop to a valid coloring.
-    ///
-    /// Each superstep: (1) every rank first-fit-colors its queued vertices
-    /// against its *local view* (stale for remote vertices); (2) boundary
-    /// colors are flushed; (3) every rank re-queues its owned vertices
-    /// that lost an id-ordered conflict. Interior vertices can never
-    /// conflict (their whole neighborhood is owned), mirroring the real
-    /// frameworks' interior/boundary split.
-    pub fn run(&self) -> DistResult {
-        let g = self.graph;
-        let n = g.n_vertices();
-        let p = self.partition.n_ranks();
-        // views[r][v] = rank r's current knowledge of v's color.
-        let mut views: Vec<Vec<Color>> = vec![vec![UNCOLORED; n]; p];
-        let mut queues = self.partition.rank_vertices();
-        let mut fb = StampSet::with_capacity(g.max_net_size() + 16);
-        let mut supersteps = Vec::new();
-
-        let mut superstep = 0usize;
-        while queues.iter().any(|q| !q.is_empty()) {
-            superstep += 1;
-            if superstep > self.max_supersteps {
-                // Serial cleanup, as real frameworks bound their rounds:
-                // merge the owners' views and color the stragglers
-                // sequentially (conflict-free by construction). Merging
-                // every owner's view is an implicit all-to-all, so the
-                // step is charged one full boundary exchange — otherwise
-                // total_messages() under-reports exactly on the worst
-                // instances, the ones that hit the bound.
-                serial_cleanup(g, &self.partition, &mut views, &queues, &mut fb);
-                let colored: usize = queues.iter().map(|q| q.len()).sum();
-                supersteps.push(SuperstepStats {
-                    colored,
-                    messages: self.boundary_volume(),
-                    conflicts: 0,
-                });
-                break;
-            }
-
-            // Phase 1: each rank colors its queue against its own view.
-            // From the second superstep on, re-colorings jitter the color
-            // choice (k-th available instead of first available, with k
-            // drawn from a per-vertex hash and a window that widens with
-            // the superstep) — the standard symmetry-breaking trick:
-            // plain first-fit would make every rank's copy of a large net
-            // collide on the same small colors forever.
-            let window = if superstep == 1 {
-                1
-            } else {
-                (superstep * 4).min(64)
-            };
-            let mut outbox: Vec<(u32, u32, Color)> = Vec::new(); // (dest, vertex, color)
-            let mut colored = 0usize;
-            for (r, queue) in queues.iter().enumerate() {
-                let view = &mut views[r];
-                for &w in queue {
-                    let wu = w as usize;
-                    fb.advance();
-                    for &net in g.nets(wu) {
-                        for &u in g.vtxs(net as usize) {
-                            if u != w {
-                                let cu = view[u as usize];
-                                if cu != UNCOLORED {
-                                    fb.insert(cu);
-                                }
-                            }
-                        }
-                    }
-                    let k = if window <= 1 {
-                        0
-                    } else {
-                        (mix(w as u64, superstep as u64) % window as u64) as usize
-                    };
-                    let col = kth_available(&fb, k);
-                    view[wu] = col;
-                    colored += 1;
-                    for &dest in &self.interested[wu] {
-                        outbox.push((dest, w, col));
-                    }
-                }
-            }
-
-            // Phase 2: flush boundary messages.
-            let messages = outbox.len();
-            for (dest, v, col) in outbox {
-                views[dest as usize][v as usize] = col;
-            }
-
-            // Phase 3: conflict detection on synchronized views.
-            let mut conflicts = 0usize;
-            let mut next_queues: Vec<Vec<u32>> = vec![Vec::new(); p];
-            for (r, queue) in queues.iter().enumerate() {
-                let view = &views[r];
-                for &w in queue {
-                    let wu = w as usize;
-                    let cw = view[wu];
-                    let lost = g.nets(wu).iter().any(|&net| {
-                        g.vtxs(net as usize)
-                            .iter()
-                            .any(|&u| u < w && view[u as usize] == cw)
-                    });
-                    if lost {
-                        next_queues[r].push(w);
-                        conflicts += 1;
-                    }
-                }
-            }
-
-            supersteps.push(SuperstepStats {
-                colored,
-                messages,
-                conflicts,
-            });
-            queues = next_queues;
-        }
-
-        // Assemble the global coloring from each owner's view.
-        let mut colors = vec![UNCOLORED; n];
-        for (v, c) in colors.iter_mut().enumerate() {
-            *c = views[self.partition.owner(v)][v];
-        }
-        let num_colors = bgpc::metrics::count_distinct_colors(&colors);
-        DistResult {
-            colors,
-            num_colors,
-            supersteps,
-        }
+    /// Runs the speculative BSP loop to a valid coloring: one
+    /// [`ShardWorker`] per rank, sharing one copy of the graph, driven
+    /// through the same round loop as [`crate::Coordinator`] with
+    /// messages routed in memory. The outcome equals a healthy sharded
+    /// run's on the same partition and round cap, supersteps included,
+    /// and is never degraded.
+    pub fn run(&self) -> ShardOutcome {
+        let p = self.partition.n_ranks() as u32;
+        let graph = Arc::new(self.graph.clone());
+        let mut workers: Vec<ShardWorker> = (0..p)
+            .map(|r| {
+                ShardWorker::new(r, p, self.partition.owners().to_vec(), Arc::clone(&graph))
+                    .expect("the partition covers the graph")
+            })
+            .collect();
+        run_rounds(self.graph, &self.partition, self.max_supersteps, |reqs| {
+            Ok(workers
+                .iter_mut()
+                .zip(&reqs)
+                .map(|(w, req)| {
+                    let flush = w.superstep(req);
+                    w.finish_deferred();
+                    flush
+                })
+                .collect())
+        })
+        .unwrap_or_else(|e| panic!("in-memory shard run failed: {e}"))
     }
 }
 
@@ -420,8 +217,8 @@ mod tests {
 
     #[test]
     fn forced_fallback_charges_boundary_volume() {
-        // A tiny round bound forces the serial-cleanup path on a
-        // conflict-heavy cyclic partition. The cleanup merges every
+        // A tiny round bound forces the sequential repair on a
+        // conflict-heavy cyclic partition. The repair merges every
         // owner's view — an implicit all-to-all — so its superstep must
         // charge one full boundary exchange, not zero.
         let g = instance();
@@ -431,11 +228,11 @@ mod tests {
         assert!(volume > 0, "cyclic partition of a dense instance has boundary");
         let r = runner.run();
         verify_bgpc(&g, &r.colors).unwrap();
-        assert_eq!(r.rounds(), 2, "one speculative round + the cleanup round");
-        let cleanup = r.supersteps.last().unwrap();
-        assert_eq!(cleanup.messages, volume, "merge charged as one boundary exchange");
-        assert!(cleanup.colored > 0, "the bound only trips with stragglers left");
-        assert_eq!(cleanup.conflicts, 0, "serial cleanup is conflict-free");
+        assert_eq!(r.rounds(), 2, "one speculative round + the repair round");
+        let repair = r.supersteps.last().unwrap();
+        assert_eq!(repair.messages, volume, "merge charged as one boundary exchange");
+        assert!(repair.colored > 0, "the bound only trips with stragglers left");
+        assert_eq!(repair.conflicts, 0, "the sequential repair is conflict-free");
         // And the charge is visible in the aggregate.
         assert!(r.total_messages() > r.supersteps[0].messages);
     }

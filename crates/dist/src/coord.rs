@@ -1,32 +1,28 @@
-//! Multi-process shard coordinator over the serve protocol.
+//! The shard coordinator: the round loop of sharded coloring, driven
+//! over TCP or in memory.
 //!
 //! [`Coordinator`] turns N `serve` daemons into the ranks of a real
-//! scale-out coloring run: it connects over TCP, installs one shard per
-//! worker ([`serve::ShardRequest`] — owner-computes partitioning of the
-//! vertex side via [`Partition`]), then drives BSP supersteps
+//! scale-out run: it connects over TCP and installs one shard per worker
+//! ([`serve::ShardRequest`], owner-computes via [`Partition`]).
+//! [`DistRunner`] holds the same [`ShardWorker`](serve::ShardWorker)s
+//! in memory. Both then run the one round loop: supersteps
 //! ([`serve::SuperstepRequest`] / [`serve::FlushReply`]) until a round
-//! re-colors nothing, harvests the owned assignments, and verifies the
-//! assembled coloring in original vertex ids.
+//! re-colors nothing, a harvest of the owned assignments, and
+//! verification in original vertex ids.
+//! Detection runs one round behind the coloring, so round `s`'s
+//! conflicts close the superstep recorded for round `s - 1`:
+//! `conflicts[i] == colored[i + 1]` and the final round reports none.
 //!
-//! Round `s`'s flushes carry the conflicts detected against round
-//! `s - 1`'s coloring (the wire shifts detection by one round), so the
-//! recorded [`SuperstepStats`] line up exactly with the in-process
-//! [`DistRunner`]'s accounting: `conflicts[i] == colored[i + 1]` and the
-//! final round reports zero conflicts. Workers color their interior
-//! vertices *after* writing each round-1 flush — the interior/boundary
-//! overlap — so the coordinator's routing work and the workers' interior
-//! work proceed concurrently.
+//! Rounds are bounded: past the cap the loop harvests the speculative
+//! state, repairs the remaining conflicts sequentially, and charges the
+//! merge one full boundary exchange. A repair that finds nothing to
+//! re-color records no round.
 //!
-//! **Degradation, never absence:** any worker failing mid-run (I/O
-//! error, protocol violation, invalid harvest) aborts the sharded
-//! attempt and the coordinator re-runs the same instance through the
-//! in-process [`DistRunner`] on one node. The result is still a valid
-//! coloring, tagged with a [`ShardOutcome::degraded`] reason.
-//!
-//! Like the in-process runner, rounds are bounded: past the cap the
-//! coordinator harvests the speculative state, repairs the remaining
-//! conflicts sequentially, and charges the merge one full boundary
-//! exchange (see `bsp.rs` — the same accounting rule).
+//! **Degradation, never absence:** a worker failing mid-run (I/O error,
+//! protocol violation, invalid harvest) aborts the sharded attempt, and
+//! the coordinator re-runs the instance in memory. The result is the
+//! coloring a healthy fleet would have returned, tagged with a
+//! [`ShardOutcome::degraded`] reason.
 
 use std::net::TcpStream;
 
@@ -36,9 +32,26 @@ use serve::protocol::{
     read_frame, write_frame, FlushReply, FrameKind, ShardRequest, SuperstepRequest,
     DEFAULT_MAX_FRAME,
 };
+use serve::shard::{loses_conflict, pick_color};
 
-use crate::bsp::MAX_SUPERSTEPS;
-use crate::{DistRunner, Partition, SuperstepStats};
+use crate::{DistRunner, Partition};
+
+/// Round bound before the sequential repair. Real frameworks also bound
+/// their communication rounds; large distance-2-clique instances (giant
+/// nets split across many ranks) can otherwise take
+/// `Ω(max net / ranks)` supersteps.
+pub const MAX_SUPERSTEPS: usize = 512;
+
+/// Accounting for one superstep.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct SuperstepStats {
+    /// Vertices colored this superstep (across ranks).
+    pub colored: usize,
+    /// Boundary messages sent (one per (vertex, interested rank) pair).
+    pub messages: usize,
+    /// Conflicts detected after the flush (vertices re-queued).
+    pub conflicts: usize,
+}
 
 /// Result of a sharded coloring run.
 #[derive(Clone, Debug)]
@@ -47,7 +60,7 @@ pub struct ShardOutcome {
     pub colors: Vec<Color>,
     /// Distinct colors used.
     pub num_colors: usize,
-    /// Per-superstep statistics, same shape as [`crate::DistResult`].
+    /// Per-superstep statistics.
     pub supersteps: Vec<SuperstepStats>,
     /// Number of shards the run was partitioned across.
     pub n_shards: usize,
@@ -115,7 +128,7 @@ impl Coordinator {
     ///
     /// Returns `Err` only when the *instance* is unusable (invalid
     /// pattern). Worker failures degrade instead: the instance is
-    /// re-colored in process and the outcome tagged with the reason.
+    /// re-colored in memory and the outcome tagged with the reason.
     pub fn color(
         &mut self,
         matrix: &sparse::Csr,
@@ -128,20 +141,13 @@ impl Coordinator {
             self.workers.len(),
             "one shard per connected worker"
         );
-        match self.try_sharded(&g, matrix, partition) {
-            Ok(outcome) => Ok(outcome),
-            Err(fail) => {
-                let runner = DistRunner::new(&g, partition.clone());
-                let r = runner.run();
-                Ok(ShardOutcome {
-                    colors: r.colors,
-                    num_colors: r.num_colors,
-                    supersteps: r.supersteps,
-                    n_shards: partition.n_ranks(),
-                    degraded: Some(format!("{fail}; recovered with a single-node run")),
-                })
-            }
-        }
+        Ok(self.try_sharded(&g, matrix, partition).unwrap_or_else(|fail| {
+            let mut outcome = DistRunner::new(&g, partition.clone())
+                .with_max_supersteps(self.max_supersteps)
+                .run();
+            outcome.degraded = Some(format!("{fail}; recovered with a single-node run"));
+            outcome
+        }))
     }
 
     fn send(&mut self, rank: usize, kind: FrameKind, payload: &[u8]) -> Result<(), String> {
@@ -188,7 +194,6 @@ impl Coordinator {
         partition: &Partition,
     ) -> Result<ShardOutcome, String> {
         let p = self.workers.len();
-        let n = g.n_vertices();
         let mut graph_bytes = Vec::new();
         sparse::bin_io::write_bin(&mut graph_bytes, matrix)
             .map_err(|e| format!("encoding graph bytes failed: {e}"))?;
@@ -207,139 +212,132 @@ impl Coordinator {
             self.recv(rank, FrameKind::Pong)
                 .map_err(|e| format!("shard install rejected: {e}"))?;
         }
+        run_rounds(g, partition, self.max_supersteps, |reqs| self.round(reqs))
+    }
+}
 
-        // Drive supersteps until a quiescent round. `inbox[r]` holds the
-        // boundary colors routed to shard r from the previous round.
-        let mut supersteps: Vec<SuperstepStats> = Vec::new();
-        let mut inbox: Vec<Vec<(u32, i32)>> = vec![Vec::new(); p];
-        let mut capped = false;
-        let mut s = 1u32;
-        loop {
-            if s as usize > self.max_supersteps {
-                capped = true;
-                break;
-            }
-            let reqs: Vec<SuperstepRequest> = inbox
-                .iter_mut()
-                .map(|up| SuperstepRequest {
-                    superstep: s,
-                    harvest: false,
-                    updates: std::mem::take(up),
-                })
-                .collect();
-            let replies = self.round(reqs)?;
-            let colored: usize = replies.iter().map(|f| f.colored as usize).sum();
-            let conflicts: usize = replies.iter().map(|f| f.conflicts as usize).sum();
-            let messages: usize = replies.iter().map(|f| f.messages.len()).sum();
-            // The wire shifts conflict detection by one round: round s
-            // reports the conflicts of round s-1's coloring, which close
-            // the previously recorded superstep.
-            if let Some(prev) = supersteps.last_mut() {
-                prev.conflicts = conflicts;
-            }
-            if colored == 0 {
-                // Quiescent probe round: every speculative color
-                // survived detection; nothing to record.
-                break;
-            }
-            supersteps.push(SuperstepStats { colored, messages, conflicts: 0 });
-            for reply in replies {
-                for (dest, v, c) in reply.messages {
-                    let dest = dest as usize;
-                    if dest >= p {
-                        return Err(format!("flush routed to nonexistent shard {dest}"));
-                    }
-                    inbox[dest].push((v, c));
-                }
-            }
-            s += 1;
+/// The round loop over installed shards, one per rank of `partition`:
+/// `round` delivers one request to each shard and returns their replies
+/// in rank order. Runs supersteps until a quiescent round or the
+/// `max_supersteps` cap, harvests and assembles the coloring in original
+/// ids, repairs a capped run sequentially, and verifies the result.
+pub(crate) fn run_rounds(
+    g: &BipartiteGraph,
+    partition: &Partition,
+    max_supersteps: usize,
+    mut round: impl FnMut(Vec<SuperstepRequest>) -> Result<Vec<FlushReply>, String>,
+) -> Result<ShardOutcome, String> {
+    let p = partition.n_ranks();
+    let n = g.n_vertices();
+
+    // Drive supersteps until a quiescent round. `inbox[r]` holds the
+    // boundary colors routed to shard r from the previous round.
+    let mut supersteps: Vec<SuperstepStats> = Vec::new();
+    let mut inbox: Vec<Vec<(u32, i32)>> = vec![Vec::new(); p];
+    let mut s = 1u32;
+    let capped = loop {
+        if s as usize > max_supersteps {
+            break true;
         }
-
-        // Harvest the owned assignments and assemble in original ids.
-        let reqs: Vec<SuperstepRequest> = (0..p)
-            .map(|_| SuperstepRequest { superstep: s, harvest: true, updates: Vec::new() })
+        let reqs: Vec<SuperstepRequest> = inbox
+            .iter_mut()
+            .map(|up| SuperstepRequest {
+                superstep: s,
+                harvest: false,
+                updates: std::mem::take(up),
+            })
             .collect();
-        let replies = self.round(reqs)?;
-        let mut colors = vec![UNCOLORED; n];
-        for (rank, reply) in replies.iter().enumerate() {
-            for &(_, v, c) in &reply.messages {
-                let vu = v as usize;
-                if vu >= n || partition.owner(vu) != rank {
-                    return Err(format!("worker {rank} harvested a vertex it does not own"));
+        let replies = round(reqs)?;
+        let colored: usize = replies.iter().map(|f| f.colored as usize).sum();
+        let conflicts: usize = replies.iter().map(|f| f.conflicts as usize).sum();
+        let messages: usize = replies.iter().map(|f| f.messages.len()).sum();
+        // Round s reports the conflicts of round s-1's coloring, which
+        // close the previously recorded superstep.
+        if let Some(prev) = supersteps.last_mut() {
+            prev.conflicts = conflicts;
+        }
+        if colored == 0 {
+            // Quiescent probe round: every speculative color
+            // survived detection; nothing to record.
+            break false;
+        }
+        supersteps.push(SuperstepStats { colored, messages, conflicts: 0 });
+        for reply in replies {
+            for (dest, v, c) in reply.messages {
+                let dest = dest as usize;
+                if dest >= p {
+                    return Err(format!("flush routed to nonexistent shard {dest}"));
                 }
-                colors[vu] = c;
+                inbox[dest].push((v, c));
             }
         }
-        if let Some(v) = colors.iter().position(|&c| c == UNCOLORED) {
-            if !capped {
-                return Err(format!("vertex {v} missing from the harvest"));
-            }
-        }
+        s += 1;
+    };
 
-        if capped {
-            // Bounded rounds, same rule as the in-process runner: repair
-            // the stragglers sequentially against the merged views and
-            // charge the implicit all-to-all one boundary exchange.
-            let repaired = repair_conflicts(g, &mut colors);
+    // Harvest the owned assignments and assemble in original ids.
+    let reqs: Vec<SuperstepRequest> = (0..p)
+        .map(|_| SuperstepRequest { superstep: s, harvest: true, updates: Vec::new() })
+        .collect();
+    let replies = round(reqs)?;
+    let mut colors = vec![UNCOLORED; n];
+    for (rank, reply) in replies.iter().enumerate() {
+        for &(_, v, c) in &reply.messages {
+            let vu = v as usize;
+            if vu >= n || partition.owner(vu) != rank {
+                return Err(format!("worker {rank} harvested a vertex it does not own"));
+            }
+            colors[vu] = c;
+        }
+    }
+    if let Some(v) = colors.iter().position(|&c| c == UNCOLORED) {
+        if !capped {
+            return Err(format!("vertex {v} missing from the harvest"));
+        }
+    }
+
+    if capped {
+        // The cap tripped before a quiescent round: repair the
+        // stragglers sequentially against the merged views and charge
+        // the implicit all-to-all one boundary exchange. A repair that
+        // re-colors nothing was a quiescent round in all but name.
+        let repaired = repair_conflicts(g, &mut colors);
+        if repaired > 0 {
             if let Some(prev) = supersteps.last_mut() {
                 prev.conflicts = repaired;
             }
-            let volume = DistRunner::new(g, partition.clone()).boundary_volume();
             supersteps.push(SuperstepStats {
                 colored: repaired,
-                messages: volume,
+                messages: DistRunner::new(g, partition.clone()).boundary_volume(),
                 conflicts: 0,
             });
         }
-
-        bgpc::verify::verify_bgpc(g, &colors)
-            .map_err(|e| format!("assembled sharded coloring failed verification: {e}"))?;
-        let num_colors = bgpc::metrics::count_distinct_colors(&colors);
-        Ok(ShardOutcome {
-            colors,
-            num_colors,
-            supersteps,
-            n_shards: p,
-            degraded: None,
-        })
     }
+
+    bgpc::verify::verify_bgpc(g, &colors)
+        .map_err(|e| format!("assembled sharded coloring failed verification: {e}"))?;
+    let num_colors = bgpc::metrics::count_distinct_colors(&colors);
+    Ok(ShardOutcome {
+        colors,
+        num_colors,
+        supersteps,
+        n_shards: p,
+        degraded: None,
+    })
 }
 
 /// Sequentially re-colors every id-ordered conflict loser (and any
 /// uncolored straggler) against the merged global state; returns how
 /// many vertices were repaired.
 fn repair_conflicts(g: &BipartiteGraph, colors: &mut [Color]) -> usize {
-    let mut losers: Vec<u32> = Vec::new();
-    for w in 0..g.n_vertices() {
-        let cw = colors[w];
-        let lost = cw == UNCOLORED
-            || g.nets(w).iter().any(|&net| {
-                g.vtxs(net as usize)
-                    .iter()
-                    .any(|&u| (u as usize) < w && colors[u as usize] == cw)
-            });
-        if lost {
-            losers.push(w as u32);
-        }
-    }
-    let mut fb = StampSet::with_capacity(g.max_net_size() + 16);
+    let losers: Vec<u32> = (0..g.n_vertices() as u32)
+        .filter(|&w| colors[w as usize] == UNCOLORED || loses_conflict(g, colors, w))
+        .collect();
     for &w in &losers {
         colors[w as usize] = UNCOLORED;
     }
+    let mut fb = StampSet::with_capacity(g.max_net_size() + 16);
     for &w in &losers {
-        let wu = w as usize;
-        fb.advance();
-        for &net in g.nets(wu) {
-            for &u in g.vtxs(net as usize) {
-                if u != w {
-                    let cu = colors[u as usize];
-                    if cu != UNCOLORED {
-                        fb.insert(cu);
-                    }
-                }
-            }
-        }
-        colors[wu] = fb.first_fit_from(0);
+        colors[w as usize] = pick_color(g, colors, w, &mut fb, 0);
     }
     losers.len()
 }
@@ -447,6 +445,10 @@ mod tests {
         let reason = outcome.degraded.expect("worker death must tag the outcome");
         assert!(reason.contains("single-node"), "reason: {reason}");
         verify_bgpc(&g, &outcome.colors).unwrap();
+        // The fallback returns what a healthy fleet would have returned.
+        let healthy = DistRunner::new(&g, Partition::block(g.n_vertices(), 2)).run();
+        assert_eq!(outcome.colors, healthy.colors);
+        assert_eq!(outcome.supersteps, healthy.supersteps);
         t.join().unwrap();
         for d in daemons.iter_mut() {
             d.shutdown();
@@ -468,6 +470,37 @@ mod tests {
         let repair = outcome.supersteps.last().unwrap();
         assert_eq!(repair.messages, volume, "merge charged one boundary exchange");
         assert_eq!(repair.conflicts, 0);
+        for d in daemons.iter_mut() {
+            d.shutdown();
+        }
+    }
+
+    #[test]
+    fn a_repair_that_recolors_nothing_records_no_round() {
+        let m = instance();
+        let g = BipartiteGraph::from_matrix(&m);
+        let (mut daemons, addrs) = start_workers(4, "norepair");
+        // One shard at cap 1: the cap trips before the quiescent probe
+        // round, and the repair finds nothing to re-color.
+        let one = Coordinator::connect(&addrs[..1])
+            .expect("connect")
+            .with_max_supersteps(1)
+            .color(&m, &Partition::block(g.n_vertices(), 1))
+            .expect("color");
+        assert_eq!(one.rounds(), 1, "one shard, one round");
+        assert_eq!(one.total_messages(), 0);
+        // A cap equal to the natural round count changes nothing.
+        let partition = Partition::cyclic(g.n_vertices(), 4);
+        let free = Coordinator::connect(&addrs).expect("connect").color(&m, &partition).expect("color");
+        assert!(free.rounds() > 1, "cyclic shards conflict on this instance");
+        let capped = Coordinator::connect(&addrs)
+            .expect("connect")
+            .with_max_supersteps(free.rounds())
+            .color(&m, &partition)
+            .expect("color");
+        assert!(capped.degraded.is_none());
+        assert_eq!(capped.colors, free.colors);
+        assert_eq!(capped.supersteps, free.supersteps);
         for d in daemons.iter_mut() {
             d.shutdown();
         }

@@ -1,44 +1,38 @@
-//! `dist` — distributed-memory speculative coloring: an in-process BSP
-//! model plus a real multi-process shard coordinator.
+//! `dist` — distributed-memory speculative coloring: one shard state
+//! machine, run in memory or across worker processes.
 //!
 //! The paper's related work (§VII) credits the speculative
 //! color/detect/repair loop to distributed-memory BGPC/D2GC frameworks
 //! (Boman, Bozdağ, Çatalyürek, Gebremedhin, Manne et al.): each rank owns
 //! a partition of the vertices, colors them in supersteps, exchanges
-//! boundary colors, and re-queues conflict losers. This crate implements
-//! that framework twice, sharing the [`Partition`] types and the
-//! per-superstep accounting:
+//! boundary colors, and re-queues conflict losers. One rank of that loop
+//! is `serve::ShardWorker`; this crate partitions the vertices
+//! ([`Partition`]) and drives the workers through one round loop
+//! ([`coord`]) over one of two transports:
 //!
-//! * [`DistRunner`] ([`bsp`]) is a **deterministic BSP simulation** —
-//!   ranks are plain data, "messages" are explicit buffers flushed at
-//!   superstep boundaries — so rounds/conflicts/message volume can be
-//!   studied on one machine and contrasted with the paper's
-//!   shared-memory algorithms.
-//! * [`Coordinator`] ([`coord`]) is the **real scale-out path**: each
-//!   shard is a `serve` worker process, supersteps and boundary
-//!   exchanges travel over TCP in the daemon's length-prefixed protocol
+//! * [`Coordinator`] — the **real scale-out path**: each shard is a
+//!   `serve` worker daemon, supersteps and boundary exchanges travel over
+//!   TCP in the daemon's length-prefixed protocol
 //!   (`Shard`/`Superstep`/`Flush` frames), interior vertices color while
-//!   boundary messages are in flight, and a worker dying mid-superstep
-//!   degrades to a valid single-node run instead of failing.
+//!   boundary messages are in flight, and a worker dying mid-run degrades
+//!   to a valid in-memory run instead of failing.
+//! * [`DistRunner`] ([`bsp`]) — the **in-memory transport**: the same
+//!   workers held in this process, so rounds, conflicts and message
+//!   volume can be studied on one machine. Its outcome equals a healthy
+//!   sharded run's byte for byte.
 //!
-//! What both paths preserve from the real systems:
-//!
-//! * the **owner-computes** rule — only the owner colors a vertex;
-//! * **stale boundary knowledge** — within a superstep, remote colors are
-//!   those received at the previous flush, which is the actual source of
-//!   distributed conflicts;
-//! * **id-ordered conflict resolution** — of a conflicting cross-rank
-//!   pair, the larger id is re-queued (matching the shared-memory rule);
-//! * per-superstep accounting of conflicts and message volume.
-//!
-//! What the simulation abstracts away — network latency and
-//! communication/computation overlap — the sharded path exercises for
-//! real (see DESIGN.md §11).
+//! What the loop preserves from the real systems: the **owner-computes**
+//! rule (only the owner colors a vertex); **stale boundary knowledge**
+//! (within a superstep, remote colors are those received at the previous
+//! flush — the actual source of distributed conflicts); **id-ordered
+//! conflict resolution** (of a conflicting cross-rank pair, the larger id
+//! is re-queued, matching the shared-memory rule); and per-superstep
+//! accounting of conflicts and message volume (DESIGN.md §11).
 
 pub mod bsp;
 pub mod coord;
 pub mod partition;
 
-pub use bsp::{DistResult, DistRunner, SuperstepStats};
-pub use coord::{Coordinator, ShardOutcome};
+pub use bsp::DistRunner;
+pub use coord::{Coordinator, ShardOutcome, SuperstepStats, MAX_SUPERSTEPS};
 pub use partition::Partition;

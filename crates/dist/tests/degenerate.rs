@@ -76,7 +76,7 @@ fn giant_net_under_a_tiny_round_cap_still_valid() {
         verify_bgpc(&g, &r.colors).unwrap();
         let last = r.supersteps.last().unwrap();
         if r.rounds() == 3 {
-            // The cap tripped: the cleanup round charges the merge.
+            // The cap tripped: the repair round charges the merge.
             assert_eq!(last.messages, volume);
         }
     }

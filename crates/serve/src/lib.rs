@@ -48,9 +48,9 @@
 //!   multi-process coloring. A `Shard` frame installs a
 //!   [`ShardWorker`] on the connection (graph + owner map), after which
 //!   `Superstep`/`Flush` rounds drive speculative boundary coloring
-//!   with the conflict exchange riding the same TCP connection — the
-//!   scale-out path behind the `dist` crate's `Coordinator` and
-//!   `bgpc-cli shard` (DESIGN.md §11).
+//!   with the conflict exchange riding the same TCP connection. The
+//!   `dist` crate's `Coordinator` drives it (`bgpc-cli shard`), and its
+//!   `DistRunner` runs the same workers in memory (DESIGN.md §11).
 //! * **Client** ([`client`]): reconnecting client with capped exponential
 //!   backoff plus deterministic jitter, distinguishing retryable faults
 //!   (backpressure, connection reset, torn frame) from terminal ones

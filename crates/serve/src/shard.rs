@@ -1,11 +1,13 @@
-//! Worker-side shard executor for multi-process sharded coloring.
+//! The shard state machine of multi-process sharded coloring.
 //!
-//! A coordinator (see the `dist` crate's `coord` module) installs one
-//! [`ShardWorker`] per daemon connection with a [`ShardRequest`] and then
-//! drives BSP supersteps with [`SuperstepRequest`] frames. The worker
-//! owns the vertices the shipped owner array assigns to its shard id and
-//! follows the speculative color-then-repair loop of the in-process
-//! `dist::DistRunner`, shifted by one round for the wire:
+//! [`ShardWorker`] is the only implementation of one rank's share of the
+//! speculative color, detect and re-queue loop. The `dist` crate's
+//! coordinator drives it with [`SuperstepRequest`]s, either over TCP (a
+//! `Shard` frame installs one worker per daemon connection) or in memory
+//! (`dist::DistRunner` holds one worker per rank). The worker owns the
+//! vertices the owner array assigns to its shard id; conflict detection
+//! runs one round behind the coloring, because the remote colors it
+//! needs arrive with the next request:
 //!
 //! * **Round 1** speculatively colors every owned *boundary* vertex
 //!   (first-fit against the local view) and flushes the results; owned
@@ -17,8 +19,9 @@
 //!   re-detects conflicts for the vertices colored last round under the
 //!   id-ordered rule (the larger vertex of a conflicting pair loses),
 //!   and re-colors exactly the losers with a jittered color draw
-//!   (`k`-th available, window widening with the round) to break the
-//!   symmetry that makes replicas of a large net collide forever.
+//!   (`k`-th available, window widening with the round up to
+//!   [`JITTER_WINDOW_MAX`]) to break the symmetry that makes replicas of
+//!   a large net collide forever.
 //! * A **harvest** round returns the shard's owned `(vertex, color)`
 //!   assignment instead of coloring.
 //!
@@ -29,13 +32,19 @@
 //! detects — so a quiescent round (nothing re-colored anywhere) proves
 //! the global coloring valid.
 
+use std::sync::Arc;
+
 use bgpc::{Color, StampSet, UNCOLORED};
 use graph::BipartiteGraph;
 
 use crate::protocol::{FlushReply, ShardRequest, SuperstepRequest};
 
-/// splitmix64-style hash for the jittered color draw. Must stay in sync
-/// with `dist::bsp` so in-process and sharded runs draw the same jitter.
+/// The widest jitter window: a re-coloring in round `s > 1` takes the
+/// `k`-th available color with `k < min(4·s, JITTER_WINDOW_MAX)`, so no
+/// pick lands more than this far past first-fit.
+pub const JITTER_WINDOW_MAX: usize = 64;
+
+/// splitmix64-style hash for the jittered color draw.
 #[inline]
 fn mix(a: u64, b: u64) -> u64 {
     let mut z = a
@@ -47,8 +56,35 @@ fn mix(a: u64, b: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The `k`-th smallest color not in the forbidden set.
-fn kth_available(fb: &StampSet, k: usize) -> Color {
+/// Which available color vertex `w` takes in round `superstep`: the
+/// first (`0`) in round 1, else a per-vertex draw from the round's
+/// jitter window.
+fn jitter(w: u32, superstep: u32) -> usize {
+    if superstep <= 1 {
+        return 0;
+    }
+    let window = (superstep as usize * 4).min(JITTER_WINDOW_MAX);
+    (mix(w as u64, superstep as u64) % window as u64) as usize
+}
+
+/// The `k`-th smallest color that no distance-2 neighbor of `w` holds in
+/// `view` (`k = 0` is first-fit). `fb` is scratch.
+pub fn pick_color(
+    g: &BipartiteGraph,
+    view: &[Color],
+    w: u32,
+    fb: &mut StampSet,
+    k: usize,
+) -> Color {
+    fb.advance();
+    for &net in g.nets(w as usize) {
+        for &u in g.vtxs(net as usize) {
+            let cu = view[u as usize];
+            if u != w && cu != UNCOLORED {
+                fb.insert(cu);
+            }
+        }
+    }
     let mut col = fb.first_fit_from(0);
     for _ in 0..k {
         col = fb.first_fit_from(col + 1);
@@ -56,10 +92,42 @@ fn kth_available(fb: &StampSet, k: usize) -> Color {
     col
 }
 
-/// One rank of a sharded coloring run, installed on a daemon connection.
+/// Whether `w` loses an id-ordered conflict in `view`: a smaller
+/// distance-2 neighbor holds the same color.
+pub fn loses_conflict(g: &BipartiteGraph, view: &[Color], w: u32) -> bool {
+    let cw = view[w as usize];
+    g.nets(w as usize).iter().any(|&net| {
+        g.vtxs(net as usize)
+            .iter()
+            .any(|&u| u < w && view[u as usize] == cw)
+    })
+}
+
+/// Pushes onto `out` each shard other than `v`'s owner that owns a
+/// distance-2 neighbor of `v` — the shards that must learn `v`'s color.
+/// `mark` holds one slot per shard, none of them `v` on entry.
+pub fn remote_shards(
+    g: &BipartiteGraph,
+    owners: &[u32],
+    v: usize,
+    mark: &mut [usize],
+    out: &mut Vec<u32>,
+) {
+    for &net in g.nets(v) {
+        for &u in g.vtxs(net as usize) {
+            let r = owners[u as usize];
+            if r != owners[v] && mark[r as usize] != v {
+                mark[r as usize] = v;
+                out.push(r);
+            }
+        }
+    }
+}
+
+/// One rank of a sharded coloring run.
 pub struct ShardWorker {
     shard: u32,
-    graph: BipartiteGraph,
+    graph: Arc<BipartiteGraph>,
     owners: Vec<u32>,
     /// This shard's knowledge of every vertex's color (authoritative for
     /// owned vertices, last-flushed for remote ones).
@@ -83,38 +151,33 @@ pub struct ShardWorker {
 }
 
 impl ShardWorker {
-    /// Builds a worker from an install request: decodes the checksummed
-    /// graph bytes, validates the owner array against it, and
-    /// precomputes the interior/boundary split.
-    pub fn install(req: ShardRequest) -> Result<ShardWorker, String> {
-        let matrix = sparse::bin_io::read_bin(req.graph_bytes.as_slice())
-            .map_err(|e| format!("shard graph bytes: {e}"))?;
-        let graph = BipartiteGraph::try_from_matrix_owned(matrix).map_err(|e| e.to_string())?;
+    /// Builds shard `shard` of `n_shards` over an already-built graph
+    /// (shared, so in-memory ranks need not copy it): validates the
+    /// owner array against the graph and precomputes the
+    /// interior/boundary split. Every owner id must be `< n_shards`.
+    pub fn new(
+        shard: u32,
+        n_shards: u32,
+        owners: Vec<u32>,
+        graph: Arc<BipartiteGraph>,
+    ) -> Result<ShardWorker, String> {
         let n = graph.n_vertices();
-        if req.owners.len() != n {
+        if owners.len() != n {
             return Err(format!(
                 "owner array has {} entries for a {}-vertex graph",
-                req.owners.len(),
+                owners.len(),
                 n
             ));
         }
         let mut interested = vec![Vec::new(); n];
         let mut interior = Vec::new();
         let mut boundary = Vec::new();
-        let mut mark = vec![usize::MAX; req.n_shards as usize];
+        let mut mark = vec![usize::MAX; n_shards as usize];
         for (v, shards) in interested.iter_mut().enumerate() {
-            if req.owners[v] != req.shard {
+            if owners[v] != shard {
                 continue;
             }
-            for &net in graph.nets(v) {
-                for &u in graph.vtxs(net as usize) {
-                    let r = req.owners[u as usize];
-                    if r != req.shard && mark[r as usize] != v {
-                        mark[r as usize] = v;
-                        shards.push(r);
-                    }
-                }
-            }
+            remote_shards(&graph, &owners, v, &mut mark, shards);
             if shards.is_empty() {
                 interior.push(v as u32);
             } else {
@@ -123,9 +186,9 @@ impl ShardWorker {
         }
         let fb = StampSet::with_capacity(graph.max_net_size() + 16);
         Ok(ShardWorker {
-            shard: req.shard,
+            shard,
             graph,
-            owners: req.owners,
+            owners,
             view: vec![UNCOLORED; n],
             pending: Vec::new(),
             interior,
@@ -134,6 +197,15 @@ impl ShardWorker {
             fb,
             interior_deferred: false,
         })
+    }
+
+    /// Builds a worker from an install request: decodes the checksummed
+    /// graph bytes and hands them to [`ShardWorker::new`].
+    pub fn install(req: ShardRequest) -> Result<ShardWorker, String> {
+        let matrix = sparse::bin_io::read_bin(req.graph_bytes.as_slice())
+            .map_err(|e| format!("shard graph bytes: {e}"))?;
+        let graph = BipartiteGraph::try_from_matrix_owned(matrix).map_err(|e| e.to_string())?;
+        ShardWorker::new(req.shard, req.n_shards, req.owners, Arc::new(graph))
     }
 
     /// Runs one superstep and builds the Flush reply. The caller must
@@ -163,55 +235,22 @@ impl ShardWorker {
 
         // Re-queue last round's losers under the id-ordered rule.
         let g = &self.graph;
-        let mut queue: Vec<u32> = Vec::new();
-        for &w in &self.pending {
-            let wu = w as usize;
-            let cw = self.view[wu];
-            let lost = g.nets(wu).iter().any(|&net| {
-                g.vtxs(net as usize)
-                    .iter()
-                    .any(|&u| u < w && self.view[u as usize] == cw)
-            });
-            if lost {
-                queue.push(w);
-            }
-        }
+        let mut queue: Vec<u32> =
+            self.pending.iter().copied().filter(|&w| loses_conflict(g, &self.view, w)).collect();
         let conflicts = queue.len() as u32;
         if req.superstep <= 1 {
             queue = self.boundary.clone();
             self.interior_deferred = true;
         }
 
-        // Color the queue with the jittered draw (same symmetry breaker
-        // as dist::bsp): plain first-fit would make every shard's copy
-        // of a large net collide on the same small colors forever.
-        let window = if req.superstep <= 1 {
-            1
-        } else {
-            (req.superstep as usize * 4).min(64)
-        };
+        // Color the queue with the jittered draw: plain first-fit would
+        // make every shard's copy of a large net collide on the same
+        // small colors forever.
         let mut messages = Vec::new();
         for &w in &queue {
-            let wu = w as usize;
-            self.fb.advance();
-            for &net in g.nets(wu) {
-                for &u in g.vtxs(net as usize) {
-                    if u != w {
-                        let cu = self.view[u as usize];
-                        if cu != UNCOLORED {
-                            self.fb.insert(cu);
-                        }
-                    }
-                }
-            }
-            let k = if window <= 1 {
-                0
-            } else {
-                (mix(w as u64, req.superstep as u64) % window as u64) as usize
-            };
-            let col = kth_available(&self.fb, k);
-            self.view[wu] = col;
-            for &dest in &self.interested[wu] {
+            let col = pick_color(g, &self.view, w, &mut self.fb, jitter(w, req.superstep));
+            self.view[w as usize] = col;
+            for &dest in &self.interested[w as usize] {
                 messages.push((dest, w, col));
             }
         }
@@ -230,21 +269,8 @@ impl ShardWorker {
             return;
         }
         self.interior_deferred = false;
-        let g = &self.graph;
-        for i in 0..self.interior.len() {
-            let wu = self.interior[i] as usize;
-            self.fb.advance();
-            for &net in g.nets(wu) {
-                for &u in g.vtxs(net as usize) {
-                    if u as usize != wu {
-                        let cu = self.view[u as usize];
-                        if cu != UNCOLORED {
-                            self.fb.insert(cu);
-                        }
-                    }
-                }
-            }
-            self.view[wu] = self.fb.first_fit_from(0);
+        for &w in &self.interior {
+            self.view[w as usize] = pick_color(&self.graph, &self.view, w, &mut self.fb, 0);
         }
     }
 }
@@ -332,6 +358,9 @@ mod tests {
             graph_bytes: vec![1, 2, 3],
         });
         assert!(bad.err().unwrap().contains("graph bytes"));
+        let g = Arc::new(BipartiteGraph::from_matrix(&m));
+        let bad = ShardWorker::new(0, 2, vec![0; 5], g);
+        assert!(bad.err().unwrap().contains("owner array"));
     }
 
     #[test]
