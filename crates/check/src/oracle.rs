@@ -19,6 +19,10 @@
 //!   [`par::Sched::Stealing`]) must all produce identical colorings.
 //! * **Determinism** — running the same configuration twice at one thread
 //!   must produce identical colorings.
+//! * **Wide palettes** — one case in four adds a net of 65–128 pins (for
+//!   D2GC a hub vertex whose closed neighborhood is that large), so
+//!   colors pass 64 and the one-thread equivalences cover the vertex
+//!   kernel's wide-palette fallback as well as its register-word gather.
 //! * **Color-count sanity** — never more colors than vertices, and for
 //!   unbalanced first-fit never more than the maximum distance-2 degree
 //!   plus one (the classic greedy bound; the `B1`/`B2` balancers trade
@@ -38,6 +42,7 @@ use bgpc::{Balance, BitStampSet, Color, KernelImpl, Schedule, StampSet};
 use graph::{BipartiteGraph, Graph, Ordering};
 use par::{Pool, Sched};
 use rng::{split_mix64, Pcg32};
+use sparse::Csr;
 
 /// The random draws a differential case needs, abstracted so both the
 /// seeded smoke harness and the shrinking minicheck harness can drive the
@@ -153,6 +158,16 @@ fn same_colors(a: &[Color], b: &[Color], what: &str) -> Result<(), String> {
     Ok(())
 }
 
+/// Draws the pin count of the case's wide net: 0 (none) in three cases
+/// of four, else 65–128.
+fn draw_wide_net(d: &mut impl Draw) -> usize {
+    if d.usize_in(0..4) == 0 {
+        d.usize_in(65..129)
+    } else {
+        0
+    }
+}
+
 /// One randomized BGPC differential case. Returns `Err` with a diagnosis
 /// when any oracle check fails.
 pub fn run_bgpc_case(d: &mut impl Draw) -> Result<(), String> {
@@ -168,7 +183,14 @@ pub fn run_bgpc_case_with(d: &mut impl Draw, forced: Option<KernelImpl>) -> Resu
     let verts = d.usize_in(1..17);
     let nnz = d.usize_in(0..nets * verts + 1);
     let mseed = d.u64_any();
-    let m = sparse::gen::bipartite_uniform(nets, verts, nnz, mseed);
+    let wide = draw_wide_net(d);
+    let mut m = sparse::gen::bipartite_uniform(nets, verts, nnz, mseed);
+    if wide > 0 {
+        // One more net over vertices 0..wide, widening V_A as needed.
+        let mut rows: Vec<Vec<u32>> = (0..m.nrows()).map(|r| m.row(r).to_vec()).collect();
+        rows.push((0..wide as u32).collect());
+        m = Csr::from_rows(verts.max(wide), &rows);
+    }
     let g = BipartiteGraph::from_matrix(&m);
     let order = pick_ordering(d).vertex_order_bgpc(&g);
 
@@ -185,7 +207,7 @@ pub fn run_bgpc_case_with(d: &mut impl Draw, forced: Option<KernelImpl>) -> Resu
         s
     };
     let label = format!(
-        "bgpc {} [{}] x{threads} on {nets}x{verts} nnz={nnz} seed={mseed}",
+        "bgpc {} [{}] x{threads} on {nets}x{verts} nnz={nnz} seed={mseed} wide={wide}",
         schedule.name(),
         kernel.label()
     );
@@ -298,7 +320,21 @@ pub fn run_d2gc_case_with(d: &mut impl Draw, forced: Option<KernelImpl>) -> Resu
     let max_edges = (2 * n).min(n * (n - 1) / 2);
     let nedges = d.usize_in(0..max_edges + 1);
     let mseed = d.u64_any();
-    let m = sparse::gen::erdos_renyi(n, nedges, mseed);
+    let wide = draw_wide_net(d);
+    let mut m = sparse::gen::erdos_renyi(n, nedges, mseed);
+    if wide > 0 {
+        // A hub, the new last vertex, adjacent to vertices 0..wide-1: its
+        // closed neighborhood is a net of `wide` pins.
+        let hub = n.max(wide - 1) as u32;
+        let mut rows: Vec<Vec<u32>> = (0..=hub as usize)
+            .map(|r| if r < n { m.row(r).to_vec() } else { Vec::new() })
+            .collect();
+        for row in rows.iter_mut().take(wide - 1) {
+            row.push(hub);
+        }
+        rows[hub as usize] = (0..wide as u32 - 1).collect();
+        m = Csr::from_rows(hub as usize + 1, &rows);
+    }
     let g = Graph::from_symmetric_matrix(&m);
     let order = pick_ordering(d).vertex_order_d2(&g);
 
@@ -314,7 +350,7 @@ pub fn run_d2gc_case_with(d: &mut impl Draw, forced: Option<KernelImpl>) -> Resu
         s
     };
     let label = format!(
-        "d2gc {} [{}] x{threads} on n={n} edges={nedges} seed={mseed}",
+        "d2gc {} [{}] x{threads} on n={n} edges={nedges} seed={mseed} wide={wide}",
         schedule.name(),
         kernel.label()
     );

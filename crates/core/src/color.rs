@@ -50,6 +50,13 @@ impl Colors {
         self.slots[u].load(Ordering::Relaxed)
     }
 
+    /// The slots as a plain slice, for kernels that hoist the slot count
+    /// (and with it the bounds-check operand) out of their inner loops.
+    #[inline]
+    pub(crate) fn slots(&self) -> &[AtomicI32] {
+        &self.slots
+    }
+
     /// Writes the color of vertex `u`.
     #[inline]
     pub fn set(&self, u: usize, c: Color) {

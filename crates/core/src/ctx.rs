@@ -33,6 +33,11 @@ pub struct ThreadCtx<F: ForbiddenSet = BitStampSet, I: CsrIndex = u32> {
     /// flush with one `fetch_add` per [`crate::workqueue::STAGE_CAPACITY`]
     /// entries instead of one per conflict.
     pub stage: Vec<u32>,
+    /// Sticky: set once this thread's distance-2 gather meets a color
+    /// ≥ 64. From then on the vertex kernel inserts colors one by one
+    /// instead of collecting the low 64 in a register word (see
+    /// [`crate::vertex`]); cleared by [`Self::reset_for_run`].
+    pub wide_palette: bool,
     /// Zero-sized marker for the instance's index width (see type docs).
     _width: PhantomData<fn() -> I>,
 }
@@ -47,6 +52,7 @@ impl<F: ForbiddenSet, I: CsrIndex> ThreadCtx<F, I> {
             local_queue: Vec::new(),
             wlocal: Vec::new(),
             stage: Vec::with_capacity(crate::workqueue::STAGE_CAPACITY),
+            wide_palette: false,
             _width: PhantomData,
         }
     }
@@ -67,6 +73,7 @@ impl<F: ForbiddenSet, I: CsrIndex> ThreadCtx<F, I> {
         self.local_queue.clear();
         self.wlocal.clear();
         self.stage.clear();
+        self.wide_palette = false;
     }
 }
 
@@ -85,6 +92,15 @@ mod tests {
         assert!(tiny.local_queue.is_empty());
         assert!(tiny.wlocal.is_empty());
         assert!(tiny.stage.is_empty());
+        assert!(!tiny.wide_palette);
+    }
+
+    #[test]
+    fn reset_for_run_clears_the_wide_palette_flag() {
+        let mut ctx: ThreadCtx = ThreadCtx::new(8);
+        ctx.wide_palette = true;
+        ctx.reset_for_run();
+        assert!(!ctx.wide_palette);
     }
 
     #[test]

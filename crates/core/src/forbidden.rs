@@ -28,6 +28,12 @@ use crate::{Color, UNCOLORED};
 /// operation sequences against [`StampSet`] and [`BitStampSet`] and
 /// asserts identical answers.
 pub trait ForbiddenSet: Send {
+    /// Whether [`merge_low_word`](ForbiddenSet::merge_low_word) is a
+    /// single word OR, so the vertex kernel's distance-2 gather may
+    /// collect colors `0..64` in a register word instead of inserting
+    /// them one by one (see [`crate::vertex`]).
+    const LOW_WORD: bool = false;
+
     /// Creates a set able to hold colors `0..capacity` without growth.
     fn with_capacity(capacity: usize) -> Self
     where
@@ -38,6 +44,17 @@ pub trait ForbiddenSet: Send {
 
     /// Inserts a color, growing the backing storage if needed.
     fn insert(&mut self, color: Color);
+
+    /// Inserts every color `c < 64` whose bit `c` is set in `bits`.
+    ///
+    /// The default inserts bit by bit; [`BitStampSet`] ORs the word into
+    /// its first entry.
+    fn merge_low_word(&mut self, mut bits: u64) {
+        while bits != 0 {
+            self.insert(bits.trailing_zeros() as Color);
+            bits &= bits - 1;
+        }
+    }
 
     /// Membership test for the current logical set.
     fn contains(&self, color: Color) -> bool;
@@ -305,6 +322,21 @@ impl BitStampSet {
         }
     }
 
+    /// ORs `bits` into colors `0..64` (the first word). Branch-free: the
+    /// stamp compare selects between the live word and zero.
+    #[inline]
+    pub fn merge_low_word(&mut self, bits: u64) {
+        let mark = self.mark;
+        // `with_capacity` allocates at least one word and growth never
+        // shrinks, so the first entry always exists.
+        let e = &mut self.entries[0];
+        let live = if e.stamp == mark { e.bits } else { 0 };
+        *e = WordEntry {
+            stamp: mark,
+            bits: live | bits,
+        };
+    }
+
     /// Insert growth path, out of line to keep the hot path lean.
     #[cold]
     fn grow_insert(&mut self, wi: usize, bit: u64) {
@@ -392,6 +424,8 @@ impl BitStampSet {
 }
 
 impl ForbiddenSet for BitStampSet {
+    const LOW_WORD: bool = true;
+
     fn with_capacity(capacity: usize) -> Self {
         BitStampSet::with_capacity(capacity)
     }
@@ -404,6 +438,11 @@ impl ForbiddenSet for BitStampSet {
     #[inline]
     fn insert(&mut self, color: Color) {
         BitStampSet::insert(self, color)
+    }
+
+    #[inline]
+    fn merge_low_word(&mut self, bits: u64) {
+        BitStampSet::merge_low_word(self, bits)
     }
 
     #[inline]
@@ -638,6 +677,28 @@ mod tests {
                 assert_eq!(s.contains(c), c == round % 128, "round {round}");
             }
         }
+    }
+
+    #[test]
+    fn low_word_merge_matches_bitwise_inserts() {
+        fn drive<F: ForbiddenSet>() -> Vec<bool> {
+            let mut f = F::with_capacity(16);
+            f.advance();
+            f.insert(3);
+            f.insert(70);
+            f.merge_low_word((1 << 0) | (1 << 5) | (1 << 63));
+            let mut out: Vec<bool> = (0..130).map(|c| f.contains(c)).collect();
+            // A merge after `advance` must not resurrect stale bits.
+            f.advance();
+            f.merge_low_word(1 << 1);
+            out.extend((0..130).map(|c| f.contains(c)));
+            out
+        }
+        let spec = drive::<StampSet>();
+        assert_eq!(spec, drive::<BitStampSet>());
+        let live: Vec<usize> = (0..spec.len()).filter(|&i| spec[i]).collect();
+        assert_eq!(live, vec![0, 3, 5, 63, 70, 131]);
+        const { assert!(BitStampSet::LOW_WORD && !StampSet::LOW_WORD) };
     }
 
     #[test]

@@ -470,24 +470,16 @@ fn repair_sequential<G: Neighborhood>(g: &G, order: &[u32], colors: &Colors) {
     }
     // Colors the uncolored vertices with first-fit against the *current*
     // state — conflict-free by construction.
-    let mut fb = BitStampSet::with_capacity(g.max_neighborhood() + 64);
+    let mut ctx = ThreadCtx::<BitStampSet, G::Index>::new(g.max_neighborhood() + 64);
+    let mut tally = vertex::Tally::default();
+    let slots = colors.slots();
     for &wv in order {
         let wu = wv as usize;
         if colors.get(wu) != UNCOLORED {
             continue;
         }
-        fb.advance();
-        for &v in g.nets(wu) {
-            g.for_each_pin(v as usize, |u| {
-                if u != wv {
-                    let cu = colors.get(u as usize);
-                    if cu != UNCOLORED {
-                        fb.insert(cu);
-                    }
-                }
-            });
-        }
-        colors.set(wu, fb.first_fit_from(0));
+        vertex::gather_forbidden(g, slots, wv, &mut ctx, &mut tally);
+        colors.set(wu, ctx.fb.first_fit_from(0));
     }
 }
 

@@ -7,12 +7,14 @@
 use graph::{BipartiteGraph, Graph};
 use sparse::CsrIndex;
 
+use crate::ctx::ThreadCtx;
 use crate::forbidden::ForbiddenSet;
 use crate::metrics::count_distinct_colors;
 use crate::neighborhood::Neighborhood;
 use crate::runner::{with_forbidden_set, WithSet};
 use crate::tuning::PREFETCH_AHEAD;
-use crate::{Color, UNCOLORED};
+use crate::vertex::{gather_forbidden, Tally};
+use crate::{Color, Colors};
 
 /// Sequential first-fit BGPC over `order`. Returns the coloring and the
 /// number of distinct colors.
@@ -44,26 +46,18 @@ pub fn color_seq_with_set<F: ForbiddenSet, G: Neighborhood>(
     g: &G,
     order: &[u32],
 ) -> (Vec<Color>, usize) {
-    let mut colors = vec![UNCOLORED; g.n_vertices()];
-    let mut fb = F::with_capacity(g.seq_capacity());
+    let colors = Colors::new(g.n_vertices());
+    let slots = colors.slots();
+    let mut ctx = ThreadCtx::<F, G::Index>::new(g.seq_capacity());
+    let mut tally = Tally::default();
     for (k, &w) in order.iter().enumerate() {
         if let Some(&next) = order.get(k + PREFETCH_AHEAD) {
             g.prefetch_nets(next as usize);
         }
-        let wu = w as usize;
-        fb.advance();
-        for &v in g.nets(wu) {
-            g.for_each_pin(v as usize, |u| {
-                if u != w {
-                    let cu = colors[u as usize];
-                    if cu != UNCOLORED {
-                        fb.insert(cu);
-                    }
-                }
-            });
-        }
-        colors[wu] = fb.first_fit_from(0);
+        gather_forbidden(g, slots, w, &mut ctx, &mut tally);
+        colors.set(w as usize, ctx.fb.first_fit_from(0));
     }
+    let colors = colors.snapshot();
     let k = count_distinct_colors(&colors);
     (colors, k)
 }

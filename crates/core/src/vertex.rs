@@ -7,6 +7,21 @@
 //! touches every net `|vtxs(v)|` times, so the traversal is
 //! `Θ(Σ_v |vtxs(v)|²)` — the cost the net-based phases of [`crate::net`]
 //! attack.
+//!
+//! The coloring walk is written once, in `gather_forbidden`, and shared
+//! with the sequential baseline ([`crate::seq`]) and the degraded-run
+//! repair ([`crate::runner`]). With a [`BitStampSet`] it collects the
+//! colors below 64 in a register word with no data-dependent branch:
+//! around a re-queued vertex the pins are a random mix of colored and
+//! [`UNCOLORED`], and a per-pin "is it colored?" branch mispredicts on
+//! that mix. A thread that meets a color ≥ 64 falls back for the rest of
+//! the run to inserting colors one by one (the sticky
+//! [`ThreadCtx::wide_palette`] flag), which is cheaper once most colors
+//! miss the register word.
+//!
+//! [`BitStampSet`]: crate::BitStampSet
+
+use std::sync::atomic::{AtomicI32, Ordering};
 
 use par::{Pool, Sched, ThreadScratch};
 
@@ -15,7 +30,7 @@ use crate::forbidden::ForbiddenSet;
 use crate::neighborhood::Neighborhood;
 use crate::tuning::PREFETCH_AHEAD;
 use crate::workqueue::{merge_local_queues, SharedQueue};
-use crate::{Balance, Colors, UNCOLORED};
+use crate::{Balance, Color, Colors, UNCOLORED};
 
 /// Algorithm 4 — optimistic coloring of the work queue `w`, vertex-based.
 ///
@@ -35,6 +50,7 @@ pub fn color_workqueue_vertex<F: ForbiddenSet, G: Neighborhood>(
     scratch: &ThreadScratch<ThreadCtx<F, G::Index>>,
 ) {
     let rec = pool.tracer();
+    let slots = colors.slots();
     pool.for_sched(sched, w.len(), chunk, |tid, range| {
         par::faults::fire(G::FAULT_COLOR, tid);
         scratch.with(tid, |ctx| {
@@ -42,53 +58,107 @@ pub fn color_workqueue_vertex<F: ForbiddenSet, G: Neighborhood>(
             // Counter sinks live in registers and are flushed once per
             // chunk; with the trace crate's `sink-off` feature the
             // `trace::COMPILED` constant folds them away entirely.
-            let mut probes = 0u64;
-            let mut prefetches = 0u64;
+            let mut tally = Tally::default();
             for (k, &wv) in items.iter().enumerate() {
                 if let Some(&next) = items.get(k + PREFETCH_AHEAD) {
                     g.prefetch_nets(next as usize);
                     if trace::COMPILED {
-                        prefetches += 1;
+                        tally.prefetches += 1;
                     }
                 }
-                let wu = wv as usize;
-                ctx.fb.advance();
-                let nets = g.nets(wu);
-                for (j, &v) in nets.iter().enumerate() {
-                    if G::PREFETCH_PINS {
-                        if let Some(&vnext) = nets.get(j + 1) {
-                            g.prefetch_pins(vnext as usize);
-                            if trace::COMPILED {
-                                prefetches += 1;
-                            }
-                        }
-                    }
-                    g.for_each_pin(v as usize, |u| {
-                        if u != wv {
-                            let cu = colors.get(u as usize);
-                            if cu != UNCOLORED {
-                                ctx.fb.insert(cu);
-                                if trace::COMPILED {
-                                    probes += 1;
-                                }
-                            }
-                        }
-                    });
-                }
+                gather_forbidden(g, slots, wv, ctx, &mut tally);
                 let col = balance.pick(wv, &ctx.fb, &mut ctx.balancer);
-                colors.set(wu, col);
+                colors.set(wv as usize, col);
             }
             if trace::COMPILED {
                 if let Some(r) = rec {
                     let mut local = trace::CounterSheet::new();
                     local.add(trace::Counter::VerticesColored, items.len() as u64);
-                    local.add(trace::Counter::ForbiddenProbes, probes);
-                    local.add(trace::Counter::PrefetchIssues, prefetches);
+                    local.add(trace::Counter::ForbiddenProbes, tally.probes);
+                    local.add(trace::Counter::PrefetchIssues, tally.prefetches);
                     r.merge(tid, &local);
                 }
             }
         });
     });
+}
+
+/// Counter sinks of the coloring walk, kept in registers and flushed once
+/// per chunk.
+#[derive(Default)]
+pub(crate) struct Tally {
+    /// Colored pins seen (`ForbiddenProbes`).
+    pub(crate) probes: u64,
+    /// Pin-list prefetches issued (`PrefetchIssues`).
+    pub(crate) prefetches: u64,
+}
+
+/// Algorithm 4's distance-2 gather: starts a fresh forbidden set in
+/// `ctx.fb` holding every color on the pins of `wv`'s nets except `wv`'s
+/// own (a stale self color from a lost conflict included).
+///
+/// When `F` merges a low word ([`ForbiddenSet::LOW_WORD`]) and the thread
+/// has not yet seen a wide palette, each pin costs a load, a shift and an
+/// OR: the color is read as `u32` with the self pin and [`UNCOLORED`]
+/// both mapped to `u32::MAX`, colors below 64 land in a register word,
+/// and only colors ≥ 64 take the one branch (never taken while the
+/// palette fits in 64 colors) to [`ForbiddenSet::insert`], setting the
+/// sticky [`ThreadCtx::wide_palette`]. The word is merged once, so the
+/// set is the same as the one-by-one inserts of the other path would
+/// build.
+#[inline(always)]
+pub(crate) fn gather_forbidden<F: ForbiddenSet, G: Neighborhood>(
+    g: &G,
+    slots: &[AtomicI32],
+    wv: u32,
+    ctx: &mut ThreadCtx<F, G::Index>,
+    tally: &mut Tally,
+) {
+    let fb = &mut ctx.fb;
+    fb.advance();
+    let word = F::LOW_WORD && !ctx.wide_palette;
+    let wide = &mut ctx.wide_palette;
+    let mut low = 0u64;
+    let nets = g.nets(wv as usize);
+    for (j, &v) in nets.iter().enumerate() {
+        if G::PREFETCH_PINS {
+            if let Some(&vnext) = nets.get(j + 1) {
+                g.prefetch_pins(vnext as usize);
+                if trace::COMPILED {
+                    tally.prefetches += 1;
+                }
+            }
+        }
+        if word {
+            g.for_each_pin(v as usize, |u| {
+                let self_pin = ((u == wv) as u32).wrapping_neg();
+                let c = slots[u as usize].load(Ordering::Relaxed) as u32 | self_pin;
+                low |= ((c < 64) as u64) << (c & 63);
+                if trace::COMPILED {
+                    tally.probes += (c != u32::MAX) as u64;
+                }
+                if c.wrapping_add(1) > 64 {
+                    fb.insert(c as Color);
+                    *wide = true;
+                }
+            });
+        } else {
+            g.for_each_pin(v as usize, |u| {
+                if u != wv {
+                    let cu = slots[u as usize].load(Ordering::Relaxed);
+                    if cu != UNCOLORED {
+                        fb.insert(cu);
+                        if trace::COMPILED {
+                            tally.probes += 1;
+                        }
+                    }
+                }
+            });
+        }
+    }
+    if word {
+        fb.merge_low_word(low);
+    }
 }
 
 /// Algorithm 5 — vertex-based conflict detection over the work queue.

@@ -268,13 +268,16 @@ fn both_forbidden_set_representations_repair_after_faults() {
 fn stealing_worker_panic_mid_region_recovers() {
     let _g = serial();
     // Same shape as the dynamic-cursor worker test, but with per-worker
-    // blocks: every thread owns a slice of the queue, so the targeted
-    // thread is guaranteed to claim work and fire the point.
+    // blocks: every thread owns a slice of the queue. A thread that wakes
+    // late can find its block stolen, so drained thieves wait at the
+    // `par.steal` gate until thread 2 has fired: thread 2's first claim
+    // is then always from its own untouched block.
     let g = BipartiteGraph::from_matrix(&sparse::gen::bipartite_uniform(4000, 2000, 40000, 7));
     let order = Ordering::Natural.vertex_order_bgpc(&g);
     let pool = Pool::new(4);
     let schedule = Schedule::v_v_64d().with_sched(Sched::Stealing);
     faults::arm_with("bgpc.color", FaultAction::Panic, 1, Some(2));
+    faults::arm_with("par.steal", FaultAction::Gate("bgpc.color"), usize::MAX, None);
     let r = color_bgpc(&g, &order, &schedule, &pool);
     let fired = faults::hits("bgpc.color") > 0;
     faults::reset();

@@ -29,6 +29,11 @@ pub enum FaultAction {
     /// firing `Torn` like [`FaultAction::Panic`] when it arrives via
     /// [`fire`].
     Torn(usize),
+    /// Block until the named point has fired at least once: a gate that
+    /// holds threads back until some other thread has reached a given
+    /// spot, turning a scheduling-dependent interleaving into a fixed
+    /// one. The awaited point must be armed before the gate can fire.
+    Gate(&'static str),
 }
 
 struct Armed {
@@ -123,6 +128,11 @@ fn fire_slow(point: &'static str, tid: usize) {
             panic!("fail point `{point}` fired on thread {tid}")
         }
         FaultAction::Stall(d) => std::thread::sleep(d),
+        FaultAction::Gate(awaited) => {
+            while hits(awaited) == 0 {
+                std::thread::sleep(Duration::from_micros(50));
+            }
+        }
     }
 }
 
@@ -184,6 +194,29 @@ mod tests {
         fire("test.once", 3);
         assert_eq!(hits("test.once"), 1);
         disarm("test.once");
+    }
+
+    #[test]
+    fn gate_holds_until_the_awaited_point_fires() {
+        use std::sync::atomic::AtomicUsize;
+        arm_with("test.gate.open", FaultAction::Stall(Duration::ZERO), 1, Some(1));
+        arm_with("test.gate", FaultAction::Gate("test.gate.open"), usize::MAX, None);
+        let passed = AtomicUsize::new(0);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                fire("test.gate", 0);
+                passed.fetch_add(1, Ordering::SeqCst);
+            });
+            std::thread::sleep(Duration::from_millis(20));
+            assert_eq!(passed.load(Ordering::SeqCst), 0, "gate opened early");
+            fire("test.gate.open", 1);
+        });
+        assert_eq!(passed.load(Ordering::SeqCst), 1);
+        // Once open, the gate passes straight through.
+        fire("test.gate", 2);
+        assert_eq!(hits("test.gate"), 2);
+        disarm("test.gate");
+        disarm("test.gate.open");
     }
 
     #[test]
