@@ -6,7 +6,7 @@
 use std::sync::Arc;
 
 use graph::BipartiteGraph;
-use serve::shard::remote_shards;
+use serve::shard::InterestedRanks;
 use serve::ShardWorker;
 
 use crate::coord::run_rounds;
@@ -27,28 +27,20 @@ use crate::{Partition, ShardOutcome, MAX_SUPERSTEPS};
 pub struct DistRunner<'g> {
     graph: &'g BipartiteGraph,
     partition: Partition,
-    /// Per vertex, the number of ranks other than the owner that must
-    /// learn its color (owners of its distance-2 neighbors).
-    interested: Vec<u32>,
+    /// Per vertex, the ranks other than the owner that must learn its
+    /// color (owners of its distance-2 neighbors).
+    interested: InterestedRanks,
     /// Round bound before the sequential repair (see
     /// [`DistRunner::with_max_supersteps`]).
     max_supersteps: usize,
 }
 
 impl<'g> DistRunner<'g> {
-    /// Prepares a runner: counts, per vertex, the remote ranks owning
+    /// Prepares a runner: lists, per vertex, the remote ranks owning
     /// any of its distance-2 neighbors.
     pub fn new(graph: &'g BipartiteGraph, partition: Partition) -> Self {
         assert_eq!(partition.len(), graph.n_vertices());
-        let mut mark = vec![usize::MAX; partition.n_ranks()];
-        let mut ranks = Vec::new();
-        let interested = (0..graph.n_vertices())
-            .map(|v| {
-                ranks.clear();
-                remote_shards(graph, partition.owners(), v, &mut mark, &mut ranks);
-                ranks.len() as u32
-            })
-            .collect();
+        let interested = InterestedRanks::build(graph, partition.owners(), None);
         Self {
             graph,
             partition,
@@ -70,17 +62,17 @@ impl<'g> DistRunner<'g> {
     /// flush of every boundary vertex costs, and what the sequential
     /// repair of a capped run charges for its implicit all-to-all merge.
     pub fn boundary_volume(&self) -> usize {
-        self.interested.iter().map(|&i| i as usize).sum()
+        self.interested.total()
     }
 
     /// Fraction of vertices with at least one interested remote rank —
     /// the boundary ratio of the partition.
     pub fn boundary_fraction(&self) -> f64 {
-        if self.interested.is_empty() {
+        let n = self.graph.n_vertices();
+        if n == 0 {
             return 0.0;
         }
-        self.interested.iter().filter(|&&i| i > 0).count() as f64
-            / self.interested.len() as f64
+        self.interested.n_boundary() as f64 / n as f64
     }
 
     /// Runs the speculative BSP loop to a valid coloring: one

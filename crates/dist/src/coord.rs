@@ -32,7 +32,7 @@ use serve::protocol::{
     read_frame, write_frame, FlushReply, FrameKind, ShardRequest, SuperstepRequest,
     DEFAULT_MAX_FRAME,
 };
-use serve::shard::{loses_conflict, pick_color};
+use serve::shard::{pick_color, ConflictScan};
 
 use crate::{DistRunner, Partition};
 
@@ -329,8 +329,12 @@ pub(crate) fn run_rounds(
 /// uncolored straggler) against the merged global state; returns how
 /// many vertices were repaired.
 fn repair_conflicts(g: &BipartiteGraph, colors: &mut [Color]) -> usize {
-    let losers: Vec<u32> = (0..g.n_vertices() as u32)
-        .filter(|&w| colors[w as usize] == UNCOLORED || loses_conflict(g, colors, w))
+    let all: Vec<u32> = (0..g.n_vertices() as u32).collect();
+    let mut scan = ConflictScan::new(g);
+    scan.detect(g, colors, &all);
+    let losers: Vec<u32> = all
+        .into_iter()
+        .filter(|&w| colors[w as usize] == UNCOLORED || scan.lost(w))
         .collect();
     for &w in &losers {
         colors[w as usize] = UNCOLORED;

@@ -25,6 +25,14 @@
 //! * A **harvest** round returns the shard's owned `(vertex, color)`
 //!   assignment instead of coloring.
 //!
+//! Both distance-2 passes are net-based, one read per pin rather than a
+//! walk of every vertex's distance-2 neighborhood: the install lists the
+//! ranks interested in each owned vertex from per-net rank lists
+//! ([`InterestedRanks`]), and each round's detection scans every net
+//! touched by a pending vertex once ([`ConflictScan`]). Both give exactly
+//! what the per-vertex rules give, in the same order, so colorings,
+//! rounds and messages do not depend on it.
+//!
 //! Conflict detection is sound because every color a remote distance-2
 //! neighbor has ever taken was flushed to this shard before the round in
 //! which it matters: a vertex re-colored in round `s` can conflict only
@@ -34,6 +42,7 @@
 
 use std::sync::Arc;
 
+use bgpc::tuning::PREFETCH_AHEAD;
 use bgpc::{Color, StampSet, UNCOLORED};
 use graph::BipartiteGraph;
 
@@ -77,7 +86,11 @@ pub fn pick_color(
     k: usize,
 ) -> Color {
     fb.advance();
-    for &net in g.nets(w as usize) {
+    let nets = g.nets(w as usize);
+    for (j, &net) in nets.iter().enumerate() {
+        if let Some(&next) = nets.get(j + 1) {
+            g.prefetch_vtxs(next as usize);
+        }
         for &u in g.vtxs(net as usize) {
             let cu = view[u as usize];
             if u != w && cu != UNCOLORED {
@@ -92,35 +105,199 @@ pub fn pick_color(
     col
 }
 
-/// Whether `w` loses an id-ordered conflict in `view`: a smaller
-/// distance-2 neighbor holds the same color.
-pub fn loses_conflict(g: &BipartiteGraph, view: &[Color], w: u32) -> bool {
-    let cw = view[w as usize];
-    g.nets(w as usize).iter().any(|&net| {
-        g.vtxs(net as usize)
-            .iter()
-            .any(|&u| u < w && view[u as usize] == cw)
-    })
+/// Per vertex, the ranks other than its owner that own a distance-2
+/// neighbor — the shards that must learn the vertex's color — as one
+/// flat CSR.
+///
+/// Built net-based: one pass over the pins gives each net's distinct
+/// owner ranks in first-pin order, and a vertex's list is the
+/// first-occurrence merge of its nets' lists. That is the order a walk
+/// of `nets(v)` then `vtxs(net)` meets the ranks in, so the `Flush`
+/// message order does not depend on which way the lists are built.
+pub struct InterestedRanks {
+    /// Row `v` is `ranks[offsets[v]..offsets[v + 1]]`.
+    offsets: Vec<usize>,
+    ranks: Vec<u32>,
 }
 
-/// Pushes onto `out` each shard other than `v`'s owner that owns a
-/// distance-2 neighbor of `v` — the shards that must learn `v`'s color.
-/// `mark` holds one slot per shard, none of them `v` on entry.
-pub fn remote_shards(
-    g: &BipartiteGraph,
-    owners: &[u32],
-    v: usize,
-    mark: &mut [usize],
-    out: &mut Vec<u32>,
-) {
-    for &net in g.nets(v) {
-        for &u in g.vtxs(net as usize) {
-            let r = owners[u as usize];
-            if r != owners[v] && mark[r as usize] != v {
-                mark[r as usize] = v;
-                out.push(r);
+impl InterestedRanks {
+    /// Builds the lists of every vertex, or with `only = Some(shard)`
+    /// of the vertices `shard` owns (the other rows stay empty).
+    ///
+    /// The rank-indexed scratch is sized by the largest owner id plus
+    /// one while that is at most the vertex count; owner ids beyond it
+    /// are compacted to their sorted distinct values first, so the
+    /// scratch never outgrows the graph whatever ids the owner array
+    /// carries.
+    pub fn build(g: &BipartiteGraph, owners: &[u32], only: Option<u32>) -> InterestedRanks {
+        let n = g.n_vertices();
+        assert_eq!(owners.len(), n, "one owner per vertex");
+        let compact = compact_ranks(owners);
+        let slots = compact.as_ref().map_or(owners, |(slots, _)| slots.as_slice());
+        let rank_of = |s: u32| compact.as_ref().map_or(s, |(_, ids)| ids[s as usize]);
+        let n_slots = slots.iter().max().map_or(0, |&m| m as usize + 1);
+
+        // Each net's distinct owner slots, in first-pin order.
+        let mut mark = vec![usize::MAX; n_slots];
+        let mut net_offsets = Vec::with_capacity(g.n_nets() + 1);
+        let mut net_slots = Vec::new();
+        net_offsets.push(0);
+        for net in 0..g.n_nets() {
+            for &u in g.vtxs(net) {
+                let s = slots[u as usize];
+                if mark[s as usize] != net {
+                    mark[s as usize] = net;
+                    net_slots.push(s);
+                }
+            }
+            net_offsets.push(net_slots.len());
+        }
+
+        // Each vertex's list: its nets' lists merged at first occurrence.
+        mark.fill(usize::MAX);
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut ranks = Vec::new();
+        offsets.push(0);
+        for v in 0..n {
+            if only.is_none_or(|shard| owners[v] == shard) {
+                let own = slots[v];
+                for &net in g.nets(v) {
+                    let net = net as usize;
+                    for &s in &net_slots[net_offsets[net]..net_offsets[net + 1]] {
+                        if s != own && mark[s as usize] != v {
+                            mark[s as usize] = v;
+                            ranks.push(rank_of(s));
+                        }
+                    }
+                }
+            }
+            offsets.push(ranks.len());
+        }
+        InterestedRanks { offsets, ranks }
+    }
+
+    /// The ranks that must learn `v`'s color, in first-occurrence order.
+    #[inline]
+    pub fn of(&self, v: usize) -> &[u32] {
+        &self.ranks[self.offsets[v]..self.offsets[v + 1]]
+    }
+
+    /// Sum of the list lengths: one message per (vertex, interested
+    /// rank) pair, the volume of a flush of every listed vertex.
+    pub fn total(&self) -> usize {
+        self.ranks.len()
+    }
+
+    /// Number of vertices with a non-empty list.
+    pub fn n_boundary(&self) -> usize {
+        self.offsets.windows(2).filter(|w| w[1] > w[0]).count()
+    }
+}
+
+/// Scratch slots for owner ids at or past the vertex count: each
+/// vertex's slot among the sorted distinct owner ids, and those ids.
+/// `None` while every owner id is below the vertex count, where each
+/// rank is its own slot.
+fn compact_ranks(owners: &[u32]) -> Option<(Vec<u32>, Vec<u32>)> {
+    if owners.iter().all(|&o| (o as usize) < owners.len()) {
+        return None;
+    }
+    let mut ids = owners.to_vec();
+    ids.sort_unstable();
+    ids.dedup();
+    let slots = owners
+        .iter()
+        .map(|o| ids.binary_search(o).expect("every owner is listed") as u32)
+        .collect();
+    Some((slots, ids))
+}
+
+/// Net-based id-ordered conflict detection: scratch for a pass that
+/// flags every vertex of a pending set that a smaller distance-2
+/// neighbor holds the same color as.
+///
+/// [`ConflictScan::detect`] marks the pending vertices, then scans each
+/// net touched by one of them once, pins in ascending order, keeping
+/// the colors seen so far in the net. A pending pin whose color is
+/// already in the set shares the net with a smaller vertex of that
+/// color, so it loses; a loser is only flagged, never uncolored, so
+/// later pins still see its color and every verdict is the one the
+/// per-vertex rule (some smaller distance-2 neighbor has the same
+/// color) gives. The pass reads each pin of a touched net once instead
+/// of walking every pending vertex's distance-2 neighborhood.
+pub struct ConflictScan {
+    /// Per vertex: `2·round` while pending in this round's pass,
+    /// `2·round + 1` once flagged as a loser.
+    vtx: Vec<u32>,
+    /// Per net: the last round whose pass scanned it.
+    net: Vec<u32>,
+    round: u32,
+    /// Non-negative colors seen so far in the net being scanned.
+    seen: StampSet,
+    /// Negative colors (`UNCOLORED`) seen so far in that net.
+    seen_neg: Vec<Color>,
+}
+
+impl ConflictScan {
+    /// Scratch for passes over `g`.
+    pub fn new(g: &BipartiteGraph) -> ConflictScan {
+        ConflictScan {
+            vtx: vec![0; g.n_vertices()],
+            net: vec![0; g.n_nets()],
+            round: 0,
+            seen: StampSet::with_capacity(g.max_net_size() + 16),
+            seen_neg: Vec::new(),
+        }
+    }
+
+    /// Flags the vertices of `pending` that lose an
+    /// id-ordered conflict in `view`; read the verdicts with
+    /// [`ConflictScan::lost`] until the next pass.
+    pub fn detect(&mut self, g: &BipartiteGraph, view: &[Color], pending: &[u32]) {
+        if self.round == u32::MAX / 2 {
+            self.vtx.fill(0);
+            self.net.fill(0);
+            self.round = 0;
+        }
+        self.round += 1;
+        let round = self.round;
+        let (is_pending, is_loser) = (2 * round, 2 * round + 1);
+        for &w in pending {
+            self.vtx[w as usize] = is_pending;
+        }
+        for &w in pending {
+            for &net in g.nets(w as usize) {
+                if self.net[net as usize] == round {
+                    continue;
+                }
+                self.net[net as usize] = round;
+                self.seen.advance();
+                self.seen_neg.clear();
+                for &u in g.vtxs(net as usize) {
+                    let c = view[u as usize];
+                    let repeat = if c >= 0 {
+                        let repeat = self.seen.contains(c);
+                        self.seen.insert(c);
+                        repeat
+                    } else {
+                        let repeat = self.seen_neg.contains(&c);
+                        if !repeat {
+                            self.seen_neg.push(c);
+                        }
+                        repeat
+                    };
+                    if repeat && self.vtx[u as usize] == is_pending {
+                        self.vtx[u as usize] = is_loser;
+                    }
+                }
             }
         }
+    }
+
+    /// Whether `w` was pending in the last pass and lost.
+    #[inline]
+    pub fn lost(&self, w: u32) -> bool {
+        self.vtx[w as usize] == 2 * self.round + 1
     }
 }
 
@@ -143,7 +320,9 @@ pub struct ShardWorker {
     boundary: Vec<u32>,
     /// For each owned vertex, the remote shards that must learn its
     /// color (empty for interior and non-owned vertices).
-    interested: Vec<Vec<u32>>,
+    interested: InterestedRanks,
+    /// Scratch of the net-based conflict detection.
+    scan: ConflictScan,
     fb: StampSet,
     /// Interior coloring deferred until after round 1's reply is
     /// written; see [`ShardWorker::finish_deferred`].
@@ -154,7 +333,9 @@ impl ShardWorker {
     /// Builds shard `shard` of `n_shards` over an already-built graph
     /// (shared, so in-memory ranks need not copy it): validates the
     /// owner array against the graph and precomputes the
-    /// interior/boundary split. Every owner id must be `< n_shards`.
+    /// interior/boundary split. Rejects an owner id `>= n_shards`; no
+    /// scratch is sized by `n_shards`, so a huge shard count read off the
+    /// wire costs nothing.
     pub fn new(
         shard: u32,
         n_shards: u32,
@@ -169,21 +350,14 @@ impl ShardWorker {
                 n
             ));
         }
-        let mut interested = vec![Vec::new(); n];
-        let mut interior = Vec::new();
-        let mut boundary = Vec::new();
-        let mut mark = vec![usize::MAX; n_shards as usize];
-        for (v, shards) in interested.iter_mut().enumerate() {
-            if owners[v] != shard {
-                continue;
-            }
-            remote_shards(&graph, &owners, v, &mut mark, shards);
-            if shards.is_empty() {
-                interior.push(v as u32);
-            } else {
-                boundary.push(v as u32);
-            }
+        if let Some(&bad) = owners.iter().find(|&&o| o >= n_shards) {
+            return Err(format!("owner id {bad} out of range for {n_shards} shards"));
         }
+        let interested = InterestedRanks::build(&graph, &owners, Some(shard));
+        let (boundary, interior): (Vec<u32>, Vec<u32>) = (0..n as u32)
+            .filter(|&v| owners[v as usize] == shard)
+            .partition(|&v| !interested.of(v as usize).is_empty());
+        let scan = ConflictScan::new(&graph);
         let fb = StampSet::with_capacity(graph.max_net_size() + 16);
         Ok(ShardWorker {
             shard,
@@ -194,6 +368,7 @@ impl ShardWorker {
             interior,
             boundary,
             interested,
+            scan,
             fb,
             interior_deferred: false,
         })
@@ -235,8 +410,9 @@ impl ShardWorker {
 
         // Re-queue last round's losers under the id-ordered rule.
         let g = &self.graph;
+        self.scan.detect(g, &self.view, &self.pending);
         let mut queue: Vec<u32> =
-            self.pending.iter().copied().filter(|&w| loses_conflict(g, &self.view, w)).collect();
+            self.pending.iter().copied().filter(|&w| self.scan.lost(w)).collect();
         let conflicts = queue.len() as u32;
         if req.superstep <= 1 {
             queue = self.boundary.clone();
@@ -247,10 +423,13 @@ impl ShardWorker {
         // make every shard's copy of a large net collide on the same
         // small colors forever.
         let mut messages = Vec::new();
-        for &w in &queue {
+        for (k, &w) in queue.iter().enumerate() {
+            if let Some(&next) = queue.get(k + PREFETCH_AHEAD) {
+                g.prefetch_nets(next as usize);
+            }
             let col = pick_color(g, &self.view, w, &mut self.fb, jitter(w, req.superstep));
             self.view[w as usize] = col;
-            for &dest in &self.interested[w as usize] {
+            for &dest in self.interested.of(w as usize) {
                 messages.push((dest, w, col));
             }
         }
@@ -269,8 +448,12 @@ impl ShardWorker {
             return;
         }
         self.interior_deferred = false;
-        for &w in &self.interior {
-            self.view[w as usize] = pick_color(&self.graph, &self.view, w, &mut self.fb, 0);
+        let g = &self.graph;
+        for (k, &w) in self.interior.iter().enumerate() {
+            if let Some(&next) = self.interior.get(k + PREFETCH_AHEAD) {
+                g.prefetch_nets(next as usize);
+            }
+            self.view[w as usize] = pick_color(g, &self.view, w, &mut self.fb, 0);
         }
     }
 }
@@ -359,8 +542,10 @@ mod tests {
         });
         assert!(bad.err().unwrap().contains("graph bytes"));
         let g = Arc::new(BipartiteGraph::from_matrix(&m));
-        let bad = ShardWorker::new(0, 2, vec![0; 5], g);
+        let bad = ShardWorker::new(0, 2, vec![0; 5], Arc::clone(&g));
         assert!(bad.err().unwrap().contains("owner array"));
+        let bad = ShardWorker::new(0, 2, vec![2; 12], g);
+        assert!(bad.err().unwrap().contains("out of range"));
     }
 
     #[test]

@@ -11,7 +11,7 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
-use serve::protocol::{read_frame, FrameKind, FRAME_MAGIC};
+use serve::protocol::{read_frame, write_frame, FrameKind, ShardRequest, FRAME_MAGIC};
 use serve::{Daemon, RetryPolicy, ServeClient, ServeConfig};
 
 fn start(tag: &str, read_timeout: Duration) -> Daemon {
@@ -173,4 +173,32 @@ fn abrupt_disconnect_between_frames_is_clean() {
         drop(s); // connect-and-vanish
     }
     assert_alive(&d);
+}
+
+#[test]
+fn shard_install_with_a_huge_shard_count_allocates_nothing_per_shard() {
+    // Both owner arrays pass `ShardRequest::decode` with u32::MAX
+    // shards; neither may size a scratch array by the shard count or by
+    // the owner ids.
+    let d = start("hugeshards", Duration::from_secs(5));
+    let m = sparse::gen::bipartite_uniform(10, 12, 40, 1);
+    let mut graph_bytes = Vec::new();
+    sparse::bin_io::write_bin(&mut graph_bytes, &m).unwrap();
+    for owners in [vec![0u32; 12], vec![u32::MAX - 1; 12]] {
+        let mut s = connect(&d);
+        let req = ShardRequest {
+            shard: 0,
+            n_shards: u32::MAX,
+            owners,
+            graph_bytes: graph_bytes.clone(),
+        };
+        write_frame(&mut s, FrameKind::Shard, &req.encode(), 0).unwrap();
+        let (kind, payload) = read_reply(&mut s);
+        assert!(
+            matches!(kind, FrameKind::Pong | FrameKind::InvalidJob),
+            "got {kind:?}: {}",
+            String::from_utf8_lossy(&payload)
+        );
+        assert_alive(&d);
+    }
 }
