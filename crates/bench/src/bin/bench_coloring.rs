@@ -15,12 +15,6 @@
 //! `--out PATH` overrides the output path. Every measured coloring is
 //! verified; any invalid coloring aborts with a nonzero exit.
 //!
-//! The report always carries `oracle_best` — the fastest swept config per
-//! (problem, dataset, threads) cell, which `fit_engine` fits the decision
-//! table from. `--autotune` additionally measures the engine-chosen config
-//! per cell (online tuner attached) and records its time ratio against the
-//! oracle best, plus the geometric mean over all cells.
-//!
 //! `--delta` adds the incremental-update axis: batches of 1/10/100/1000
 //! edge mutations against the power-law analogue, timed as
 //! `apply_delta` + dirty-set recolor (seeded from the base coloring)
@@ -32,10 +26,7 @@ use std::time::Instant;
 use bench::json::to_string_pretty;
 use bench::to_json_struct;
 use bgpc::verify::{verify_bgpc, verify_d2gc};
-use bgpc::{
-    BitStampSet, CsrDelta, Engine, EngineConfig, ForbiddenSet, KernelImpl, OnlineTuner,
-    RunnerOpts, Schedule, StampSet,
-};
+use bgpc::{BitStampSet, CsrDelta, ForbiddenSet, RunnerOpts, Schedule, StampSet};
 use graph::{BipartiteGraph, Graph, Ordering};
 use par::{Pool, Sched};
 use sparse::{Csr, CsrIndex, Dataset, IndexWidth, LocalityOrder};
@@ -56,26 +47,6 @@ to_json_struct!(MicroRecord {
     speedup
 });
 
-/// Kernel micro row: dense first-fit on the same `BitStampSet`, scalar
-/// word loop vs the runtime-dispatched vector sweep.
-struct MicroKernelRecord {
-    /// Interval width (colors 0..colors−1 forbidden except the last).
-    colors: usize,
-    /// Resolved vector kernel the `simd` request dispatched to.
-    kernel: String,
-    scalar_ns: f64,
-    simd_ns: f64,
-    /// `scalar_ns / simd_ns` — > 1 means the vector sweep wins.
-    speedup: f64,
-}
-to_json_struct!(MicroKernelRecord {
-    colors,
-    kernel,
-    scalar_ns,
-    simd_ns,
-    speedup
-});
-
 /// One end-to-end schedule measurement.
 struct ScheduleRecord {
     problem: String,
@@ -93,8 +64,6 @@ struct ScheduleRecord {
     order: String,
     /// Chunk-scheduling policy (`dynamic` or `steal`).
     sched: String,
-    /// Forbidden-set kernel request (`scalar`/`simd`/`auto`).
-    kernel: String,
     /// Minimum wall time over the repetitions, milliseconds.
     time_ms: f64,
     num_colors: usize,
@@ -111,67 +80,7 @@ to_json_struct!(ScheduleRecord {
     index_width,
     order,
     sched,
-    kernel,
     time_ms,
-    num_colors,
-    rounds,
-    verified
-});
-
-/// Per-cell oracle: the fastest config the sweep measured for one
-/// (problem, dataset, threads) cell — the bar `--autotune` is judged
-/// against. Always emitted, so later fits can reuse any report.
-struct OracleRecord {
-    problem: String,
-    dataset: String,
-    threads: usize,
-    /// Winning config in the engine table's config syntax.
-    config: String,
-    time_ms: f64,
-}
-to_json_struct!(OracleRecord {
-    problem,
-    dataset,
-    threads,
-    config,
-    time_ms
-});
-
-/// One `--autotune` measurement: the engine picks the whole config from
-/// instance features, the run is measured like any sweep cell, and the
-/// result is compared against the cell's oracle best.
-struct AutotuneRecord {
-    problem: String,
-    dataset: String,
-    threads: usize,
-    pool_workers: usize,
-    /// Fully resolved engine choice, in table config syntax.
-    config: String,
-    /// Table row the choice came from (`point:<tag>` or `default`).
-    matched: String,
-    time_ms: f64,
-    /// Oracle-best time for the same cell (`null` when the sweep had no
-    /// record for it).
-    oracle_ms: Option<f64>,
-    /// `time_ms / oracle_ms` — ≤ 1.05 is the acceptance bar.
-    ratio: Option<f64>,
-    /// Online tuner actions taken during the fastest repetition.
-    actions: Vec<String>,
-    num_colors: usize,
-    rounds: usize,
-    verified: bool,
-}
-to_json_struct!(AutotuneRecord {
-    problem,
-    dataset,
-    threads,
-    pool_workers,
-    config,
-    matched,
-    time_ms,
-    oracle_ms,
-    ratio,
-    actions,
     num_colors,
     rounds,
     verified
@@ -245,23 +154,14 @@ struct BenchReport {
     /// with `host_threads` and the per-record `pool_workers` to spot
     /// oversubscribed or clamped cells.
     requested_threads: Vec<usize>,
-    /// ISA feature set the simd dispatcher detected (`sse2,avx2`, `sse2`,
-    /// or `scalar` off x86-64).
+    /// ISA feature set of the host (`sse2,avx2`, `sse2`, or `scalar` off
+    /// x86-64).
     isa: String,
     /// Whether the measurement pools were pinned core-major (`--pin` and
     /// the affinity syscall succeeded).
     pinned: bool,
     micro: Vec<MicroRecord>,
-    /// Scalar vs vector first-fit on the word-packed set.
-    micro_kernel: Vec<MicroKernelRecord>,
     schedules: Vec<ScheduleRecord>,
-    /// Fastest swept config per (problem, dataset, threads) cell.
-    oracle_best: Vec<OracleRecord>,
-    /// Engine-chosen runs (`--autotune`; empty otherwise).
-    autotune: Vec<AutotuneRecord>,
-    /// Geometric mean of the autotune/oracle time ratios (`null` without
-    /// `--autotune` or when no cell had an oracle record).
-    autotune_geomean: Option<f64>,
     /// Incremental-update measurements (`--delta`; empty otherwise).
     delta: Vec<DeltaRecord>,
     /// Structured per-thread summary of the `--trace` run (`null` when
@@ -280,11 +180,7 @@ to_json_struct!(BenchReport {
     isa,
     pinned,
     micro,
-    micro_kernel,
     schedules,
-    oracle_best,
-    autotune,
-    autotune_geomean,
     delta,
     trace
 });
@@ -335,32 +231,6 @@ fn micro_section(samples: usize) -> Vec<MicroRecord> {
         .collect()
 }
 
-/// Scalar vs vector first-fit on the same dense `BitStampSet`: every
-/// word up to the last is saturated, so the sweep scans the whole array
-/// before finding color `colors − 1` — the kernel's worst (and most
-/// representative) case on dense-net instances.
-fn micro_kernel_section(samples: usize) -> Vec<MicroKernelRecord> {
-    let reps = 2000usize;
-    let resolved = KernelImpl::Simd.resolve();
-    [256usize, 1024, 4096]
-        .iter()
-        .map(|&colors| {
-            let mut fb: BitStampSet = dense(colors);
-            fb.set_kernel(KernelImpl::Scalar);
-            let scalar_ns = time_first_fit(&fb, reps, samples);
-            fb.set_kernel(KernelImpl::Simd);
-            let simd_ns = time_first_fit(&fb, reps, samples);
-            MicroKernelRecord {
-                colors,
-                kernel: resolved.label().into(),
-                scalar_ns,
-                simd_ns,
-                speedup: scalar_ns / simd_ns,
-            }
-        })
-        .collect()
-}
-
 /// Runs one schedule `reps` times with forbidden-set `F`, verifying every
 /// run; returns the record with the minimum wall time.
 #[allow(clippy::too_many_arguments)]
@@ -403,7 +273,6 @@ fn run_bgpc<F: ForbiddenSet, I: CsrIndex>(
         index_width: I::LABEL.into(),
         order: "none".into(),
         sched: schedule.sched.label().into(),
-        kernel: schedule.kernel.label().into(),
         time_ms: best_ms,
         num_colors,
         rounds,
@@ -465,7 +334,6 @@ fn axis_record_bgpc<I: CsrIndex>(
         index_width: I::LABEL.into(),
         order: relabel.label().into(),
         sched: schedule.sched.label().into(),
-        kernel: schedule.kernel.label().into(),
         time_ms: best_ms,
         num_colors,
         rounds,
@@ -524,7 +392,6 @@ fn axis_record_d2gc<I: CsrIndex>(
         index_width: I::LABEL.into(),
         order: relabel.label().into(),
         sched: schedule.sched.label().into(),
-        kernel: schedule.kernel.label().into(),
         time_ms: best_ms,
         num_colors,
         rounds,
@@ -570,145 +437,11 @@ fn run_d2gc(
         index_width: "u32".into(),
         order: "none".into(),
         sched: schedule.sched.label().into(),
-        kernel: schedule.kernel.label().into(),
         time_ms: best_ms,
         num_colors,
         rounds,
         verified: true,
     }
-}
-
-/// Renders a sweep record's configuration in the engine table's config
-/// syntax, so `fit_engine` and the autotune comparison speak one format.
-fn record_config(r: &ScheduleRecord) -> String {
-    let forbidden = match r.set_impl.as_str() {
-        "BitStampSet" => "bitstamp",
-        "StampSet" => "stamp",
-        _ => "auto",
-    };
-    format!(
-        "schedule={} sched={} width={} relabel={} kernel={} forbidden={}",
-        r.schedule, r.sched, r.index_width, r.order, r.kernel, forbidden
-    )
-}
-
-/// Folds the sweep down to the fastest config per (problem, dataset,
-/// threads) cell. Ties keep the first record, so the output is a
-/// deterministic function of the sweep order.
-fn oracle_section(schedules: &[ScheduleRecord]) -> Vec<OracleRecord> {
-    let mut best: Vec<OracleRecord> = Vec::new();
-    for r in schedules {
-        match best
-            .iter_mut()
-            .find(|o| o.problem == r.problem && o.dataset == r.dataset && o.threads == r.threads)
-        {
-            Some(o) => {
-                if r.time_ms < o.time_ms {
-                    o.time_ms = r.time_ms;
-                    o.config = record_config(r);
-                }
-            }
-            None => best.push(OracleRecord {
-                problem: r.problem.clone(),
-                dataset: r.dataset.clone(),
-                threads: r.threads,
-                config: record_config(r),
-                time_ms: r.time_ms,
-            }),
-        }
-    }
-    best
-}
-
-/// Measures one engine-chosen BGPC cell: `reps` runs of the resolved
-/// config (online tuner attached) on the relabeled pattern, every run
-/// verified against the original graph. Returns (best ms, colors, rounds,
-/// tuner actions of the fastest rep).
-fn autotune_bgpc<I: CsrIndex>(
-    pm: &Csr<I>,
-    g0: &BipartiteGraph,
-    perm: &Option<Vec<u32>>,
-    cfg: &EngineConfig,
-    dataset: &str,
-    pool: &Pool,
-    reps: usize,
-) -> (f64, usize, usize, Vec<String>) {
-    let g = BipartiteGraph::from_matrix(pm);
-    let order: Vec<u32> = (0..g.n_vertices() as u32).collect();
-    let mut best_ms = f64::INFINITY;
-    let mut num_colors = 0;
-    let mut rounds = 0;
-    let mut actions = Vec::new();
-    for _ in 0..reps {
-        let opts = RunnerOpts {
-            online: Some(OnlineTuner::default()),
-            ..Default::default()
-        };
-        let r = bgpc::engine::color_with_config(&g, &order, cfg, pool, opts);
-        let colors = match perm {
-            Some(p) => sparse::unpermute(&r.colors, p),
-            None => r.colors.clone(),
-        };
-        if let Err(e) = verify_bgpc(g0, &colors) {
-            eprintln!(
-                "FATAL: invalid autotuned BGPC coloring ({dataset}, {}): {e}",
-                cfg.describe()
-            );
-            std::process::exit(1);
-        }
-        let ms = r.total_time.as_secs_f64() * 1e3;
-        if ms < best_ms {
-            best_ms = ms;
-            num_colors = r.num_colors;
-            rounds = r.rounds();
-            actions = r.tuner_actions.iter().map(|a| a.to_string()).collect();
-        }
-    }
-    (best_ms, num_colors, rounds, actions)
-}
-
-/// D2GC analogue of [`autotune_bgpc`] over the symmetric relabeling.
-fn autotune_d2gc<I: CsrIndex>(
-    pm: &Csr<I>,
-    g0: &Graph,
-    perm: &Option<Vec<u32>>,
-    cfg: &EngineConfig,
-    dataset: &str,
-    pool: &Pool,
-    reps: usize,
-) -> (f64, usize, usize, Vec<String>) {
-    let g = Graph::from_symmetric_matrix(pm);
-    let order: Vec<u32> = (0..g.n_vertices() as u32).collect();
-    let mut best_ms = f64::INFINITY;
-    let mut num_colors = 0;
-    let mut rounds = 0;
-    let mut actions = Vec::new();
-    for _ in 0..reps {
-        let opts = RunnerOpts {
-            online: Some(OnlineTuner::default()),
-            ..Default::default()
-        };
-        let r = bgpc::engine::color_with_config(&g, &order, cfg, pool, opts);
-        let colors = match perm {
-            Some(p) => sparse::unpermute(&r.colors, p),
-            None => r.colors.clone(),
-        };
-        if let Err(e) = verify_d2gc(g0, &colors) {
-            eprintln!(
-                "FATAL: invalid autotuned D2GC coloring ({dataset}, {}): {e}",
-                cfg.describe()
-            );
-            std::process::exit(1);
-        }
-        let ms = r.total_time.as_secs_f64() * 1e3;
-        if ms < best_ms {
-            best_ms = ms;
-            num_colors = r.num_colors;
-            rounds = r.rounds();
-            actions = r.tuner_actions.iter().map(|a| a.to_string()).collect();
-        }
-    }
-    (best_ms, num_colors, rounds, actions)
 }
 
 /// The batch sizes the `--delta` axis sweeps, in touched edges.
@@ -926,9 +659,7 @@ fn main() {
     let mut only_width: Option<IndexWidth> = None;
     let mut only_order: Option<LocalityOrder> = None;
     let mut only_sched: Option<Sched> = None;
-    let mut only_kernel: Option<KernelImpl> = None;
     let mut pin = false;
-    let mut autotune = false;
     let mut delta_axis = false;
     let mut trace_path: Option<String> = None;
     let mut i = 0;
@@ -974,20 +705,8 @@ fn main() {
                 }));
                 i += 2;
             }
-            "--kernel" => {
-                let v = flag_value(&args, i, "--kernel");
-                only_kernel = Some(KernelImpl::from_name(&v).unwrap_or_else(|| {
-                    eprintln!("bad --kernel `{v}` (expected scalar|simd|auto)");
-                    std::process::exit(2);
-                }));
-                i += 2;
-            }
             "--pin" => {
                 pin = true;
-                i += 1;
-            }
-            "--autotune" => {
-                autotune = true;
                 i += 1;
             }
             "--delta" => {
@@ -997,8 +716,7 @@ fn main() {
             other => {
                 eprintln!(
                     "unknown flag `{other}` (expected --smoke, --quick, --out PATH, \
-                     --trace PATH, --index-width W, --order O, --sched S, --kernel K, \
-                     --pin, --autotune, --delta)"
+                     --trace PATH, --index-width W, --order O, --sched S, --pin, --delta)"
                 );
                 std::process::exit(2);
             }
@@ -1010,11 +728,6 @@ fn main() {
     let orders: Vec<LocalityOrder> =
         only_order.map_or_else(|| LocalityOrder::all().to_vec(), |o| vec![o]);
     let scheds: Vec<Sched> = only_sched.map_or_else(|| Sched::all().to_vec(), |s| vec![s]);
-    // The default kernel sweep pits the scalar spec against the vector
-    // path; `auto` is only measured when requested (it resolves to one of
-    // the other two, so sweeping it by default would duplicate a row).
-    let kernels: Vec<KernelImpl> =
-        only_kernel.map_or_else(|| vec![KernelImpl::Scalar, KernelImpl::Simd], |k| vec![k]);
     let mk_pool = |t: usize| {
         let pool = if pin { Pool::new_pinned(t) } else { Pool::new(t) };
         if pool.threads() != t {
@@ -1093,13 +806,6 @@ fn main() {
             m.colors, m.stamp_ns, m.bitstamp_ns, m.speedup
         );
     }
-    let micro_kernel = micro_kernel_section(micro_samples);
-    for m in &micro_kernel {
-        eprintln!(
-            "  micro first_fit dense {} colors: scalar {:.1} ns, {} {:.1} ns ({:.2}x)",
-            m.colors, m.scalar_ns, m.kernel, m.simd_ns, m.speedup
-        );
-    }
 
     let mut schedules = Vec::new();
     for dataset in &bgpc_sets {
@@ -1149,28 +855,25 @@ fn main() {
                     let pool = mk_pool(t);
                     for base in [Schedule::v_v_64d(), Schedule::n1_n2()] {
                         for &sched in &scheds {
-                            for &kernel in &kernels {
-                                let schedule =
-                                    base.clone().with_sched(sched).with_kernel(kernel);
-                                let rec = match width {
-                                    IndexWidth::U32 => axis_record_bgpc(
-                                        &pm, &g0, &perm, dataset.name(), &schedule, &pool, t,
-                                        relabel, reps,
-                                    ),
-                                    IndexWidth::U64 => axis_record_bgpc(
-                                        &pm.to_index::<u64>(),
-                                        &g0,
-                                        &perm,
-                                        dataset.name(),
-                                        &schedule,
-                                        &pool,
-                                        t,
-                                        relabel,
-                                        reps,
-                                    ),
-                                };
-                                schedules.push(rec);
-                            }
+                            let schedule = base.clone().with_sched(sched);
+                            let rec = match width {
+                                IndexWidth::U32 => axis_record_bgpc(
+                                    &pm, &g0, &perm, dataset.name(), &schedule, &pool, t,
+                                    relabel, reps,
+                                ),
+                                IndexWidth::U64 => axis_record_bgpc(
+                                    &pm.to_index::<u64>(),
+                                    &g0,
+                                    &perm,
+                                    dataset.name(),
+                                    &schedule,
+                                    &pool,
+                                    t,
+                                    relabel,
+                                    reps,
+                                ),
+                            };
+                            schedules.push(rec);
                         }
                     }
                 }
@@ -1196,28 +899,25 @@ fn main() {
                 for &t in &threads {
                     let pool = mk_pool(t);
                     for &sched in &scheds {
-                        for &kernel in &kernels {
-                            let schedule =
-                                Schedule::v_v_64d().with_sched(sched).with_kernel(kernel);
-                            let rec = match width {
-                                IndexWidth::U32 => axis_record_d2gc(
-                                    &pm, &g, &perm, dataset.name(), &schedule, &pool, t,
-                                    relabel, reps,
-                                ),
-                                IndexWidth::U64 => axis_record_d2gc(
-                                    &pm.to_index::<u64>(),
-                                    &g,
-                                    &perm,
-                                    dataset.name(),
-                                    &schedule,
-                                    &pool,
-                                    t,
-                                    relabel,
-                                    reps,
-                                ),
-                            };
-                            schedules.push(rec);
-                        }
+                        let schedule = Schedule::v_v_64d().with_sched(sched);
+                        let rec = match width {
+                            IndexWidth::U32 => axis_record_d2gc(
+                                &pm, &g, &perm, dataset.name(), &schedule, &pool, t, relabel,
+                                reps,
+                            ),
+                            IndexWidth::U64 => axis_record_d2gc(
+                                &pm.to_index::<u64>(),
+                                &g,
+                                &perm,
+                                dataset.name(),
+                                &schedule,
+                                &pool,
+                                t,
+                                relabel,
+                                reps,
+                            ),
+                        };
+                        schedules.push(rec);
                     }
                 }
             }
@@ -1226,7 +926,7 @@ fn main() {
 
     for s in &schedules {
         eprintln!(
-            "  {} {} {} {}t [{}/{}/{}/{}/{}]: {:.3} ms, {} colors, {} rounds",
+            "  {} {} {} {}t [{}/{}/{}/{}]: {:.3} ms, {} colors, {} rounds",
             s.problem,
             s.dataset,
             s.schedule,
@@ -1235,137 +935,9 @@ fn main() {
             s.index_width,
             s.order,
             s.sched,
-            s.kernel,
             s.time_ms,
             s.num_colors,
             s.rounds
-        );
-    }
-
-    let oracle_best = oracle_section(&schedules);
-    for o in &oracle_best {
-        eprintln!(
-            "  oracle {} {} {}t: {:.3} ms [{}]",
-            o.problem, o.dataset, o.threads, o.time_ms, o.config
-        );
-    }
-
-    // `--autotune` reruns every (dataset, threads) cell with the engine
-    // choosing the whole config from instance features, online tuner
-    // attached, and scores each run against the cell's oracle best.
-    let mut autotune_records: Vec<AutotuneRecord> = Vec::new();
-    if autotune {
-        let engine = Engine::with_default_table();
-        let mut cells: Vec<(Dataset, &str, bool)> = Vec::new();
-        for d in &bgpc_sets {
-            cells.push((*d, "BGPC", true));
-        }
-        for d in &d2gc_sets {
-            cells.push((*d, "D2GC", false));
-        }
-        for (dataset, problem, is_bgpc) in cells {
-            let inst = dataset.build(scale, SEED);
-            let (cfg, matched, pm, perm, g0b, g0d);
-            if is_bgpc {
-                let g = BipartiteGraph::from_matrix(&inst.matrix);
-                let choice = engine.select_bgpc(&g);
-                let (p, pr) = choice.config.relabel.apply_columns(&inst.matrix);
-                cfg = choice.config;
-                matched = choice.matched;
-                pm = p;
-                perm = pr;
-                g0b = Some(g);
-                g0d = None;
-            } else {
-                let g = Graph::from_symmetric_matrix(&inst.matrix);
-                let choice = engine.select_d2gc(&g);
-                let (p, pr) = choice.config.relabel.apply_symmetric(&inst.matrix);
-                cfg = choice.config;
-                matched = choice.matched;
-                pm = p;
-                perm = pr;
-                g0b = None;
-                g0d = Some(g);
-            }
-            for &t in &threads {
-                let pool = mk_pool(t);
-                let (time_ms, num_colors, rounds, actions) = match (&g0b, &g0d, cfg.index_width)
-                {
-                    (Some(g0), _, IndexWidth::U32) => {
-                        autotune_bgpc(&pm, g0, &perm, &cfg, dataset.name(), &pool, reps)
-                    }
-                    (Some(g0), _, IndexWidth::U64) => autotune_bgpc(
-                        &pm.to_index::<u64>(),
-                        g0,
-                        &perm,
-                        &cfg,
-                        dataset.name(),
-                        &pool,
-                        reps,
-                    ),
-                    (_, Some(g0), IndexWidth::U32) => {
-                        autotune_d2gc(&pm, g0, &perm, &cfg, dataset.name(), &pool, reps)
-                    }
-                    (_, Some(g0), IndexWidth::U64) => autotune_d2gc(
-                        &pm.to_index::<u64>(),
-                        g0,
-                        &perm,
-                        &cfg,
-                        dataset.name(),
-                        &pool,
-                        reps,
-                    ),
-                    _ => unreachable!("one of the problem graphs is always built"),
-                };
-                let oracle_ms = oracle_best
-                    .iter()
-                    .find(|o| {
-                        o.problem == problem && o.dataset == dataset.name() && o.threads == t
-                    })
-                    .map(|o| o.time_ms);
-                let ratio = oracle_ms.map(|o| time_ms / o);
-                eprintln!(
-                    "  autotune {} {} {}t: {:.3} ms (oracle {}, ratio {}) [{}] via {}",
-                    problem,
-                    dataset.name(),
-                    t,
-                    time_ms,
-                    oracle_ms.map_or("n/a".into(), |o| format!("{o:.3} ms")),
-                    ratio.map_or("n/a".into(), |r| format!("{r:.3}")),
-                    cfg.describe(),
-                    matched
-                );
-                for a in &actions {
-                    eprintln!("    online {a}");
-                }
-                autotune_records.push(AutotuneRecord {
-                    problem: problem.into(),
-                    dataset: dataset.name().into(),
-                    threads: t,
-                    pool_workers: pool.threads(),
-                    config: cfg.describe(),
-                    matched: matched.clone(),
-                    time_ms,
-                    oracle_ms,
-                    ratio,
-                    actions,
-                    num_colors,
-                    rounds,
-                    verified: true,
-                });
-            }
-        }
-    }
-    let ratios: Vec<f64> = autotune_records.iter().filter_map(|r| r.ratio).collect();
-    let autotune_geomean = if ratios.is_empty() {
-        None
-    } else {
-        Some((ratios.iter().map(|r| r.ln()).sum::<f64>() / ratios.len() as f64).exp())
-    };
-    if let Some(gm) = autotune_geomean {
-        eprintln!(
-            "  autotune geomean ratio vs oracle best: {gm:.4} over {} cells",
-            ratios.len()
         );
     }
 
@@ -1460,11 +1032,7 @@ fn main() {
         isa: bgpc::simd::isa_features().into(),
         pinned,
         micro,
-        micro_kernel,
         schedules,
-        oracle_best,
-        autotune: autotune_records,
-        autotune_geomean,
         delta: delta_records,
         trace: trace_section,
     };

@@ -9,17 +9,14 @@
 //! replays it.
 //!
 //! ```text
-//! check_smoke [--seed N] [--cases N] [--deep] [--kernel K] [--autotune]
-//!             [--delta] [--dist] [--replay-case SEED]
+//! check_smoke [--seed N] [--cases N] [--deep] [--delta] [--dist]
+//!             [--replay-case SEED]
 //! ```
 //!
 //! * `--seed N` — base seed (default 20260806).
 //! * `--cases N` — differential-oracle cases (default 200).
 //! * `--deep` — long mode for `bench.sh --check-deep`: more random
 //!   schedules, more oracle cases, plus stall-perturbation runs.
-//! * `--kernel scalar|simd|auto` — pin the oracle sweep's forbidden-set
-//!   kernel axis instead of drawing it per case (`scripts/verify.sh`
-//!   forces both `scalar` and `simd` through the sweep).
 //! * `--delta` — run *only* the incremental-recoloring oracle sweep
 //!   ([`check::delta`]): random mutation batches applied with
 //!   `apply_delta`, recolored from the dirty set, checked against the
@@ -31,14 +28,9 @@
 //!   daemons, checked for equality with the in-memory runner. A
 //!   standalone stage so `scripts/verify.sh` can gate it with its own
 //!   case budget.
-//! * `--autotune` — run *only* the engine-selection oracle sweep
-//!   ([`check::autotune`]): deterministic selection, schedule-name
-//!   round-trips, and engine-chosen configs verifying end-to-end. A
-//!   separate stage so `scripts/verify.sh` can gate it with its own
-//!   case budget without re-running the model explorations.
 //! * `--replay-case SEED` — re-run a single oracle case printed by a
-//!   failure, then exit (an autotune-sweep case with `--autotune`, a
-//!   delta-sweep case with `--delta`, a sharded case with `--dist`).
+//!   failure, then exit (a delta-sweep case with `--delta`, a sharded
+//!   case with `--dist`).
 //!
 //! Exit codes: 0 clean, 1 a check failed, 2 bad usage.
 
@@ -46,8 +38,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 const USAGE: &str =
-    "usage: check_smoke [--seed N] [--cases N] [--deep] [--kernel scalar|simd|auto] \
-     [--autotune] [--delta] [--dist] [--replay-case SEED]";
+    "usage: check_smoke [--seed N] [--cases N] [--deep] [--delta] [--dist] [--replay-case SEED]";
 
 fn usage() -> ExitCode {
     eprintln!("{USAGE}");
@@ -58,10 +49,8 @@ struct Args {
     seed: u64,
     cases: usize,
     deep: bool,
-    autotune: bool,
     delta: bool,
     dist: bool,
-    kernel: Option<bgpc::KernelImpl>,
     replay_case: Option<u64>,
 }
 
@@ -70,10 +59,8 @@ fn parse_args() -> Result<Args, ExitCode> {
         seed: 20260806,
         cases: 200,
         deep: false,
-        autotune: false,
         delta: false,
         dist: false,
-        kernel: None,
         replay_case: None,
     };
     let mut it = std::env::args().skip(1);
@@ -90,16 +77,8 @@ fn parse_args() -> Result<Args, ExitCode> {
             "--seed" => args.seed = take("--seed")?,
             "--cases" => args.cases = take("--cases")? as usize,
             "--deep" => args.deep = true,
-            "--autotune" => args.autotune = true,
             "--delta" => args.delta = true,
             "--dist" => args.dist = true,
-            "--kernel" => {
-                let v = it.next().unwrap_or_default();
-                args.kernel = Some(bgpc::KernelImpl::from_name(&v).ok_or_else(|| {
-                    eprintln!("check_smoke: bad --kernel `{v}` (expected scalar|simd|auto)");
-                    usage()
-                })?);
-            }
             "--replay-case" => args.replay_case = Some(take("--replay-case")?),
             "--help" | "-h" => {
                 println!("{USAGE}");
@@ -220,9 +199,7 @@ fn main() -> ExitCode {
     if let Some(case_seed) = args.replay_case {
         println!(
             "replaying {} case seed {case_seed}",
-            if args.autotune {
-                "autotune"
-            } else if args.delta {
+            if args.delta {
                 "delta"
             } else if args.dist {
                 "sharded"
@@ -230,14 +207,12 @@ fn main() -> ExitCode {
                 "oracle"
             }
         );
-        let outcome = if args.autotune {
-            check::run_autotune_case_from_seed(case_seed)
-        } else if args.delta {
-            check::run_delta_case_from_seed_with(case_seed, args.kernel)
+        let outcome = if args.delta {
+            check::run_delta_case_from_seed(case_seed)
         } else if args.dist {
             check::run_sharded_case_from_seed(case_seed)
         } else {
-            check::run_case_from_seed_with(case_seed, args.kernel)
+            check::run_case_from_seed(case_seed)
         };
         return match outcome {
             Ok(()) => {
@@ -253,15 +228,10 @@ fn main() -> ExitCode {
 
     if args.delta {
         let t0 = Instant::now();
-        println!(
-            "check_smoke: seed {} | {} delta cases | kernel {}",
-            args.seed,
-            args.cases,
-            args.kernel.map_or("drawn", |k| k.label()),
-        );
+        println!("check_smoke: seed {} | {} delta cases", args.seed, args.cases);
         println!("incremental-recoloring oracle:");
         let ok = stage("delta: mutation sweep", args.seed, || {
-            check::run_delta_sweep_with(args.seed, args.cases, args.kernel)
+            check::run_delta_sweep(args.seed, args.cases)
                 .map(|n| format!("{n} mutation cases, zero divergences"))
                 .map_err(|f| {
                     format!(
@@ -300,35 +270,12 @@ fn main() -> ExitCode {
         return if ok { ExitCode::SUCCESS } else { ExitCode::FAILURE };
     }
 
-    if args.autotune {
-        let t0 = Instant::now();
-        println!("check_smoke: seed {} | {} autotune cases", args.seed, args.cases);
-        println!("engine-selection oracle:");
-        let ok = stage("autotune: engine sweep", args.seed, || {
-            check::run_autotune_sweep(args.seed, args.cases)
-                .map(|n| format!("{n} cases, selections deterministic and valid"))
-                .map_err(|f| {
-                    format!(
-                        "{f}\n       replay: check_smoke --autotune --replay-case {}",
-                        f.case_seed
-                    )
-                })
-        });
-        println!(
-            "check_smoke: {} in {:.2?}",
-            if ok { "PASS" } else { "FAIL" },
-            t0.elapsed()
-        );
-        return if ok { ExitCode::SUCCESS } else { ExitCode::FAILURE };
-    }
-
     let t0 = Instant::now();
     println!(
-        "check_smoke: seed {} | {} oracle cases | {} mode | kernel {}",
+        "check_smoke: seed {} | {} oracle cases | {} mode",
         args.seed,
         args.cases,
         if args.deep { "deep" } else { "smoke" },
-        args.kernel.map_or("drawn", |k| k.label()),
     );
     let mut ok = true;
 
@@ -340,7 +287,7 @@ fn main() -> ExitCode {
     println!("differential oracle:");
     let cases = if args.deep { args.cases.max(2000) } else { args.cases };
     ok &= stage("oracle: bgpc + d2gc sweep", args.seed, || {
-        check::run_oracle_sweep_with(args.seed, cases, args.kernel)
+        check::run_oracle_sweep(args.seed, cases)
             .map(|n| format!("{n} cases, zero divergences"))
             .map_err(|f| format!("{f}\n       replay: check_smoke --replay-case {}", f.case_seed))
     });

@@ -1,9 +1,9 @@
 //! The delta oracle: incremental recoloring against full recoloring.
 //!
 //! Each *case* draws a randomized base instance and a configuration point
-//! (schedule × balancer × chunk scheduler × kernel × thread count ×
-//! ordering) exactly like [`crate::oracle`], colors the base graph, then
-//! draws a random **mutation batch** — insertions of absent edges and
+//! (schedule × balancer × chunk scheduler × thread count × ordering)
+//! exactly like [`crate::oracle`], colors the base graph, then draws a
+//! random **mutation batch** — insertions of absent edges and
 //! deletions of present edges — applies it through
 //! [`bgpc::apply_delta`], and recolors incrementally with
 //! [`bgpc::recolor_incremental`] seeded from the base coloring and
@@ -28,8 +28,8 @@
 //!   returns the base coloring bit-identically in zero rounds.
 //! * **One-thread equivalences** — at one thread the incremental path
 //!   must be deterministic (run-twice identical) and agree across the
-//!   two forbidden-set representations, the two CSR index widths and
-//!   the scalar/SIMD kernels, mirroring the main oracle's battery.
+//!   two forbidden-set representations and the two CSR index widths,
+//!   mirroring the main oracle's battery.
 //!
 //! Driven by `check_smoke --delta` (seeded sweep, standalone stage for
 //! `scripts/verify.sh`) and by the in-crate tests.
@@ -38,7 +38,7 @@ use bgpc::verify::{verify_bgpc, verify_d2gc};
 use bgpc::incremental::recolor_incremental_with_set;
 use bgpc::{
     apply_delta, recolor_incremental, Balance, BitStampSet, Color,
-    CsrDelta, KernelImpl, RunnerOpts, Schedule, StampSet,
+    CsrDelta, RunnerOpts, Schedule, StampSet,
 };
 use graph::{BipartiteGraph, Graph};
 use par::Pool;
@@ -46,7 +46,7 @@ use rng::{split_mix64, Pcg32};
 use sparse::Csr;
 
 use crate::oracle::{
-    max_d2_degree_bgpc, max_d2_degree_graph, pick_balance, pick_kernel, pick_ordering, pick_sched,
+    max_d2_degree_bgpc, max_d2_degree_graph, pick_balance, pick_ordering, pick_sched,
     Draw, OracleFailure, PcgDraw,
 };
 
@@ -174,14 +174,6 @@ fn check_mutation_exact(
 /// One randomized BGPC delta case. Returns `Err` with a diagnosis when
 /// any oracle check fails.
 pub fn run_delta_bgpc_case(d: &mut impl Draw) -> Result<(), String> {
-    run_delta_bgpc_case_with(d, None)
-}
-
-/// [`run_delta_bgpc_case`] with an optional forced `--kernel` axis value.
-pub fn run_delta_bgpc_case_with(
-    d: &mut impl Draw,
-    forced: Option<KernelImpl>,
-) -> Result<(), String> {
     // Base instance and configuration point, drawn like the main oracle.
     let nets = d.usize_in(1..17);
     let verts = d.usize_in(1..17);
@@ -196,13 +188,13 @@ pub fn run_delta_bgpc_case_with(
     let idx = d.usize_in(0..all.len());
     let balance = pick_balance(d);
     let sched = pick_sched(d);
-    let kernel = pick_kernel(d, forced);
     let threads = d.usize_in(1..5);
-    let schedule = {
-        let mut s = all.into_iter().nth(idx).expect("index drawn in range");
-        s = s.with_balance(balance).with_sched(sched).with_kernel(kernel);
-        s
-    };
+    let schedule = all
+        .into_iter()
+        .nth(idx)
+        .expect("index drawn in range")
+        .with_balance(balance)
+        .with_sched(sched);
 
     // The mutation batch: up to 8 insertions of absent cells, up to 8
     // deletions of present edges (fewer when the pattern is full/empty).
@@ -211,9 +203,8 @@ pub fn run_delta_bgpc_case_with(
     let deletions = draw_present_edges(d, &m, want_del);
     let insertions = draw_absent_edges(d, &m, want_ins, &[]);
     let label = format!(
-        "delta bgpc {} [{}] x{threads} on {nets}x{verts} nnz={nnz} seed={mseed} +{}/-{}",
+        "delta bgpc {} x{threads} on {nets}x{verts} nnz={nnz} seed={mseed} +{}/-{}",
         schedule.name(),
-        kernel.label(),
         insertions.len(),
         deletions.len()
     );
@@ -300,7 +291,7 @@ pub fn run_delta_bgpc_case_with(
     }
 
     // One-thread battery on the incremental path: determinism, the two
-    // forbidden-set representations, both index widths, both kernels.
+    // forbidden-set representations, both index widths.
     let pool1 = Pool::new(1);
     let base1 = bgpc::color_bgpc(&g, &order, &schedule, &pool1);
     let opts = RunnerOpts::default();
@@ -326,22 +317,9 @@ pub fn run_delta_bgpc_case_with(
 
     let m64 = applied.matrix.to_index::<u64>();
     let g64 = BipartiteGraph::from_matrix(&m64);
-    let wide = recolor_incremental(
-        &g64, &base1.colors, dirty, &order2, &schedule, &pool1, opts.clone(),
-    );
+    let wide =
+        recolor_incremental(&g64, &base1.colors, dirty, &order2, &schedule, &pool1, opts);
     same_colors(&a.colors, &wide.colors, &format!("{label}: u32 vs u64 @1"))?;
-
-    let other_kernel = match kernel {
-        KernelImpl::Scalar => KernelImpl::Simd,
-        _ => KernelImpl::Scalar,
-    };
-    let kflipped = schedule.clone().with_kernel(other_kernel);
-    let kc = recolor_incremental(&g2, &base1.colors, dirty, &order2, &kflipped, &pool1, opts);
-    same_colors(
-        &a.colors,
-        &kc.colors,
-        &format!("{label}: {} vs {} kernel @1", kernel.label(), other_kernel.label()),
-    )?;
 
     Ok(())
 }
@@ -349,14 +327,6 @@ pub fn run_delta_bgpc_case_with(
 /// One randomized D2GC delta case: the unipartite twin, mutating with a
 /// symmetrized batch so the adjacency pattern stays symmetric.
 pub fn run_delta_d2gc_case(d: &mut impl Draw) -> Result<(), String> {
-    run_delta_d2gc_case_with(d, None)
-}
-
-/// [`run_delta_d2gc_case`] with an optional forced `--kernel` axis value.
-pub fn run_delta_d2gc_case_with(
-    d: &mut impl Draw,
-    forced: Option<KernelImpl>,
-) -> Result<(), String> {
     let n = d.usize_in(1..21);
     let max_edges = (2 * n).min(n * (n - 1) / 2);
     let nedges = d.usize_in(0..max_edges + 1);
@@ -370,13 +340,9 @@ pub fn run_delta_d2gc_case_with(
     let idx = d.usize_in(0..set.len());
     let balance = pick_balance(d);
     let sched = pick_sched(d);
-    let kernel = pick_kernel(d, forced);
     let threads = d.usize_in(1..5);
-    let schedule = {
-        let mut s = set.into_iter().nth(idx).expect("in range");
-        s = s.with_balance(balance).with_sched(sched).with_kernel(kernel);
-        s
-    };
+    let schedule =
+        set.into_iter().nth(idx).expect("in range").with_balance(balance).with_sched(sched);
 
     // Draw *undirected* mutations — one direction each, no self loops —
     // then mirror through `symmetrized()` so both triangles move.
@@ -403,9 +369,8 @@ pub fn run_delta_d2gc_case_with(
         }
     }
     let label = format!(
-        "delta d2gc {} [{}] x{threads} on n={n} edges={nedges} seed={mseed} +{}/-{}",
+        "delta d2gc {} x{threads} on n={n} edges={nedges} seed={mseed} +{}/-{}",
         schedule.name(),
-        kernel.label(),
         insertions.len(),
         deletions.len()
     );
@@ -513,61 +478,27 @@ pub fn run_delta_d2gc_case_with(
 
     let m64 = applied.matrix.to_index::<u64>();
     let g64 = Graph::from_symmetric_matrix(&m64);
-    let wide = recolor_incremental(
-        &g64, &base1.colors, &dirty, &order2, &schedule, &pool1, opts.clone(),
-    );
+    let wide =
+        recolor_incremental(&g64, &base1.colors, &dirty, &order2, &schedule, &pool1, opts);
     same_colors(&a.colors, &wide.colors, &format!("{label}: u32 vs u64 @1"))?;
-
-    let other_kernel = match kernel {
-        KernelImpl::Scalar => KernelImpl::Simd,
-        _ => KernelImpl::Scalar,
-    };
-    let kflipped = schedule.clone().with_kernel(other_kernel);
-    let kc =
-        recolor_incremental(&g2, &base1.colors, &dirty, &order2, &kflipped, &pool1, opts);
-    same_colors(
-        &a.colors,
-        &kc.colors,
-        &format!("{label}: {} vs {} kernel @1", kernel.label(), other_kernel.label()),
-    )?;
 
     Ok(())
 }
 
 /// Replays a single delta case (BGPC then D2GC) from its sub-seed.
 pub fn run_delta_case_from_seed(case_seed: u64) -> Result<(), String> {
-    run_delta_case_from_seed_with(case_seed, None)
-}
-
-/// [`run_delta_case_from_seed`] with an optional forced kernel. As in
-/// the main oracle, the draw stream is identical either way, so a
-/// failing seed replays the same instance under any `--kernel` pin.
-pub fn run_delta_case_from_seed_with(
-    case_seed: u64,
-    kernel: Option<KernelImpl>,
-) -> Result<(), String> {
     let mut d = PcgDraw(Pcg32::seed_from_u64(case_seed));
-    run_delta_bgpc_case_with(&mut d, kernel)?;
-    run_delta_d2gc_case_with(&mut d, kernel)
+    run_delta_bgpc_case(&mut d)?;
+    run_delta_d2gc_case(&mut d)
 }
 
 /// Runs `cases` randomized mutation cases from the base `seed`. Case `i`
 /// uses sub-seed `split_mix64(seed + i)` so any failure replays
 /// standalone via `check_smoke --delta --replay-case`.
 pub fn run_delta_sweep(seed: u64, cases: usize) -> Result<usize, OracleFailure> {
-    run_delta_sweep_with(seed, cases, None)
-}
-
-/// [`run_delta_sweep`] with every case's kernel axis pinned to `kernel`
-/// (when `Some`).
-pub fn run_delta_sweep_with(
-    seed: u64,
-    cases: usize,
-    kernel: Option<KernelImpl>,
-) -> Result<usize, OracleFailure> {
     for case in 0..cases {
         let case_seed = split_mix64(seed.wrapping_add(case as u64));
-        if let Err(message) = run_delta_case_from_seed_with(case_seed, kernel) {
+        if let Err(message) = run_delta_case_from_seed(case_seed) {
             return Err(OracleFailure {
                 case,
                 case_seed,
@@ -594,14 +525,5 @@ mod tests {
         assert!(run_delta_sweep(42, 5).is_ok());
         let case_seed = split_mix64(42);
         run_delta_case_from_seed(case_seed).expect("single-case replay is clean");
-    }
-
-    #[test]
-    fn forced_kernels_replay_the_same_instances() {
-        // The kernel draw is consumed even when forced, so the same seed
-        // must stay clean under both pins.
-        let case_seed = split_mix64(7);
-        run_delta_case_from_seed_with(case_seed, Some(KernelImpl::Scalar)).unwrap();
-        run_delta_case_from_seed_with(case_seed, Some(KernelImpl::Simd)).unwrap();
     }
 }

@@ -18,11 +18,6 @@
 //!   balancer, chunk scheduler, forbidden-set representation and index
 //!   width against the sequential baseline on randomized instances,
 //!   checking validity, determinism and color-count bounds.
-//! * [`autotune`] — the same standard applied to configurations the
-//!   auto-tuning engine *selects*: deterministic selection, schedule
-//!   names that round-trip through `from_name`, and engine-chosen
-//!   configs (relabeling, index width, online tuner) verifying
-//!   end-to-end on the original vertex ids.
 //! * [`delta`] — the incremental-recoloring oracle: random mutation
 //!   batches applied through [`bgpc::apply_delta`], recolored from the
 //!   dirty set, checked for validity on the mutated graph, exact
@@ -42,7 +37,6 @@
 //! runs the long randomized sweep. On failure both print the seed that
 //! replays the offending case.
 
-pub mod autotune;
 pub mod delta;
 pub mod faultcov;
 pub mod models;
@@ -50,14 +44,7 @@ pub mod oracle;
 pub mod sharded;
 pub mod vsched;
 
-pub use autotune::{run_autotune_case_from_seed, run_autotune_sweep};
-pub use delta::{
-    run_delta_case_from_seed, run_delta_case_from_seed_with, run_delta_sweep,
-    run_delta_sweep_with,
-};
-pub use oracle::{
-    run_case_from_seed, run_case_from_seed_with, run_oracle_sweep, run_oracle_sweep_with,
-    OracleFailure,
-};
+pub use delta::{run_delta_case_from_seed, run_delta_sweep};
+pub use oracle::{run_case_from_seed, run_oracle_sweep, OracleFailure};
 pub use sharded::{run_sharded_case_from_seed, run_sharded_sweep};
 pub use vsched::{CheckFailure, Coverage, ThreadProgram};

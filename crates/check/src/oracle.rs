@@ -38,7 +38,7 @@
 
 use bgpc::runner::RunnerOpts;
 use bgpc::verify::{verify_bgpc, verify_d2gc};
-use bgpc::{Balance, BitStampSet, Color, KernelImpl, Schedule, StampSet};
+use bgpc::{Balance, BitStampSet, Color, Schedule, StampSet};
 use graph::{BipartiteGraph, Graph, Ordering};
 use par::{Pool, Sched};
 use rng::{split_mix64, Pcg32};
@@ -101,18 +101,6 @@ pub(crate) fn pick_sched(d: &mut impl Draw) -> Sched {
     }
 }
 
-/// Draws the forbidden-set kernel axis, or honors a forced `--kernel`
-/// override. The forced path still consumes the draw so a case replays
-/// the same instance and configuration with or without the override.
-pub(crate) fn pick_kernel(d: &mut impl Draw, forced: Option<KernelImpl>) -> KernelImpl {
-    let drawn = match d.usize_in(0..3) {
-        0 => KernelImpl::Scalar,
-        1 => KernelImpl::Simd,
-        _ => KernelImpl::Auto,
-    };
-    forced.unwrap_or(drawn)
-}
-
 /// Exact maximum distance-2 degree of the colored side of a bipartite
 /// graph (distinct d2 neighbors, excluding the vertex itself).
 pub(crate) fn max_d2_degree_bgpc(g: &BipartiteGraph) -> usize {
@@ -171,11 +159,6 @@ fn draw_wide_net(d: &mut impl Draw) -> usize {
 /// One randomized BGPC differential case. Returns `Err` with a diagnosis
 /// when any oracle check fails.
 pub fn run_bgpc_case(d: &mut impl Draw) -> Result<(), String> {
-    run_bgpc_case_with(d, None)
-}
-
-/// [`run_bgpc_case`] with an optional forced `--kernel` axis value.
-pub fn run_bgpc_case_with(d: &mut impl Draw, forced: Option<KernelImpl>) -> Result<(), String> {
     // Instance: a small random bipartite matrix (rows = nets, cols = the
     // colored V_A side). Small sizes keep the full battery cheap while
     // still covering empty nets, isolated vertices and dense overlaps.
@@ -199,17 +182,16 @@ pub fn run_bgpc_case_with(d: &mut impl Draw, forced: Option<KernelImpl>) -> Resu
     let idx = d.usize_in(0..all.len());
     let balance = pick_balance(d);
     let sched = pick_sched(d);
-    let kernel = pick_kernel(d, forced);
     let threads = d.usize_in(1..5);
-    let schedule = {
-        let mut s = all.into_iter().nth(idx).expect("index drawn in range");
-        s = s.with_balance(balance).with_sched(sched).with_kernel(kernel);
-        s
-    };
+    let schedule = all
+        .into_iter()
+        .nth(idx)
+        .expect("index drawn in range")
+        .with_balance(balance)
+        .with_sched(sched);
     let label = format!(
-        "bgpc {} [{}] x{threads} on {nets}x{verts} nnz={nnz} seed={mseed} wide={wide}",
-        schedule.name(),
-        kernel.label()
+        "bgpc {} x{threads} on {nets}x{verts} nnz={nnz} seed={mseed} wide={wide}",
+        schedule.name()
     );
 
     // Parallel validity.
@@ -251,20 +233,15 @@ pub fn run_bgpc_case_with(d: &mut impl Draw, forced: Option<KernelImpl>) -> Resu
         ));
     }
 
-    let schedule1 = {
-        let mut s = Schedule::all().into_iter().nth(idx).expect("in range");
-        s = s.with_balance(balance).with_sched(sched).with_kernel(kernel);
-        s
-    };
-    let a = bgpc::color_bgpc(&g, &order, &schedule1, &pool1);
-    let b = bgpc::color_bgpc(&g, &order, &schedule1, &pool1);
+    let a = bgpc::color_bgpc(&g, &order, &schedule, &pool1);
+    let b = bgpc::color_bgpc(&g, &order, &schedule, &pool1);
     same_colors(&a.colors, &b.colors, &format!("{label}: @1 run-twice"))?;
 
     let opts = RunnerOpts::default();
     let stamp =
-        bgpc::color_with_set::<StampSet, _>(&g, &order, &schedule1, &pool1, opts.clone());
+        bgpc::color_with_set::<StampSet, _>(&g, &order, &schedule, &pool1, opts.clone());
     let bitstamp =
-        bgpc::color_with_set::<BitStampSet, _>(&g, &order, &schedule1, &pool1, opts);
+        bgpc::color_with_set::<BitStampSet, _>(&g, &order, &schedule, &pool1, opts);
     same_colors(
         &stamp.colors,
         &bitstamp.colors,
@@ -273,18 +250,14 @@ pub fn run_bgpc_case_with(d: &mut impl Draw, forced: Option<KernelImpl>) -> Resu
 
     let m64 = m.to_index::<u64>();
     let g64 = BipartiteGraph::from_matrix(&m64);
-    let wide = bgpc::color_bgpc(&g64, &order, &schedule1, &pool1);
+    let wide = bgpc::color_bgpc(&g64, &order, &schedule, &pool1);
     same_colors(&a.colors, &wide.colors, &format!("{label}: u32 vs u64 @1"))?;
 
     let other_sched = match sched {
         Sched::Dynamic => Sched::Stealing,
         Sched::Stealing => Sched::Dynamic,
     };
-    let flipped = {
-        let mut s = Schedule::all().into_iter().nth(idx).expect("in range");
-        s = s.with_balance(balance).with_sched(other_sched).with_kernel(kernel);
-        s
-    };
+    let flipped = schedule.clone().with_sched(other_sched);
     let c = bgpc::color_bgpc(&g, &order, &flipped, &pool1);
     same_colors(
         &a.colors,
@@ -292,30 +265,11 @@ pub fn run_bgpc_case_with(d: &mut impl Draw, forced: Option<KernelImpl>) -> Resu
         &format!("{label}: dynamic vs stealing @1"),
     )?;
 
-    // Kernel equivalence: at one thread the scalar and vectorized
-    // first-fit word scans must color identically.
-    let other_kernel = match kernel {
-        KernelImpl::Scalar => KernelImpl::Simd,
-        _ => KernelImpl::Scalar,
-    };
-    let kflipped = schedule1.clone().with_kernel(other_kernel);
-    let kc = bgpc::color_bgpc(&g, &order, &kflipped, &pool1);
-    same_colors(
-        &a.colors,
-        &kc.colors,
-        &format!("{label}: {} vs {} kernel @1", kernel.label(), other_kernel.label()),
-    )?;
-
     Ok(())
 }
 
 /// One randomized D2GC differential case.
 pub fn run_d2gc_case(d: &mut impl Draw) -> Result<(), String> {
-    run_d2gc_case_with(d, None)
-}
-
-/// [`run_d2gc_case`] with an optional forced `--kernel` axis value.
-pub fn run_d2gc_case_with(d: &mut impl Draw, forced: Option<KernelImpl>) -> Result<(), String> {
     let n = d.usize_in(1..21);
     let max_edges = (2 * n).min(n * (n - 1) / 2);
     let nedges = d.usize_in(0..max_edges + 1);
@@ -342,17 +296,12 @@ pub fn run_d2gc_case_with(d: &mut impl Draw, forced: Option<KernelImpl>) -> Resu
     let idx = d.usize_in(0..set.len());
     let balance = pick_balance(d);
     let sched = pick_sched(d);
-    let kernel = pick_kernel(d, forced);
     let threads = d.usize_in(1..5);
-    let schedule = {
-        let mut s = set.into_iter().nth(idx).expect("in range");
-        s = s.with_balance(balance).with_sched(sched).with_kernel(kernel);
-        s
-    };
+    let schedule =
+        set.into_iter().nth(idx).expect("in range").with_balance(balance).with_sched(sched);
     let label = format!(
-        "d2gc {} [{}] x{threads} on n={n} edges={nedges} seed={mseed} wide={wide}",
-        schedule.name(),
-        kernel.label()
+        "d2gc {} x{threads} on n={n} edges={nedges} seed={mseed} wide={wide}",
+        schedule.name()
     );
 
     let pool = Pool::new(threads);
@@ -395,21 +344,16 @@ pub fn run_d2gc_case_with(d: &mut impl Draw, forced: Option<KernelImpl>) -> Resu
         ));
     }
 
-    let schedule1 = {
-        let mut s = Schedule::all().into_iter().nth(idx).expect("in range");
-        s = s.with_balance(balance).with_sched(sched).with_kernel(kernel);
-        s
-    };
-    let a = bgpc::d2gc::color_d2gc(&g, &order, &schedule1, &pool1);
-    let b = bgpc::d2gc::color_d2gc(&g, &order, &schedule1, &pool1);
+    let a = bgpc::d2gc::color_d2gc(&g, &order, &schedule, &pool1);
+    let b = bgpc::d2gc::color_d2gc(&g, &order, &schedule, &pool1);
     same_colors(&a.colors, &b.colors, &format!("{label}: @1 run-twice"))?;
 
     let opts = RunnerOpts::default();
     let stamp = bgpc::color_with_set::<StampSet, _>(
-        &g, &order, &schedule1, &pool1, opts.clone(),
+        &g, &order, &schedule, &pool1, opts.clone(),
     );
     let bitstamp = bgpc::color_with_set::<BitStampSet, _>(
-        &g, &order, &schedule1, &pool1, opts,
+        &g, &order, &schedule, &pool1, opts,
     );
     same_colors(
         &stamp.colors,
@@ -419,22 +363,8 @@ pub fn run_d2gc_case_with(d: &mut impl Draw, forced: Option<KernelImpl>) -> Resu
 
     let m64 = m.to_index::<u64>();
     let g64 = Graph::from_symmetric_matrix(&m64);
-    let wide = bgpc::d2gc::color_d2gc(&g64, &order, &schedule1, &pool1);
+    let wide = bgpc::d2gc::color_d2gc(&g64, &order, &schedule, &pool1);
     same_colors(&a.colors, &wide.colors, &format!("{label}: u32 vs u64 @1"))?;
-
-    // Kernel equivalence at one thread (vectorized first-fit word scan vs
-    // the scalar spec).
-    let other_kernel = match kernel {
-        KernelImpl::Scalar => KernelImpl::Simd,
-        _ => KernelImpl::Scalar,
-    };
-    let kflipped = schedule1.clone().with_kernel(other_kernel);
-    let kc = bgpc::d2gc::color_d2gc(&g, &order, &kflipped, &pool1);
-    same_colors(
-        &a.colors,
-        &kc.colors,
-        &format!("{label}: {} vs {} kernel @1", kernel.label(), other_kernel.label()),
-    )?;
 
     Ok(())
 }
@@ -462,39 +392,18 @@ impl std::fmt::Display for OracleFailure {
 
 /// Replays a single case (BGPC then D2GC) from its sub-seed.
 pub fn run_case_from_seed(case_seed: u64) -> Result<(), String> {
-    run_case_from_seed_with(case_seed, None)
-}
-
-/// [`run_case_from_seed`] with an optional forced kernel. The draw
-/// stream is identical either way (the kernel draw is consumed and
-/// discarded when forced), so a failing seed replays the same instance
-/// under `--kernel scalar` and `--kernel simd`.
-pub fn run_case_from_seed_with(
-    case_seed: u64,
-    kernel: Option<KernelImpl>,
-) -> Result<(), String> {
     let mut d = PcgDraw(Pcg32::seed_from_u64(case_seed));
-    run_bgpc_case_with(&mut d, kernel)?;
-    run_d2gc_case_with(&mut d, kernel)
+    run_bgpc_case(&mut d)?;
+    run_d2gc_case(&mut d)
 }
 
 /// Runs `cases` differential cases from the base `seed`. Case `i` uses
 /// sub-seed `split_mix64(seed + i)` so any failure replays standalone.
 /// Returns the number of cases run on success.
 pub fn run_oracle_sweep(seed: u64, cases: usize) -> Result<usize, OracleFailure> {
-    run_oracle_sweep_with(seed, cases, None)
-}
-
-/// [`run_oracle_sweep`] with every case's kernel axis pinned to `kernel`
-/// (when `Some`) — the `check_smoke --kernel` cross-product hook.
-pub fn run_oracle_sweep_with(
-    seed: u64,
-    cases: usize,
-    kernel: Option<KernelImpl>,
-) -> Result<usize, OracleFailure> {
     for case in 0..cases {
         let case_seed = split_mix64(seed.wrapping_add(case as u64));
-        if let Err(message) = run_case_from_seed_with(case_seed, kernel) {
+        if let Err(message) = run_case_from_seed(case_seed) {
             return Err(OracleFailure {
                 case,
                 case_seed,

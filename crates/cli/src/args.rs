@@ -59,18 +59,6 @@ pub struct ColorArgs {
     pub metrics: bool,
     /// Pin team members to CPUs in topology order and steal near-first.
     pub pin: bool,
-    /// Let the engine pick the configuration from instance features
-    /// (explicitly passed flags still override the engine's choice) and
-    /// enable the online between-iteration tuner.
-    pub autotune: bool,
-    /// `--schedule` was passed explicitly (engine override tracking).
-    pub explicit_schedule: bool,
-    /// `--sched` was passed explicitly.
-    pub explicit_sched: bool,
-    /// `--kernel` was passed explicitly.
-    pub explicit_kernel: bool,
-    /// `--relabel` was passed explicitly.
-    pub explicit_relabel: bool,
 }
 
 /// Usage text for the `color` command.
@@ -79,9 +67,9 @@ usage: bgpc-cli color [--mtx FILE | --bin FILE | --dataset NAME [--scale F] [--s
                       [--problem bgpc|d2gc|d1gc|dK] [--schedule NAME]
                       [--order natural|random:SEED|largest-first|smallest-last|incidence-degree]
                       [--index-width auto|u32|u64] [--relabel none|degree|bfs]
-                      [--sched dynamic|steal] [--kernel scalar|simd|auto] [--pin]
+                      [--sched dynamic|steal] [--pin]
                       [--threads N] [--recolor] [--output FILE]
-                      [--trace FILE] [--metrics] [--autotune]
+                      [--trace FILE] [--metrics]
 
 schedules: V-V, V-V-64, V-V-64D, V-Ninf, V-N1, V-N2, N1-N2, N2-N2
            (append -B1 or -B2 for the balancing heuristics)
@@ -103,17 +91,11 @@ impl ColorArgs {
         let mut index_width: Option<IndexWidth> = None;
         let mut relabel = LocalityOrder::None;
         let mut sched = par::Sched::Dynamic;
-        let mut kernel = bgpc::KernelImpl::Auto;
         let mut pin = false;
         let mut recolor = false;
         let mut output = None;
         let mut trace = None;
         let mut metrics = false;
-        let mut autotune = false;
-        let mut explicit_schedule = false;
-        let mut explicit_sched = false;
-        let mut explicit_kernel = false;
-        let mut explicit_relabel = false;
 
         let mut i = 0;
         while i < args.len() {
@@ -153,7 +135,6 @@ impl ColorArgs {
                 "--schedule" => {
                     schedule = Schedule::from_name(value(i)?)
                         .ok_or_else(|| format!("unknown schedule `{}`", args[i + 1]))?;
-                    explicit_schedule = true;
                     i += 2;
                 }
                 "--order" => {
@@ -179,24 +160,12 @@ impl ColorArgs {
                 "--relabel" => {
                     relabel = LocalityOrder::from_name(value(i)?)
                         .ok_or_else(|| format!("unknown relabeling `{}`", args[i + 1]))?;
-                    explicit_relabel = true;
                     i += 2;
                 }
                 "--sched" => {
                     sched = par::Sched::from_name(value(i)?)
                         .ok_or_else(|| format!("unknown chunk scheduler `{}`", args[i + 1]))?;
-                    explicit_sched = true;
                     i += 2;
-                }
-                "--kernel" => {
-                    kernel = bgpc::KernelImpl::from_name(value(i)?)
-                        .ok_or_else(|| format!("unknown kernel `{}`", args[i + 1]))?;
-                    explicit_kernel = true;
-                    i += 2;
-                }
-                "--autotune" => {
-                    autotune = true;
-                    i += 1;
                 }
                 "--pin" => {
                     pin = true;
@@ -234,7 +203,7 @@ impl ColorArgs {
         Ok(Self {
             input,
             problem,
-            schedule: schedule.with_sched(sched).with_kernel(kernel),
+            schedule: schedule.with_sched(sched),
             ordering,
             threads,
             index_width,
@@ -244,27 +213,7 @@ impl ColorArgs {
             trace,
             metrics,
             pin,
-            autotune,
-            explicit_schedule,
-            explicit_sched,
-            explicit_kernel,
-            explicit_relabel,
         })
-    }
-
-    /// The explicitly passed flags as engine overrides: under
-    /// `--autotune` the engine proposes a config and these always win.
-    /// `--index-width auto` is *not* an override (it asks for the
-    /// heuristic, which the engine subsumes); any concrete width is.
-    pub fn engine_overrides(&self) -> bgpc::Overrides {
-        bgpc::Overrides {
-            schedule: self.explicit_schedule.then(|| self.schedule.clone()),
-            sched: self.explicit_sched.then_some(self.schedule.sched),
-            kernel: self.explicit_kernel.then_some(self.schedule.kernel),
-            relabel: self.explicit_relabel.then_some(self.relabel),
-            index_width: self.index_width,
-            forbidden: None,
-        }
     }
 }
 
@@ -374,42 +323,6 @@ mod tests {
     }
 
     #[test]
-    fn parse_autotune_and_override_tracking() {
-        let a = ColorArgs::parse(&s(&["--mtx", "m.mtx", "--autotune"])).unwrap();
-        assert!(a.autotune);
-        // Nothing explicit: the engine owns every axis.
-        let ov = a.engine_overrides();
-        assert!(!ov.any());
-
-        let a = ColorArgs::parse(&s(&[
-            "--mtx",
-            "m.mtx",
-            "--autotune",
-            "--schedule",
-            "v-v",
-            "--sched",
-            "steal",
-            "--index-width",
-            "u64",
-        ]))
-        .unwrap();
-        let ov = a.engine_overrides();
-        assert_eq!(ov.schedule.as_ref().map(|sc| sc.name()), Some("V-V".into()));
-        assert_eq!(ov.sched, Some(par::Sched::Stealing));
-        assert_eq!(ov.index_width, Some(IndexWidth::U64));
-        assert_eq!(ov.kernel, None, "--kernel not passed");
-        assert_eq!(ov.relabel, None, "--relabel not passed");
-
-        // `--index-width auto` asks for the heuristic, not an override.
-        let a = ColorArgs::parse(&s(&["--mtx", "m", "--autotune", "--index-width", "auto"]))
-            .unwrap();
-        assert!(!a.engine_overrides().any());
-        // Without --autotune the flag parses but stays off.
-        let a = ColorArgs::parse(&s(&["--mtx", "m"])).unwrap();
-        assert!(!a.autotune);
-    }
-
-    #[test]
     fn random_ordering_with_seed() {
         let a = ColorArgs::parse(&s(&["--mtx", "a", "--order", "random:9"])).unwrap();
         assert_eq!(a.ordering, Ordering::Random(9));
@@ -445,16 +358,8 @@ mod tests {
     }
 
     #[test]
-    fn parse_kernel_and_pin_axes() {
-        let a = ColorArgs::parse(&s(&["--mtx", "a", "--kernel", "scalar", "--pin"])).unwrap();
-        assert_eq!(a.schedule.kernel, bgpc::KernelImpl::Scalar);
-        assert!(a.pin);
-        let a = ColorArgs::parse(&s(&["--mtx", "a", "--kernel", "simd"])).unwrap();
-        assert_eq!(a.schedule.kernel, bgpc::KernelImpl::Simd);
-        assert!(!a.pin);
-        let a = ColorArgs::parse(&s(&["--mtx", "a"])).unwrap();
-        assert_eq!(a.schedule.kernel, bgpc::KernelImpl::Auto, "default");
-        assert!(ColorArgs::parse(&s(&["--mtx", "a", "--kernel", "zzz"])).is_err());
-        assert!(ColorArgs::parse(&s(&["--mtx", "a", "--kernel"])).is_err());
+    fn parse_pin_flag() {
+        assert!(ColorArgs::parse(&s(&["--mtx", "a", "--pin"])).unwrap().pin);
+        assert!(!ColorArgs::parse(&s(&["--mtx", "a"])).unwrap().pin);
     }
 }

@@ -114,37 +114,17 @@ fn load(input: &Input) -> Result<Csr, Failure> {
     }
 }
 
-/// Runs the speculative driver on `g`: with the engine-resolved `config`
-/// (its schedule and forced forbidden-set representation) under
-/// `--autotune`, otherwise with `schedule` and the driver's per-instance
-/// dispatch.
-fn run_driver<G: bgpc::Neighborhood>(
-    g: &G,
-    order: &[u32],
-    schedule: &Schedule,
-    pool: &Pool,
-    config: Option<&bgpc::EngineConfig>,
-    opts: bgpc::RunnerOpts,
-) -> bgpc::ColoringResult {
-    match config {
-        Some(cfg) => bgpc::engine::color_with_config(g, order, cfg, pool, opts),
-        None => bgpc::color_with_opts(g, order, schedule, pool, opts),
-    }
-}
-
 /// Runs the BGPC driver on an already-relabeled pattern at width `I`.
 fn run_bgpc_width<I: CsrIndex>(
     m: Csr<I>,
     schedule: &Schedule,
     ordering: Ordering,
     pool: &Pool,
-    config: Option<&bgpc::EngineConfig>,
-    opts: bgpc::RunnerOpts,
 ) -> Result<bgpc::ColoringResult, Failure> {
     let g = BipartiteGraph::try_from_matrix_owned(m)
         .map_err(|e| Failure::new(EXIT_GRAPH, e.to_string()))?;
     let order = ordering.vertex_order_bgpc(&g);
-    Ok(run_driver(&g, &order, schedule, pool, config, opts))
+    Ok(bgpc::color_with_opts(&g, &order, schedule, pool, Default::default()))
 }
 
 /// Runs the D2GC driver on an already-relabeled pattern at width `I`.
@@ -153,13 +133,11 @@ fn run_d2gc_width<I: CsrIndex>(
     schedule: &Schedule,
     ordering: Ordering,
     pool: &Pool,
-    config: Option<&bgpc::EngineConfig>,
-    opts: bgpc::RunnerOpts,
 ) -> Result<bgpc::ColoringResult, Failure> {
     let g = Graph::try_from_symmetric_matrix(m)
         .map_err(|e| Failure::new(EXIT_GRAPH, e.to_string()))?;
     let order = ordering.vertex_order_d2(&g);
-    Ok(run_driver(&g, &order, schedule, pool, config, opts))
+    Ok(bgpc::color_with_opts(&g, &order, schedule, pool, Default::default()))
 }
 
 /// Maps a coloring computed on a relabeled instance back to original ids.
@@ -185,46 +163,9 @@ pub fn cmd_color(flags: &[String]) -> i32 {
 fn color(args: ColorArgs) -> Result<(), Failure> {
     let matrix = load(&args.input)?;
 
-    // Under --autotune the engine proposes the full config from instance
-    // features; explicitly passed flags always override its choices. The
-    // d1gc/dk variants have no engine table — they keep explicit flags.
-    let mut schedule = args.schedule.clone();
-    let mut relabel = args.relabel;
-    let mut width_request = args.index_width;
-    let mut engine_cfg: Option<bgpc::EngineConfig> = None;
-    if args.autotune {
-        match args.problem {
-            Problem::Bgpc | Problem::D2gc => {
-                let engine = bgpc::Engine::with_default_table();
-                let choice = match args.problem {
-                    Problem::Bgpc => {
-                        let g = BipartiteGraph::try_from_matrix(&matrix)
-                            .map_err(|e| Failure::new(EXIT_GRAPH, e.to_string()))?;
-                        engine.select_bgpc(&g)
-                    }
-                    _ => {
-                        let g = Graph::try_from_symmetric_matrix(&matrix)
-                            .map_err(|e| Failure::new(EXIT_GRAPH, e.to_string()))?;
-                        engine.select_d2gc(&g)
-                    }
-                };
-                let mut cfg = choice.config;
-                args.engine_overrides().apply(&mut cfg);
-                out!("autotune: {} (matched {})", cfg.describe(), choice.matched);
-                schedule = cfg.schedule.clone();
-                relabel = cfg.relabel;
-                width_request = Some(cfg.index_width);
-                engine_cfg = Some(cfg);
-            }
-            _ => out!("autotune: no table for {:?}; using explicit flags", args.problem),
-        }
-    }
-    let opts = bgpc::RunnerOpts {
-        online: args.autotune.then(bgpc::OnlineTuner::default),
-        ..Default::default()
-    };
-
-    let width = width_request.unwrap_or_else(|| IndexWidth::auto_for(matrix.nnz()));
+    let schedule = &args.schedule;
+    let relabel = args.relabel;
+    let width = args.index_width.unwrap_or_else(|| IndexWidth::auto_for(matrix.nnz()));
     out!(
         "pattern: {} x {}, {} nnz; problem {:?}, schedule {}, {} threads, {} order, \
          {} indices, {} relabel, {} chunks",
@@ -264,19 +205,11 @@ fn color(args: ColorArgs) -> Result<(), Failure> {
                 .map_err(|e| Failure::new(EXIT_GRAPH, e.to_string()))?;
             let (pm, perm) = relabel.apply_columns(&matrix);
             let r = match width {
-                IndexWidth::U32 => {
-                    run_bgpc_width(pm, &schedule, args.ordering, &pool, engine_cfg.as_ref(), opts)?
+                IndexWidth::U32 => run_bgpc_width(pm, schedule, args.ordering, &pool)?,
+                IndexWidth::U64 => {
+                    run_bgpc_width(pm.to_index::<u64>(), schedule, args.ordering, &pool)?
                 }
-                IndexWidth::U64 => run_bgpc_width(
-                    pm.to_index::<u64>(),
-                    &schedule,
-                    args.ordering,
-                    &pool,
-                    engine_cfg.as_ref(),
-                    opts,
-                )?,
             };
-            report_tuner_actions(&r.tuner_actions);
             report_degradation(&r.degraded);
             let total_ms = r.total_time.as_secs_f64() * 1e3;
             let rounds = r.rounds();
@@ -301,24 +234,11 @@ fn color(args: ColorArgs) -> Result<(), Failure> {
                 Problem::D2gc => {
                     let (pm, perm) = relabel.apply_symmetric(&matrix);
                     let r = match width {
-                        IndexWidth::U32 => run_d2gc_width(
-                            &pm,
-                            &schedule,
-                            args.ordering,
-                            &pool,
-                            engine_cfg.as_ref(),
-                            opts,
-                        )?,
-                        IndexWidth::U64 => run_d2gc_width(
-                            &pm.to_index::<u64>(),
-                            &schedule,
-                            args.ordering,
-                            &pool,
-                            engine_cfg.as_ref(),
-                            opts,
-                        )?,
+                        IndexWidth::U32 => run_d2gc_width(&pm, schedule, args.ordering, &pool)?,
+                        IndexWidth::U64 => {
+                            run_d2gc_width(&pm.to_index::<u64>(), schedule, args.ordering, &pool)?
+                        }
                     };
-                    report_tuner_actions(&r.tuner_actions);
                     report_degradation(&r.degraded);
                     let total_ms = r.total_time.as_secs_f64() * 1e3;
                     let rounds = r.rounds();
@@ -425,14 +345,6 @@ fn color(args: ColorArgs) -> Result<(), Failure> {
         out!("colors written to {path}");
     }
     Ok(())
-}
-
-/// Surfaces the online tuner's between-iteration refinements (only ever
-/// non-empty under `--autotune`).
-fn report_tuner_actions(actions: &[bgpc::TunerAction]) {
-    for a in actions {
-        out!("autotune: online {a}");
-    }
 }
 
 /// A degraded run is still a valid coloring; surface how it got there.
@@ -1133,34 +1045,9 @@ mod tests {
     }
 
     #[test]
-    fn kernel_and_pin_axes_color_and_verify() {
-        // Each kernel request (and pinning, which degrades gracefully when
-        // affinity is unavailable) must still produce a verified coloring.
-        for kernel in ["scalar", "simd", "auto"] {
-            for problem in ["bgpc", "d2gc"] {
-                let mut flags = vec![
-                    "--dataset",
-                    "af_shell10",
-                    "--scale",
-                    "0.002",
-                    "--problem",
-                    problem,
-                    "--kernel",
-                    kernel,
-                    "--sched",
-                    "steal",
-                ];
-                if kernel == "auto" {
-                    flags.push("--pin");
-                }
-                let code = cmd_color(&s(&flags));
-                assert_eq!(code, 0, "{problem}/{kernel}");
-            }
-        }
-    }
-
-    #[test]
-    fn autotune_runs_color_and_verify_both_problems() {
+    fn pinned_runs_color_and_verify() {
+        // Pinning degrades gracefully when affinity is unavailable; the
+        // run must still produce a verified coloring.
         for problem in ["bgpc", "d2gc"] {
             let code = cmd_color(&s(&[
                 "--dataset",
@@ -1169,34 +1056,12 @@ mod tests {
                 "0.002",
                 "--problem",
                 problem,
-                "--autotune",
+                "--sched",
+                "steal",
+                "--pin",
             ]));
             assert_eq!(code, 0, "{problem}");
         }
-        // Explicit flags still override under --autotune.
-        let code = cmd_color(&s(&[
-            "--dataset",
-            "af_shell10",
-            "--scale",
-            "0.002",
-            "--autotune",
-            "--schedule",
-            "v-v",
-            "--sched",
-            "steal",
-        ]));
-        assert_eq!(code, 0);
-        // Engine has no table for d1gc: flags apply, run still succeeds.
-        let code = cmd_color(&s(&[
-            "--dataset",
-            "af_shell10",
-            "--scale",
-            "0.002",
-            "--problem",
-            "d1gc",
-            "--autotune",
-        ]));
-        assert_eq!(code, 0);
     }
 
     #[test]

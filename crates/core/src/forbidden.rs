@@ -15,10 +15,47 @@
 //! The [`ForbiddenSet`] trait lets every kernel (and
 //! [`crate::ctx::ThreadCtx`]) be generic over the representation so the
 //! two can be compared head-to-head; the kernels default to
-//! [`BitStampSet`].
+//! [`BitStampSet`], and the drivers pick one per instance with
+//! [`ForbiddenKind::auto_for`].
 
-use crate::simd::{ActiveKernel, KernelImpl};
 use crate::{Color, UNCOLORED};
+
+/// Neighborhood size (max net size for BGPC, max degree for D2GC) above
+/// which the drivers prefer the per-color [`StampSet`] over the
+/// word-packed [`BitStampSet`]. The greedy bound caps every chosen color
+/// by the distance-2 degree, so a vertex's first-fit scan can never probe
+/// more colors than its kernels inserted — on giant-net instances the
+/// per-edge insert traffic dwarfs any scan savings, and the stamp array's
+/// single-store insert wins end to end (see `BENCH_coloring.json`, which
+/// records both representations per schedule).
+///
+/// Read only by [`ForbiddenKind::auto_for`], the rule the one
+/// per-instance dispatch applies for every driver (parallel, seeded and
+/// sequential, BGPC and D2GC).
+pub const DENSE_FORBIDDEN_CUTOFF: usize = 128;
+
+/// Forbidden-set representation choice.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ForbiddenKind {
+    /// Word-packed [`BitStampSet`] (scan-dominated regime).
+    BitStamp,
+    /// Per-color [`StampSet`] (insert-dominated regime).
+    Stamp,
+}
+
+impl ForbiddenKind {
+    /// The dispatch rule: bitmap up to [`DENSE_FORBIDDEN_CUTOFF`] colors of
+    /// dispatch neighborhood
+    /// ([`crate::Neighborhood::max_neighborhood`]: max net size for BGPC,
+    /// max degree for D2GC), stamp array above.
+    pub fn auto_for(neighborhood: usize) -> ForbiddenKind {
+        if neighborhood > DENSE_FORBIDDEN_CUTOFF {
+            ForbiddenKind::Stamp
+        } else {
+            ForbiddenKind::BitStamp
+        }
+    }
+}
 
 /// The shared contract of a forbidden-color set: O(1) logical clear via
 /// [`advance`](ForbiddenSet::advance), amortized-O(1) inserts with growth
@@ -68,13 +105,6 @@ pub trait ForbiddenSet: Send {
 
     /// Current capacity (colors storable without growth).
     fn capacity(&self) -> usize;
-
-    /// Installs the resolved `--kernel` dispatch for this set's scans.
-    ///
-    /// Default no-op: representations without vectorized paths (the
-    /// [`StampSet`] executable spec) ignore the request, which is exactly
-    /// the scalar-stays-the-spec contract.
-    fn set_kernel(&mut self, _kernel: KernelImpl) {}
 }
 
 /// A forbidden-color set that is "emptied" in O(1).
@@ -199,8 +229,6 @@ impl ForbiddenSet for StampSet {
     fn capacity(&self) -> usize {
         StampSet::capacity(self)
     }
-
-    // set_kernel: default no-op — the StampSet *is* the scalar spec.
 }
 
 /// Word-packed, epoch-stamped forbidden set: one `u64` bitmap word per 64
@@ -232,20 +260,13 @@ pub struct BitStampSet {
     /// arrays.
     entries: Vec<WordEntry>,
     mark: u64,
-    /// Resolved first-fit dispatch (see [`crate::simd`]); defaults to the
-    /// widest tier the CPU supports, pinned to scalar by
-    /// [`ForbiddenSet::set_kernel`] under `--kernel scalar`.
-    kernel: ActiveKernel,
 }
 
-/// One 16-byte forbidden-set slot covering 64 colors. `repr(C)` so the
-/// vectorized scans of [`crate::simd`] may load `[stamp, bits]` pairs as
-/// packed 128/256-bit lanes.
-#[repr(C)]
+/// One 16-byte forbidden-set slot covering 64 colors.
 #[derive(Clone, Copy)]
-pub(crate) struct WordEntry {
-    pub(crate) stamp: u64,
-    pub(crate) bits: u64,
+struct WordEntry {
+    stamp: u64,
+    bits: u64,
 }
 
 const EMPTY_ENTRY: WordEntry = WordEntry { stamp: 0, bits: 0 };
@@ -259,30 +280,7 @@ impl BitStampSet {
             // Marker starts at 1: zeroed stamps (and resize padding) are
             // stale, so a fresh set is empty.
             mark: 1,
-            kernel: KernelImpl::Auto.resolve(),
         }
-    }
-
-    /// The interleaved word entries, for the scalar≡simd property tests
-    /// (the production scans reach the entries directly via
-    /// [`Self::first_fit_from`]'s dispatch).
-    #[cfg(test)]
-    #[inline]
-    pub(crate) fn raw_entries(&self) -> &[WordEntry] {
-        &self.entries
-    }
-
-    /// The current marker, paired with [`Self::raw_entries`].
-    #[cfg(test)]
-    #[inline]
-    pub(crate) fn raw_mark(&self) -> u64 {
-        self.mark
-    }
-
-    /// The resolved first-fit dispatch tier.
-    #[cfg(test)]
-    pub(crate) fn kernel(&self) -> ActiveKernel {
-        self.kernel
     }
 
     /// The bitmap word covering colors `64*wi .. 64*wi + 64`, reading
@@ -360,20 +358,8 @@ impl BitStampSet {
     /// Branchless per probe: bits below `from` in the first word are
     /// masked in as forbidden, then each word answers "any free color
     /// here?" for 64 colors at once and `trailing_ones` indexes the hit.
-    /// Dispatches to the SSE2/AVX2 multi-word scans of [`crate::simd`]
-    /// when a vector kernel is installed; the private `first_fit_scalar`
-    /// word loop is the executable spec either way.
     #[inline]
     pub fn first_fit_from(&self, from: Color) -> Color {
-        match self.kernel {
-            ActiveKernel::Scalar => self.first_fit_scalar(from),
-            k => crate::simd::first_fit_words(&self.entries, self.mark, from, k),
-        }
-    }
-
-    /// The scalar first-fit spec: one live word per probe.
-    #[inline]
-    fn first_fit_scalar(&self, from: Color) -> Color {
         debug_assert!(from >= 0);
         let start = from as usize;
         let mut wi = start / 64;
@@ -463,11 +449,6 @@ impl ForbiddenSet for BitStampSet {
     fn capacity(&self) -> usize {
         BitStampSet::capacity(self)
     }
-
-    #[inline]
-    fn set_kernel(&mut self, kernel: KernelImpl) {
-        self.kernel = kernel.resolve();
-    }
 }
 
 #[cfg(test)]
@@ -475,12 +456,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn set_kernel_resolves_and_sticks() {
-        let mut s = BitStampSet::with_capacity(32);
-        s.set_kernel(KernelImpl::Scalar);
-        assert_eq!(s.kernel(), ActiveKernel::Scalar);
-        s.set_kernel(KernelImpl::Auto);
-        assert_eq!(s.kernel(), KernelImpl::Auto.resolve());
+    fn forbidden_cutoff_matches_runner_dispatch_boundary() {
+        // The degenerate-instance suite exercises real colorings at
+        // 128/129; here we pin the constant itself so a drive-by edit
+        // cannot silently move the dispatch boundary.
+        assert_eq!(DENSE_FORBIDDEN_CUTOFF, 128);
+        assert_eq!(ForbiddenKind::auto_for(DENSE_FORBIDDEN_CUTOFF), ForbiddenKind::BitStamp);
+        assert_eq!(ForbiddenKind::auto_for(DENSE_FORBIDDEN_CUTOFF + 1), ForbiddenKind::Stamp);
     }
 
     #[test]

@@ -16,9 +16,9 @@
 //!    D2GC — with the previous coloring and a work queue containing
 //!    *only* the dirty vertices, then runs the ordinary color-then-repair
 //!    loop until clean. Every runner feature
-//!    — [`crate::ctx::ThreadCtx`] scratch, forbidden-set dispatch, the SIMD
-//!    kernels, all [`Schedule`]s, and [`RunnerOpts`]
-//!    (deadline/cancel/online tuner) — applies unchanged.
+//!    — [`crate::ctx::ThreadCtx`] scratch, forbidden-set dispatch, all
+//!    [`Schedule`]s, and [`RunnerOpts`] (deadline/cancel) — applies
+//!    unchanged.
 //!
 //! # Why the dirty set suffices
 //!
@@ -51,7 +51,7 @@
 //! vertex takes the first color not used in its distance-2 neighborhood,
 //! which always exists below `Δ₂(G′) + 1`, and stable vertices only hold
 //! colors below `k_base`. `crates/check`'s differential oracle enforces
-//! this bound across schedules × kernels × index widths.
+//! this bound across schedules × forbidden sets × index widths.
 //!
 //! # Example
 //!
@@ -514,7 +514,7 @@ pub fn recolor_incremental<G: Neighborhood>(
     pool: &Pool,
     opts: RunnerOpts,
 ) -> ColoringResult {
-    with_forbidden_set(g, None, seeded_run(g, base_colors, dirty, order, schedule, pool, opts))
+    with_forbidden_set(g, seeded_run(g, base_colors, dirty, order, schedule, pool, opts))
 }
 
 /// [`recolor_incremental`] with the forbidden-set representation `F`

@@ -31,13 +31,11 @@
 //! * [`d2gc::color_d2gc`] / [`seq::color_d2gc_seq`] — parallel / sequential
 //!   D2GC.
 //! * [`color_with_opts`], [`color_with_set`], [`try_color`],
-//!   [`recolor_incremental`], [`engine::color_with_config`] and
-//!   [`seq::color_seq`] — the generic entry points, for either problem.
+//!   [`recolor_incremental`] and [`seq::color_seq`] — the generic entry
+//!   points, for either problem.
 //! * [`Schedule`] — which algorithm combination to run ([`Schedule::all`]
 //!   lists the paper's eight).
 //! * [`Balance`] — the B1/B2 cardinality-balancing heuristics (§V).
-//! * [`Engine`] — feature-driven config selection plus the
-//!   [`OnlineTuner`] refinement loop (the `--autotune` path).
 //! * [`verify`] — validity oracles and color-set statistics.
 //!
 //! ```
@@ -63,7 +61,6 @@ pub mod ctx;
 pub mod d1gc;
 pub mod d2gc;
 pub mod dkgc;
-pub mod engine;
 pub mod error;
 pub mod forbidden;
 pub mod incremental;
@@ -76,7 +73,6 @@ pub mod runner;
 pub mod schedule;
 pub mod seq;
 pub mod simd;
-pub mod tuning;
 pub mod verify;
 pub mod vertex;
 pub mod workqueue;
@@ -84,20 +80,12 @@ pub mod workqueue;
 pub use balance::Balance;
 pub use cancel::CancelToken;
 pub use color::{Color, Colors, UNCOLORED};
-pub use engine::{
-    Engine, EngineChoice, EngineConfig, ForbiddenKind, InstanceFeatures, OnlineTuner,
-    Overrides, ProblemKind,
-};
 pub use error::ColoringError;
-pub use forbidden::{BitStampSet, ForbiddenSet, StampSet};
+pub use forbidden::{BitStampSet, ForbiddenKind, ForbiddenSet, StampSet};
 pub use incremental::{apply_delta, recolor_incremental, CsrDelta, DeltaApplied, DeltaError};
-pub use metrics::{
-    ColoringResult, DegradeReason, FailedPhase, IterationMetrics, TunerAction,
-    TunerActionKind,
-};
+pub use metrics::{ColoringResult, DegradeReason, FailedPhase, IterationMetrics};
 pub use neighborhood::Neighborhood;
 pub use runner::{color_bgpc, color_with_opts, color_with_set, try_color, RunnerOpts};
 /// Problem-named aliases of the generic drivers.
 pub use runner::{color_with_opts as color_bgpc_with_opts, color_with_set as color_bgpc_with_set};
 pub use schedule::{PhaseKind, Schedule};
-pub use simd::{ActiveKernel, KernelImpl};

@@ -137,56 +137,6 @@ impl std::fmt::Display for DegradeReason {
     }
 }
 
-/// One refinement the [`crate::engine::OnlineTuner`] applied between
-/// speculative iterations, for logs and bench records. Actions are
-/// performance hints only — the coloring stays valid whatever sequence of
-/// actions fires.
-#[derive(Clone, Debug, PartialEq)]
-pub struct TunerAction {
-    /// Iteration the refined schedule takes effect at.
-    pub iter: usize,
-    /// What changed.
-    pub kind: TunerActionKind,
-}
-
-/// The kinds of between-iteration refinement the online tuner performs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TunerActionKind {
-    /// Remaining net phases truncated: the conflict residue was small
-    /// enough that per-vertex phases touch far less memory.
-    NetToVertex,
-    /// Chunk scheduler flipped (imbalance or futile-steal signal).
-    SwitchSched {
-        /// Scheduler before the switch.
-        from: par::Sched,
-        /// Scheduler after the switch.
-        to: par::Sched,
-    },
-    /// Chunk size shrunk in response to a high conflict rate.
-    ShrinkChunk {
-        /// Chunk size before.
-        from: usize,
-        /// Chunk size after.
-        to: usize,
-    },
-}
-
-impl std::fmt::Display for TunerAction {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match &self.kind {
-            TunerActionKind::NetToVertex => {
-                write!(f, "iter {}: net phases -> vertex", self.iter)
-            }
-            TunerActionKind::SwitchSched { from, to } => {
-                write!(f, "iter {}: sched {from} -> {to}", self.iter)
-            }
-            TunerActionKind::ShrinkChunk { from, to } => {
-                write!(f, "iter {}: chunk {from} -> {to}", self.iter)
-            }
-        }
-    }
-}
-
 /// The outcome of a full coloring run.
 #[derive(Clone, Debug)]
 pub struct ColoringResult {
@@ -202,9 +152,6 @@ pub struct ColoringResult {
     /// `Some` when the run fell back to sequential completion (iteration
     /// cap or contained worker panic); `None` for a clean parallel run.
     pub degraded: Option<DegradeReason>,
-    /// Refinements the online tuner applied between iterations; empty
-    /// when no tuner was attached (see [`crate::RunnerOpts::online`]).
-    pub tuner_actions: Vec<TunerAction>,
 }
 
 impl ColoringResult {
@@ -293,7 +240,6 @@ mod tests {
             iterations: vec![metric(0, 10, 5, 20), metric(1, 2, 1, 0)],
             total_time: Duration::from_millis(18),
             degraded: None,
-            tuner_actions: Vec::new(),
         };
         assert_eq!(r.color_time(), Duration::from_millis(12));
         assert_eq!(r.conflict_time(), Duration::from_millis(6));
@@ -314,7 +260,6 @@ mod tests {
                 iter: 3,
                 message: "injected".into(),
             }),
-            tuner_actions: Vec::new(),
         };
         assert!(r.is_degraded());
         match r.degraded.unwrap() {

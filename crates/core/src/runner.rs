@@ -8,9 +8,8 @@ use par::{Pool, ThreadScratch};
 use sparse::CsrIndex;
 
 use crate::ctx::ThreadCtx;
-use crate::engine::ForbiddenKind;
 use crate::error::{validate_order, ColoringError};
-use crate::forbidden::ForbiddenSet;
+use crate::forbidden::{ForbiddenKind, ForbiddenSet};
 use crate::metrics::{
     count_distinct_colors, ColoringResult, DegradeReason, FailedPhase, IterationMetrics,
     ThreadIterStats,
@@ -41,13 +40,6 @@ pub struct RunnerOpts {
     /// layer's watchdog trips it). A cancelled run degrades exactly like a
     /// missed deadline: valid, complete, tagged `DeadlineExceeded`.
     pub cancel: Option<crate::CancelToken>,
-    /// Between-iteration refinement: when set, the driver hands each
-    /// completed iteration's metrics to the tuner, which may truncate net
-    /// phases, flip the chunk scheduler, or shrink the chunk size for the
-    /// *remaining* iterations (the `--autotune` online loop). Actions are
-    /// reported in [`ColoringResult::tuner_actions`]; `None` keeps the
-    /// schedule fixed for the whole run.
-    pub online: Option<crate::engine::OnlineTuner>,
 }
 
 impl Default for RunnerOpts {
@@ -56,7 +48,6 @@ impl Default for RunnerOpts {
             max_iterations: MAX_ITERATIONS,
             deadline: None,
             cancel: None,
-            online: None,
         }
     }
 }
@@ -106,7 +97,7 @@ pub fn try_color<G: Neighborhood>(
 /// Picks the forbidden-set representation per instance: the word-packed
 /// [`crate::BitStampSet`] by default, the per-color [`crate::StampSet`]
 /// when [`Neighborhood::max_neighborhood`] (max net size for BGPC, max
-/// degree for D2GC) exceeds [`crate::tuning::DENSE_FORBIDDEN_CUTOFF`]
+/// degree for D2GC) exceeds [`crate::forbidden::DENSE_FORBIDDEN_CUTOFF`]
 /// (insert-dominated regime — see the constant's docs for why). Use
 /// [`color_with_set`] to force a representation.
 ///
@@ -124,7 +115,7 @@ pub fn color_with_opts<G: Neighborhood>(
     opts: RunnerOpts,
 ) -> ColoringResult {
     let run = Run { g, order, seed: None, schedule, pool, opts };
-    with_forbidden_set(g, None, run)
+    with_forbidden_set(g, run)
 }
 
 /// [`color_with_opts`] with the forbidden-set representation `F` forced —
@@ -149,15 +140,11 @@ pub(crate) trait WithSet {
     fn run<F: ForbiddenSet>(self) -> Self::Output;
 }
 
-/// The per-instance forbidden-set dispatch: runs `job` with `kind`'s
-/// representation, or when `None` with [`ForbiddenKind::auto_for`] the
-/// instance's [`Neighborhood::max_neighborhood`].
-pub(crate) fn with_forbidden_set<G: Neighborhood, J: WithSet>(
-    g: &G,
-    kind: Option<ForbiddenKind>,
-    job: J,
-) -> J::Output {
-    match kind.unwrap_or_else(|| ForbiddenKind::auto_for(g.max_neighborhood())) {
+/// The per-instance forbidden-set dispatch: runs `job` with the
+/// representation [`ForbiddenKind::auto_for`] picks for the instance's
+/// [`Neighborhood::max_neighborhood`].
+pub(crate) fn with_forbidden_set<G: Neighborhood, J: WithSet>(g: &G, job: J) -> J::Output {
+    match ForbiddenKind::auto_for(g.max_neighborhood()) {
         ForbiddenKind::Stamp => job.run::<StampSet>(),
         ForbiddenKind::BitStamp => job.run::<BitStampSet>(),
     }
@@ -206,15 +193,9 @@ impl<G: Neighborhood> WithSet for Run<'_, G> {
         // is ever hoisted out and reused across calls (see ThreadCtx docs).
         for ctx in scratch.iter_mut() {
             ctx.reset_for_run();
-            ctx.fb.set_kernel(schedule.kernel);
         }
         // Eager shared queue, only allocated when the schedule needs it.
         let eager_queue = (!schedule.lazy_queue).then(|| SharedQueue::new(n));
-
-        // The online tuner refines a working copy between iterations;
-        // `schedule` itself stays the caller's requested configuration.
-        let mut live = schedule.clone();
-        let mut tuner_actions = Vec::new();
 
         let mut iterations = Vec::new();
         let mut degraded: Option<DegradeReason> = None;
@@ -240,8 +221,8 @@ impl<G: Neighborhood> WithSet for Run<'_, G> {
                     cap: opts.max_iterations,
                 })
             } else {
-                m.color_kind = live.color_kind(iter);
-                m.conflict_kind = live.conflict_kind(iter);
+                m.color_kind = schedule.color_kind(iter);
+                m.conflict_kind = schedule.conflict_kind(iter);
                 'iteration: {
                     // Counter snapshots bracket each phase so the
                     // per-iteration `ThreadIterStats` are exact deltas of
@@ -257,18 +238,18 @@ impl<G: Neighborhood> WithSet for Run<'_, G> {
                             &w,
                             &colors,
                             pool,
-                            live.chunk,
-                            live.sched,
-                            live.balance,
+                            schedule.chunk,
+                            schedule.sched,
+                            schedule.balance,
                             &scratch,
                         ),
                         PhaseKind::Net => net::color_workqueue_net(
                             g,
                             &colors,
                             pool,
-                            live.sched,
-                            live.net_variant,
-                            live.balance,
+                            schedule.sched,
+                            schedule.net_variant,
+                            schedule.balance,
                             &scratch,
                         ),
                     });
@@ -291,13 +272,13 @@ impl<G: Neighborhood> WithSet for Run<'_, G> {
                             &w,
                             &colors,
                             pool,
-                            live.chunk,
-                            live.sched,
+                            schedule.chunk,
+                            schedule.sched,
                             eager_queue.as_ref(),
                             &mut scratch,
                         ),
                         PhaseKind::Net => {
-                            net::remove_conflicts_net(g, &colors, pool, live.sched, &scratch);
+                            net::remove_conflicts_net(g, &colors, pool, schedule.sched, &scratch);
                             net::collect_uncolored(g, order, &colors, pool, &mut scratch)
                         }
                     });
@@ -357,10 +338,6 @@ impl<G: Neighborhood> WithSet for Run<'_, G> {
                 Ok(wnext) => {
                     m.queue_out = wnext.len();
                     iterations.push(m);
-                    if let Some(tuner) = &opts.online {
-                        let m = iterations.last().expect("metrics just pushed");
-                        tuner_actions.extend(tuner.refine(&mut live, m, pool.threads()));
-                    }
                     w = wnext;
                     iter += 1;
                 }
@@ -391,7 +368,6 @@ impl<G: Neighborhood> WithSet for Run<'_, G> {
             iterations,
             total_time: start.elapsed(),
             degraded,
-            tuner_actions,
         }
     }
 }

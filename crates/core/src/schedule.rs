@@ -60,11 +60,6 @@ pub struct Schedule {
     /// of the paper's labels — [`name`](Self::name) is unchanged — so the
     /// benchmark records it as a separate axis.
     pub sched: par::Sched,
-    /// Kernel implementation request for the inner loops (scalar spec,
-    /// forced SIMD, or runtime auto-detection). Like `sched`, this is an
-    /// implementation axis outside the paper's labels; any choice produces
-    /// an equally valid coloring.
-    pub kernel: crate::simd::KernelImpl,
 }
 
 impl Schedule {
@@ -128,7 +123,6 @@ impl Schedule {
             balance: Balance::Unbalanced,
             net_variant: NetColoringVariant::TwoPassReverse,
             sched: par::Sched::Dynamic,
-            kernel: crate::simd::KernelImpl::Auto,
         }
     }
 
@@ -168,14 +162,6 @@ impl Schedule {
     /// Sets the chunk-scheduling policy (builder style).
     pub fn with_sched(mut self, sched: par::Sched) -> Self {
         self.sched = sched;
-        self
-    }
-
-    /// Sets the kernel implementation (builder style). Like
-    /// [`with_sched`](Self::with_sched), a separate benchmark axis:
-    /// [`name`](Self::name) does not change.
-    pub fn with_kernel(mut self, kernel: crate::simd::KernelImpl) -> Self {
-        self.kernel = kernel;
         self
     }
 
@@ -299,15 +285,6 @@ mod tests {
         let s = Schedule::v_v_64d().with_sched(par::Sched::Stealing);
         assert_eq!(s.sched, par::Sched::Stealing);
         assert_eq!(s.name(), "V-V-64D", "sched is a separate axis");
-    }
-
-    #[test]
-    fn with_kernel_does_not_change_the_name() {
-        use crate::simd::KernelImpl;
-        let s = Schedule::n1_n2().with_kernel(KernelImpl::Scalar);
-        assert_eq!(s.kernel, KernelImpl::Scalar);
-        assert_eq!(s.name(), "N1-N2", "kernel is a separate axis");
-        assert_eq!(Schedule::v_v().kernel, KernelImpl::Auto, "default");
     }
 
     #[test]

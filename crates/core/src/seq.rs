@@ -12,8 +12,7 @@ use crate::forbidden::ForbiddenSet;
 use crate::metrics::count_distinct_colors;
 use crate::neighborhood::Neighborhood;
 use crate::runner::{with_forbidden_set, WithSet};
-use crate::tuning::PREFETCH_AHEAD;
-use crate::vertex::{gather_forbidden, Tally};
+use crate::vertex::{gather_forbidden, Tally, PREFETCH_AHEAD};
 use crate::{Color, Colors};
 
 /// Sequential first-fit BGPC over `order`. Returns the coloring and the
@@ -38,7 +37,7 @@ pub fn color_seq<G: Neighborhood>(g: &G, order: &[u32]) -> (Vec<Color>, usize) {
             color_seq_with_set::<F, G>(self.0, self.1)
         }
     }
-    with_forbidden_set(g, None, Seq(g, order))
+    with_forbidden_set(g, Seq(g, order))
 }
 
 /// [`color_seq`] with the forbidden-set representation `F` forced.

@@ -28,9 +28,14 @@ use par::{Pool, Sched, ThreadScratch};
 use crate::ctx::ThreadCtx;
 use crate::forbidden::ForbiddenSet;
 use crate::neighborhood::Neighborhood;
-use crate::tuning::PREFETCH_AHEAD;
 use crate::workqueue::{merge_local_queues, SharedQueue};
 use crate::{Balance, Color, Colors, UNCOLORED};
+
+/// How many queue positions ahead the vertex-based loops hint the cache
+/// about the next vertex's adjacency row. The queue entries are random
+/// vertex ids, so without the hint every `nets(w)` access is a cold
+/// indirect load; four items covers that latency without thrashing L1.
+pub const PREFETCH_AHEAD: usize = 4;
 
 /// Algorithm 4 — optimistic coloring of the work queue `w`, vertex-based.
 ///

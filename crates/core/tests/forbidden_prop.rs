@@ -18,7 +18,7 @@ use std::sync::Arc;
 
 use bgpc::ctx::ThreadCtx;
 use bgpc::vertex::color_workqueue_vertex;
-use bgpc::{Balance, BitStampSet, Color, Colors, ForbiddenSet, KernelImpl, Neighborhood, StampSet};
+use bgpc::{Balance, BitStampSet, Color, Colors, ForbiddenSet, Neighborhood, StampSet};
 use graph::{BipartiteGraph, Graph};
 use minicheck::{check, prop_assert, Gen};
 use par::{Pool, Sched, ThreadScratch};
@@ -75,80 +75,6 @@ fn stamp_and_bitstamp_sets_agree_on_random_op_sequences() {
         }
         Ok(())
     });
-}
-
-#[test]
-fn scalar_and_simd_first_fit_agree_on_random_states() {
-    // The vectorized first-fit word scans (SSE2/AVX2 where available)
-    // must be bit-identical to the scalar spec on every state the
-    // kernels can produce, including stale epochs and the 64/128-color
-    // word boundaries where the multi-word probes start and stop.
-    check("first_fit_kernel_equivalence", 256, |g| {
-        let cap = g.usize_in(1..200);
-        let mut scalar = BitStampSet::with_capacity(cap);
-        let mut simd = BitStampSet::with_capacity(cap);
-        scalar.set_kernel(KernelImpl::Scalar);
-        simd.set_kernel(KernelImpl::Simd);
-        let epochs = g.usize_in(1..4);
-        for _ in 0..epochs {
-            scalar.advance();
-            simd.advance();
-            // Bias toward dense prefixes so the scan regularly crosses
-            // several saturated words before finding a free bit.
-            let dense = g.usize_in(0..MAX_COLOR as usize);
-            for c in 0..dense as i32 {
-                scalar.insert(c);
-                simd.insert(c);
-            }
-            let scattered = g.usize_in(0..40);
-            for _ in 0..scattered {
-                let c = g.u32_in(0..MAX_COLOR) as i32;
-                scalar.insert(c);
-                simd.insert(c);
-            }
-            for from in [0, 1, 62, 63, 64, 65, 126, 127, 128, 129, 191, 192] {
-                prop_assert!(
-                    scalar.first_fit_from(from) == simd.first_fit_from(from),
-                    "first_fit_from({from}) diverged: scalar {}, simd {}",
-                    scalar.first_fit_from(from),
-                    simd.first_fit_from(from)
-                );
-            }
-            let from = g.u32_in(0..MAX_COLOR + 64) as i32;
-            prop_assert!(
-                scalar.first_fit_from(from) == simd.first_fit_from(from),
-                "first_fit_from({from}) diverged: scalar {}, simd {}",
-                scalar.first_fit_from(from),
-                simd.first_fit_from(from)
-            );
-        }
-        Ok(())
-    });
-}
-
-#[test]
-fn scalar_and_simd_first_fit_agree_on_exact_word_boundaries() {
-    // Deterministic boundary battery: prefixes 0..n fully forbidden for n
-    // around every word edge the 1/2/4-word probes care about.
-    for n in [63usize, 64, 65, 127, 128, 129, 255, 256, 257, 320] {
-        let mut scalar = BitStampSet::with_capacity(n + 64);
-        let mut simd = BitStampSet::with_capacity(n + 64);
-        scalar.set_kernel(KernelImpl::Scalar);
-        simd.set_kernel(KernelImpl::Simd);
-        scalar.advance();
-        simd.advance();
-        for c in 0..n as i32 {
-            scalar.insert(c);
-            simd.insert(c);
-        }
-        for from in 0..=(n as i32 + 1) {
-            assert_eq!(
-                scalar.first_fit_from(from),
-                simd.first_fit_from(from),
-                "dense prefix {n}, from {from}"
-            );
-        }
-    }
 }
 
 #[test]

@@ -3,15 +3,14 @@
 //!
 //! At one thread no speculation races, so every schedule is
 //! deterministic. The BGPC instances straddle
-//! [`bgpc::tuning::DENSE_FORBIDDEN_CUTOFF`], so both forbidden-set
+//! [`bgpc::forbidden::DENSE_FORBIDDEN_CUTOFF`], so both forbidden-set
 //! representations (`BitStampSet` at max net ≤ 128, `StampSet` above)
 //! are pinned; the mesh pins all eight schedules on D2GC, and a
 //! power-law graph with max degree > 128 pins D2GC's `StampSet` arm.
 //! Each instance also pins the B1/B2 balanced runs of `V-N2` and
 //! `N1-N2`, the sequential baseline, and (for one BGPC and one D2GC
-//! instance) a seeded incremental recolor. Every schedule runs with its
-//! default `--kernel auto`, i.e. the widest tier the host supports. If a
-//! hash moves on purpose, the failure message prints the new value.
+//! instance) a seeded incremental recolor. If a hash moves on purpose,
+//! the failure message prints the new value.
 
 use bgpc::incremental::{apply_delta, recolor_bgpc_incremental, recolor_d2gc_incremental, CsrDelta};
 use bgpc::verify::{verify_bgpc, verify_d2gc};
@@ -118,7 +117,7 @@ fn fixed_delta(m: &Csr, k: usize, step: usize) -> CsrDelta {
 #[test]
 fn bgpc_bitstamp_colorings_are_pinned() {
     let g = BipartiteGraph::from_matrix(&bitstamp_instance());
-    assert!(g.max_net_size() <= bgpc::tuning::DENSE_FORBIDDEN_CUTOFF);
+    assert!(g.max_net_size() <= bgpc::forbidden::DENSE_FORBIDDEN_CUTOFF);
     check_bgpc(
         &g,
         &[
@@ -141,7 +140,7 @@ fn bgpc_bitstamp_colorings_are_pinned() {
 #[test]
 fn bgpc_stamp_colorings_are_pinned() {
     let g = BipartiteGraph::from_matrix(&stamp_instance());
-    assert!(g.max_net_size() > bgpc::tuning::DENSE_FORBIDDEN_CUTOFF);
+    assert!(g.max_net_size() > bgpc::forbidden::DENSE_FORBIDDEN_CUTOFF);
     check_bgpc(
         &g,
         &[
@@ -164,7 +163,7 @@ fn bgpc_stamp_colorings_are_pinned() {
 #[test]
 fn d2gc_mesh_colorings_are_pinned() {
     let g = mesh();
-    assert!(g.max_degree() <= bgpc::tuning::DENSE_FORBIDDEN_CUTOFF);
+    assert!(g.max_degree() <= bgpc::forbidden::DENSE_FORBIDDEN_CUTOFF);
     check_d2gc(
         &g,
         &schedules_with_balance(),
@@ -188,7 +187,7 @@ fn d2gc_mesh_colorings_are_pinned() {
 #[test]
 fn d2gc_stamp_colorings_are_pinned() {
     let g = powerlaw();
-    assert!(g.max_degree() > bgpc::tuning::DENSE_FORBIDDEN_CUTOFF);
+    assert!(g.max_degree() > bgpc::forbidden::DENSE_FORBIDDEN_CUTOFF);
     check_d2gc(
         &g,
         &[Schedule::v_v(), Schedule::n1_n2(), Schedule::n2_n2()],

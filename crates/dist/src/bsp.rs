@@ -91,15 +91,15 @@ impl<'g> DistRunner<'g> {
             })
             .collect();
         run_rounds(self.graph, &self.partition, self.max_supersteps, |reqs| {
-            Ok(workers
+            workers
                 .iter_mut()
                 .zip(&reqs)
                 .map(|(w, req)| {
-                    let flush = w.superstep(req);
+                    let flush = w.superstep(req)?;
                     w.finish_deferred();
-                    flush
+                    Ok(flush)
                 })
-                .collect())
+                .collect()
         })
         .unwrap_or_else(|e| panic!("in-memory shard run failed: {e}"))
     }

@@ -46,9 +46,8 @@ pub struct Job {
     pub deadline: Option<Instant>,
     /// Skip the result cache for this job.
     pub no_cache: bool,
-    /// Resolved schedule; `None` lets the auto-tuning engine pick the
-    /// whole config from instance features at execution time.
-    pub schedule: Option<bgpc::Schedule>,
+    /// Resolved schedule (N1-N2 when the request named none).
+    pub schedule: bgpc::Schedule,
     /// The decoded pattern.
     pub matrix: sparse::Csr,
     /// Content fingerprint of `matrix` (cache key).
@@ -195,7 +194,7 @@ mod tests {
             priority,
             deadline: None,
             no_cache: false,
-            schedule: Some(bgpc::Schedule::n1_n2()),
+            schedule: bgpc::Schedule::n1_n2(),
             matrix: sparse::Csr::empty(1, 1),
             fingerprint: 0,
             seed: None,

@@ -31,8 +31,9 @@
 //! num_colors   4 bytes  u32 LE
 //! config_len   4 bytes  u32 LE — UTF-8 bytes of the config description
 //! config       config_len bytes — the config the coloring was computed
-//!              with (engine `describe()` syntax), so cached fingerprints
-//!              record the chosen configuration
+//!              with (`schedule=<name>`, or `update schedule=<name>` for
+//!              an incremental recolor), so cached fingerprints record
+//!              the chosen configuration
 //! n            8 bytes  u64 LE — vertex count
 //! colors       n*4      i32 LE each
 //! checksum     8 bytes  u64 LE — FNV-1a 64 of all preceding bytes
@@ -61,8 +62,8 @@ const ENTRY_EXT: &str = "bgpcres";
 pub struct CachedColoring {
     /// Number of distinct colors.
     pub num_colors: u32,
-    /// Config the coloring was computed with (engine `describe()` syntax,
-    /// or a `schedule=<name>` stub for explicit-schedule jobs).
+    /// Config the coloring was computed with (`schedule=<name>`, or
+    /// `update schedule=<name>` for an incremental recolor).
     pub config: String,
     /// Color per vertex.
     pub colors: Vec<i32>,
@@ -238,9 +239,7 @@ mod tests {
     fn sample() -> CachedColoring {
         CachedColoring {
             num_colors: 3,
-            config: "schedule=N1-N2 sched=dynamic width=u32 relabel=none kernel=auto \
-                     forbidden=auto"
-                .into(),
+            config: "schedule=N1-N2".into(),
             colors: vec![0, 1, 2, 0, 1],
         }
     }

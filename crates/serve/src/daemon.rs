@@ -29,6 +29,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use graph::BipartiteGraph;
+use sparse::LocalityOrder;
 
 use crate::admission::{AdmissionQueue, Job, SubmitError, UpdateSeed};
 use crate::cache::{CachedColoring, ResultCache};
@@ -306,9 +307,11 @@ fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
                     );
                     return;
                 };
-                match SuperstepRequest::decode(&payload) {
-                    Ok(req) => {
-                        let reply = worker.superstep(&req);
+                match SuperstepRequest::decode(&payload)
+                    .map_err(|e| e.to_string())
+                    .and_then(|req| worker.superstep(&req))
+                {
+                    Ok(reply) => {
                         ServeStats::bump(&shared.stats.supersteps);
                         if !respond(&mut stream, FrameKind::Flush, &reply.encode()) {
                             return;
@@ -322,7 +325,7 @@ fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
                     }
                     Err(e) => {
                         ServeStats::bump(&shared.stats.invalid_jobs);
-                        respond(&mut stream, FrameKind::InvalidJob, e.to_string().as_bytes());
+                        respond(&mut stream, FrameKind::InvalidJob, e.as_bytes());
                         return;
                     }
                 }
@@ -363,23 +366,13 @@ fn handle_submit(stream: &mut TcpStream, shared: &Arc<Shared>, payload: &[u8]) -
             );
         }
     };
-    // An empty schedule string delegates the whole config to the
-    // auto-tuning engine at execution time; a named schedule is explicit
-    // and wins over the engine (same contract as the CLI flags).
-    let schedule = if req.schedule.is_empty() {
-        None
-    } else {
-        match bgpc::Schedule::from_name(&req.schedule) {
-            Some(s) => Some(s),
-            None => {
-                ServeStats::bump(&shared.stats.invalid_jobs);
-                return respond(
-                    stream,
-                    FrameKind::InvalidJob,
-                    format!("unknown schedule {:?}", req.schedule).as_bytes(),
-                );
-            }
-        }
+    let Some(schedule) = job_schedule(&req.schedule) else {
+        ServeStats::bump(&shared.stats.invalid_jobs);
+        return respond(
+            stream,
+            FrameKind::InvalidJob,
+            format!("unknown schedule {:?}", req.schedule).as_bytes(),
+        );
     };
 
     let fingerprint = csr_fingerprint(&matrix);
@@ -410,6 +403,15 @@ fn handle_submit(stream: &mut TcpStream, shared: &Arc<Shared>, payload: &[u8]) -
         reply: tx,
     };
     admit_and_reply(stream, shared, job, rx, false)
+}
+
+/// The schedule a job names; an empty name means N1-N2.
+fn job_schedule(name: &str) -> Option<bgpc::Schedule> {
+    if name.is_empty() {
+        Some(bgpc::Schedule::n1_n2())
+    } else {
+        bgpc::Schedule::from_name(name)
+    }
 }
 
 /// Converts the wire's relative deadline (with the daemon default as
@@ -495,20 +497,13 @@ fn handle_update(stream: &mut TcpStream, shared: &Arc<Shared>, payload: &[u8]) -
             );
         }
     };
-    let schedule = if req.schedule.is_empty() {
-        None
-    } else {
-        match bgpc::Schedule::from_name(&req.schedule) {
-            Some(s) => Some(s),
-            None => {
-                ServeStats::bump(&shared.stats.invalid_jobs);
-                return respond(
-                    stream,
-                    FrameKind::InvalidJob,
-                    format!("unknown schedule {:?}", req.schedule).as_bytes(),
-                );
-            }
-        }
+    let Some(schedule) = job_schedule(&req.schedule) else {
+        ServeStats::bump(&shared.stats.invalid_jobs);
+        return respond(
+            stream,
+            FrameKind::InvalidJob,
+            format!("unknown schedule {:?}", req.schedule).as_bytes(),
+        );
     };
     // Delta validation is typed end to end: a malformed batch (duplicate
     // edge, insert-delete overlap, out-of-bounds endpoint, edge already
@@ -578,18 +573,15 @@ fn handle_update(stream: &mut TcpStream, shared: &Arc<Shared>, payload: &[u8]) -
 fn executor_loop(shared: &Arc<Shared>) {
     let pool = par::Pool::new(shared.cfg.pool_threads.max(1));
     shared.pool_workers.store(pool.threads(), Ordering::Relaxed);
-    // One engine per daemon: the shipped decision table is parsed once
-    // and shared by every engine-routed (empty-schedule) job.
-    let engine = bgpc::Engine::with_default_table();
     while let Some(job) = shared.queue.pop() {
-        let reply = run_job(shared, &pool, &engine, &job);
+        let reply = run_job(shared, &pool, &job);
         // A send failure means the handler (and its client) went away;
         // the result is simply dropped.
         let _ = job.reply.send(reply);
     }
 }
 
-fn run_job(shared: &Arc<Shared>, pool: &par::Pool, engine: &bgpc::Engine, job: &Job) -> JobReply {
+fn run_job(shared: &Arc<Shared>, pool: &par::Pool, job: &Job) -> JobReply {
     ServeStats::bump(&shared.stats.cache_misses);
     let cancel = bgpc::CancelToken::new();
     *crate::sync::lock_recover(&shared.current_cancel) = Some(cancel.clone());
@@ -597,74 +589,44 @@ fn run_job(shared: &Arc<Shared>, pool: &par::Pool, engine: &bgpc::Engine, job: &
         // Panic injection for the job body — contained below, answered
         // with ServerError, daemon keeps serving.
         par::faults::fire("serve.job.panic", 0);
-        let g = BipartiteGraph::try_from_matrix_owned(job.matrix.clone())
-            .map_err(|e| e.to_string())?;
         let opts = bgpc::RunnerOpts {
             deadline: job.deadline,
             cancel: Some(cancel.clone()),
             ..bgpc::RunnerOpts::default()
         };
         // Incremental update: recolor only the dirty vertices, seeded
-        // from the cached base coloring. The engine's relabel/width
-        // machinery is bypassed — dirty sets are small, so the run is
-        // dominated by the seeding scan, not the coloring itself.
+        // from the cached base coloring, in the base's vertex ids — dirty
+        // sets are small, so the run is dominated by the seeding scan,
+        // not the coloring itself.
         if let Some(seed) = &job.seed {
-            let schedule = job
-                .schedule
-                .clone()
-                .unwrap_or_else(bgpc::Schedule::n1_n2);
+            let g = BipartiteGraph::try_from_matrix_owned(job.matrix.clone())
+                .map_err(|e| e.to_string())?;
             let order = graph::Ordering::Natural.vertex_order_bgpc(&g);
             let r = bgpc::recolor_incremental(
                 &g,
                 &seed.base_colors,
                 &seed.dirty,
                 &order,
-                &schedule,
+                &job.schedule,
                 pool,
                 opts,
             );
-            return Ok::<_, String>((r, format!("update schedule={}", schedule.name())));
+            return Ok::<_, String>((r, format!("update schedule={}", job.schedule.name())));
         }
-        match &job.schedule {
-            // Explicit schedule: color as requested, stamp a schedule
-            // stub as the cached config.
-            Some(schedule) => {
-                let order = graph::Ordering::Natural.vertex_order_bgpc(&g);
-                let r = bgpc::color_with_opts(&g, &order, schedule, pool, opts);
-                Ok::<_, String>((r, format!("schedule={}", schedule.name())))
-            }
-            // Engine-routed: featurize, select a full config, apply its
-            // relabeling/width at build time and its schedule/forbidden
-            // choice in the driver, with the online tuner attached. The
-            // coloring is mapped back through the relabel permutation, so
-            // clients (and the cache) always see original vertex ids.
-            None => {
-                let choice = engine.select_bgpc(&g);
-                let cfg = &choice.config;
-                let opts = bgpc::RunnerOpts {
-                    online: Some(bgpc::OnlineTuner::default()),
-                    ..opts
-                };
-                let (pm, perm) = cfg.relabel.apply_columns(&job.matrix);
-                let mut r = match cfg.index_width {
-                    sparse::IndexWidth::U32 => {
-                        let gp = BipartiteGraph::from_matrix(&pm);
-                        let order: Vec<u32> = (0..gp.n_vertices() as u32).collect();
-                        bgpc::engine::color_with_config(&gp, &order, cfg, pool, opts)
-                    }
-                    sparse::IndexWidth::U64 => {
-                        let pm = pm.to_index::<u64>();
-                        let gp = BipartiteGraph::from_matrix(&pm);
-                        let order: Vec<u32> = (0..gp.n_vertices() as u32).collect();
-                        bgpc::engine::color_with_config(&gp, &order, cfg, pool, opts)
-                    }
-                };
-                if let Some(p) = &perm {
-                    r.colors = sparse::unpermute(&r.colors, p);
-                }
-                Ok((r, format!("{} matched={}", cfg.describe(), choice.matched)))
-            }
+        // Full coloring, named or default schedule alike: columns
+        // relabeled by descending degree, so the natural-order run
+        // colors the heaviest vertices first, then mapped back through
+        // the permutation, so clients (and the cache) see original
+        // vertex ids. The decoder has already validated the pattern the
+        // relabel reads.
+        let (pm, perm) = LocalityOrder::Degree.apply_columns(&job.matrix);
+        let g = BipartiteGraph::try_from_matrix_owned(pm).map_err(|e| e.to_string())?;
+        let order: Vec<u32> = (0..g.n_vertices() as u32).collect();
+        let mut r = bgpc::color_with_opts(&g, &order, &job.schedule, pool, opts);
+        if let Some(p) = &perm {
+            r.colors = sparse::unpermute(&r.colors, p);
         }
+        Ok((r, format!("schedule={}", job.schedule.name())))
     });
     *crate::sync::lock_recover(&shared.current_cancel) = None;
     match outcome {

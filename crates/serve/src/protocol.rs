@@ -280,7 +280,7 @@ pub struct JobRequest {
     /// Skip the result cache for this job (both lookup and fill).
     pub no_cache: bool,
     /// Schedule name (see [`bgpc::Schedule::from_name`]); empty selects
-    /// the daemon default.
+    /// N1-N2.
     pub schedule: String,
     /// The pattern in `sparse::bin_io` format (checksummed).
     pub graph_bytes: Vec<u8>,
@@ -350,7 +350,7 @@ pub struct UpdateRequest {
     pub deadline_ms: u32,
     /// Skip the result cache entirely (no base lookup, no store).
     pub no_cache: bool,
-    /// Schedule name; empty selects the daemon's update default.
+    /// Schedule name; empty selects N1-N2.
     pub schedule: String,
     /// Edge insertions `(row, col)` — must be absent from the base.
     pub insertions: Vec<(u32, u32)>,

@@ -42,7 +42,7 @@
 
 use std::sync::Arc;
 
-use bgpc::tuning::PREFETCH_AHEAD;
+use bgpc::vertex::PREFETCH_AHEAD;
 use bgpc::{Color, StampSet, UNCOLORED};
 use graph::BipartiteGraph;
 
@@ -387,7 +387,11 @@ impl ShardWorker {
     /// write the reply to the wire and then call
     /// [`ShardWorker::finish_deferred`] — that ordering is the
     /// interior/boundary overlap.
-    pub fn superstep(&mut self, req: &SuperstepRequest) -> FlushReply {
+    ///
+    /// Refuses, before touching the view, a request carrying an update
+    /// color outside `UNCOLORED..n + JITTER_WINDOW_MAX` (`n` vertices):
+    /// no pick can produce one, and the forbidden set would grow to it.
+    pub fn superstep(&mut self, req: &SuperstepRequest) -> Result<FlushReply, String> {
         if req.harvest {
             // Owned assignment, tagged with our own shard id.
             let messages = self
@@ -397,9 +401,17 @@ impl ShardWorker {
                 .filter(|&(_, &o)| o == self.shard)
                 .map(|(v, _)| (self.shard, v as u32, self.view[v]))
                 .collect();
-            return FlushReply { colored: 0, conflicts: 0, messages };
+            return Ok(FlushReply { colored: 0, conflicts: 0, messages });
         }
 
+        let limit = self.view.len() as i64 + JITTER_WINDOW_MAX as i64;
+        if let Some(&(v, c)) =
+            req.updates.iter().find(|&&(_, c)| c < UNCOLORED || c as i64 >= limit)
+        {
+            return Err(format!(
+                "update color {c} for vertex {v} outside {UNCOLORED}..{limit}"
+            ));
+        }
         // Deliver the routed remote colors first: conflict detection for
         // last round's coloring needs them.
         for &(v, c) in &req.updates {
@@ -435,7 +447,7 @@ impl ShardWorker {
         }
         let colored = queue.len() + if req.superstep <= 1 { self.interior.len() } else { 0 };
         self.pending = queue;
-        FlushReply { colored: colored as u32, conflicts, messages }
+        Ok(FlushReply { colored: colored as u32, conflicts, messages })
     }
 
     /// Colors the interior vertices deferred by round 1 — called after
@@ -496,7 +508,7 @@ mod tests {
                     harvest: false,
                     updates: std::mem::take(&mut inbox[r]),
                 };
-                let reply = w.superstep(&req);
+                let reply = w.superstep(&req).unwrap();
                 w.finish_deferred();
                 colored += reply.colored;
                 for (dest, v, c) in reply.messages {
@@ -512,11 +524,9 @@ mod tests {
         let n = m.ncols();
         let mut colors = vec![UNCOLORED; n];
         for w in workers.iter_mut() {
-            let reply = w.superstep(&SuperstepRequest {
-                superstep: 0,
-                harvest: true,
-                updates: vec![],
-            });
+            let reply = w
+                .superstep(&SuperstepRequest { superstep: 0, harvest: true, updates: vec![] })
+                .unwrap();
             for (_, v, c) in reply.messages {
                 colors[v as usize] = c;
             }
@@ -584,7 +594,9 @@ mod tests {
         let m = sparse::Csr::from_rows(20, &rows);
         let owners: Vec<u32> = (0..20).map(|v| u32::from(v >= 10)).collect();
         let mut w = install(&m, owners, 0, 2);
-        let reply = w.superstep(&SuperstepRequest { superstep: 1, harvest: false, updates: vec![] });
+        let reply = w
+            .superstep(&SuperstepRequest { superstep: 1, harvest: false, updates: vec![] })
+            .unwrap();
         assert_eq!(reply.colored, 10, "all owned vertices count as colored");
         assert!(reply.messages.is_empty(), "no boundary, no messages");
         assert!(w.view[..10].iter().all(|&c| c == UNCOLORED), "interior not yet colored");

@@ -11,8 +11,10 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
-use serve::protocol::{read_frame, write_frame, FrameKind, ShardRequest, FRAME_MAGIC};
-use serve::{Daemon, RetryPolicy, ServeClient, ServeConfig};
+use serve::protocol::{
+    read_frame, write_frame, FrameKind, ShardRequest, SuperstepRequest, FRAME_MAGIC,
+};
+use serve::{Daemon, JobRequest, Priority, RetryPolicy, ServeClient, ServeConfig};
 
 fn start(tag: &str, read_timeout: Duration) -> Daemon {
     let dir = std::env::temp_dir().join(format!("serve-adv-{tag}-{}", std::process::id()));
@@ -201,4 +203,47 @@ fn shard_install_with_a_huge_shard_count_allocates_nothing_per_shard() {
         );
         assert_alive(&d);
     }
+}
+
+#[test]
+fn superstep_update_colors_out_of_range_are_refused() {
+    // A color near i32::MAX would grow the worker's forbidden set to
+    // 16 GiB, and one below UNCOLORED is not a color at all: both must be
+    // refused before they reach the view.
+    let d = start("badcolors", Duration::from_secs(5));
+    let m = sparse::gen::bipartite_uniform(10, 12, 40, 1);
+    let mut graph_bytes = Vec::new();
+    sparse::bin_io::write_bin(&mut graph_bytes, &m).unwrap();
+    let owners: Vec<u32> = (0..12).map(|v| v % 2).collect();
+    for bad in [i32::MAX, -2] {
+        let mut s = connect(&d);
+        let req = ShardRequest {
+            shard: 0,
+            n_shards: 2,
+            owners: owners.clone(),
+            graph_bytes: graph_bytes.clone(),
+        };
+        write_frame(&mut s, FrameKind::Shard, &req.encode(), 0).unwrap();
+        assert_eq!(read_reply(&mut s).0, FrameKind::Pong);
+        for (superstep, updates) in [(1, vec![]), (2, vec![(1, bad)])] {
+            let step = SuperstepRequest { superstep, harvest: false, updates };
+            write_frame(&mut s, FrameKind::Superstep, &step.encode(), 0).unwrap();
+            let (kind, payload) = read_reply(&mut s);
+            let want = if superstep == 1 { FrameKind::Flush } else { FrameKind::InvalidJob };
+            assert_eq!(kind, want, "color {bad}: {}", String::from_utf8_lossy(&payload));
+        }
+    }
+    let job = JobRequest {
+        priority: Priority::Normal,
+        deadline_ms: 0,
+        no_cache: true,
+        schedule: String::new(),
+        graph_bytes: serve::client::encode_graph(&m),
+    };
+    let mut c = ServeClient::new(
+        d.local_addr().to_string(),
+        RetryPolicy { max_attempts: 1, ..RetryPolicy::default() },
+    );
+    let out = c.submit(&job).expect("daemon must still serve a normal job");
+    bgpc::verify::verify_bgpc(&graph::BipartiteGraph::from_matrix(&m), &out.colors).unwrap();
 }

@@ -109,6 +109,10 @@ fn round_trip_then_cache_hit_then_restart_hit() {
 #[test]
 fn tight_deadline_degrades_to_valid_best_so_far() {
     let _g = lock();
+    // Stall the job body once for 5 ms, so the 1 ms deadline has always
+    // expired before coloring starts (a fast host could otherwise beat it).
+    faults::reset();
+    faults::arm_with("serve.job.panic", FaultAction::Stall(Duration::from_millis(5)), 1, None);
     let d = start("deadline", |_| {});
     let mut c = client_for(&d, 3);
     let m = sparse::gen::bipartite_uniform(4000, 3000, 60_000, 3);
@@ -130,6 +134,7 @@ fn tight_deadline_degrades_to_valid_best_so_far() {
     let stats = c.stats().expect("stats verb");
     let get = |k: &str| stats.iter().find(|(n, _)| n == k).map(|(_, v)| *v).unwrap_or(0);
     assert!(get("deadline_miss") >= 1, "deadline_miss counter must move");
+    faults::reset();
 }
 
 #[test]

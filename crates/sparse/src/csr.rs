@@ -65,8 +65,7 @@ pub enum IndexWidth {
 }
 
 /// Largest nonzero count a `u32` row pointer can address — the
-/// [`IndexWidth::auto_for`] cutoff. `bgpc::tuning` re-exports this so the
-/// autotuning engine and the legacy width heuristic share one definition.
+/// [`IndexWidth::auto_for`] cutoff.
 pub const U32_MAX_NNZ: usize = u32::MAX as usize;
 
 impl IndexWidth {

@@ -23,9 +23,9 @@ pub enum Counter {
     ForbiddenProbes,
     /// Software prefetch hints issued ahead of adjacency-row walks.
     PrefetchIssues,
-    /// Vector blocks executed by a SIMD neighborhood sweep. No kernel has
-    /// one (the mark and conflict sweeps are scalar), so this reads zero;
-    /// the variant stays so existing trace consumers keep their column.
+    /// Vector blocks executed by a SIMD sweep. Nothing increments it:
+    /// every kernel is scalar, so it always reads zero. It stays only
+    /// because perfbench's `core.simd_hit_frac` metric reads it.
     SimdPathHits,
     /// Steals won from a victim in the thief's near tier (same physical
     /// core/package under the topology model). Subset of `StealsWon`.

@@ -23,17 +23,7 @@
 #                                 # message volume -> BENCH_dist.json
 #
 # The coloring modes additionally accept, after the mode flag:
-#   --kernel scalar|simd|auto     # pin the tier of the first-fit word scan
-#                                 # (the only vectorized kernel; the mark
-#                                 # and conflict sweeps are always scalar)
 #   --pin                         # pin workers core-major (see par::topo)
-#   --kernel-sweep                # run the report once per kernel side,
-#                                 # writing BENCH_coloring_scalar.json and
-#                                 # BENCH_coloring_simd.json for A/B diffs
-#   --autotune                    # additionally measure the engine-chosen
-#                                 # config per cell and score it against
-#                                 # the sweep's oracle best (see
-#                                 # scripts/fit_engine.sh)
 #   --delta                       # additionally measure incremental
 #                                 # update batches (apply_delta + dirty-set
 #                                 # recolor) against full recolor on the
@@ -50,8 +40,8 @@ TRACE_MODE=0
 MODE_CONSUMED=1
 case "${1:-}" in
   # A trailing axis flag in first position means quick mode was implied
-  # (e.g. `bench.sh --autotune`); leave it for the trailing parser.
-  --kernel | --pin | --kernel-sweep | --autotune | --delta) MODE_CONSUMED=0 ;;
+  # (e.g. `bench.sh --delta`); leave it for the trailing parser.
+  --pin | --delta) MODE_CONSUMED=0 ;;
   --full) MODE_FLAG="" ;;
   --smoke) MODE_FLAG="--smoke" ;;
   --trace)
@@ -94,7 +84,7 @@ case "${1:-}" in
   "" | --quick) ;;
   *)
     echo "usage: $0 [--quick|--full|--smoke|--trace|--check-deep|--serve|--dist]" \
-         "[--kernel K] [--pin] [--kernel-sweep]" >&2
+         "[--pin] [--delta]" >&2
     exit 2
     ;;
 esac
@@ -103,34 +93,15 @@ esac
 # bench_coloring (the --serve/--check-deep branches exit above and take
 # none).
 if [[ $# -gt 0 && "$MODE_CONSUMED" == 1 ]]; then shift; fi
-KERNEL_FLAGS=()
-KERNEL_SWEEP=0
+AXIS_FLAGS=()
 while [[ $# -gt 0 ]]; do
   case "$1" in
-    --kernel)
-      [[ $# -ge 2 ]] || { echo "bench.sh: --kernel needs a value" >&2; exit 2; }
-      KERNEL_FLAGS+=("--kernel" "$2")
-      shift 2
-      ;;
-    --pin)
-      KERNEL_FLAGS+=("--pin")
-      shift
-      ;;
-    --kernel-sweep)
-      KERNEL_SWEEP=1
-      shift
-      ;;
-    --autotune)
-      KERNEL_FLAGS+=("--autotune")
-      shift
-      ;;
-    --delta)
-      KERNEL_FLAGS+=("--delta")
+    --pin | --delta)
+      AXIS_FLAGS+=("$1")
       shift
       ;;
     *)
-      echo "bench.sh: unknown trailing flag \`$1\` (expected --kernel K, --pin," \
-           "--kernel-sweep, --autotune, --delta)" >&2
+      echo "bench.sh: unknown trailing flag \`$1\` (expected --pin, --delta)" >&2
       exit 2
       ;;
   esac
@@ -151,7 +122,7 @@ echo "== provenance: sha=${BENCH_GIT_SHA} host=${BENCH_HOSTNAME} threads=${BENCH
 if [[ "$TRACE_MODE" == 1 ]]; then
   echo "== bench_coloring --smoke --trace (observability smoke)"
   cargo build --release --offline -p trace --bin trace_schema_check
-  ./target/release/bench_coloring --smoke ${KERNEL_FLAGS[@]+"${KERNEL_FLAGS[@]}"} \
+  ./target/release/bench_coloring --smoke ${AXIS_FLAGS[@]+"${AXIS_FLAGS[@]}"} \
     --out target/BENCH_trace_smoke.json \
     --trace target/BENCH_trace_smoke.trace.json
   echo "== trace_schema_check (chrome-trace schema + imbalance table)"
@@ -160,21 +131,9 @@ if [[ "$TRACE_MODE" == 1 ]]; then
   exit 0
 fi
 
-if [[ "$KERNEL_SWEEP" == 1 ]]; then
-  echo "== bench_coloring kernel sweep: scalar vs simd sides"
-  for side in scalar simd; do
-    # shellcheck disable=SC2086  # MODE_FLAG is intentionally word-split
-    ./target/release/bench_coloring ${MODE_FLAG} --kernel "$side" \
-      ${KERNEL_FLAGS[@]+"${KERNEL_FLAGS[@]}"} \
-      --out "BENCH_coloring_${side}.json"
-  done
-  echo "bench: OK (wrote BENCH_coloring_scalar.json, BENCH_coloring_simd.json)"
-  exit 0
-fi
-
 echo "== bench_coloring ${MODE_FLAG:-(full)}"
 # shellcheck disable=SC2086  # MODE_FLAG is intentionally word-split
-./target/release/bench_coloring ${MODE_FLAG} ${KERNEL_FLAGS[@]+"${KERNEL_FLAGS[@]}"} \
+./target/release/bench_coloring ${MODE_FLAG} ${AXIS_FLAGS[@]+"${AXIS_FLAGS[@]}"} \
   --out BENCH_coloring.json
 
 echo "== microbench: forbidden-set representations"

@@ -54,24 +54,13 @@ CHECK_SEED="${CHECK_SEED:-20260806}"
 ./target/release/check_smoke --seed "$CHECK_SEED" --cases 200
 step_end "check-smoke"
 
-step_begin "check smoke: forced --kernel scalar / --kernel simd sweeps"
-# The same seeded oracle instances with the kernel axis pinned to each
-# side of the scalar ≡ simd contract. The axis selects only the
-# first-fit word scan (the mark and conflict sweeps are scalar on every
-# tier), so these two sweeps pin that the SSE2/AVX2 scan never diverges
-# from the scalar spec, even on hosts where the random axis draw would
-# rarely pick one side.
-./target/release/check_smoke --seed "$CHECK_SEED" --cases 60 --kernel scalar
-./target/release/check_smoke --seed "$CHECK_SEED" --cases 60 --kernel simd
-step_end "check-smoke-kernels"
-
 step_begin "check smoke: --delta incremental-recoloring differential oracle"
 # Randomized mutation batches against randomized base instances, for both
 # problems: apply_delta exactness (inserted edges present, deleted absent,
 # everything else untouched), dirty-set recoloring verified on the mutated
 # graph with no base-vertex degradation, the documented quality bound for
 # unbalanced schedules, empty-delta identity, and the one-thread battery
-# (determinism, forbidden-set/width/kernel equivalence).
+# (determinism, forbidden-set/width equivalence).
 ./target/release/check_smoke --seed "$CHECK_SEED" --cases 120 --delta
 step_end "check-smoke-delta"
 
@@ -83,29 +72,6 @@ step_begin "check smoke: --dist sharded-coloring differential oracle"
 # bound, and match the in-process single-node baseline's accounting.
 ./target/release/check_smoke --seed "$CHECK_SEED" --cases 60 --dist
 step_end "check-smoke-dist"
-
-step_begin "check smoke: --autotune engine-selection sweep"
-# The same oracle standard applied to configs the auto-tuning engine
-# picks: selection must be deterministic, the chosen schedule's name
-# must round-trip, and the config (relabel + index width + online
-# tuner) must color validly at 1-4 threads with no degrade.
-./target/release/check_smoke --seed "$CHECK_SEED" --cases 60 --autotune
-step_end "check-smoke-autotune"
-
-step_begin "CLI autotune smoke: engine banner + explicit-flag override"
-# `--autotune` must announce the engine's resolved config, and an
-# explicitly passed flag must beat the engine on that axis (the
-# override contract) — both grepped from the CLI's own output.
-AUTOTUNE_OUT=$(./target/release/bgpc-cli color --dataset coPapersDBLP --scale 0.002 \
-  --threads 2 --autotune)
-echo "$AUTOTUNE_OUT" | grep -q "autotune: schedule=" \
-  || { echo "verify: FAIL — --autotune printed no engine config banner" >&2; exit 1; }
-OVERRIDE_OUT=$(./target/release/bgpc-cli color --dataset coPapersDBLP --scale 0.002 \
-  --threads 2 --autotune --schedule v-v)
-echo "$OVERRIDE_OUT" | grep -q "autotune: schedule=V-V " \
-  || { echo "verify: FAIL — explicit --schedule v-v did not override the engine" >&2; exit 1; }
-echo "-- autotune banner present; explicit --schedule overrides the engine"
-step_end "cli-autotune"
 
 step_begin "bench smoke: bench_coloring --smoke (verifies every coloring)"
 # The smoke run exits nonzero if any schedule produces an invalid
