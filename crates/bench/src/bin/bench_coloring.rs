@@ -28,7 +28,7 @@ use bench::to_json_struct;
 use bgpc::verify::{verify_bgpc, verify_d2gc};
 use bgpc::{BitStampSet, CsrDelta, ForbiddenSet, RunnerOpts, Schedule, StampSet};
 use graph::{BipartiteGraph, Graph, Ordering};
-use par::{Pool, Sched};
+use par::Pool;
 use sparse::{Csr, CsrIndex, Dataset, IndexWidth, LocalityOrder};
 
 /// Micro comparison row: dense first-fit cost per call.
@@ -62,8 +62,6 @@ struct ScheduleRecord {
     index_width: String,
     /// Locality relabeling applied before coloring (`none`/`degree`/`bfs`).
     order: String,
-    /// Chunk-scheduling policy (`dynamic` or `steal`).
-    sched: String,
     /// Minimum wall time over the repetitions, milliseconds.
     time_ms: f64,
     num_colors: usize,
@@ -79,7 +77,6 @@ to_json_struct!(ScheduleRecord {
     set_impl,
     index_width,
     order,
-    sched,
     time_ms,
     num_colors,
     rounds,
@@ -272,7 +269,6 @@ fn run_bgpc<F: ForbiddenSet, I: CsrIndex>(
         set_impl: set_impl.into(),
         index_width: I::LABEL.into(),
         order: "none".into(),
-        sched: schedule.sched.label().into(),
         time_ms: best_ms,
         num_colors,
         rounds,
@@ -309,11 +305,10 @@ fn axis_record_bgpc<I: CsrIndex>(
         };
         if let Err(e) = verify_bgpc(g0, &colors) {
             eprintln!(
-                "FATAL: invalid BGPC axis coloring ({dataset}, {}, {threads}t, {}, {}, {}): {e}",
+                "FATAL: invalid BGPC axis coloring ({dataset}, {}, {threads}t, {}, {}): {e}",
                 schedule.name(),
                 I::LABEL,
                 relabel.label(),
-                schedule.sched,
             );
             std::process::exit(1);
         }
@@ -333,7 +328,6 @@ fn axis_record_bgpc<I: CsrIndex>(
         set_impl: "auto".into(),
         index_width: I::LABEL.into(),
         order: relabel.label().into(),
-        sched: schedule.sched.label().into(),
         time_ms: best_ms,
         num_colors,
         rounds,
@@ -367,11 +361,10 @@ fn axis_record_d2gc<I: CsrIndex>(
         };
         if let Err(e) = verify_d2gc(g0, &colors) {
             eprintln!(
-                "FATAL: invalid D2GC axis coloring ({dataset}, {}, {threads}t, {}, {}, {}): {e}",
+                "FATAL: invalid D2GC axis coloring ({dataset}, {}, {threads}t, {}, {}): {e}",
                 schedule.name(),
                 I::LABEL,
                 relabel.label(),
-                schedule.sched,
             );
             std::process::exit(1);
         }
@@ -391,7 +384,6 @@ fn axis_record_d2gc<I: CsrIndex>(
         set_impl: "auto".into(),
         index_width: I::LABEL.into(),
         order: relabel.label().into(),
-        sched: schedule.sched.label().into(),
         time_ms: best_ms,
         num_colors,
         rounds,
@@ -436,7 +428,6 @@ fn run_d2gc(
         set_impl: "BitStampSet".into(),
         index_width: "u32".into(),
         order: "none".into(),
-        sched: schedule.sched.label().into(),
         time_ms: best_ms,
         num_colors,
         rounds,
@@ -654,11 +645,10 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut mode = "full";
     let mut out_path = String::from("BENCH_coloring.json");
-    // Axis restrictions for the width × order × sched sweep; `None` means
+    // Axis restrictions for the width × order sweep; `None` means
     // "sweep every value" so the default report holds all combinations.
     let mut only_width: Option<IndexWidth> = None;
     let mut only_order: Option<LocalityOrder> = None;
-    let mut only_sched: Option<Sched> = None;
     let mut pin = false;
     let mut delta_axis = false;
     let mut trace_path: Option<String> = None;
@@ -697,14 +687,6 @@ fn main() {
                 }));
                 i += 2;
             }
-            "--sched" => {
-                let v = flag_value(&args, i, "--sched");
-                only_sched = Some(Sched::from_name(&v).unwrap_or_else(|| {
-                    eprintln!("bad --sched `{v}` (expected dynamic|steal)");
-                    std::process::exit(2);
-                }));
-                i += 2;
-            }
             "--pin" => {
                 pin = true;
                 i += 1;
@@ -716,7 +698,7 @@ fn main() {
             other => {
                 eprintln!(
                     "unknown flag `{other}` (expected --smoke, --quick, --out PATH, \
-                     --trace PATH, --index-width W, --order O, --sched S, --pin, --delta)"
+                     --trace PATH, --index-width W, --order O, --pin, --delta)"
                 );
                 std::process::exit(2);
             }
@@ -727,7 +709,6 @@ fn main() {
         only_width.map_or_else(|| vec![IndexWidth::U32, IndexWidth::U64], |w| vec![w]);
     let orders: Vec<LocalityOrder> =
         only_order.map_or_else(|| LocalityOrder::all().to_vec(), |o| vec![o]);
-    let scheds: Vec<Sched> = only_sched.map_or_else(|| Sched::all().to_vec(), |s| vec![s]);
     let mk_pool = |t: usize| {
         let pool = if pin { Pool::new_pinned(t) } else { Pool::new(t) };
         if pool.threads() != t {
@@ -842,9 +823,9 @@ fn main() {
             }
         }
     }
-    // Axis sweep (index width × locality relabeling × chunk scheduler) on
-    // the headline schedules. Every run is verified against the original,
-    // un-relabeled graph after mapping the coloring back.
+    // Axis sweep (index width × locality relabeling) on the headline
+    // schedules. Every run is verified against the original, un-relabeled
+    // graph after mapping the coloring back.
     for dataset in &bgpc_sets {
         let inst = dataset.build(scale, SEED);
         let g0 = BipartiteGraph::from_matrix(&inst.matrix);
@@ -853,28 +834,25 @@ fn main() {
             for &width in &widths {
                 for &t in &threads {
                     let pool = mk_pool(t);
-                    for base in [Schedule::v_v_64d(), Schedule::n1_n2()] {
-                        for &sched in &scheds {
-                            let schedule = base.clone().with_sched(sched);
-                            let rec = match width {
-                                IndexWidth::U32 => axis_record_bgpc(
-                                    &pm, &g0, &perm, dataset.name(), &schedule, &pool, t,
-                                    relabel, reps,
-                                ),
-                                IndexWidth::U64 => axis_record_bgpc(
-                                    &pm.to_index::<u64>(),
-                                    &g0,
-                                    &perm,
-                                    dataset.name(),
-                                    &schedule,
-                                    &pool,
-                                    t,
-                                    relabel,
-                                    reps,
-                                ),
-                            };
-                            schedules.push(rec);
-                        }
+                    for schedule in [Schedule::v_v_64d(), Schedule::n1_n2()] {
+                        let rec = match width {
+                            IndexWidth::U32 => axis_record_bgpc(
+                                &pm, &g0, &perm, dataset.name(), &schedule, &pool, t,
+                                relabel, reps,
+                            ),
+                            IndexWidth::U64 => axis_record_bgpc(
+                                &pm.to_index::<u64>(),
+                                &g0,
+                                &perm,
+                                dataset.name(),
+                                &schedule,
+                                &pool,
+                                t,
+                                relabel,
+                                reps,
+                            ),
+                        };
+                        schedules.push(rec);
                     }
                 }
             }
@@ -898,27 +876,25 @@ fn main() {
             for &width in &widths {
                 for &t in &threads {
                     let pool = mk_pool(t);
-                    for &sched in &scheds {
-                        let schedule = Schedule::v_v_64d().with_sched(sched);
-                        let rec = match width {
-                            IndexWidth::U32 => axis_record_d2gc(
-                                &pm, &g, &perm, dataset.name(), &schedule, &pool, t, relabel,
-                                reps,
-                            ),
-                            IndexWidth::U64 => axis_record_d2gc(
-                                &pm.to_index::<u64>(),
-                                &g,
-                                &perm,
-                                dataset.name(),
-                                &schedule,
-                                &pool,
-                                t,
-                                relabel,
-                                reps,
-                            ),
-                        };
-                        schedules.push(rec);
-                    }
+                    let schedule = Schedule::v_v_64d();
+                    let rec = match width {
+                        IndexWidth::U32 => axis_record_d2gc(
+                            &pm, &g, &perm, dataset.name(), &schedule, &pool, t, relabel,
+                            reps,
+                        ),
+                        IndexWidth::U64 => axis_record_d2gc(
+                            &pm.to_index::<u64>(),
+                            &g,
+                            &perm,
+                            dataset.name(),
+                            &schedule,
+                            &pool,
+                            t,
+                            relabel,
+                            reps,
+                        ),
+                    };
+                    schedules.push(rec);
                 }
             }
         }
@@ -926,7 +902,7 @@ fn main() {
 
     for s in &schedules {
         eprintln!(
-            "  {} {} {} {}t [{}/{}/{}/{}]: {:.3} ms, {} colors, {} rounds",
+            "  {} {} {} {}t [{}/{}/{}]: {:.3} ms, {} colors, {} rounds",
             s.problem,
             s.dataset,
             s.schedule,
@@ -934,7 +910,6 @@ fn main() {
             s.set_impl,
             s.index_width,
             s.order,
-            s.sched,
             s.time_ms,
             s.num_colors,
             s.rounds

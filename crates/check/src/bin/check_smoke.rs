@@ -164,14 +164,6 @@ fn model_stages(seed: u64, deep: bool) -> Vec<Stage> {
             cov(move || models::check_cursor_model_random(3, 64, 7, seed, rounds)),
         ),
         (
-            "model: steal-half",
-            cov(|| models::check_steal_model_exhaustive(2, 4, 2, 500_000)),
-        ),
-        (
-            "model: steal-half (random)",
-            cov(move || models::check_steal_model_random(3, 24, 3, seed ^ 0x57EA1, rounds)),
-        ),
-        (
             "real: queue ops",
             cov(|| {
                 models::check_real_queue_ops(8, &[2, 2], false, 200_000)
@@ -182,10 +174,6 @@ fn model_stages(seed: u64, deep: bool) -> Vec<Stage> {
         (
             "real: cursor ops",
             cov(|| models::check_real_cursor_ops(2, 7, 2, 1_000_000)),
-        ),
-        (
-            "real: steal ops",
-            cov(|| models::check_real_steal_ops(2, 10, 2_000_000)),
         ),
     ]
 }

@@ -1,7 +1,7 @@
 //! The delta oracle: incremental recoloring against full recoloring.
 //!
 //! Each *case* draws a randomized base instance and a configuration point
-//! (schedule × balancer × chunk scheduler × thread count × ordering)
+//! (schedule × balancer × thread count × ordering)
 //! exactly like [`crate::oracle`], colors the base graph, then draws a
 //! random **mutation batch** — insertions of absent edges and
 //! deletions of present edges — applies it through
@@ -46,8 +46,8 @@ use rng::{split_mix64, Pcg32};
 use sparse::Csr;
 
 use crate::oracle::{
-    max_d2_degree_bgpc, max_d2_degree_graph, pick_balance, pick_ordering, pick_sched,
-    Draw, OracleFailure, PcgDraw,
+    max_d2_degree_bgpc, max_d2_degree_graph, pick_balance, pick_ordering, Draw,
+    OracleFailure, PcgDraw,
 };
 
 /// Draws up to `want` distinct edges *absent* from `m` (and from
@@ -187,14 +187,12 @@ pub fn run_delta_bgpc_case(d: &mut impl Draw) -> Result<(), String> {
     let all = Schedule::all();
     let idx = d.usize_in(0..all.len());
     let balance = pick_balance(d);
-    let sched = pick_sched(d);
     let threads = d.usize_in(1..5);
     let schedule = all
         .into_iter()
         .nth(idx)
         .expect("index drawn in range")
-        .with_balance(balance)
-        .with_sched(sched);
+        .with_balance(balance);
 
     // The mutation batch: up to 8 insertions of absent cells, up to 8
     // deletions of present edges (fewer when the pattern is full/empty).
@@ -339,10 +337,9 @@ pub fn run_delta_d2gc_case(d: &mut impl Draw) -> Result<(), String> {
     let set = Schedule::d2gc_set();
     let idx = d.usize_in(0..set.len());
     let balance = pick_balance(d);
-    let sched = pick_sched(d);
     let threads = d.usize_in(1..5);
     let schedule =
-        set.into_iter().nth(idx).expect("in range").with_balance(balance).with_sched(sched);
+        set.into_iter().nth(idx).expect("in range").with_balance(balance);
 
     // Draw *undirected* mutations — one direction each, no self loops —
     // then mirror through `symmetrized()` so both triangles move.

@@ -10,14 +10,13 @@
 //!   enumerated exhaustively (small state spaces) or sampled from a seed
 //!   (large ones). Every failure carries a replayable schedule.
 //! * [`models`] — atomic-granularity models of the `SharedQueue`
-//!   push/flush, `ChunkCursor` claim and `StealRanges` steal-half
-//!   protocols, op-granularity drivers for the real structures, and a
-//!   deliberately-buggy queue the explorer must catch (detection-power
-//!   self-test).
+//!   push/flush and `ChunkCursor` claim protocols, op-granularity drivers
+//!   for the real structures, and a deliberately-buggy queue the explorer
+//!   must catch (detection-power self-test).
 //! * [`oracle`] — a differential oracle running every schedule,
-//!   balancer, chunk scheduler, forbidden-set representation and index
-//!   width against the sequential baseline on randomized instances,
-//!   checking validity, determinism and color-count bounds.
+//!   balancer, forbidden-set representation and index width against the
+//!   sequential baseline on randomized instances, checking validity,
+//!   determinism and color-count bounds.
 //! * [`delta`] — the incremental-recoloring oracle: random mutation
 //!   batches applied through [`bgpc::apply_delta`], recolored from the
 //!   dirty set, checked for validity on the mutated graph, exact

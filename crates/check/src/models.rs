@@ -3,8 +3,8 @@
 //! Two granularities are covered:
 //!
 //! * **Atomic-granularity models** re-implement the protocols of
-//!   [`bgpc::workqueue::SharedQueue`], [`par::ChunkCursor`] and
-//!   [`par::StealRanges`] over plain data, splitting each operation into
+//!   [`bgpc::workqueue::SharedQueue`] and [`par::ChunkCursor`] over plain
+//!   data, splitting each operation into
 //!   its constituent atomic actions (one load, one read-modify-write, one
 //!   store per [`ThreadProgram::step`]). The virtual scheduler can then
 //!   interleave those actions in every order the real hardware could,
@@ -27,7 +27,7 @@ use crate::vsched::{
     explore_exhaustive, explore_random, CheckFailure, Coverage, ThreadProgram,
 };
 use bgpc::workqueue::SharedQueue;
-use par::{ChunkCursor, StealRanges};
+use par::ChunkCursor;
 
 // ---------------------------------------------------------------------------
 // SharedQueue: atomic-granularity push/flush model
@@ -418,237 +418,6 @@ pub fn check_cursor_model_random(
 }
 
 // ---------------------------------------------------------------------------
-// StealRanges: atomic-granularity claim-local / steal-half model
-// ---------------------------------------------------------------------------
-
-/// Weyl-sequence multiplier — must match `par::steal::SCAN_SALT` so the
-/// model walks victims in the same order as the real scheduler.
-const SCAN_SALT: u64 = 0x9E37_79B9_7F4A_7C15;
-
-/// Modeled state of [`par::StealRanges`]: one `(lo, hi)` pair per slot
-/// (the packed `AtomicU64` word) plus the coverage ledger.
-#[derive(Debug)]
-pub struct StealState {
-    chunk: usize,
-    slots: Vec<(u32, u32)>,
-    claims: Vec<usize>,
-}
-
-enum StealPc {
-    /// `claim_local`: the initial Acquire load of the own slot.
-    LocalLoad,
-    /// `claim_local`: the CAS attempt against the observed word.
-    LocalCas { observed: (u32, u32) },
-    /// `steal`: scanning victim `k` of the salted order, tracking the
-    /// largest block observed so far.
-    Scan {
-        k: usize,
-        round: u64,
-        best: Option<(usize, (u32, u32))>,
-    },
-    /// `steal`: the halving CAS against the best victim's observed word.
-    StealCas {
-        victim: usize,
-        observed: (u32, u32),
-        round: u64,
-    },
-    /// `steal`: publishing the stolen remainder into the own (empty) slot.
-    Publish { lo: u32, hi: u32 },
-}
-
-struct StealWorker {
-    tid: usize,
-    pc: StealPc,
-}
-
-impl StealWorker {
-    fn scan_offset(&self, round: u64, t: usize) -> usize {
-        (SCAN_SALT.wrapping_mul(self.tid as u64 + round + 1) % t as u64) as usize
-    }
-}
-
-impl ThreadProgram<StealState> for StealWorker {
-    fn step(&mut self, st: &mut StealState) -> bool {
-        let t = st.slots.len();
-        match self.pc {
-            StealPc::LocalLoad => {
-                self.pc = StealPc::LocalCas {
-                    observed: st.slots[self.tid],
-                };
-                true
-            }
-            StealPc::LocalCas { observed } => {
-                let (lo, hi) = observed;
-                if lo >= hi {
-                    // Own block drained: fall through to stealing.
-                    self.pc = StealPc::Scan {
-                        k: 0,
-                        round: 0,
-                        best: None,
-                    };
-                    return true;
-                }
-                if st.slots[self.tid] != observed {
-                    // CAS failure returns the current word; retry with it.
-                    self.pc = StealPc::LocalCas {
-                        observed: st.slots[self.tid],
-                    };
-                    return true;
-                }
-                let new_lo = (lo as u64 + st.chunk as u64).min(hi as u64) as u32;
-                st.slots[self.tid] = (new_lo, hi);
-                for i in lo..new_lo {
-                    st.claims[i as usize] += 1;
-                }
-                self.pc = StealPc::LocalLoad;
-                true
-            }
-            StealPc::Scan {
-                k,
-                round,
-                ref best,
-            } => {
-                let mut best = *best;
-                if k < t {
-                    let v = (self.scan_offset(round, t) + k) % t;
-                    if v != self.tid {
-                        let word = st.slots[v];
-                        let rem = word.1.saturating_sub(word.0);
-                        let best_rem = best.map_or(0, |(_, (lo, hi))| hi.saturating_sub(lo));
-                        if rem > best_rem {
-                            best = Some((v, word));
-                        }
-                    }
-                    self.pc = StealPc::Scan {
-                        k: k + 1,
-                        round,
-                        best,
-                    };
-                    return true;
-                }
-                match best {
-                    None => false, // every slot observed empty: worker done
-                    Some((victim, observed)) => {
-                        self.pc = StealPc::StealCas {
-                            victim,
-                            observed,
-                            round,
-                        };
-                        true
-                    }
-                }
-            }
-            StealPc::StealCas {
-                victim,
-                observed,
-                round,
-            } => {
-                if st.slots[victim] != observed {
-                    // The victim raced us; rescan from a new offset.
-                    self.pc = StealPc::Scan {
-                        k: 0,
-                        round: round + 1,
-                        best: None,
-                    };
-                    return true;
-                }
-                let (lo, hi) = observed;
-                let mid = if (hi - lo) as usize <= st.chunk {
-                    lo
-                } else {
-                    lo + (hi - lo) / 2
-                };
-                st.slots[victim] = (lo, mid);
-                let claim_hi = (mid as u64 + st.chunk as u64).min(hi as u64) as u32;
-                for i in mid..claim_hi {
-                    st.claims[i as usize] += 1;
-                }
-                if claim_hi < hi {
-                    self.pc = StealPc::Publish { lo: claim_hi, hi };
-                } else {
-                    self.pc = StealPc::LocalLoad;
-                }
-                true
-            }
-            StealPc::Publish { lo, hi } => {
-                // The disjointness invariant makes this a plain store in
-                // the real scheduler; the model asserts the precondition.
-                st.slots[self.tid] = (lo, hi);
-                self.pc = StealPc::LocalLoad;
-                true
-            }
-        }
-    }
-}
-
-fn mk_steal_model(threads: usize, len: usize, chunk: usize) -> (StealState, Vec<StealWorker>) {
-    let t = threads.max(1);
-    let slots = (0..t)
-        .map(|tid| ((len * tid / t) as u32, (len * (tid + 1) / t) as u32))
-        .collect();
-    (
-        StealState {
-            chunk: chunk.max(1),
-            slots,
-            claims: vec![0; len],
-        },
-        (0..t)
-            .map(|tid| StealWorker {
-                tid,
-                pc: StealPc::LocalLoad,
-            })
-            .collect(),
-    )
-}
-
-fn check_steal_final(st: &StealState) -> Result<(), String> {
-    for (i, &c) in st.claims.iter().enumerate() {
-        if c != 1 {
-            return Err(format!(
-                "steal model: index {i} claimed {c} times, expected exactly 1"
-            ));
-        }
-    }
-    Ok(())
-}
-
-/// Exhaustively interleaves the claim-local / steal-half protocol and
-/// checks exactly-once coverage of `0..len`.
-///
-/// Note: a worker whose full scan observes every foreign slot empty
-/// retires, matching the real scheduler; work published *after* that scan
-/// would be missed by that worker but is still covered by its owner —
-/// the coverage check holds regardless.
-pub fn check_steal_model_exhaustive(
-    threads: usize,
-    len: usize,
-    chunk: usize,
-    limit: usize,
-) -> Result<Coverage, CheckFailure> {
-    explore_exhaustive(
-        || mk_steal_model(threads, len, chunk),
-        limit,
-        |st, _| check_steal_final(st),
-    )
-}
-
-/// Randomly samples steal-model interleavings.
-pub fn check_steal_model_random(
-    threads: usize,
-    len: usize,
-    chunk: usize,
-    seed: u64,
-    rounds: usize,
-) -> Result<Coverage, CheckFailure> {
-    explore_random(
-        || mk_steal_model(threads, len, chunk),
-        seed,
-        rounds,
-        |st, _| check_steal_final(st),
-    )
-}
-
-// ---------------------------------------------------------------------------
 // Op-granularity drivers for the REAL structures
 // ---------------------------------------------------------------------------
 
@@ -740,68 +509,27 @@ pub fn check_real_queue_ops(
     )
 }
 
-/// Shared state for op-granularity runs against the real scheduler
-/// structures: a [`ChunkCursor`] or [`StealRanges`] plus a coverage
-/// ledger.
-pub struct RealSchedState {
-    cursor: Option<ChunkCursor>,
-    steal: Option<StealRanges>,
+/// Shared state for op-granularity runs against the real [`ChunkCursor`]:
+/// the cursor plus a coverage ledger.
+pub struct RealCursorState {
+    cursor: ChunkCursor,
     claims: Vec<usize>,
 }
 
-struct RealWorker {
-    tid: usize,
-    /// `Stealing` workers claim locally until drained, then steal.
-    stealing_phase: bool,
-}
+struct RealWorker;
 
-impl ThreadProgram<RealSchedState> for RealWorker {
-    fn step(&mut self, st: &mut RealSchedState) -> bool {
-        if let Some(cursor) = &st.cursor {
-            match cursor.claim() {
-                Some(r) => {
-                    for i in r {
-                        st.claims[i] += 1;
-                    }
-                    true
+impl ThreadProgram<RealCursorState> for RealWorker {
+    fn step(&mut self, st: &mut RealCursorState) -> bool {
+        match st.cursor.claim() {
+            Some(r) => {
+                for i in r {
+                    st.claims[i] += 1;
                 }
-                None => false,
+                true
             }
-        } else {
-            let ranges = st.steal.as_ref().expect("one structure is always set");
-            if !self.stealing_phase {
-                if let Some(r) = ranges.claim_local(self.tid, 4) {
-                    for i in r {
-                        st.claims[i] += 1;
-                    }
-                    return true;
-                }
-                self.stealing_phase = true;
-            }
-            match ranges.steal(self.tid, 4) {
-                Some(r) => {
-                    for i in r {
-                        st.claims[i] += 1;
-                    }
-                    // A successful steal republishes local work.
-                    self.stealing_phase = false;
-                    true
-                }
-                None => false,
-            }
+            None => false,
         }
     }
-}
-
-fn check_real_sched_final(st: &RealSchedState) -> Result<(), String> {
-    for (i, &c) in st.claims.iter().enumerate() {
-        if c != 1 {
-            return Err(format!(
-                "real scheduler: index {i} claimed {c} times, expected exactly 1"
-            ));
-        }
-    }
-    Ok(())
 }
 
 /// Drives the real [`ChunkCursor`] with whole claim ops under every op
@@ -815,64 +543,29 @@ pub fn check_real_cursor_ops(
     explore_exhaustive(
         move || {
             (
-                RealSchedState {
-                    cursor: Some(ChunkCursor::new(len, chunk)),
-                    steal: None,
+                RealCursorState {
+                    cursor: ChunkCursor::new(len, chunk),
                     claims: vec![0; len],
                 },
-                (0..threads)
-                    .map(|tid| RealWorker {
-                        tid,
-                        stealing_phase: false,
-                    })
-                    .collect(),
+                (0..threads).map(|_| RealWorker).collect(),
             )
         },
         limit,
         move |st, _| {
-            check_real_sched_final(st)?;
-            let cursor = st.cursor.as_ref().expect("cursor run");
+            for (i, &c) in st.claims.iter().enumerate() {
+                if c != 1 {
+                    return Err(format!(
+                        "real cursor: index {i} claimed {c} times, expected exactly 1"
+                    ));
+                }
+            }
+            let cursor = &st.cursor;
             let bound = len + threads * cursor.chunk();
             if cursor.issued() > bound {
                 return Err(format!(
                     "real cursor counter {} exceeds bound {bound}",
                     cursor.issued()
                 ));
-            }
-            Ok(())
-        },
-    )
-}
-
-/// Drives the real [`StealRanges`] with whole claim-local/steal ops under
-/// every op order and checks exactly-once coverage and full drain.
-pub fn check_real_steal_ops(
-    threads: usize,
-    len: usize,
-    limit: usize,
-) -> Result<Coverage, CheckFailure> {
-    explore_exhaustive(
-        move || {
-            (
-                RealSchedState {
-                    cursor: None,
-                    steal: Some(StealRanges::new(len, threads)),
-                    claims: vec![0; len],
-                },
-                (0..threads)
-                    .map(|tid| RealWorker {
-                        tid,
-                        stealing_phase: false,
-                    })
-                    .collect(),
-            )
-        },
-        limit,
-        |st, _| {
-            check_real_sched_final(st)?;
-            let remaining = st.steal.as_ref().expect("steal run").remaining();
-            if remaining != 0 {
-                return Err(format!("real steal: {remaining} indices never claimed"));
             }
             Ok(())
         },
@@ -928,20 +621,6 @@ mod tests {
     }
 
     #[test]
-    fn steal_model_exhaustive_two_threads() {
-        // CAS-failure branches inflate the schedule space, so completeness
-        // is not asserted — only that no interleaving in the budget
-        // violates exactly-once coverage.
-        let cov = check_steal_model_exhaustive(2, 4, 2, 500_000).expect("steal sound");
-        assert!(cov.schedules > 100, "space should be non-trivial");
-    }
-
-    #[test]
-    fn steal_model_random_three_threads() {
-        check_steal_model_random(3, 24, 3, 0xBEEF, 200).expect("steal sound under sampling");
-    }
-
-    #[test]
     fn real_queue_ops_unstaged_and_staged() {
         check_real_queue_ops(8, &[2, 2], false, 100_000).expect("real queue sound");
         check_real_queue_ops(8, &[2, 2], true, 100_000).expect("real staged queue sound");
@@ -952,12 +631,6 @@ mod tests {
     #[test]
     fn real_cursor_ops_exhaustive() {
         let cov = check_real_cursor_ops(2, 7, 2, 1_000_000).expect("real cursor sound");
-        assert!(cov.complete);
-    }
-
-    #[test]
-    fn real_steal_ops_exhaustive() {
-        let cov = check_real_steal_ops(2, 10, 2_000_000).expect("real steal sound");
         assert!(cov.complete);
     }
 }

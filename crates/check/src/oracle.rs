@@ -1,8 +1,8 @@
 //! The differential oracle: every schedule against the sequential baseline.
 //!
 //! Each *case* draws a randomized instance from [`sparse::gen`], a point
-//! of the full configuration matrix (schedule × balancer × chunk scheduler
-//! × thread count × vertex ordering), runs the speculative driver, and
+//! of the full configuration matrix (schedule × balancer × thread count ×
+//! vertex ordering), runs the speculative driver, and
 //! checks it against ground truth:
 //!
 //! * **Validity** — [`bgpc::verify::verify_bgpc`] /
@@ -14,9 +14,8 @@
 //!   *exactly*: same order, same first-fit, no conflicts to repair.
 //! * **Implementation equivalences** — at one thread the two
 //!   forbidden-set representations ([`bgpc::StampSet`] vs
-//!   [`bgpc::BitStampSet`]), the two CSR index widths (`u32` vs `u64`)
-//!   and the two chunk schedulers ([`par::Sched::Dynamic`] vs
-//!   [`par::Sched::Stealing`]) must all produce identical colorings.
+//!   [`bgpc::BitStampSet`]) and the two CSR index widths (`u32` vs `u64`)
+//!   must all produce identical colorings.
 //! * **Determinism** — running the same configuration twice at one thread
 //!   must produce identical colorings.
 //! * **Wide palettes** — one case in four adds a net of 65–128 pins (for
@@ -40,7 +39,7 @@ use bgpc::runner::RunnerOpts;
 use bgpc::verify::{verify_bgpc, verify_d2gc};
 use bgpc::{Balance, BitStampSet, Color, Schedule, StampSet};
 use graph::{BipartiteGraph, Graph, Ordering};
-use par::{Pool, Sched};
+use par::Pool;
 use rng::{split_mix64, Pcg32};
 use sparse::Csr;
 
@@ -90,14 +89,6 @@ pub(crate) fn pick_balance(d: &mut impl Draw) -> Balance {
         0 => Balance::Unbalanced,
         1 => Balance::B1,
         _ => Balance::B2,
-    }
-}
-
-pub(crate) fn pick_sched(d: &mut impl Draw) -> Sched {
-    if d.usize_in(0..2) == 0 {
-        Sched::Dynamic
-    } else {
-        Sched::Stealing
     }
 }
 
@@ -181,14 +172,12 @@ pub fn run_bgpc_case(d: &mut impl Draw) -> Result<(), String> {
     let all = Schedule::all();
     let idx = d.usize_in(0..all.len());
     let balance = pick_balance(d);
-    let sched = pick_sched(d);
     let threads = d.usize_in(1..5);
     let schedule = all
         .into_iter()
         .nth(idx)
         .expect("index drawn in range")
-        .with_balance(balance)
-        .with_sched(sched);
+        .with_balance(balance);
     let label = format!(
         "bgpc {} x{threads} on {nets}x{verts} nnz={nnz} seed={mseed} wide={wide}",
         schedule.name()
@@ -253,18 +242,6 @@ pub fn run_bgpc_case(d: &mut impl Draw) -> Result<(), String> {
     let wide = bgpc::color_bgpc(&g64, &order, &schedule, &pool1);
     same_colors(&a.colors, &wide.colors, &format!("{label}: u32 vs u64 @1"))?;
 
-    let other_sched = match sched {
-        Sched::Dynamic => Sched::Stealing,
-        Sched::Stealing => Sched::Dynamic,
-    };
-    let flipped = schedule.clone().with_sched(other_sched);
-    let c = bgpc::color_bgpc(&g, &order, &flipped, &pool1);
-    same_colors(
-        &a.colors,
-        &c.colors,
-        &format!("{label}: dynamic vs stealing @1"),
-    )?;
-
     Ok(())
 }
 
@@ -295,10 +272,9 @@ pub fn run_d2gc_case(d: &mut impl Draw) -> Result<(), String> {
     let set = Schedule::all();
     let idx = d.usize_in(0..set.len());
     let balance = pick_balance(d);
-    let sched = pick_sched(d);
     let threads = d.usize_in(1..5);
     let schedule =
-        set.into_iter().nth(idx).expect("in range").with_balance(balance).with_sched(sched);
+        set.into_iter().nth(idx).expect("in range").with_balance(balance);
     let label = format!(
         "d2gc {} x{threads} on n={n} edges={nedges} seed={mseed} wide={wide}",
         schedule.name()

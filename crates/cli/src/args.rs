@@ -57,7 +57,7 @@ pub struct ColorArgs {
     /// Print per-iteration thread counters and the imbalance table (also
     /// installs a recorder).
     pub metrics: bool,
-    /// Pin team members to CPUs in topology order and steal near-first.
+    /// Pin team members to CPUs in core-major topology order.
     pub pin: bool,
 }
 
@@ -67,7 +67,7 @@ usage: bgpc-cli color [--mtx FILE | --bin FILE | --dataset NAME [--scale F] [--s
                       [--problem bgpc|d2gc|d1gc|dK] [--schedule NAME]
                       [--order natural|random:SEED|largest-first|smallest-last|incidence-degree]
                       [--index-width auto|u32|u64] [--relabel none|degree|bfs]
-                      [--sched dynamic|steal] [--pin]
+                      [--pin]
                       [--threads N] [--recolor] [--output FILE]
                       [--trace FILE] [--metrics]
 
@@ -90,7 +90,6 @@ impl ColorArgs {
         let mut threads = par::available_threads();
         let mut index_width: Option<IndexWidth> = None;
         let mut relabel = LocalityOrder::None;
-        let mut sched = par::Sched::Dynamic;
         let mut pin = false;
         let mut recolor = false;
         let mut output = None;
@@ -162,11 +161,6 @@ impl ColorArgs {
                         .ok_or_else(|| format!("unknown relabeling `{}`", args[i + 1]))?;
                     i += 2;
                 }
-                "--sched" => {
-                    sched = par::Sched::from_name(value(i)?)
-                        .ok_or_else(|| format!("unknown chunk scheduler `{}`", args[i + 1]))?;
-                    i += 2;
-                }
                 "--pin" => {
                     pin = true;
                     i += 1;
@@ -203,7 +197,7 @@ impl ColorArgs {
         Ok(Self {
             input,
             problem,
-            schedule: schedule.with_sched(sched),
+            schedule,
             ordering,
             threads,
             index_width,
@@ -329,7 +323,7 @@ mod tests {
     }
 
     #[test]
-    fn parse_width_relabel_and_sched_axes() {
+    fn parse_width_and_relabel_axes() {
         let a = ColorArgs::parse(&s(&[
             "--bin",
             "m.bin",
@@ -337,23 +331,18 @@ mod tests {
             "u64",
             "--relabel",
             "bfs",
-            "--sched",
-            "steal",
         ]))
         .unwrap();
         assert_eq!(a.input, Input::Bin("m.bin".into()));
         assert_eq!(a.index_width, Some(IndexWidth::U64));
         assert_eq!(a.relabel, LocalityOrder::Bfs);
-        assert_eq!(a.schedule.sched, par::Sched::Stealing);
 
         let a = ColorArgs::parse(&s(&["--mtx", "a", "--index-width", "auto"])).unwrap();
         assert_eq!(a.index_width, None);
         assert_eq!(a.relabel, LocalityOrder::None);
-        assert_eq!(a.schedule.sched, par::Sched::Dynamic);
 
         assert!(ColorArgs::parse(&s(&["--mtx", "a", "--index-width", "u128"])).is_err());
         assert!(ColorArgs::parse(&s(&["--mtx", "a", "--relabel", "zzz"])).is_err());
-        assert!(ColorArgs::parse(&s(&["--mtx", "a", "--sched", "zzz"])).is_err());
         assert!(ColorArgs::parse(&s(&["--mtx", "a", "--bin", "b"])).is_err());
     }
 

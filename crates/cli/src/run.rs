@@ -168,7 +168,7 @@ fn color(args: ColorArgs) -> Result<(), Failure> {
     let width = args.index_width.unwrap_or_else(|| IndexWidth::auto_for(matrix.nnz()));
     out!(
         "pattern: {} x {}, {} nnz; problem {:?}, schedule {}, {} threads, {} order, \
-         {} indices, {} relabel, {} chunks",
+         {} indices, {} relabel",
         matrix.nrows(),
         matrix.ncols(),
         matrix.nnz(),
@@ -178,7 +178,6 @@ fn color(args: ColorArgs) -> Result<(), Failure> {
         args.ordering.label(),
         width.label(),
         relabel.label(),
-        schedule.sched,
     );
     let mut pool = if args.pin {
         // Pinning is best-effort: off Linux (or under a restricted
@@ -1020,26 +1019,22 @@ mod tests {
 
     #[test]
     fn axis_combinations_color_and_verify_in_original_ids() {
-        // Every relabeling × width × scheduler combo still exits zero: the
-        // run colors the relabeled instance and re-verifies the unpermuted
-        // coloring against the original graph.
+        // Every relabeling × width combo still exits zero: the run colors
+        // the relabeled instance and re-verifies the unpermuted coloring
+        // against the original graph.
         for relabel in ["none", "degree", "bfs"] {
             for width in ["u32", "u64"] {
-                for sched in ["dynamic", "steal"] {
-                    let code = cmd_color(&s(&[
-                        "--dataset",
-                        "af_shell10",
-                        "--scale",
-                        "0.002",
-                        "--relabel",
-                        relabel,
-                        "--index-width",
-                        width,
-                        "--sched",
-                        sched,
-                    ]));
-                    assert_eq!(code, 0, "{relabel}/{width}/{sched}");
-                }
+                let code = cmd_color(&s(&[
+                    "--dataset",
+                    "af_shell10",
+                    "--scale",
+                    "0.002",
+                    "--relabel",
+                    relabel,
+                    "--index-width",
+                    width,
+                ]));
+                assert_eq!(code, 0, "{relabel}/{width}");
             }
         }
     }
@@ -1056,8 +1051,6 @@ mod tests {
                 "0.002",
                 "--problem",
                 problem,
-                "--sched",
-                "steal",
                 "--pin",
             ]));
             assert_eq!(code, 0, "{problem}");
@@ -1078,8 +1071,6 @@ mod tests {
             "d2gc",
             "--relabel",
             "bfs",
-            "--sched",
-            "steal",
         ]));
         assert_eq!(code, 0);
         std::fs::remove_dir_all(&dir).ok();

@@ -9,7 +9,7 @@
 //! The price is optimism — threads only see conflicts local to the net they
 //! are scanning — which the conflict-removal iterations repair.
 
-use par::{Pool, Sched, ThreadScratch};
+use par::{Pool, ThreadScratch};
 
 use crate::ctx::ThreadCtx;
 use crate::forbidden::ForbiddenSet;
@@ -51,20 +51,19 @@ pub fn color_workqueue_net<F: ForbiddenSet, G: Neighborhood>(
     g: &G,
     colors: &Colors,
     pool: &Pool,
-    sched: Sched,
     variant: NetColoringVariant,
     balance: Balance,
     scratch: &ThreadScratch<ThreadCtx<F, G::Index>>,
 ) {
     match variant {
         NetColoringVariant::SinglePassFirstFit => {
-            color_net_single_pass(g, colors, pool, sched, scratch, false)
+            color_net_single_pass(g, colors, pool, scratch, false)
         }
         NetColoringVariant::SinglePassReverse => {
-            color_net_single_pass(g, colors, pool, sched, scratch, true)
+            color_net_single_pass(g, colors, pool, scratch, true)
         }
         NetColoringVariant::TwoPassReverse => {
-            color_net_two_pass(g, colors, pool, sched, scratch, balance)
+            color_net_two_pass(g, colors, pool, scratch, balance)
         }
     }
 }
@@ -75,12 +74,11 @@ fn color_net_single_pass<F: ForbiddenSet, G: Neighborhood>(
     g: &G,
     colors: &Colors,
     pool: &Pool,
-    sched: Sched,
     scratch: &ThreadScratch<ThreadCtx<F, G::Index>>,
     reverse: bool,
 ) {
     let rec = pool.tracer();
-    pool.for_sched(sched, g.n_nets(), NET_CHUNK, |tid, range| {
+    pool.for_dynamic(g.n_nets(), NET_CHUNK, |tid, range| {
         par::faults::fire(G::FAULT_COLOR, tid);
         scratch.with(tid, |ctx| {
             let mut colored = 0u64;
@@ -134,12 +132,11 @@ fn color_net_two_pass<F: ForbiddenSet, G: Neighborhood>(
     g: &G,
     colors: &Colors,
     pool: &Pool,
-    sched: Sched,
     scratch: &ThreadScratch<ThreadCtx<F, G::Index>>,
     balance: Balance,
 ) {
     let rec = pool.tracer();
-    pool.for_sched(sched, g.n_nets(), NET_CHUNK, |tid, range| {
+    pool.for_dynamic(g.n_nets(), NET_CHUNK, |tid, range| {
         par::faults::fire(G::FAULT_COLOR, tid);
         scratch.with(tid, |ctx| {
             let mut colored = 0u64;
@@ -220,11 +217,10 @@ pub fn remove_conflicts_net<F: ForbiddenSet, G: Neighborhood>(
     g: &G,
     colors: &Colors,
     pool: &Pool,
-    sched: Sched,
     scratch: &ThreadScratch<ThreadCtx<F, G::Index>>,
 ) {
     let rec = pool.tracer();
-    pool.for_sched(sched, g.n_nets(), NET_CHUNK, |tid, range| {
+    pool.for_dynamic(g.n_nets(), NET_CHUNK, |tid, range| {
         par::faults::fire(G::FAULT_CONFLICT, tid);
         scratch.with(tid, |ctx| {
             let mut conflicts = 0u64;
@@ -328,10 +324,8 @@ mod tests {
         let order: Vec<u32> = (0..g.n_vertices() as u32).collect();
         let mut rounds = 0;
         loop {
-            color_workqueue_net(
-                g, &colors, pool, Sched::Dynamic, variant, Balance::Unbalanced, &sc,
-            );
-            remove_conflicts_net(g, &colors, pool, Sched::Dynamic, &sc);
+            color_workqueue_net(g, &colors, pool, variant, Balance::Unbalanced, &sc);
+            remove_conflicts_net(g, &colors, pool, &sc);
             let w = collect_uncolored(g, &order, &colors, pool, &mut sc);
             if w.is_empty() {
                 break;
@@ -419,7 +413,6 @@ mod tests {
             &g,
             &colors,
             &pool,
-            Sched::Dynamic,
             NetColoringVariant::TwoPassReverse,
             Balance::Unbalanced,
             &sc,
@@ -448,7 +441,6 @@ mod tests {
             &g,
             &colors,
             &pool,
-            Sched::Dynamic,
             NetColoringVariant::TwoPassReverse,
             Balance::Unbalanced,
             &sc,
@@ -467,7 +459,7 @@ mod tests {
         colors.set(1, 5);
         colors.set(2, 3);
         let sc = scratch(1);
-        remove_conflicts_net(&g, &colors, &pool, Sched::Dynamic, &sc);
+        remove_conflicts_net(&g, &colors, &pool, &sc);
         assert_eq!(colors.get(0), 5, "first pin keeps the color");
         assert_eq!(colors.get(1), UNCOLORED, "duplicate uncolored");
         assert_eq!(colors.get(2), 3);
@@ -483,7 +475,7 @@ mod tests {
         colors.set(1, 4);
         let pool = Pool::new(1);
         let sc = scratch(1);
-        remove_conflicts_net(&g, &colors, &pool, Sched::Dynamic, &sc);
+        remove_conflicts_net(&g, &colors, &pool, &sc);
         let snap = colors.snapshot();
         assert_eq!(snap.iter().filter(|&&c| c == 4).count(), 1);
         assert_eq!(snap.iter().filter(|&&c| c == UNCOLORED).count(), 1);
@@ -515,7 +507,6 @@ mod tests {
             &g,
             &colors,
             &pool,
-            Sched::Dynamic,
             NetColoringVariant::TwoPassReverse,
             Balance::Unbalanced,
             &sc,
@@ -536,21 +527,16 @@ mod tests {
             g,
             &colors,
             &pool,
-            Sched::Stealing,
             NetColoringVariant::TwoPassReverse,
             balance,
             &sc,
         );
-        remove_conflicts_net(g, &colors, &pool, Sched::Stealing, &sc);
+        remove_conflicts_net(g, &colors, &pool, &sc);
         let mut w = collect_uncolored(g, &order, &colors, &pool, &mut sc);
         let mut rounds = 0;
         while !w.is_empty() {
-            crate::vertex::color_workqueue_vertex(
-                g, &w, &colors, &pool, 4, Sched::Stealing, balance, &sc,
-            );
-            w = crate::vertex::remove_conflicts_vertex(
-                g, &w, &colors, &pool, 4, Sched::Stealing, None, &mut sc,
-            );
+            crate::vertex::color_workqueue_vertex(g, &w, &colors, &pool, 4, balance, &sc);
+            w = crate::vertex::remove_conflicts_vertex(g, &w, &colors, &pool, 4, None, &mut sc);
             rounds += 1;
             assert!(rounds < 100);
         }

@@ -239,7 +239,6 @@ impl<G: Neighborhood> WithSet for Run<'_, G> {
                             &colors,
                             pool,
                             schedule.chunk,
-                            schedule.sched,
                             schedule.balance,
                             &scratch,
                         ),
@@ -247,7 +246,6 @@ impl<G: Neighborhood> WithSet for Run<'_, G> {
                             g,
                             &colors,
                             pool,
-                            schedule.sched,
                             schedule.net_variant,
                             schedule.balance,
                             &scratch,
@@ -273,12 +271,11 @@ impl<G: Neighborhood> WithSet for Run<'_, G> {
                             &colors,
                             pool,
                             schedule.chunk,
-                            schedule.sched,
                             eager_queue.as_ref(),
                             &mut scratch,
                         ),
                         PhaseKind::Net => {
-                            net::remove_conflicts_net(g, &colors, pool, schedule.sched, &scratch);
+                            net::remove_conflicts_net(g, &colors, pool, &scratch);
                             net::collect_uncolored(g, order, &colors, pool, &mut scratch)
                         }
                     });

@@ -15,10 +15,6 @@
 //! assert_eq!(s.color_kind(1), PhaseKind::Vertex); // then 64D
 //! assert_eq!(s.conflict_kind(1), PhaseKind::Net); // net removal twice
 //! assert_eq!(s.conflict_kind(2), PhaseKind::Vertex);
-//!
-//! // The chunk-scheduling policy is an extra axis on top of the labels.
-//! let stealing = Schedule::v_v_64d().with_sched(par::Sched::Stealing);
-//! assert_eq!(stealing.name(), "V-V-64D");
 //! ```
 
 use crate::net::NetColoringVariant;
@@ -55,11 +51,6 @@ pub struct Schedule {
     /// Which net-based coloring algorithm the net iterations run
     /// (schedules default to the two-pass Algorithm 8).
     pub net_variant: NetColoringVariant,
-    /// Chunk-scheduling policy of the parallel loops: the shared-cursor
-    /// dynamic baseline, or per-worker blocks with work stealing. Not part
-    /// of the paper's labels — [`name`](Self::name) is unchanged — so the
-    /// benchmark records it as a separate axis.
-    pub sched: par::Sched,
 }
 
 impl Schedule {
@@ -122,7 +113,6 @@ impl Schedule {
             lazy_queue,
             balance: Balance::Unbalanced,
             net_variant: NetColoringVariant::TwoPassReverse,
-            sched: par::Sched::Dynamic,
         }
     }
 
@@ -156,12 +146,6 @@ impl Schedule {
     /// them).
     pub fn with_net_variant(mut self, variant: NetColoringVariant) -> Self {
         self.net_variant = variant;
-        self
-    }
-
-    /// Sets the chunk-scheduling policy (builder style).
-    pub fn with_sched(mut self, sched: par::Sched) -> Self {
-        self.sched = sched;
         self
     }
 
@@ -276,15 +260,7 @@ mod tests {
             assert_eq!(parsed.net_conflict_iters, schedule.net_conflict_iters);
             assert_eq!(parsed.chunk, schedule.chunk);
             assert_eq!(parsed.lazy_queue, schedule.lazy_queue);
-            assert_eq!(parsed.sched, par::Sched::Dynamic, "default policy");
         }
-    }
-
-    #[test]
-    fn with_sched_does_not_change_the_name() {
-        let s = Schedule::v_v_64d().with_sched(par::Sched::Stealing);
-        assert_eq!(s.sched, par::Sched::Stealing);
-        assert_eq!(s.name(), "V-V-64D", "sched is a separate axis");
     }
 
     #[test]

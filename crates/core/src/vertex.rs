@@ -23,7 +23,7 @@
 
 use std::sync::atomic::{AtomicI32, Ordering};
 
-use par::{Pool, Sched, ThreadScratch};
+use par::{Pool, ThreadScratch};
 
 use crate::ctx::ThreadCtx;
 use crate::forbidden::ForbiddenSet;
@@ -43,20 +43,18 @@ pub const PREFETCH_AHEAD: usize = 4;
 /// for [`Balance::Unbalanced`]) against the colors currently visible in its
 /// distance-2 neighborhood. Races with concurrent writers are expected and
 /// repaired by the following conflict-removal phase.
-#[allow(clippy::too_many_arguments)] // mirrors the paper kernel's parameter list
 pub fn color_workqueue_vertex<F: ForbiddenSet, G: Neighborhood>(
     g: &G,
     w: &[u32],
     colors: &Colors,
     pool: &Pool,
     chunk: usize,
-    sched: Sched,
     balance: Balance,
     scratch: &ThreadScratch<ThreadCtx<F, G::Index>>,
 ) {
     let rec = pool.tracer();
     let slots = colors.slots();
-    pool.for_sched(sched, w.len(), chunk, |tid, range| {
+    pool.for_dynamic(w.len(), chunk, |tid, range| {
         par::faults::fire(G::FAULT_COLOR, tid);
         scratch.with(tid, |ctx| {
             let items = &w[range];
@@ -177,20 +175,18 @@ pub(crate) fn gather_forbidden<F: ForbiddenSet, G: Neighborhood>(
 /// `fetch_add` per 64 conflicts instead of one per conflict); otherwise the
 /// 64D lazy strategy collects conflicts in thread-private queues merged
 /// after the join. Returns `W_next`.
-#[allow(clippy::too_many_arguments)] // mirrors the paper kernel's parameter list
 pub fn remove_conflicts_vertex<F: ForbiddenSet, G: Neighborhood>(
     g: &G,
     w: &[u32],
     colors: &Colors,
     pool: &Pool,
     chunk: usize,
-    sched: Sched,
     eager: Option<&SharedQueue>,
     scratch: &mut ThreadScratch<ThreadCtx<F, G::Index>>,
 ) -> Vec<u32> {
     let scratch_ref: &ThreadScratch<ThreadCtx<F, G::Index>> = scratch;
     let rec = pool.tracer();
-    pool.for_sched(sched, w.len(), chunk, |tid, range| {
+    pool.for_dynamic(w.len(), chunk, |tid, range| {
         par::faults::fire(G::FAULT_CONFLICT, tid);
         scratch_ref.with(tid, |ctx| {
             let items = &w[range];
@@ -272,7 +268,6 @@ mod tests {
         g: &G,
         pool: &Pool,
         eager: bool,
-        sched: Sched,
     ) -> Vec<i32> {
         let n = g.n_vertices();
         let colors = Colors::new(n);
@@ -282,14 +277,13 @@ mod tests {
         let mut w: Vec<u32> = (0..n as u32).collect();
         let mut guard = 0;
         while !w.is_empty() {
-            color_workqueue_vertex(g, &w, &colors, pool, 1, sched, Balance::Unbalanced, &scratch);
+            color_workqueue_vertex(g, &w, &colors, pool, 1, Balance::Unbalanced, &scratch);
             w = remove_conflicts_vertex(
                 g,
                 &w,
                 &colors,
                 pool,
                 1,
-                sched,
                 eager.then_some(&shared),
                 &mut scratch,
             );
@@ -303,33 +297,26 @@ mod tests {
     fn sequential_team_colors_clique_without_conflicts() {
         let g = clique_graph();
         let pool = Pool::new(1);
-        // Single thread first-fit on one net: colors are 0..6 in order,
-        // whichever chunk scheduler claims the (single-block) range.
-        for sched in Sched::all() {
-            let colors = run_until_valid(&g, &pool, false, sched);
-            verify_bgpc(&g, &colors).unwrap();
-            assert_eq!(colors, vec![0, 1, 2, 3, 4, 5], "{sched}");
-        }
+        // Single thread first-fit on one net: colors are 0..6 in order.
+        let colors = run_until_valid(&g, &pool, false);
+        verify_bgpc(&g, &colors).unwrap();
+        assert_eq!(colors, vec![0, 1, 2, 3, 4, 5]);
     }
 
     #[test]
     fn parallel_team_converges_on_clique_lazy() {
         let g = clique_graph();
         let pool = Pool::new(4);
-        for sched in Sched::all() {
-            let colors = run_until_valid(&g, &pool, false, sched);
-            verify_bgpc(&g, &colors).unwrap();
-        }
+        let colors = run_until_valid(&g, &pool, false);
+        verify_bgpc(&g, &colors).unwrap();
     }
 
     #[test]
     fn parallel_team_converges_on_clique_eager() {
         let g = clique_graph();
         let pool = Pool::new(4);
-        for sched in Sched::all() {
-            let colors = run_until_valid(&g, &pool, true, sched);
-            verify_bgpc(&g, &colors).unwrap();
-        }
+        let colors = run_until_valid(&g, &pool, true);
+        verify_bgpc(&g, &colors).unwrap();
     }
 
     #[test]
@@ -341,23 +328,15 @@ mod tests {
         let mut scratch: ThreadScratch<ThreadCtx> =
             ThreadScratch::new(2, |_| ThreadCtx::new(8));
         let w: Vec<u32> = vec![0, 1, 2, 3];
-        color_workqueue_vertex(
-            &g, &w, &colors, &pool, 1, Sched::Dynamic, Balance::Unbalanced, &scratch,
-        );
-        let wnext = remove_conflicts_vertex(
-            &g, &w, &colors, &pool, 1, Sched::Dynamic, None, &mut scratch,
-        );
+        color_workqueue_vertex(&g, &w, &colors, &pool, 1, Balance::Unbalanced, &scratch);
+        let wnext = remove_conflicts_vertex(&g, &w, &colors, &pool, 1, None, &mut scratch);
         // single-net-per-vertex, small graph: any schedule should already
         // be conflict-free or nearly so; loop to completion for safety.
         let mut w = wnext;
         let mut rounds = 0;
         while !w.is_empty() {
-            color_workqueue_vertex(
-                &g, &w, &colors, &pool, 1, Sched::Dynamic, Balance::Unbalanced, &scratch,
-            );
-            w = remove_conflicts_vertex(
-                &g, &w, &colors, &pool, 1, Sched::Dynamic, None, &mut scratch,
-            );
+            color_workqueue_vertex(&g, &w, &colors, &pool, 1, Balance::Unbalanced, &scratch);
+            w = remove_conflicts_vertex(&g, &w, &colors, &pool, 1, None, &mut scratch);
             rounds += 1;
             assert!(rounds < 10);
         }
@@ -375,9 +354,7 @@ mod tests {
         colors.set(1, 0);
         let mut scratch: ThreadScratch<ThreadCtx> =
             ThreadScratch::new(1, |_| ThreadCtx::new(4));
-        let wnext = remove_conflicts_vertex(
-            &g, &[0, 1], &colors, &pool, 1, Sched::Dynamic, None, &mut scratch,
-        );
+        let wnext = remove_conflicts_vertex(&g, &[0, 1], &colors, &pool, 1, None, &mut scratch);
         assert_eq!(wnext, vec![1]);
         // Winner keeps its color; loser's stale color remains until the
         // next coloring phase (paper semantics).
@@ -397,12 +374,8 @@ mod tests {
             let mut w: Vec<u32> = (0..g.n_vertices() as u32).collect();
             let mut rounds = 0;
             while !w.is_empty() {
-                color_workqueue_vertex(
-                    &g, &w, &colors, &pool, 4, Sched::Stealing, balance, &scratch,
-                );
-                w = remove_conflicts_vertex(
-                    &g, &w, &colors, &pool, 4, Sched::Stealing, None, &mut scratch,
-                );
+                color_workqueue_vertex(&g, &w, &colors, &pool, 4, balance, &scratch);
+                w = remove_conflicts_vertex(&g, &w, &colors, &pool, 4, None, &mut scratch);
                 rounds += 1;
                 assert!(rounds < 100);
             }
@@ -413,7 +386,7 @@ mod tests {
     #[test]
     fn d2gc_cycle_single_thread() {
         let g = cycle6();
-        let colors = run_until_valid(&g, &Pool::new(1), false, Sched::Dynamic);
+        let colors = run_until_valid(&g, &Pool::new(1), false);
         verify_d2gc(&g, &colors).unwrap();
         // C6 at distance 2 needs exactly 3 colors.
         assert_eq!(crate::metrics::count_distinct_colors(&colors), 3);
@@ -422,16 +395,14 @@ mod tests {
     #[test]
     fn d2gc_cycle_parallel() {
         let g = cycle6();
-        for sched in Sched::all() {
-            let colors = run_until_valid(&g, &Pool::new(4), false, sched);
-            verify_d2gc(&g, &colors).unwrap();
-        }
+        let colors = run_until_valid(&g, &Pool::new(4), false);
+        verify_d2gc(&g, &colors).unwrap();
     }
 
     #[test]
     fn d2gc_random_graph_parallel_eager_queue() {
         let g = Graph::from_symmetric_matrix(&sparse::gen::erdos_renyi(60, 150, 3));
-        let colors = run_until_valid(&g, &Pool::new(3), true, Sched::Stealing);
+        let colors = run_until_valid(&g, &Pool::new(3), true);
         verify_d2gc(&g, &colors).unwrap();
     }
 }

@@ -119,8 +119,8 @@ impl SharedQueue {
     /// this length against the trace counter totals the conflict kernels
     /// accumulate (the runner checks
     /// `Σ_t conflicts_detected(t) == |W_next|` for vertex-based phases)
-    /// without racing under `par::Sched::Stealing`. The previous `Relaxed`
-    /// load was only safe after a join barrier.
+    /// without racing. A `Relaxed` load would only be safe after a join
+    /// barrier.
     ///
     /// An overshot tail (a caught overflow) is clamped rather than
     /// reported raw, so drain paths never index past the buffer; the

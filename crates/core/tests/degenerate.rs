@@ -1,5 +1,4 @@
-//! Degenerate-instance coverage: every schedule × both chunk schedulers
-//! on the shapes most likely to break boundary arithmetic — an empty
+//! Degenerate-instance coverage: every schedule on the shapes most likely to break boundary arithmetic — an empty
 //! `V_A`, isolated (pin-less) nets and net-less vertices, a single
 //! vertex, a star (one net covering everything), and nets sized exactly
 //! on the 128-color forbidden-set dispatch boundary — plus the
@@ -10,19 +9,8 @@ use bgpc::incremental::{apply_delta, recolor_bgpc_incremental, CsrDelta, DeltaEr
 use bgpc::verify::{verify_bgpc, verify_d2gc};
 use bgpc::{RunnerOpts, Schedule};
 use graph::{BipartiteGraph, Graph, Ordering};
-use par::{Pool, Sched};
+use par::Pool;
 use sparse::Csr;
-
-/// Every BGPC schedule in every chunk-scheduler flavor.
-fn all_configs() -> Vec<Schedule> {
-    let mut v = Vec::new();
-    for s in Schedule::all() {
-        for sched in Sched::all() {
-            v.push(s.clone().with_sched(sched));
-        }
-    }
-    v
-}
 
 /// Runs every configuration on the instance and verifies each result.
 /// Returns the distinct-color counts observed (one per configuration).
@@ -30,7 +18,7 @@ fn run_all_bgpc(m: &Csr, threads: usize) -> Vec<usize> {
     let g = BipartiteGraph::from_matrix(m);
     let order = Ordering::Natural.vertex_order_bgpc(&g);
     let pool = Pool::new(threads);
-    all_configs()
+    Schedule::all()
         .iter()
         .map(|schedule| {
             let res = bgpc::color_bgpc(&g, &order, schedule, &pool);
@@ -102,21 +90,18 @@ fn net_size_on_the_dense_dispatch_boundary() {
     }
 }
 
-/// Every D2GC schedule in both chunk-scheduler flavors.
+/// Every D2GC schedule.
 fn run_all_d2gc(m: &Csr, threads: usize) -> Vec<usize> {
     let g = Graph::from_symmetric_matrix(m);
     let order = Ordering::Natural.vertex_order_d2(&g);
     let pool = Pool::new(threads);
     let mut out = Vec::new();
-    for s in Schedule::d2gc_set() {
-        for sched in Sched::all() {
-            let schedule = s.clone().with_sched(sched);
-            let res = bgpc::d2gc::color_d2gc(&g, &order, &schedule, &pool);
-            verify_d2gc(&g, &res.colors)
-                .unwrap_or_else(|e| panic!("{} invalid on degenerate instance: {e}", schedule.name()));
-            assert!(res.degraded.is_none(), "{} degraded", schedule.name());
-            out.push(res.num_colors);
-        }
+    for schedule in Schedule::d2gc_set() {
+        let res = bgpc::d2gc::color_d2gc(&g, &order, &schedule, &pool);
+        verify_d2gc(&g, &res.colors)
+            .unwrap_or_else(|e| panic!("{} invalid on degenerate instance: {e}", schedule.name()));
+        assert!(res.degraded.is_none(), "{} degraded", schedule.name());
+        out.push(res.num_colors);
     }
     out
 }
@@ -126,7 +111,7 @@ fn empty_delta_is_a_noop_on_every_degenerate_shape() {
     // Applying the empty batch must return the identical pattern and an
     // empty dirty set even on the shapes above — and a seeded recolor
     // with that empty dirty set must return the base coloring unchanged
-    // in zero iterations on every schedule × chunk scheduler.
+    // in zero iterations on every schedule.
     let shapes = [
         Csr::from_rows(0, &[]),
         Csr::from_rows(4, &[vec![], vec![0, 1], vec![]]),
@@ -142,7 +127,7 @@ fn empty_delta_is_a_noop_on_every_degenerate_shape() {
 
         let g = BipartiteGraph::from_matrix(m);
         let order = Ordering::Natural.vertex_order_bgpc(&g);
-        for schedule in all_configs() {
+        for schedule in Schedule::all() {
             let base = bgpc::color_bgpc(&g, &order, &schedule, &pool);
             let r = recolor_bgpc_incremental(
                 &g,

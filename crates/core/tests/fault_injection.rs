@@ -16,7 +16,7 @@ use bgpc::verify::{verify_bgpc, verify_d2gc};
 use bgpc::{color_bgpc, color_bgpc_with_opts, ColoringResult, RunnerOpts, Schedule};
 use graph::{BipartiteGraph, Graph, Ordering};
 use par::faults::{self, FaultAction};
-use par::{Pool, Sched};
+use par::Pool;
 
 static SERIAL: Mutex<()> = Mutex::new(());
 
@@ -53,18 +53,15 @@ fn bgpc_color_phase_panic_recovers_on_every_schedule() {
     let g = bgpc_instance();
     let order = Ordering::Natural.vertex_order_bgpc(&g);
     let pool = Pool::new(4);
-    for base in Schedule::all() {
-        for sched in Sched::all() {
-            let schedule = base.clone().with_sched(sched);
-            faults::arm("bgpc.color", FaultAction::Panic);
-            let r = color_bgpc(&g, &order, &schedule, &pool);
-            faults::reset();
-            let ctx = format!("{}/{sched}", schedule.name());
-            assert_degraded_panic(&r, FailedPhase::Color, &ctx);
-            verify_bgpc(&g, &r.colors)
-                .unwrap_or_else(|e| panic!("{ctx}: repaired coloring invalid: {e}"));
-            assert!(r.num_colors >= g.max_net_size(), "{ctx}");
-        }
+    for schedule in Schedule::all() {
+        faults::arm("bgpc.color", FaultAction::Panic);
+        let r = color_bgpc(&g, &order, &schedule, &pool);
+        faults::reset();
+        let ctx = schedule.name();
+        assert_degraded_panic(&r, FailedPhase::Color, &ctx);
+        verify_bgpc(&g, &r.colors)
+            .unwrap_or_else(|e| panic!("{ctx}: repaired coloring invalid: {e}"));
+        assert!(r.num_colors >= g.max_net_size(), "{ctx}");
     }
 }
 
@@ -74,28 +71,24 @@ fn bgpc_conflict_phase_panic_recovers_on_every_schedule() {
     let g = bgpc_instance();
     let order = Ordering::Natural.vertex_order_bgpc(&g);
     let pool = Pool::new(4);
-    for base in Schedule::all() {
-        for sched in Sched::all() {
-            let schedule = base.clone().with_sched(sched);
-            faults::arm("bgpc.conflict", FaultAction::Panic);
-            let r = color_bgpc(&g, &order, &schedule, &pool);
-            faults::reset();
-            let ctx = format!("{}/{sched}", schedule.name());
-            assert_degraded_panic(&r, FailedPhase::Conflict, &ctx);
-            verify_bgpc(&g, &r.colors)
-                .unwrap_or_else(|e| panic!("{ctx}: repaired coloring invalid: {e}"));
-        }
+    for schedule in Schedule::all() {
+        faults::arm("bgpc.conflict", FaultAction::Panic);
+        let r = color_bgpc(&g, &order, &schedule, &pool);
+        faults::reset();
+        let ctx = schedule.name();
+        assert_degraded_panic(&r, FailedPhase::Conflict, &ctx);
+        verify_bgpc(&g, &r.colors)
+            .unwrap_or_else(|e| panic!("{ctx}: repaired coloring invalid: {e}"));
     }
 }
 
-#[test]
-fn bgpc_specific_worker_panic_mid_region_recovers() {
-    let _g = serial();
+/// Panics team thread 2 of `pool` in the color phase of a V-V run and
+/// checks the run degrades to a valid coloring and the pool recovers.
+fn worker_2_panic_mid_region_recovers(pool: &Pool, ctx: &str) {
     // Large enough that the master cannot drain the dynamic queue before
     // the other team threads wake up and grab chunks.
     let g = BipartiteGraph::from_matrix(&sparse::gen::bipartite_uniform(4000, 2000, 40000, 7));
     let order = Ordering::Natural.vertex_order_bgpc(&g);
-    let pool = Pool::new(4);
     // Panic only team thread 2: the other three threads keep working the
     // region to completion before the fault is reported. Dynamic chunking
     // cannot *guarantee* thread 2 grabs work before the master drains the
@@ -104,7 +97,7 @@ fn bgpc_specific_worker_panic_mid_region_recovers() {
     let mut faulted = None;
     for _ in 0..50 {
         faults::arm_with("bgpc.color", FaultAction::Panic, 1, Some(2));
-        let r = color_bgpc(&g, &order, &Schedule::v_v(), &pool);
+        let r = color_bgpc(&g, &order, &Schedule::v_v(), pool);
         let fired = faults::hits("bgpc.color") > 0;
         faults::reset();
         verify_bgpc(&g, &r.colors).expect("coloring must be valid, fault or not");
@@ -112,17 +105,31 @@ fn bgpc_specific_worker_panic_mid_region_recovers() {
             faulted = Some(r);
             break;
         }
-        assert!(!r.is_degraded(), "no fault fired, so no degradation");
+        assert!(!r.is_degraded(), "{ctx}: no fault fired, so no degradation");
     }
-    let r = faulted.expect("thread 2 never grabbed a chunk in 50 runs");
-    assert_degraded_panic(&r, FailedPhase::Color, "V-V worker 2");
+    let r = faulted.unwrap_or_else(|| panic!("{ctx}: thread 2 never grabbed a chunk in 50 runs"));
+    assert_degraded_panic(&r, FailedPhase::Color, ctx);
     // The same pool must run a clean (non-degraded) region afterwards.
-    let clean = color_bgpc(&g, &order, &Schedule::v_v(), &pool);
+    let clean = color_bgpc(&g, &order, &Schedule::v_v(), pool);
     assert!(
         !clean.is_degraded(),
-        "pool must fully recover after containment"
+        "{ctx}: pool must fully recover after containment"
     );
     verify_bgpc(&g, &clean.colors).unwrap();
+}
+
+#[test]
+fn bgpc_specific_worker_panic_mid_region_recovers() {
+    let _g = serial();
+    worker_2_panic_mid_region_recovers(&Pool::new(4), "V-V worker 2");
+}
+
+#[test]
+fn pinned_worker_panic_mid_region_recovers() {
+    let _g = serial();
+    // Pinning is best-effort, so the test is valid whether or not
+    // affinity took; containment and repair must not depend on it.
+    worker_2_panic_mid_region_recovers(&Pool::new_pinned(4), "pinned V-V worker 2");
 }
 
 #[test]
@@ -152,17 +159,14 @@ fn d2gc_color_phase_panic_recovers_on_schedule_set() {
     let g = d2gc_instance();
     let order = Ordering::Natural.vertex_order_d2(&g);
     let pool = Pool::new(4);
-    for base in Schedule::d2gc_set() {
-        for sched in Sched::all() {
-            let schedule = base.clone().with_sched(sched);
-            faults::arm("d2gc.color", FaultAction::Panic);
-            let r = color_d2gc(&g, &order, &schedule, &pool);
-            faults::reset();
-            let ctx = format!("{}/{sched}", schedule.name());
-            assert_degraded_panic(&r, FailedPhase::Color, &ctx);
-            verify_d2gc(&g, &r.colors)
-                .unwrap_or_else(|e| panic!("{ctx}: repaired coloring invalid: {e}"));
-        }
+    for schedule in Schedule::d2gc_set() {
+        faults::arm("d2gc.color", FaultAction::Panic);
+        let r = color_d2gc(&g, &order, &schedule, &pool);
+        faults::reset();
+        let ctx = schedule.name();
+        assert_degraded_panic(&r, FailedPhase::Color, &ctx);
+        verify_d2gc(&g, &r.colors)
+            .unwrap_or_else(|e| panic!("{ctx}: repaired coloring invalid: {e}"));
     }
 }
 
@@ -172,17 +176,14 @@ fn d2gc_conflict_phase_panic_recovers_on_schedule_set() {
     let g = d2gc_instance();
     let order = Ordering::Natural.vertex_order_d2(&g);
     let pool = Pool::new(4);
-    for base in Schedule::d2gc_set() {
-        for sched in Sched::all() {
-            let schedule = base.clone().with_sched(sched);
-            faults::arm("d2gc.conflict", FaultAction::Panic);
-            let r = color_d2gc(&g, &order, &schedule, &pool);
-            faults::reset();
-            let ctx = format!("{}/{sched}", schedule.name());
-            assert_degraded_panic(&r, FailedPhase::Conflict, &ctx);
-            verify_d2gc(&g, &r.colors)
-                .unwrap_or_else(|e| panic!("{ctx}: repaired coloring invalid: {e}"));
-        }
+    for schedule in Schedule::d2gc_set() {
+        faults::arm("d2gc.conflict", FaultAction::Panic);
+        let r = color_d2gc(&g, &order, &schedule, &pool);
+        faults::reset();
+        let ctx = schedule.name();
+        assert_degraded_panic(&r, FailedPhase::Conflict, &ctx);
+        verify_d2gc(&g, &r.colors)
+            .unwrap_or_else(|e| panic!("{ctx}: repaired coloring invalid: {e}"));
     }
 }
 
@@ -262,57 +263,6 @@ fn both_forbidden_set_representations_repair_after_faults() {
     faults::reset();
     assert_degraded_panic(&r, FailedPhase::Color, "D2GC StampSet");
     verify_d2gc(&d2, &r.colors).unwrap();
-}
-
-#[test]
-fn stealing_worker_panic_mid_region_recovers() {
-    let _g = serial();
-    // Same shape as the dynamic-cursor worker test, but with per-worker
-    // blocks: every thread owns a slice of the queue. A thread that wakes
-    // late can find its block stolen, so drained thieves wait at the
-    // `par.steal` gate until thread 2 has fired: thread 2's first claim
-    // is then always from its own untouched block.
-    let g = BipartiteGraph::from_matrix(&sparse::gen::bipartite_uniform(4000, 2000, 40000, 7));
-    let order = Ordering::Natural.vertex_order_bgpc(&g);
-    let pool = Pool::new(4);
-    let schedule = Schedule::v_v_64d().with_sched(Sched::Stealing);
-    faults::arm_with("bgpc.color", FaultAction::Panic, 1, Some(2));
-    faults::arm_with("par.steal", FaultAction::Gate("bgpc.color"), usize::MAX, None);
-    let r = color_bgpc(&g, &order, &schedule, &pool);
-    let fired = faults::hits("bgpc.color") > 0;
-    faults::reset();
-    assert!(fired, "stealing partitions give thread 2 work up front");
-    assert_degraded_panic(&r, FailedPhase::Color, "stealing worker 2");
-    verify_bgpc(&g, &r.colors).unwrap();
-    let clean = color_bgpc(&g, &order, &schedule, &pool);
-    assert!(!clean.is_degraded(), "pool must recover after containment");
-    verify_bgpc(&g, &clean.colors).unwrap();
-}
-
-#[test]
-fn pinned_worker_panic_mid_steal_recovers() {
-    let _g = serial();
-    // `par.steal` fires after a worker drains its local block and before
-    // it touches any victim — the hardest spot for the steal-range
-    // disjointness invariant. Every stealing worker reaches it (the run
-    // only ends once all blocks are empty), so the point fires
-    // deterministically. Use a pinned pool so containment and repair are
-    // also exercised under the near-first victim ordering; pinning is
-    // best-effort, so the test is valid whether or not affinity took.
-    let g = BipartiteGraph::from_matrix(&sparse::gen::bipartite_uniform(4000, 2000, 40000, 7));
-    let order = Ordering::Natural.vertex_order_bgpc(&g);
-    let pool = Pool::new_pinned(4);
-    let schedule = Schedule::v_v_64d().with_sched(Sched::Stealing);
-    faults::arm_with("par.steal", FaultAction::Panic, 1, Some(2));
-    let r = color_bgpc(&g, &order, &schedule, &pool);
-    let fired = faults::hits("par.steal") > 0;
-    faults::reset();
-    assert!(fired, "every stealing worker reaches the mid-steal point");
-    assert_degraded_panic(&r, FailedPhase::Color, "mid-steal worker 2");
-    verify_bgpc(&g, &r.colors).expect("repaired coloring must be valid");
-    let clean = color_bgpc(&g, &order, &schedule, &pool);
-    assert!(!clean.is_degraded(), "pinned pool must recover after containment");
-    verify_bgpc(&g, &clean.colors).unwrap();
 }
 
 #[test]

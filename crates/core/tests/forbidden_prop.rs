@@ -21,7 +21,7 @@ use bgpc::vertex::color_workqueue_vertex;
 use bgpc::{Balance, BitStampSet, Color, Colors, ForbiddenSet, Neighborhood, StampSet};
 use graph::{BipartiteGraph, Graph};
 use minicheck::{check, prop_assert, Gen};
-use par::{Pool, Sched, ThreadScratch};
+use par::{Pool, ThreadScratch};
 use sparse::Csr;
 
 /// Colors reach past several 64-bit words and past the initial capacity so
@@ -126,7 +126,7 @@ fn color_queue<F: ForbiddenSet, G: Neighborhood>(
         ctx.wide_palette = start_wide;
         ctx
     });
-    color_workqueue_vertex(g, w, &colors, &pool, chunk, Sched::Dynamic, balance, &scratch);
+    color_workqueue_vertex(g, w, &colors, &pool, chunk, balance, &scratch);
     let probes = pool
         .tracer()
         .expect("recorder installed")

@@ -1,10 +1,10 @@
 //! Property test: relabel → color → invert-permutation round-trips.
 //!
 //! For random bipartite instances, every locality relabeling
-//! ([`LocalityOrder`]), at both row-pointer widths (u32 and u64), and
-//! under both chunk schedulers: coloring the *relabeled* instance and
-//! mapping the result back through the permutation must yield a coloring
-//! that [`bgpc::verify::verify_bgpc`] accepts on the *original* graph.
+//! ([`LocalityOrder`]) and at both row-pointer widths (u32 and u64):
+//! coloring the *relabeled* instance and mapping the result back through
+//! the permutation must yield a coloring that
+//! [`bgpc::verify::verify_bgpc`] accepts on the *original* graph.
 //! This pins the `perm[old] = new` convention end to end — a transposed
 //! permutation or an un-inverted mapping makes the oracle reject.
 
@@ -12,7 +12,7 @@ use bgpc::verify::verify_bgpc;
 use bgpc::Schedule;
 use graph::BipartiteGraph;
 use minicheck::{check, prop_assert};
-use par::{Pool, Sched};
+use par::Pool;
 use sparse::{unpermute, Csr, CsrIndex, IndexWidth, LocalityOrder};
 
 /// Colors the relabeled pattern at width `I` and returns the coloring
@@ -48,12 +48,7 @@ fn relabeled_colorings_verify_on_the_original_graph() {
             Schedule::v_v_64d()
         } else {
             Schedule::n1_n2()
-        }
-        .with_sched(if g.bool_with(0.5) {
-            Sched::Dynamic
-        } else {
-            Sched::Stealing
-        });
+        };
 
         for relabel in LocalityOrder::all() {
             let (pm, perm) = relabel.apply_columns(&m);
@@ -74,7 +69,7 @@ fn relabeled_colorings_verify_on_the_original_graph() {
                     "{}/{}/{} coloring invalid on the original graph: {}",
                     relabel.label(),
                     width.label(),
-                    schedule.sched,
+                    schedule.name(),
                     ok.unwrap_err()
                 );
             }
@@ -93,7 +88,7 @@ fn relabeled_d2gc_colorings_verify_on_the_original_graph() {
         let seed = g.u64_in(0..1 << 32);
         let m = sparse::gen::erdos_renyi(n, edges, seed);
         let g0 = graph::Graph::from_symmetric_matrix(&m);
-        let schedule = Schedule::v_v_64d().with_sched(Sched::Stealing);
+        let schedule = Schedule::v_v_64d();
 
         for relabel in LocalityOrder::all() {
             let (pm, perm) = relabel.apply_symmetric(&m);

@@ -14,7 +14,7 @@ use bgpc::ctx::ThreadCtx;
 use bgpc::vertex::color_workqueue_vertex;
 use bgpc::{Balance, BitStampSet, Color, Colors};
 use graph::BipartiteGraph;
-use par::{Pool, Sched, ThreadScratch};
+use par::{Pool, ThreadScratch};
 use sparse::Csr;
 
 /// A star: one net over `n` vertices, forcing `n` distinct colors and
@@ -38,7 +38,7 @@ fn color_with(
 ) -> Vec<Color> {
     let order: Vec<u32> = (0..g.n_vertices() as u32).collect();
     let colors = Colors::new(g.n_vertices());
-    color_workqueue_vertex(g, &order, &colors, pool, 64, Sched::Dynamic, balance, scratch);
+    color_workqueue_vertex(g, &order, &colors, pool, 64, balance, scratch);
     colors.snapshot()
 }
 

@@ -13,7 +13,7 @@ use bgpc::Schedule;
 use graph::{BipartiteGraph, Ordering};
 use minicheck::{check, prop_assert};
 use par::faults::{self, FaultAction};
-use par::{Pool, Sched};
+use par::Pool;
 use trace::Counter;
 
 static SERIAL: Mutex<()> = Mutex::new(());
@@ -31,7 +31,7 @@ fn traced_pool(threads: usize) -> Pool {
 }
 
 #[test]
-fn per_thread_counts_agree_with_queue_sizes_under_both_schedulers() {
+fn per_thread_counts_agree_with_queue_sizes() {
     let _g = serial();
     // V-V-64D keeps every phase vertex-based, where the exact identities
     // hold: each queued vertex is colored once per coloring phase, and
@@ -45,61 +45,55 @@ fn per_thread_counts_agree_with_queue_sizes_under_both_schedulers() {
         let g = BipartiteGraph::from_matrix(&m);
         let order = Ordering::Natural.vertex_order_bgpc(&g);
 
-        for sched in [Sched::Dynamic, Sched::Stealing] {
-            let pool = traced_pool(3);
-            let schedule = Schedule::v_v_64d().with_sched(sched);
-            let r = bgpc::color_bgpc(&g, &order, &schedule, &pool);
-            prop_assert!(!r.is_degraded(), "no faults armed");
+        let pool = traced_pool(3);
+        let schedule = Schedule::v_v_64d();
+        let r = bgpc::color_bgpc(&g, &order, &schedule, &pool);
+        prop_assert!(!r.is_degraded(), "no faults armed");
 
-            let mut colored_total = 0u64;
-            let mut conflicts_total = 0u64;
-            for it in &r.iterations {
-                prop_assert!(
-                    !it.per_thread.is_empty(),
-                    "recorder installed, so slices must be populated"
-                );
-                let colored: u64 = it
-                    .per_thread
-                    .iter()
-                    .map(|t| t.color.get(Counter::VerticesColored))
-                    .sum();
-                let conflicts: u64 = it
-                    .per_thread
-                    .iter()
-                    .map(|t| t.conflict.get(Counter::ConflictsDetected))
-                    .sum();
-                prop_assert!(
-                    colored == it.queue_in as u64,
-                    "{sched} iter {}: {} colored != queue_in {}",
-                    it.iter,
-                    colored,
-                    it.queue_in
-                );
-                prop_assert!(
-                    conflicts == it.queue_out as u64,
-                    "{sched} iter {}: {} conflicts != queue_out {}",
-                    it.iter,
-                    conflicts,
-                    it.queue_out
-                );
-                colored_total += colored;
-                conflicts_total += conflicts;
-            }
-
-            // The merged totals must tell the same story.
-            let totals = r.per_thread_totals();
-            let merged_colored: u64 =
-                totals.iter().map(|s| s.get(Counter::VerticesColored)).sum();
-            let merged_conflicts: u64 = totals
-                .iter()
-                .map(|s| s.get(Counter::ConflictsDetected))
-                .sum();
-            prop_assert!(merged_colored == colored_total, "{sched} merged colored");
+        let mut colored_total = 0u64;
+        let mut conflicts_total = 0u64;
+        for it in &r.iterations {
             prop_assert!(
-                merged_conflicts == conflicts_total,
-                "{sched} merged conflicts"
+                !it.per_thread.is_empty(),
+                "recorder installed, so slices must be populated"
             );
+            let colored: u64 = it
+                .per_thread
+                .iter()
+                .map(|t| t.color.get(Counter::VerticesColored))
+                .sum();
+            let conflicts: u64 = it
+                .per_thread
+                .iter()
+                .map(|t| t.conflict.get(Counter::ConflictsDetected))
+                .sum();
+            prop_assert!(
+                colored == it.queue_in as u64,
+                "iter {}: {} colored != queue_in {}",
+                it.iter,
+                colored,
+                it.queue_in
+            );
+            prop_assert!(
+                conflicts == it.queue_out as u64,
+                "iter {}: {} conflicts != queue_out {}",
+                it.iter,
+                conflicts,
+                it.queue_out
+            );
+            colored_total += colored;
+            conflicts_total += conflicts;
         }
+
+        // The merged totals must tell the same story.
+        let totals = r.per_thread_totals();
+        let merged_colored: u64 = totals.iter().map(|s| s.get(Counter::VerticesColored)).sum();
+        let merged_conflicts: u64 = totals
+            .iter()
+            .map(|s| s.get(Counter::ConflictsDetected))
+            .sum();
+        prop_assert!(merged_colored == colored_total, "merged colored");
+        prop_assert!(merged_conflicts == conflicts_total, "merged conflicts");
         Ok(())
     });
 }
@@ -109,7 +103,7 @@ fn single_thread_totals_equal_sequential_baseline() {
     let _g = serial();
     // One thread cannot race itself: the run must equal the sequential
     // first-fit baseline exactly, color zero conflicts, and count exactly
-    // one colored vertex per queue entry — under both chunk schedulers.
+    // one colored vertex per queue entry.
     check("trace_totals_vs_sequential", 24, |gen| {
         let nets = gen.usize_in(1..25);
         let verts = gen.usize_in(2..40);
@@ -120,27 +114,25 @@ fn single_thread_totals_equal_sequential_baseline() {
         let order = Ordering::Natural.vertex_order_bgpc(&g);
         let (seq_colors, seq_k) = bgpc::seq::color_bgpc_seq(&g, &order);
 
-        for sched in [Sched::Dynamic, Sched::Stealing] {
-            let pool = traced_pool(1);
-            let schedule = Schedule::v_v().with_sched(sched);
-            let r = bgpc::color_bgpc(&g, &order, &schedule, &pool);
-            prop_assert!(r.colors == seq_colors, "{sched}: colors differ from seq");
-            prop_assert!(r.num_colors == seq_k, "{sched}: color count differs");
+        let pool = traced_pool(1);
+        let schedule = Schedule::v_v();
+        let r = bgpc::color_bgpc(&g, &order, &schedule, &pool);
+        prop_assert!(r.colors == seq_colors, "colors differ from seq");
+        prop_assert!(r.num_colors == seq_k, "color count differs");
 
-            let totals = r.per_thread_totals();
-            let colored: u64 = totals.iter().map(|s| s.get(Counter::VerticesColored)).sum();
-            let conflicts: u64 = totals
-                .iter()
-                .map(|s| s.get(Counter::ConflictsDetected))
-                .sum();
-            prop_assert!(
-                colored == g.n_vertices() as u64,
-                "{sched}: one thread colors each vertex exactly once ({} != {})",
-                colored,
-                g.n_vertices()
-            );
-            prop_assert!(conflicts == 0, "{sched}: one thread cannot conflict");
-        }
+        let totals = r.per_thread_totals();
+        let colored: u64 = totals.iter().map(|s| s.get(Counter::VerticesColored)).sum();
+        let conflicts: u64 = totals
+            .iter()
+            .map(|s| s.get(Counter::ConflictsDetected))
+            .sum();
+        prop_assert!(
+            colored == g.n_vertices() as u64,
+            "one thread colors each vertex exactly once ({} != {})",
+            colored,
+            g.n_vertices()
+        );
+        prop_assert!(conflicts == 0, "one thread cannot conflict");
         Ok(())
     });
 }

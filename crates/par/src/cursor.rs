@@ -54,10 +54,8 @@ impl ChunkCursor {
     ///
     /// Claims use `fetch_add`, which is a read-modify-write the `Acquire`
     /// load synchronizes with, so a value read here is never ahead of the
-    /// claims it reports — unlike the `Relaxed` load this replaced, which
-    /// made mid-region assertions racy under [`crate::Sched::Stealing`]'s
-    /// mixed cursor/steal fallback. The fast-path claim itself stays
-    /// `Relaxed`.
+    /// claims it reports, even when read mid-region. The fast-path claim
+    /// itself stays `Relaxed`.
     pub fn issued(&self) -> usize {
         self.next.load(Ordering::Acquire)
     }

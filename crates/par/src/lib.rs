@@ -17,10 +17,6 @@
 //!   (`schedule(dynamic, chunk)`).
 //! * [`Pool::for_static`] iterates with contiguous block partitioning
 //!   (`schedule(static)`).
-//! * [`Pool::for_stealing`] iterates with per-worker blocks plus
-//!   randomized half-stealing ([`StealRanges`]) — same exactly-once
-//!   contract as `for_dynamic` without the shared-cursor cache line —
-//!   and [`Pool::for_sched`] dispatches on a [`Sched`] policy value.
 //! * [`ThreadScratch`] provides cache-padded per-thread workspaces that live
 //!   across parallel regions — the paper's "allocated only once, never reset"
 //!   forbidden-color arrays depend on this.
@@ -29,12 +25,11 @@
 //!   [`faults`] provides the fail-point registry the fault-injection tests
 //!   use to prove that recovery works.
 //! * [`Pool::set_tracer`] installs a `trace::Recorder` on the team: regions
-//!   then record per-thread busy time and the chunked drivers count claims
-//!   and steals. Without a recorder (the default) the hooks cost one branch
-//!   per region — see the `trace` crate for the full cost model.
+//!   then record per-thread busy time and the chunked drivers count claims.
+//!   Without a recorder (the default) the hooks cost one branch per region
+//!   — see the `trace` crate for the full cost model.
 //! * [`Pool::new_pinned`] and [`topo`] add a CPU-topology model: team
-//!   members are pinned core-major (graceful no-op off Linux) and drained
-//!   thieves steal from near victims first.
+//!   members are pinned core-major (graceful no-op off Linux).
 //!
 //! # Example
 //!
@@ -56,14 +51,12 @@ pub mod faults;
 mod padded;
 mod pool;
 mod scratch;
-mod steal;
 pub mod topo;
 
 pub use cursor::ChunkCursor;
 pub use padded::CachePadded;
 pub use pool::{contain, Pool, RegionPanic};
 pub use scratch::ThreadScratch;
-pub use steal::{Sched, StealRanges};
 
 /// Returns the number of logical CPUs available to this process.
 ///

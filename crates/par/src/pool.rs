@@ -8,7 +8,6 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
 use crate::cursor::ChunkCursor;
-use crate::steal::{Sched, StealRanges};
 use crate::topo::{CpuTopology, PinPlan};
 
 /// Locks a mutex, recovering the guard if a previous holder panicked.
@@ -183,8 +182,8 @@ pub struct Pool {
     /// Observability sink; `None` (the default) keeps every hook to a
     /// single branch per region — see [`Pool::set_tracer`].
     tracer: Option<Arc<trace::Recorder>>,
-    /// Topology plan for pinned teams — worker→CPU placement plus
-    /// per-thief near-first victim orders (see [`Pool::new_pinned`]).
+    /// Topology plan for pinned teams — worker→CPU placement (see
+    /// [`Pool::new_pinned`]).
     plan: Option<Arc<PinPlan>>,
 }
 
@@ -197,8 +196,7 @@ impl Pool {
     /// Creates a pool whose members are pinned to CPUs in core-major
     /// topology order (caller → CPU of tid 0, worker `tid` → the `tid`-th
     /// CPU; see [`crate::topo`]). On platforms without `sched_setaffinity`
-    /// the team runs unpinned — [`pinned`](Pool::pinned) reports which —
-    /// but the topology's near-first steal order is used either way.
+    /// the team runs unpinned — [`pinned`](Pool::pinned) reports which.
     ///
     /// Pinning the *caller* narrows its affinity for the pool's lifetime;
     /// create pinned pools from threads dedicated to the coloring run.
@@ -263,9 +261,10 @@ impl Pool {
     /// [`threads()`](Pool::threads) slots. Once installed, every parallel
     /// region wraps each member in a [`trace::BusyGuard`] (busy time +
     /// region span, flushed even when the member panics — `try_run` fault
-    /// containment keeps traces well-formed), and the chunked `for_*`
-    /// drivers count claims and steals. Without a recorder the only cost
-    /// is one `Option` branch per region: tracing is disabled by default.
+    /// containment keeps traces well-formed), and
+    /// [`for_dynamic`](Pool::for_dynamic) counts chunk claims. Without a
+    /// recorder the only cost is one `Option` branch per region: tracing
+    /// is disabled by default.
     ///
     /// ```
     /// use std::sync::Arc;
@@ -417,100 +416,6 @@ impl Pool {
                 r.count(tid, trace::Counter::ChunksClaimed, claims);
             }
         });
-    }
-
-    /// Parallel for over `0..len` with per-worker blocks and randomized
-    /// work stealing (see [`StealRanges`]).
-    ///
-    /// Observationally equivalent to [`for_dynamic`](Pool::for_dynamic) —
-    /// disjoint chunks covering the range exactly once — but claims hit a
-    /// per-worker cache-padded slot instead of one shared cursor, and a
-    /// drained worker steals half of the largest remaining block. On a
-    /// [pinned](Pool::new_pinned) team the thief scans near victims (same
-    /// core, then same package) before far ones and the near/far split is
-    /// traced. Ranges beyond the `u32` packing space fall back to the
-    /// shared cursor.
-    pub fn for_stealing<F>(&self, len: usize, chunk: usize, f: F)
-    where
-        F: Fn(usize, Range<usize>) + Sync,
-    {
-        if len > u32::MAX as usize {
-            return self.for_dynamic(len, chunk, f);
-        }
-        let ranges = StealRanges::new(len, self.threads);
-        let rec = self.tracer();
-        let plan = self.plan.as_deref();
-        self.run(|tid| {
-            let mut claims = 0u64;
-            let mut attempts = 0u64;
-            let mut wins = 0u64;
-            let mut near_wins = 0u64;
-            let mut far_wins = 0u64;
-            loop {
-                while let Some(range) = ranges.claim_local(tid, chunk) {
-                    if trace::COMPILED {
-                        claims += 1;
-                    }
-                    f(tid, range);
-                }
-                // Fault-injection hook for mid-steal panics: a thief dying
-                // here has drained its own slot but not yet touched a
-                // victim, the hardest spot for the disjointness invariant.
-                crate::faults::fire("par.steal", tid);
-                let stolen = match plan {
-                    Some(p) => {
-                        let (order, near) = p.victims(tid);
-                        ranges.steal_ordered(tid, chunk, order, near)
-                    }
-                    None => ranges.steal(tid, chunk).map(|r| (r, false)),
-                };
-                match stolen {
-                    Some((range, from_near)) => {
-                        if trace::COMPILED {
-                            attempts += 1;
-                            wins += 1;
-                            claims += 1;
-                            if plan.is_some() {
-                                if from_near {
-                                    near_wins += 1;
-                                } else {
-                                    far_wins += 1;
-                                }
-                            }
-                        }
-                        f(tid, range)
-                    }
-                    None => {
-                        if trace::COMPILED {
-                            attempts += 1;
-                        }
-                        break;
-                    }
-                }
-            }
-            if let Some(r) = rec {
-                r.count(tid, trace::Counter::ChunksClaimed, claims);
-                r.count(tid, trace::Counter::StealsAttempted, attempts);
-                r.count(tid, trace::Counter::StealsWon, wins);
-                r.count(tid, trace::Counter::StealsNear, near_wins);
-                r.count(tid, trace::Counter::StealsFar, far_wins);
-            }
-        });
-    }
-
-    /// Parallel for over `0..len` dispatching on the scheduling policy:
-    /// [`for_dynamic`](Pool::for_dynamic) for [`Sched::Dynamic`],
-    /// [`for_stealing`](Pool::for_stealing) for [`Sched::Stealing`]. Both
-    /// run through [`run`](Pool::run), so `try_run`/[`contain`] fault
-    /// containment applies identically.
-    pub fn for_sched<F>(&self, sched: Sched, len: usize, chunk: usize, f: F)
-    where
-        F: Fn(usize, Range<usize>) + Sync,
-    {
-        match sched {
-            Sched::Dynamic => self.for_dynamic(len, chunk, f),
-            Sched::Stealing => self.for_stealing(len, chunk, f),
-        }
     }
 
     /// Parallel for over `0..len` with contiguous static block partitioning —
@@ -694,58 +599,6 @@ mod tests {
         let pool = Pool::new(4);
         pool.for_dynamic(0, 64, |_, _| panic!("must not be called"));
         pool.for_static(0, |_, _| panic!("must not be called"));
-        pool.for_stealing(0, 64, |_, _| panic!("must not be called"));
-    }
-
-    #[test]
-    fn for_stealing_covers_range() {
-        let pool = Pool::new(4);
-        let n = 10_007;
-        let marks: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-        pool.for_stealing(n, 13, |_tid, range| {
-            for i in range {
-                marks[i].fetch_add(1, Ordering::Relaxed);
-            }
-        });
-        assert!(marks.iter().all(|m| m.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
-    fn for_sched_dispatches_both_policies() {
-        let pool = Pool::new(3);
-        for sched in crate::Sched::all() {
-            let n = 997;
-            let marks: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-            pool.for_sched(sched, n, 8, |_tid, range| {
-                for i in range {
-                    marks[i].fetch_add(1, Ordering::Relaxed);
-                }
-            });
-            assert!(
-                marks.iter().all(|m| m.load(Ordering::Relaxed) == 1),
-                "exactly-once violated under {sched}"
-            );
-        }
-    }
-
-    #[test]
-    fn contain_catches_stealing_region_panic() {
-        let pool = Pool::new(4);
-        let err = contain(|| {
-            pool.for_stealing(1000, 7, |_tid, range| {
-                if range.contains(&500) {
-                    panic!("stealing fault");
-                }
-            });
-        })
-        .expect_err("panic under stealing must be contained");
-        assert!(err.first_message().contains("fault") || err.count() >= 1);
-        // Team and scheduler stay usable for the next region.
-        let total = AtomicUsize::new(0);
-        pool.for_stealing(100, 9, |_, r| {
-            total.fetch_add(r.len(), Ordering::Relaxed);
-        });
-        assert_eq!(total.into_inner(), 100);
     }
 
     #[test]
@@ -892,48 +745,17 @@ mod tests {
 
     #[test]
     fn pinned_pool_runs_and_reports_status() {
-        let mut pool = Pool::new_pinned(4);
+        let pool = Pool::new_pinned(4);
         assert_eq!(pool.threads(), 4);
         // On Linux pinning succeeds; elsewhere it cleanly reports false.
-        // Either way the team must schedule correctly with near-first
-        // stealing and split the steal counter into near + far.
-        let rec = Arc::new(trace::Recorder::new(4));
-        pool.set_tracer(Arc::clone(&rec));
+        // Either way the team must schedule correctly.
         let n = 10_007;
         let covered = AtomicUsize::new(0);
-        pool.for_stealing(n, 13, |_tid, r| {
+        pool.for_dynamic(n, 13, |_tid, r| {
             covered.fetch_add(r.len(), Ordering::Relaxed);
         });
         assert_eq!(covered.into_inner(), n);
-        let totals = rec.totals();
-        assert_eq!(
-            totals.get(trace::Counter::StealsNear) + totals.get(trace::Counter::StealsFar),
-            totals.get(trace::Counter::StealsWon),
-            "near/far split partitions the wins on a pinned team"
-        );
         assert!(!Pool::new(2).pinned(), "unpinned pools report false");
-    }
-
-    #[test]
-    fn tracer_counts_steal_attempts_and_wins() {
-        let mut pool = Pool::new(4);
-        let rec = Arc::new(trace::Recorder::new(4));
-        pool.set_tracer(Arc::clone(&rec));
-        let n = 10_007;
-        let covered = AtomicUsize::new(0);
-        pool.for_stealing(n, 13, |_tid, r| {
-            covered.fetch_add(r.len(), Ordering::Relaxed);
-        });
-        assert_eq!(covered.into_inner(), n);
-        let totals = rec.totals();
-        // Every claimed range is counted, local or stolen; every member
-        // ends with one failed steal attempt, so attempts ≥ wins and
-        // attempts ≥ team size.
-        assert!(totals.get(trace::Counter::ChunksClaimed) > 0);
-        assert!(totals.get(trace::Counter::StealsAttempted) >= 4);
-        assert!(
-            totals.get(trace::Counter::StealsAttempted) >= totals.get(trace::Counter::StealsWon)
-        );
     }
 
     #[test]

@@ -1,23 +1,15 @@
-//! CPU topology model and thread pinning for locality-aware scheduling.
+//! CPU topology model and thread pinning.
 //!
 //! [`Pool::new_pinned`](crate::Pool::new_pinned) uses this module to place
 //! worker `tid`s onto CPUs in *core-major* order (siblings of one physical
-//! core first, then the next core, then the next package). Because the
-//! steal scheduler's initial block partition assigns chunk blocks by `tid`
-//! ([`StealRanges::new`](crate::StealRanges::new)), consecutive blocks of
-//! the iteration space land on physically adjacent cores — which is what
-//! makes a locality-preserving vertex relabeling (the `LocalityOrder`
-//! traversal order) translate into shared-cache reuse. The same model
-//! yields per-thief *victim orders*: a drained worker scans near victims
-//! (same core, then same package) before far ones, so stolen blocks stay
-//! in the closest shared cache level that still has work.
+//! core first, then the next core, then the next package), so team members
+//! with adjacent tids share the closest cache level the machine offers.
 //!
 //! Everything degrades gracefully: if sysfs is unreadable the topology is
 //! flat (every CPU its own core on one package), and if the
 //! `sched_setaffinity` syscall is unavailable (non-Linux, seccomp)
 //! [`pin_current_thread`] reports `false` and the pool simply runs
-//! unpinned — the victim orders are still used, they are just a heuristic
-//! rather than a guarantee.
+//! unpinned.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -46,8 +38,7 @@ impl CpuTopology {
     }
 
     /// A flat topology over the scheduler-visible parallelism: every CPU
-    /// its own core on package 0. Near/far distinctions collapse (all
-    /// victims are equally near), which keeps the steal order well-defined.
+    /// its own core on package 0.
     pub fn flat() -> CpuTopology {
         let n = std::thread::available_parallelism().map_or(1, |n| n.get());
         CpuTopology {
@@ -99,43 +90,13 @@ impl CpuTopology {
     pub fn cpu_for_worker(&self, tid: usize) -> CpuInfo {
         self.cpus[tid % self.cpus.len()]
     }
-
-    /// Steal-victim order for `thief` in a team of `threads`: every other
-    /// tid sorted near-first (same core, then same package, then rest,
-    /// stable by tid distance within a tier). Returns the order and the
-    /// near-tier length (victims on the thief's package).
-    pub fn victim_order(&self, thief: usize, threads: usize) -> (Vec<usize>, usize) {
-        let me = self.cpu_for_worker(thief);
-        let mut order: Vec<usize> = (0..threads).filter(|&t| t != thief).collect();
-        order.sort_by_key(|&t| {
-            let v = self.cpu_for_worker(t);
-            let tier = if v.package != me.package {
-                2
-            } else if v.core != me.core || v.cpu == me.cpu {
-                // Same package. `v.cpu == me.cpu` means the team wrapped
-                // around the machine and two tids share one CPU — treat as
-                // package-near, not core-near, to avoid self-preference.
-                1
-            } else {
-                0
-            };
-            (tier, t.abs_diff(thief))
-        });
-        let near = order
-            .iter()
-            .filter(|&&t| self.cpu_for_worker(t).package == me.package)
-            .count();
-        (order, near)
-    }
 }
 
-/// A pinning + victim-order plan for one team, built once per pool.
+/// A pinning plan for one team, built once per pool.
 #[derive(Debug)]
 pub struct PinPlan {
     /// CPU assigned to each tid.
     cpus: Vec<usize>,
-    /// Per-tid `(victim order, near-tier length)`.
-    victims: Vec<(Vec<usize>, usize)>,
     /// Stays `true` while every attempted pin has succeeded.
     ok: AtomicBool,
 }
@@ -146,7 +107,6 @@ impl PinPlan {
         let threads = threads.max(1);
         PinPlan {
             cpus: (0..threads).map(|t| topo.cpu_for_worker(t).cpu).collect(),
-            victims: (0..threads).map(|t| topo.victim_order(t, threads)).collect(),
             ok: AtomicBool::new(true),
         }
     }
@@ -159,15 +119,9 @@ impl PinPlan {
     }
 
     /// Whether every pin attempted so far succeeded (false on platforms
-    /// without `sched_setaffinity` — the plan still orders victims).
+    /// without `sched_setaffinity`).
     pub fn pinned(&self) -> bool {
         self.ok.load(Ordering::Relaxed)
-    }
-
-    /// tid's steal-victim order and near-tier length.
-    pub fn victims(&self, tid: usize) -> (&[usize], usize) {
-        let (order, near) = &self.victims[tid];
-        (order, *near)
     }
 }
 
@@ -269,63 +223,10 @@ mod tests {
     }
 
     #[test]
-    fn victim_order_prefers_near_tiers() {
-        let t = two_socket_smt();
-        let (order, near) = t.victim_order(0, 8);
-        assert_eq!(order.len(), 7);
-        // First victim: the SMT sibling (tid 1). Near tier: package 0 =
-        // tids 1..4.
-        assert_eq!(order[0], 1);
-        assert_eq!(near, 3);
-        let near_set: Vec<usize> = order[..near].to_vec();
-        assert!(near_set.iter().all(|&v| v < 4), "near tier is package 0: {near_set:?}");
-        // Far tier is exactly package 1.
-        assert!(order[near..].iter().all(|&v| v >= 4));
-    }
-
-    #[test]
-    fn victim_order_covers_every_other_tid() {
-        let t = CpuTopology::flat();
-        for threads in [1, 2, 5] {
-            for thief in 0..threads {
-                let (order, near) = t.victim_order(thief, threads);
-                assert_eq!(order.len(), threads - 1);
-                assert!(near <= order.len());
-                assert!(!order.contains(&thief));
-                let mut sorted = order.clone();
-                sorted.sort_unstable();
-                let expect: Vec<usize> = (0..threads).filter(|&x| x != thief).collect();
-                assert_eq!(sorted, expect);
-            }
-        }
-    }
-
-    #[test]
-    fn flat_topology_is_all_near() {
-        let t = CpuTopology::flat();
-        if t.len() >= 2 {
-            let (order, near) = t.victim_order(0, t.len());
-            assert_eq!(near, order.len(), "one package: everything is near");
-        }
-    }
-
-    #[test]
-    fn oversubscribed_team_wraps_without_core_near_self() {
-        let t = two_socket_smt();
-        // 16 tids on 8 CPUs: tid 8 shares tid 0's CPU. Its victim order
-        // must still cover all 15 others and put package-0 tids first.
-        let (order, near) = t.victim_order(8, 16);
-        assert_eq!(order.len(), 15);
-        assert!(near >= 7, "at least the package-0 tids are near");
-    }
-
-    #[test]
-    fn pin_plan_reports_status_and_orders() {
+    fn pin_plan_reports_status() {
         let plan = PinPlan::new(&CpuTopology::detect(), 4);
         assert!(plan.pinned(), "no pin attempted yet");
-        let (order, near) = plan.victims(2);
-        assert_eq!(order.len(), 3);
-        assert!(near <= 3);
+        assert_eq!(plan.cpus.len(), 4);
         // Pinning the current thread to a planned CPU must either succeed
         // (Linux) or cleanly report false — never panic.
         plan.pin(0);

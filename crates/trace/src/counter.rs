@@ -6,12 +6,12 @@
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 #[repr(usize)]
 pub enum Counter {
-    /// Chunks claimed from the dynamic cursor or a local steal slot.
+    /// Chunks claimed from the dynamic cursor.
     ChunksClaimed,
-    /// Steal attempts under [`Sched::Stealing`](../par/enum.Sched.html)
-    /// (a drained worker probing victims), successful or not.
-    StealsAttempted,
-    /// Steal attempts that won a range.
+    /// Chunks won by stealing them from another worker. Nothing
+    /// increments it: every parallel loop claims from the one shared
+    /// cursor, so it always reads zero. It stays only because perfbench
+    /// reports it as a per-layer metric.
     StealsWon,
     /// Optimistic color assignments (recolored vertices count again).
     VerticesColored,
@@ -27,32 +27,23 @@ pub enum Counter {
     /// every kernel is scalar, so it always reads zero. It stays only
     /// because perfbench's `core.simd_hit_frac` metric reads it.
     SimdPathHits,
-    /// Steals won from a victim in the thief's near tier (same physical
-    /// core/package under the topology model). Subset of `StealsWon`.
-    StealsNear,
-    /// Steals won from a far victim. `StealsNear + StealsFar = StealsWon`
-    /// when the topology-aware scheduler is active.
-    StealsFar,
     /// Nanoseconds spent inside parallel regions (busy time).
     BusyNs,
 }
 
 impl Counter {
     /// Number of distinct counters (the sheet's array length).
-    pub const COUNT: usize = 11;
+    pub const COUNT: usize = 8;
 
     /// All counters, in sheet order.
     pub const ALL: [Counter; Counter::COUNT] = [
         Counter::ChunksClaimed,
-        Counter::StealsAttempted,
         Counter::StealsWon,
         Counter::VerticesColored,
         Counter::ConflictsDetected,
         Counter::ForbiddenProbes,
         Counter::PrefetchIssues,
         Counter::SimdPathHits,
-        Counter::StealsNear,
-        Counter::StealsFar,
         Counter::BusyNs,
     ];
 
@@ -60,15 +51,12 @@ impl Counter {
     pub fn label(self) -> &'static str {
         match self {
             Counter::ChunksClaimed => "chunks_claimed",
-            Counter::StealsAttempted => "steals_attempted",
             Counter::StealsWon => "steals_won",
             Counter::VerticesColored => "vertices_colored",
             Counter::ConflictsDetected => "conflicts_detected",
             Counter::ForbiddenProbes => "forbidden_probes",
             Counter::PrefetchIssues => "prefetch_issues",
             Counter::SimdPathHits => "simd_path_hits",
-            Counter::StealsNear => "steals_near",
-            Counter::StealsFar => "steals_far",
             Counter::BusyNs => "busy_ns",
         }
     }

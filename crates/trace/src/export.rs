@@ -185,14 +185,14 @@ impl RunSummary {
 /// the max/mean busy ratio the paper's balance heuristics target.
 ///
 /// ```text
-/// tid   busy_ms  chunks  steal_w/a  colored  conflicts
-///   0     12.34      81       3/9    10241        107
+/// tid   busy_ms  chunks  colored  conflicts
+///   0     12.34      81    10241        107
 ///   ...
 /// busy imbalance (max/mean): 1.08
 /// ```
 pub fn imbalance_table(sheets: &[CounterSheet]) -> String {
     let mut out = String::new();
-    out.push_str("tid     busy_ms    chunks  steal_w/a    colored  conflicts\n");
+    out.push_str("tid     busy_ms    chunks    colored  conflicts\n");
     let mut busy_max = 0u64;
     let mut busy_sum = 0u64;
     for (tid, s) in sheets.iter().enumerate() {
@@ -201,11 +201,9 @@ pub fn imbalance_table(sheets: &[CounterSheet]) -> String {
         busy_sum += busy;
         let _ = writeln!(
             out,
-            "{tid:>3} {:>11.3} {:>9} {:>6}/{:<4} {:>9} {:>10}",
+            "{tid:>3} {:>11.3} {:>9} {:>10} {:>10}",
             busy as f64 / 1e6,
             s.get(Counter::ChunksClaimed),
-            s.get(Counter::StealsWon),
-            s.get(Counter::StealsAttempted),
             s.get(Counter::VerticesColored),
             s.get(Counter::ConflictsDetected),
         );

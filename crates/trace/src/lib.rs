@@ -6,8 +6,8 @@
 //! for our runners without perturbing what it measures:
 //!
 //! - [`Counter`] — a fixed vocabulary of monotonic per-thread counters
-//!   (chunks claimed, steals attempted/won, vertices colored, conflicts
-//!   detected, forbidden-set probes, prefetch issues, busy nanoseconds),
+//!   (chunks claimed, vertices colored, conflicts detected, forbidden-set
+//!   probes, prefetch issues, busy nanoseconds),
 //!   accumulated in plain thread-owned `u64`s (see [`CounterSheet`]).
 //! - [`EventRing`] — a fixed-capacity, wrap-around span buffer per thread;
 //!   recording never allocates and never blocks.

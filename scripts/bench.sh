@@ -13,14 +13,10 @@
 #   ./scripts/bench.sh --check-deep  # long randomized concurrency-checker
 #                                 # and differential-oracle sweep (no
 #                                 # benchmarks; see crates/check)
-#   ./scripts/bench.sh --serve    # daemon load test (bench_serve): client
-#                                 # threads vs a bounded admission queue;
-#                                 # p50/p99 latency, throughput, cache-hit
-#                                 # and shed rates -> BENCH_serve.json
-#   ./scripts/bench.sh --dist     # sharded-coloring scaling (bench_dist):
-#                                 # the coordinator over worker daemons at
-#                                 # 1/2/4/8 shards; wall time, rounds and
-#                                 # message volume -> BENCH_dist.json
+#
+# The daemon and the shard coordinator are timed by perfbench
+# (`python3 perfbench/run.py`, workloads serve-mixed and shard-2); the
+# shard-count axis is `repro dist`.
 #
 # The coloring modes additionally accept, after the mode flag:
 #   --pin                         # pin workers core-major (see par::topo)
@@ -56,42 +52,16 @@ case "${1:-}" in
     echo "bench: OK (deep check clean)"
     exit 0
     ;;
-  --serve)
-    echo "== cargo build --release --offline -p serve (bench_serve)"
-    cargo build --release --offline -p serve --bin bench_serve
-    echo "== bench_serve (in-process daemon, bounded queue, mixed clients)"
-    ./target/release/bench_serve --out BENCH_serve.json \
-      --jobs 48 --clients 4 --distinct 6 --queue-capacity 8 --threads 4
-    if command -v python3 >/dev/null 2>&1; then
-      python3 -m json.tool BENCH_serve.json >/dev/null
-      echo "serve bench JSON parses"
-    fi
-    echo "bench: OK (wrote BENCH_serve.json)"
-    exit 0
-    ;;
-  --dist)
-    echo "== cargo build --release --offline -p dist (bench_dist)"
-    cargo build --release --offline -p dist --bin bench_dist
-    echo "== bench_dist (coordinator over worker daemons, 1/2/4/8 shards)"
-    ./target/release/bench_dist --out BENCH_dist.json
-    if command -v python3 >/dev/null 2>&1; then
-      python3 -m json.tool BENCH_dist.json >/dev/null
-      echo "dist bench JSON parses"
-    fi
-    echo "bench: OK (wrote BENCH_dist.json)"
-    exit 0
-    ;;
   "" | --quick) ;;
   *)
-    echo "usage: $0 [--quick|--full|--smoke|--trace|--check-deep|--serve|--dist]" \
+    echo "usage: $0 [--quick|--full|--smoke|--trace|--check-deep]" \
          "[--pin] [--delta]" >&2
     exit 2
     ;;
 esac
 
 # Trailing axis flags for the coloring modes, passed through to
-# bench_coloring (the --serve/--check-deep branches exit above and take
-# none).
+# bench_coloring (the --check-deep branch exits above and takes none).
 if [[ $# -gt 0 && "$MODE_CONSUMED" == 1 ]]; then shift; fi
 AXIS_FLAGS=()
 while [[ $# -gt 0 ]]; do

@@ -119,7 +119,6 @@ fn lemma1_first_net_pass_within_bound() {
             &g,
             &colors,
             &pool,
-            bgpc_suite::par::Sched::Dynamic,
             NetColoringVariant::TwoPassReverse,
             Balance::Unbalanced,
             &sc,
