@@ -135,7 +135,7 @@ fn jp_vs_speculative() {
     let pool = Pool::new(4);
     let group = Group::new("ablation_jp_vs_speculative", SAMPLES);
     group.bench("jones_plassmann", || {
-        bgpc::jp::color_bgpc_jp(&g, &pool, SEED).num_colors
+        bgpc::jp::color_jp(&g, &pool, SEED).num_colors
     });
     group.bench("speculative_n1n2", || {
         bgpc::color_bgpc(&g, &order, &Schedule::n1_n2(), &pool).num_colors
@@ -150,11 +150,11 @@ fn recolor_pass() {
     let group = Group::new("ablation_recolor_pass", SAMPLES);
     group.bench("seq_pass", || {
         let mut colors = base.colors.clone();
-        bgpc::recolor::reduce_colors_bgpc_seq(&g, &mut colors)
+        bgpc::recolor::reduce_colors_seq(&g, &mut colors)
     });
     group.bench("par_pass", || {
         let mut colors = base.colors.clone();
-        bgpc::recolor::reduce_colors_bgpc(&g, &mut colors, &pool)
+        bgpc::recolor::reduce_colors(&g, &mut colors, &pool)
     });
 }
 

@@ -159,12 +159,12 @@ pub fn recolor_sweep(cfg: &ReproConfig) -> (String, Vec<RecolorRow>) {
         let before = r.num_colors;
 
         let mut seq_colors = r.colors.clone();
-        let after_seq = bgpc::recolor::reduce_colors_bgpc_seq(&g, &mut seq_colors);
+        let after_seq = bgpc::recolor::reduce_colors_seq(&g, &mut seq_colors);
         bgpc::verify::verify_bgpc(&g, &seq_colors).unwrap();
 
         let mut par_colors = r.colors.clone();
         let t0 = std::time::Instant::now();
-        let after_par = bgpc::recolor::reduce_colors_bgpc(&g, &mut par_colors, &pool);
+        let after_par = bgpc::recolor::reduce_colors(&g, &mut par_colors, &pool);
         let ms = t0.elapsed().as_secs_f64() * 1e3;
         bgpc::verify::verify_bgpc(&g, &par_colors).unwrap();
 
@@ -222,7 +222,7 @@ pub fn jp_sweep(cfg: &ReproConfig) -> (String, Vec<JpRow>) {
         let order = bgpc_order(&g, Ordering::Natural);
 
         let t0 = std::time::Instant::now();
-        let jp = bgpc::jp::color_bgpc_jp(&g, &pool, cfg.seed);
+        let jp = bgpc::jp::color_jp(&g, &pool, cfg.seed);
         let jp_ms = t0.elapsed().as_secs_f64() * 1e3;
         bgpc::verify::verify_bgpc(&g, &jp.colors).unwrap();
 

@@ -14,7 +14,7 @@ pub enum Problem {
     D2gc,
     /// Distance-1 coloring (requires a symmetric pattern).
     D1gc,
-    /// Distance-k coloring with the given k.
+    /// Distance-k coloring with the given k ≥ 3.
     Dk(usize),
 }
 
@@ -194,6 +194,17 @@ impl ColorArgs {
             }
             _ => return Err("--mtx, --bin, and --dataset are exclusive".into()),
         };
+        if let Problem::Dk(k) = problem {
+            // The distance-k BFS colors the input graph as given.
+            let ignored = [
+                ("--recolor", recolor),
+                ("--relabel", relabel != LocalityOrder::None),
+                ("--index-width", index_width.is_some()),
+            ];
+            if let Some((flag, _)) = ignored.iter().find(|(_, set)| *set) {
+                return Err(format!("{flag} does not apply to --problem d{k}"));
+            }
+        }
         Ok(Self {
             input,
             problem,
@@ -218,10 +229,11 @@ fn parse_problem(s: &str) -> Result<Problem, String> {
         "d2gc" | "d2" => Ok(Problem::D2gc),
         "d1gc" | "d1" => Ok(Problem::D1gc),
         _ => {
-            if let Some(k) = lower.strip_prefix('d').and_then(|k| k.parse::<usize>().ok()) {
-                if k >= 1 {
-                    return Ok(Problem::Dk(k));
-                }
+            match lower.strip_prefix('d').and_then(|k| k.parse::<usize>().ok()) {
+                Some(1) => return Ok(Problem::D1gc),
+                Some(2) => return Ok(Problem::D2gc),
+                Some(k) if k >= 3 => return Ok(Problem::Dk(k)),
+                _ => {}
             }
             Err(format!("unknown problem `{s}` (bgpc, d1gc, d2gc, or dK)"))
         }
@@ -291,6 +303,42 @@ mod tests {
         assert_eq!(a.problem, Problem::Dk(3));
         let a = ColorArgs::parse(&s(&["--mtx", "m.mtx", "--problem", "d1"])).unwrap();
         assert_eq!(a.problem, Problem::D1gc);
+    }
+
+    #[test]
+    fn dk_spellings_of_one_and_two_are_d1_and_d2() {
+        for (name, want) in [
+            ("d01", Problem::D1gc),
+            ("d002", Problem::D2gc),
+            ("D2", Problem::D2gc),
+            ("d03", Problem::Dk(3)),
+        ] {
+            let a = ColorArgs::parse(&s(&["--mtx", "a", "--problem", name])).unwrap();
+            assert_eq!(a.problem, want, "{name}");
+        }
+    }
+
+    #[test]
+    fn dk_refuses_the_flags_it_would_ignore() {
+        for flags in [
+            &["--recolor"][..],
+            &["--relabel", "degree"][..],
+            &["--index-width", "u64"][..],
+            &["--index-width", "u32"][..],
+        ] {
+            let mut argv = s(&["--mtx", "a", "--problem", "d3"]);
+            argv.extend(s(flags));
+            let err = ColorArgs::parse(&argv).unwrap_err();
+            assert!(err.contains(flags[0]) && err.contains("d3"), "{err}");
+            // The same flags are honored by the other problems.
+            argv[3] = "d1".into();
+            assert!(ColorArgs::parse(&argv).is_ok());
+        }
+        // Their defaults are no request, so plain dK runs parse.
+        let a = ColorArgs::parse(&s(&[
+            "--mtx", "a", "--problem", "d4", "--relabel", "none", "--index-width", "auto",
+        ]));
+        assert_eq!(a.unwrap().problem, Problem::Dk(4));
     }
 
     #[test]

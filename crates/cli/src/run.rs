@@ -127,6 +127,11 @@ fn run_bgpc_width<I: CsrIndex>(
     Ok(bgpc::color_with_opts(&g, &order, schedule, pool, Default::default()))
 }
 
+/// The graph of a symmetric pattern (D1GC, D2GC and distance-k).
+fn symmetric_graph(m: &Csr) -> Result<Graph, Failure> {
+    Graph::try_from_symmetric_matrix(m).map_err(|e| Failure::new(EXIT_GRAPH, e.to_string()))
+}
+
 /// Runs the D2GC driver on an already-relabeled pattern at width `I`.
 fn run_d2gc_width<I: CsrIndex>(
     m: &Csr<I>,
@@ -197,12 +202,24 @@ fn color(args: ColorArgs) -> Result<(), Failure> {
 
     let mut iterations: Vec<bgpc::IterationMetrics> = Vec::new();
     let (colors, num_colors, bound, total_ms, rounds) = match args.problem {
-        Problem::Bgpc => {
+        Problem::Bgpc | Problem::D1gc => {
+            // D1GC is BGPC over the graph's 2-pin edge nets; its coloring
+            // is verified against the graph itself.
+            let d1 = match args.problem {
+                Problem::D1gc => Some(symmetric_graph(&matrix)?),
+                _ => None,
+            };
+            let edge_nets = d1.as_ref().map(bgpc::d1gc::edge_net_matrix);
+            let pattern = edge_nets.as_ref().unwrap_or(&matrix);
             // Original-id graph: the relabeled run's coloring is mapped
             // back and re-verified against this one.
-            let g = BipartiteGraph::try_from_matrix(&matrix)
+            let g = BipartiteGraph::try_from_matrix(pattern)
                 .map_err(|e| Failure::new(EXIT_GRAPH, e.to_string()))?;
-            let (pm, perm) = relabel.apply_columns(&matrix);
+            let verify = |colors: &[i32]| match &d1 {
+                Some(d1) => bgpc::d1gc::verify_d1gc(d1, colors),
+                None => bgpc::verify::verify_bgpc(&g, colors),
+            };
+            let (pm, perm) = relabel.apply_columns(pattern);
             let r = match width {
                 IndexWidth::U32 => run_bgpc_width(pm, schedule, args.ordering, &pool)?,
                 IndexWidth::U64 => {
@@ -214,78 +231,57 @@ fn color(args: ColorArgs) -> Result<(), Failure> {
             let rounds = r.rounds();
             iterations = r.iterations;
             let mut colors = to_original_ids(r.colors, &perm);
-            bgpc::verify::verify_bgpc(&g, &colors)
+            verify(&colors)
                 .map_err(|e| Failure::new(EXIT_INTERNAL, format!("invalid coloring: {e}")))?;
             let mut k = r.num_colors;
             if args.recolor {
-                k = bgpc::recolor::reduce_colors_bgpc(&g, &mut colors, &pool);
-                bgpc::verify::verify_bgpc(&g, &colors).map_err(|e| {
+                k = bgpc::recolor::reduce_colors(&g, &mut colors, &pool);
+                verify(&colors).map_err(|e| {
                     Failure::new(EXIT_INTERNAL, format!("recolor broke validity: {e}"))
                 })?;
             }
             (colors, k, g.max_net_size(), total_ms, rounds)
         }
-        Problem::D2gc | Problem::D1gc | Problem::Dk(_) => {
-            let g = Graph::try_from_symmetric_matrix(&matrix)
-                .map_err(|e| Failure::new(EXIT_GRAPH, e.to_string()))?;
-            let order = args.ordering.vertex_order_d2(&g);
-            match args.problem {
-                Problem::D2gc => {
-                    let (pm, perm) = relabel.apply_symmetric(&matrix);
-                    let r = match width {
-                        IndexWidth::U32 => run_d2gc_width(&pm, schedule, args.ordering, &pool)?,
-                        IndexWidth::U64 => {
-                            run_d2gc_width(&pm.to_index::<u64>(), schedule, args.ordering, &pool)?
-                        }
-                    };
-                    report_degradation(&r.degraded);
-                    let total_ms = r.total_time.as_secs_f64() * 1e3;
-                    let rounds = r.rounds();
-                    iterations = r.iterations;
-                    let mut colors = to_original_ids(r.colors, &perm);
-                    bgpc::verify::verify_d2gc(&g, &colors).map_err(|e| {
-                        Failure::new(EXIT_INTERNAL, format!("invalid coloring: {e}"))
-                    })?;
-                    let mut k = r.num_colors;
-                    if args.recolor {
-                        k = bgpc::recolor::reduce_colors_d2gc_seq(&g, &mut colors);
-                        bgpc::verify::verify_d2gc(&g, &colors).map_err(|e| {
-                            Failure::new(EXIT_INTERNAL, format!("recolor broke validity: {e}"))
-                        })?;
-                    }
-                    (colors, k, g.max_degree() + 1, total_ms, rounds)
+        Problem::D2gc => {
+            let g = symmetric_graph(&matrix)?;
+            let (pm, perm) = relabel.apply_symmetric(&matrix);
+            let r = match width {
+                IndexWidth::U32 => run_d2gc_width(&pm, schedule, args.ordering, &pool)?,
+                IndexWidth::U64 => {
+                    run_d2gc_width(&pm.to_index::<u64>(), schedule, args.ordering, &pool)?
                 }
-                Problem::D1gc => {
-                    let t0 = std::time::Instant::now();
-                    let (colors, k) = bgpc::d1gc::color_d1gc(
-                        &g,
-                        &order,
-                        &pool,
-                        args.schedule.chunk,
-                        args.schedule.balance,
-                    );
-                    bgpc::d1gc::verify_d1gc(&g, &colors).map_err(|e| {
-                        Failure::new(EXIT_INTERNAL, format!("invalid coloring: {e}"))
-                    })?;
-                    (colors, k, 1, t0.elapsed().as_secs_f64() * 1e3, 0)
-                }
-                Problem::Dk(k) => {
-                    let t0 = std::time::Instant::now();
-                    let (colors, used) = bgpc::dkgc::color_dkgc(
-                        &g,
-                        &order,
-                        k,
-                        &pool,
-                        args.schedule.chunk,
-                        args.schedule.balance,
-                    );
-                    bgpc::dkgc::verify_dkgc(&g, &colors, k).map_err(|e| {
-                        Failure::new(EXIT_INTERNAL, format!("invalid coloring: {e}"))
-                    })?;
-                    (colors, used, 1, t0.elapsed().as_secs_f64() * 1e3, 0)
-                }
-                Problem::Bgpc => unreachable!("outer match sends Bgpc elsewhere"),
+            };
+            report_degradation(&r.degraded);
+            let total_ms = r.total_time.as_secs_f64() * 1e3;
+            let rounds = r.rounds();
+            iterations = r.iterations;
+            let mut colors = to_original_ids(r.colors, &perm);
+            bgpc::verify::verify_d2gc(&g, &colors)
+                .map_err(|e| Failure::new(EXIT_INTERNAL, format!("invalid coloring: {e}")))?;
+            let mut k = r.num_colors;
+            if args.recolor {
+                k = bgpc::recolor::reduce_colors_seq(&g, &mut colors);
+                bgpc::verify::verify_d2gc(&g, &colors).map_err(|e| {
+                    Failure::new(EXIT_INTERNAL, format!("recolor broke validity: {e}"))
+                })?;
             }
+            (colors, k, g.max_degree() + 1, total_ms, rounds)
+        }
+        Problem::Dk(k) => {
+            let g = symmetric_graph(&matrix)?;
+            let order = args.ordering.vertex_order_d2(&g);
+            let t0 = std::time::Instant::now();
+            let (colors, used) = bgpc::dkgc::color_dkgc(
+                &g,
+                &order,
+                k,
+                &pool,
+                args.schedule.chunk,
+                args.schedule.balance,
+            );
+            bgpc::dkgc::verify_dkgc(&g, &colors, k)
+                .map_err(|e| Failure::new(EXIT_INTERNAL, format!("invalid coloring: {e}")))?;
+            (colors, used, 1, t0.elapsed().as_secs_f64() * 1e3, 0)
         }
     };
 
@@ -391,8 +387,7 @@ fn stats(args: ColorArgs) -> Result<(), Failure> {
         matrix.nrows() == matrix.ncols() && matrix.strip_diagonal().is_structurally_symmetric();
     out!("structurally symmetric: {symmetric}");
     if symmetric {
-        let g = Graph::try_from_symmetric_matrix(&matrix)
-            .map_err(|e| Failure::new(EXIT_GRAPH, e.to_string()))?;
+        let g = symmetric_graph(&matrix)?;
         let natural: Vec<u32> = (0..g.n_vertices() as u32).collect();
         let rcm = graph::rcm_permutation(&g);
         out!(
@@ -1074,6 +1069,59 @@ mod tests {
         ]));
         assert_eq!(code, 0);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn d1gc_runs_every_schedule_with_the_bgpc_flags() {
+        // D1GC goes through the BGPC driver over edge nets, so it honors
+        // the schedule, recoloring, relabeling and width flags; every
+        // written coloring must pass the distance-1 oracle.
+        let dir = std::env::temp_dir().join("bgpc-cli-d1-schedules");
+        std::fs::create_dir_all(&dir).unwrap();
+        let mtx = dir.join("sym.mtx");
+        let out = dir.join("colors.txt");
+        let m = sparse::gen::erdos_renyi(300, 1500, 8);
+        sparse::mm::write_pattern_file(mtx.to_str().unwrap(), &m).unwrap();
+        let g = Graph::from_symmetric_matrix(&m);
+        let mut names: Vec<String> = Schedule::all().iter().map(|s| s.name()).collect();
+        names[0].push_str("-B1");
+        for name in &names {
+            let code = cmd_color(&s(&[
+                "--mtx",
+                mtx.to_str().unwrap(),
+                "--problem",
+                "d1gc",
+                "--schedule",
+                name,
+                "--threads",
+                "2",
+                "--recolor",
+                "--relabel",
+                "degree",
+                "--index-width",
+                "u64",
+                "--output",
+                out.to_str().unwrap(),
+            ]));
+            assert_eq!(code, 0, "{name}");
+            let colors: Vec<i32> = std::fs::read_to_string(&out)
+                .unwrap()
+                .lines()
+                .skip(1)
+                .map(|l| l.split_once(' ').unwrap().1.parse().unwrap())
+                .collect();
+            bgpc::d1gc::verify_d1gc(&g, &colors).unwrap_or_else(|e| panic!("{name}: {e}"));
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn distance_k_refuses_ignored_flags_with_usage_code() {
+        for flag in ["--recolor", "--relabel=degree", "--index-width=u64"] {
+            let mut argv = s(&["--dataset", "af_shell10", "--scale", "0.002", "--problem", "d3"]);
+            argv.extend(flag.split('=').map(String::from));
+            assert_eq!(cmd_color(&argv), EXIT_USAGE, "{flag}");
+        }
     }
 
     #[test]

@@ -13,12 +13,14 @@
 //! *predicted* work ratios (the first-iteration dominance of Figure 1 is
 //! a direct corollary of `work_ratio_first_iteration`).
 
-use graph::{BipartiteGraph, Graph};
+use graph::BipartiteGraph;
+
+use crate::neighborhood::Neighborhood;
 
 /// Pin traversals of one vertex-based phase over queue `w` (coloring and
 /// conflict detection have the same bound; early termination can only
-/// lower it).
-pub fn vertex_phase_work(g: &BipartiteGraph, w: &[u32]) -> u64 {
+/// lower it). For D2GC this is `Σ_{u ∈ w} Σ_{v ∈ nbor(u)} (1 + |nbor(v)|)`.
+pub fn vertex_phase_work<G: Neighborhood>(g: &G, w: &[u32]) -> u64 {
     w.iter()
         .map(|&u| {
             g.nets(u as usize)
@@ -29,9 +31,13 @@ pub fn vertex_phase_work(g: &BipartiteGraph, w: &[u32]) -> u64 {
         .sum()
 }
 
-/// Pin traversals of one net-based phase (always the full graph).
-pub fn net_phase_work(g: &BipartiteGraph) -> u64 {
-    g.n_nets() as u64 + g.n_pins() as u64
+/// Pin traversals of one net-based phase (always the full graph):
+/// `|V_B| + Σ_v |vtxs(v)|`. For D2GC, whose nets are the closed
+/// neighborhoods, that is `2n + 2m` — every net is counted once on top
+/// of its pins, as for BGPC.
+pub fn net_phase_work<G: Neighborhood>(g: &G) -> u64 {
+    let pins: usize = (0..g.n_nets()).map(|v| g.net_size(v)).sum();
+    (g.n_nets() + pins) as u64
 }
 
 /// `Σ_v |vtxs(v)|²` — the tight first-iteration bound for vertex-based
@@ -54,24 +60,6 @@ pub fn work_ratio_first_iteration(g: &BipartiteGraph) -> f64 {
         return 1.0;
     }
     sum_net_size_squared(g) as f64 / net as f64
-}
-
-/// Distance-2 analogue: pin traversals of one vertex-based D2GC phase
-/// over queue `w` (`Σ_{u ∈ w} Σ_{v ∈ nbor(u)} (1 + |nbor(v)|)`).
-pub fn vertex_phase_work_d2(g: &Graph, w: &[u32]) -> u64 {
-    w.iter()
-        .map(|&u| {
-            g.nbor(u as usize)
-                .iter()
-                .map(|&v| 1 + g.degree(v as usize) as u64)
-                .sum::<u64>()
-        })
-        .sum()
-}
-
-/// Net-based D2GC phase work: every vertex plus its adjacency once.
-pub fn net_phase_work_d2(g: &Graph) -> u64 {
-    g.n_vertices() as u64 + 2 * g.n_edges() as u64
 }
 
 /// Per-vertex task sizes of a vertex-based phase (distance-2 work per
@@ -164,6 +152,7 @@ pub fn time_fraction_first_k(result: &crate::ColoringResult, k: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use graph::Graph;
     use sparse::Csr;
 
     fn tiny() -> BipartiteGraph {
@@ -223,8 +212,9 @@ mod tests {
             &[vec![1], vec![0, 2], vec![1]],
         ));
         // u=0: v=1 → 1+2 = 3; u=1: v=0 →1+1, v=2 →1+1 = 4; u=2: 3
-        assert_eq!(vertex_phase_work_d2(&g, &[0, 1, 2]), 10);
-        assert_eq!(net_phase_work_d2(&g), 3 + 4);
+        assert_eq!(vertex_phase_work(&g, &[0, 1, 2]), 10);
+        // 3 nets plus their 2 + 3 + 2 pins: 2n + 2m.
+        assert_eq!(net_phase_work(&g), 3 + 7);
     }
 
     #[test]

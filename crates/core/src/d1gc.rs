@@ -2,94 +2,53 @@
 //!
 //! D1GC is where the speculative color/detect/repair framework
 //! (Algorithms 1–3) was born; the paper generalizes it to BGPC and D2GC.
-//! Provided here both for completeness and because it is the cheapest
-//! sanity check of the framework: a sequential pass needs `Δ + 1` colors
-//! at most, and the parallel variant must converge to a coloring that a
-//! distance-1 verifier accepts.
+//! Here it is the framework's base case rather than a loop of its own:
+//! BGPC over 2-pin edge nets. Each undirected edge `{u, v}` is one net, so
+//! two vertices share a net exactly when they are adjacent, and the one
+//! speculative driver, its eight schedules, B1/B2 and the sequential
+//! baseline all color D1GC unchanged. [`verify_d1gc`] checks the result
+//! against the graph itself.
 
-use graph::Graph;
-use par::{Pool, ThreadScratch};
+use graph::{BipartiteGraph, Graph};
+use par::Pool;
+use sparse::{Csr, CsrIndex};
 
-use crate::ctx::ThreadCtx;
-use crate::metrics::count_distinct_colors;
-use crate::workqueue::merge_local_queues;
-use crate::{Balance, BitStampSet, Color, Colors, UNCOLORED};
+use crate::{Color, ColoringResult, RunnerOpts, Schedule};
 
-/// Sequential greedy first-fit D1GC. Uses at most `Δ + 1` colors.
-pub fn color_d1gc_seq(g: &Graph, order: &[u32]) -> (Vec<Color>, usize) {
-    let mut colors = vec![UNCOLORED; g.n_vertices()];
-    let mut fb = BitStampSet::with_capacity(g.max_degree() + 1);
-    for &w in order {
-        let wu = w as usize;
-        fb.advance();
-        for &u in g.nbor(wu) {
-            let cu = colors[u as usize];
-            if cu != UNCOLORED {
-                fb.insert(cu);
-            }
+/// The edge-net pattern of `g`: one row (net) per undirected edge
+/// `u < v` holding the pins `{u, v}`, edges in row-major order of the
+/// adjacency; the columns are `g`'s vertices.
+pub fn edge_net_matrix<I: CsrIndex>(g: &Graph<I>) -> Csr {
+    let mut row_ptr = vec![0];
+    let mut pins = Vec::with_capacity(2 * g.n_edges());
+    for u in 0..g.n_vertices() {
+        for &v in g.nbor(u).iter().filter(|&&v| v as usize > u) {
+            pins.extend([u as u32, v]);
+            row_ptr.push(pins.len());
         }
-        colors[wu] = fb.first_fit_from(0);
     }
-    let k = count_distinct_colors(&colors);
-    (colors, k)
+    Csr::from_parts(row_ptr.len() - 1, g.n_vertices(), row_ptr, pins)
 }
 
-/// Parallel speculative D1GC (Algorithms 1–3 verbatim): optimistic
-/// coloring, then id-ordered conflict detection, iterated to fixpoint.
-pub fn color_d1gc(
-    g: &Graph,
+/// `g` as a BGPC instance over its edge nets ([`edge_net_matrix`]).
+pub fn edge_nets<I: CsrIndex>(g: &Graph<I>) -> BipartiteGraph {
+    BipartiteGraph::from_matrix_owned(edge_net_matrix(g))
+}
+
+/// Sequential greedy first-fit D1GC. Uses at most `Δ + 1` colors.
+pub fn color_d1gc_seq<I: CsrIndex>(g: &Graph<I>, order: &[u32]) -> (Vec<Color>, usize) {
+    crate::seq::color_seq(&edge_nets(g), order)
+}
+
+/// Parallel speculative D1GC (Algorithms 1–3): the speculative driver
+/// with the given [`Schedule`] over `g`'s edge nets.
+pub fn color_d1gc<I: CsrIndex>(
+    g: &Graph<I>,
     order: &[u32],
+    schedule: &Schedule,
     pool: &Pool,
-    chunk: usize,
-    balance: Balance,
-) -> (Vec<Color>, usize) {
-    let n = g.n_vertices();
-    let colors = Colors::new(n);
-    let mut scratch =
-        ThreadScratch::new(pool.threads(), |_| ThreadCtx::new(g.max_degree() + 16));
-    let mut w: Vec<u32> = order.to_vec();
-    let mut guard = 0usize;
-    while !w.is_empty() {
-        // Color the queue.
-        let scratch_ref: &ThreadScratch<ThreadCtx> = &scratch;
-        pool.for_dynamic(w.len(), chunk, |tid, range| {
-            scratch_ref.with(tid, |ctx| {
-                for &wv in &w[range] {
-                    let wu = wv as usize;
-                    ctx.fb.advance();
-                    for &u in g.nbor(wu) {
-                        let cu = colors.get(u as usize);
-                        if cu != UNCOLORED {
-                            ctx.fb.insert(cu);
-                        }
-                    }
-                    let col = balance.pick(wv, &ctx.fb, &mut ctx.balancer);
-                    colors.set(wu, col);
-                }
-            });
-        });
-        // Detect conflicts: larger id loses.
-        pool.for_dynamic(w.len(), chunk, |tid, range| {
-            scratch_ref.with(tid, |ctx| {
-                for &wv in &w[range] {
-                    let wu = wv as usize;
-                    let cw = colors.get(wu);
-                    for &u in g.nbor(wu) {
-                        if u < wv && colors.get(u as usize) == cw {
-                            ctx.local_queue.push(wv);
-                            break;
-                        }
-                    }
-                }
-            });
-        });
-        w = merge_local_queues(&mut scratch);
-        guard += 1;
-        assert!(guard <= 256, "D1GC failed to converge");
-    }
-    let colors = colors.snapshot();
-    let k = count_distinct_colors(&colors);
-    (colors, k)
+) -> ColoringResult {
+    crate::color_with_opts(&edge_nets(g), order, schedule, pool, RunnerOpts::default())
 }
 
 /// Checks distance-1 validity: adjacent vertices differ, all colored.
@@ -113,8 +72,22 @@ pub fn verify_d1gc(g: &Graph, colors: &[Color]) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Balance;
     use graph::Ordering;
-    use sparse::Csr;
+
+    #[test]
+    fn edge_nets_are_the_edges_once() {
+        // Path 0 - 1 - 2 and an isolated vertex 3.
+        let g = Graph::from_symmetric_matrix(&Csr::from_rows(
+            4,
+            &[vec![1], vec![0, 2], vec![1], vec![]],
+        ));
+        let e = edge_nets(&g);
+        assert_eq!((e.n_nets(), e.n_vertices()), (2, 4));
+        assert_eq!((e.vtxs(0), e.vtxs(1)), (&[0, 1][..], &[1, 2][..]));
+        assert_eq!(e.nets(1), &[0, 1]);
+        assert!(e.nets(3).is_empty());
+    }
 
     fn petersen_like() -> Graph {
         Graph::from_symmetric_matrix(&sparse::gen::erdos_renyi(40, 100, 77))
@@ -134,10 +107,10 @@ mod tests {
         let g = petersen_like();
         let order = Ordering::Natural.vertex_order_d2(&g);
         let pool = Pool::new(1);
-        let (colors, k) = color_d1gc(&g, &order, &pool, 16, Balance::Unbalanced);
+        let r = color_d1gc(&g, &order, &Schedule::v_v(), &pool);
         let (seq_colors, seq_k) = color_d1gc_seq(&g, &order);
-        assert_eq!(colors, seq_colors, "1 thread == sequential");
-        assert_eq!(k, seq_k);
+        assert_eq!(r.colors, seq_colors, "1 thread == sequential");
+        assert_eq!(r.num_colors, seq_k);
     }
 
     #[test]
@@ -145,9 +118,11 @@ mod tests {
         let g = petersen_like();
         let order = Ordering::Natural.vertex_order_d2(&g);
         let pool = Pool::new(4);
-        let (colors, k) = color_d1gc(&g, &order, &pool, 4, Balance::Unbalanced);
-        verify_d1gc(&g, &colors).unwrap();
-        assert!(k >= 2);
+        for schedule in Schedule::all() {
+            let r = color_d1gc(&g, &order, &schedule, &pool);
+            verify_d1gc(&g, &r.colors).unwrap();
+            assert!(r.num_colors >= 2);
+        }
     }
 
     #[test]
@@ -156,8 +131,8 @@ mod tests {
         let order = Ordering::Natural.vertex_order_d2(&g);
         let pool = Pool::new(3);
         for balance in [Balance::B1, Balance::B2] {
-            let (colors, _) = color_d1gc(&g, &order, &pool, 8, balance);
-            verify_d1gc(&g, &colors).unwrap();
+            let r = color_d1gc(&g, &order, &Schedule::v_v().with_balance(balance), &pool);
+            verify_d1gc(&g, &r.colors).unwrap();
         }
     }
 

@@ -23,8 +23,9 @@ use crate::{Balance, BitStampSet, Color, Colors, UNCOLORED};
 struct DkCtx {
     fb: BitStampSet,
     visited: BitStampSet,
-    frontier: Vec<u32>,
-    next_frontier: Vec<u32>,
+    /// The last [`DkCtx::ball`]: its center, then every vertex within
+    /// distance k in BFS order.
+    ball: Vec<u32>,
     local_queue: Vec<u32>,
     balancer: crate::balance::BalancerState,
 }
@@ -34,38 +35,47 @@ impl DkCtx {
         Self {
             fb: BitStampSet::with_capacity(color_capacity.max(16)),
             visited: BitStampSet::with_capacity(n.max(16)),
-            frontier: Vec::new(),
-            next_frontier: Vec::new(),
+            ball: Vec::new(),
             local_queue: Vec::new(),
             balancer: crate::balance::BalancerState::default(),
         }
     }
 
-    /// Visits every vertex within distance ≤ k of `start` (excluding
-    /// `start`), calling `f(v)` once per vertex.
-    fn bfs_k(&mut self, g: &Graph, start: u32, k: usize, mut f: impl FnMut(u32)) {
+    /// Fills `self.ball` with `start` followed by every other vertex
+    /// within distance ≤ k of it, each once, level by level; returns the
+    /// vertices after `start`.
+    fn ball(&mut self, g: &Graph, start: u32, k: usize) -> &[u32] {
         self.visited.advance();
         self.visited.insert(start as Color);
-        self.frontier.clear();
-        self.frontier.push(start);
+        self.ball.clear();
+        self.ball.push(start);
+        let mut level = 0..1;
         for _depth in 0..k {
-            self.next_frontier.clear();
-            // Take the frontier so the scan iterates a slice (no per-element
-            // index bound check) while `visited` stays mutably borrowable.
-            let frontier = std::mem::take(&mut self.frontier);
-            for &u in &frontier {
-                for &v in g.nbor(u as usize) {
+            for i in level.clone() {
+                for &v in g.nbor(self.ball[i] as usize) {
                     if !self.visited.contains(v as Color) {
                         self.visited.insert(v as Color);
-                        f(v);
-                        self.next_frontier.push(v);
+                        self.ball.push(v);
                     }
                 }
             }
-            self.frontier = frontier;
-            std::mem::swap(&mut self.frontier, &mut self.next_frontier);
-            if self.frontier.is_empty() {
+            level = level.end..self.ball.len();
+            if level.is_empty() {
                 break;
+            }
+        }
+        &self.ball[1..]
+    }
+
+    /// Starts a fresh forbidden set holding the colors of `w`'s
+    /// distance-k neighbors.
+    fn gather(&mut self, g: &Graph, w: u32, k: usize, color: impl Fn(u32) -> Color) {
+        self.fb.advance();
+        self.ball(g, w, k);
+        for &v in &self.ball[1..] {
+            let cv = color(v);
+            if cv != UNCOLORED {
+                self.fb.insert(cv);
             }
         }
     }
@@ -77,17 +87,7 @@ pub fn color_dkgc_seq(g: &Graph, order: &[u32], k: usize) -> (Vec<Color>, usize)
     let mut colors = vec![UNCOLORED; g.n_vertices()];
     let mut ctx = DkCtx::new(g.max_degree() + 16, g.n_vertices());
     for &w in order {
-        ctx.fb.advance();
-        // Split borrows: collect forbidden colors through a raw pointer to
-        // `colors` is unnecessary — read after BFS instead.
-        let mut nbrs: Vec<u32> = Vec::new();
-        ctx.bfs_k(g, w, k, |v| nbrs.push(v));
-        for &v in &nbrs {
-            let cv = colors[v as usize];
-            if cv != UNCOLORED {
-                ctx.fb.insert(cv);
-            }
-        }
+        ctx.gather(g, w, k, |v| colors[v as usize]);
         colors[w as usize] = ctx.fb.first_fit_from(0);
     }
     let kk = count_distinct_colors(&colors);
@@ -117,17 +117,8 @@ pub fn color_dkgc(
         // Optimistic coloring.
         pool.for_dynamic(w.len(), chunk, |tid, range| {
             scratch_ref.with(tid, |ctx| {
-                let mut nbrs: Vec<u32> = Vec::new();
                 for &wv in &w[range] {
-                    ctx.fb.advance();
-                    nbrs.clear();
-                    ctx.bfs_k(g, wv, k, |v| nbrs.push(v));
-                    for &v in &nbrs {
-                        let cv = colors.get(v as usize);
-                        if cv != UNCOLORED {
-                            ctx.fb.insert(cv);
-                        }
-                    }
+                    ctx.gather(g, wv, k, |v| colors.get(v as usize));
                     let col = balance.pick(wv, &ctx.fb, &mut ctx.balancer);
                     colors.set(wv as usize, col);
                 }
@@ -136,12 +127,10 @@ pub fn color_dkgc(
         // Conflict detection: the larger id of a same-colored pair loses.
         pool.for_dynamic(w.len(), chunk, |tid, range| {
             scratch_ref.with(tid, |ctx| {
-                let mut nbrs: Vec<u32> = Vec::new();
                 for &wv in &w[range] {
                     let cw = colors.get(wv as usize);
-                    nbrs.clear();
-                    ctx.bfs_k(g, wv, k, |v| nbrs.push(v));
-                    if nbrs
+                    if ctx
+                        .ball(g, wv, k)
                         .iter()
                         .any(|&v| v < wv && colors.get(v as usize) == cw)
                     {
@@ -174,13 +163,7 @@ pub fn verify_dkgc(g: &Graph, colors: &[Color], k: usize) -> Result<(), String> 
         if c < 0 {
             return Err(format!("vertex {u} uncolored"));
         }
-        let mut bad = None;
-        ctx.bfs_k(g, u as u32, k, |v| {
-            if colors[v as usize] == c && bad.is_none() {
-                bad = Some(v);
-            }
-        });
-        if let Some(v) = bad {
+        if let Some(&v) = ctx.ball(g, u as u32, k).iter().find(|&&v| colors[v as usize] == c) {
             return Err(format!(
                 "vertices {u} and {v} within distance {k} share color {c}"
             ));

@@ -7,15 +7,18 @@
 //! neighbors. Unlike the speculative framework there are **never any
 //! conflicts to repair** — the priced-in cost is more synchronization
 //! rounds (O(log n / log log n) expected for bounded degree) and a barrier
-//! per round. Implemented for BGPC and D2GC so benches can contrast the
-//! two philosophies on identical inputs.
+//! per round. Written once over [`Neighborhood`], so BGPC and D2GC (and
+//! the benches contrasting the two philosophies) run the same rounds.
 
-use graph::{BipartiteGraph, Graph};
+use std::sync::atomic::{AtomicBool, Ordering};
+
 use par::{Pool, ThreadScratch};
 
 use crate::ctx::ThreadCtx;
 use crate::metrics::count_distinct_colors;
-use crate::{Color, Colors, UNCOLORED};
+use crate::neighborhood::Neighborhood;
+use crate::vertex::{gather_forbidden, Tally};
+use crate::{BitStampSet, Color, Colors, UNCOLORED};
 
 /// Deterministic per-vertex priority: splitmix64 of (vertex, seed), with
 /// the vertex id as tiebreak (encoded by comparing `(hash, id)` pairs).
@@ -44,147 +47,51 @@ pub struct JpResult {
     pub rounds: usize,
 }
 
-/// Jones–Plassmann BGPC: distance-2 domination through the nets.
-pub fn color_bgpc_jp(g: &BipartiteGraph, pool: &Pool, seed: u64) -> JpResult {
+/// Jones–Plassmann over `g`'s nets: a vertex wins a round when no
+/// uncolored pin of its nets (itself excepted) beats it, which for D2GC
+/// is domination over the distance-2 neighborhood.
+pub fn color_jp<G: Neighborhood>(g: &G, pool: &Pool, seed: u64) -> JpResult {
     let n = g.n_vertices();
     let colors = Colors::new(n);
-    let scratch: ThreadScratch<ThreadCtx> =
-        ThreadScratch::new(pool.threads(), |_| ThreadCtx::new(g.max_net_size() + 16));
+    let slots = colors.slots();
+    let scratch: ThreadScratch<ThreadCtx<BitStampSet, G::Index>> =
+        ThreadScratch::new(pool.threads(), |_| ThreadCtx::new(g.max_neighborhood() + 16));
     let mut active: Vec<u32> = (0..n as u32).collect();
     let mut rounds = 0usize;
     while !active.is_empty() {
         rounds += 1;
         assert!(rounds <= n + 1, "JP failed to converge");
         // Phase 1: find this round's winners (dominators among uncolored).
-        let winners: Vec<u32> = {
-            let flags: Vec<std::sync::atomic::AtomicBool> = (0..active.len())
-                .map(|_| std::sync::atomic::AtomicBool::new(false))
-                .collect();
-            pool.for_dynamic(active.len(), 32, |_tid, range| {
-                for i in range {
-                    let w = active[i];
-                    let wu = w as usize;
-                    let dominated = g.nets(wu).iter().any(|&v| {
-                        g.vtxs(v as usize).iter().any(|&u| {
-                            u != w
-                                && colors.get(u as usize) == UNCOLORED
-                                && beats(u, w, seed)
-                        })
-                    });
-                    if !dominated {
-                        flags[i].store(true, std::sync::atomic::Ordering::Relaxed);
-                    }
+        let flags: Vec<AtomicBool> = (0..active.len()).map(|_| AtomicBool::new(false)).collect();
+        pool.for_dynamic(active.len(), 32, |_tid, range| {
+            for i in range {
+                let w = active[i];
+                let dominated = g.nets(w as usize).iter().any(|&v| {
+                    g.any_pin(v as usize, |u| {
+                        u != w && colors.get(u as usize) == UNCOLORED && beats(u, w, seed)
+                    })
+                });
+                if !dominated {
+                    flags[i].store(true, Ordering::Relaxed);
                 }
-            });
-            active
-                .iter()
-                .zip(&flags)
-                .filter(|(_, f)| f.load(std::sync::atomic::Ordering::Relaxed))
-                .map(|(&w, _)| w)
-                .collect()
-        };
+            }
+        });
+        let winners: Vec<u32> = active
+            .iter()
+            .zip(&flags)
+            .filter(|(_, f)| f.load(Ordering::Relaxed))
+            .map(|(&w, _)| w)
+            .collect();
         debug_assert!(!winners.is_empty(), "no winner among active vertices");
         // Phase 2: winners color themselves (mutually independent at
         // distance 2 by construction, so first-fit races cannot happen —
         // two winners sharing a net would have to dominate each other).
         pool.for_dynamic(winners.len(), 32, |tid, range| {
             scratch.with(tid, |ctx| {
+                let mut tally = Tally::default();
                 for &w in &winners[range] {
-                    let wu = w as usize;
-                    ctx.fb.advance();
-                    for &v in g.nets(wu) {
-                        for &u in g.vtxs(v as usize) {
-                            if u != w {
-                                let cu = colors.get(u as usize);
-                                if cu != UNCOLORED {
-                                    ctx.fb.insert(cu);
-                                }
-                            }
-                        }
-                    }
-                    colors.set(wu, ctx.fb.first_fit_from(0));
-                }
-            });
-        });
-        active.retain(|&w| colors.get(w as usize) == UNCOLORED);
-    }
-    let colors = colors.snapshot();
-    let num_colors = count_distinct_colors(&colors);
-    JpResult {
-        colors,
-        num_colors,
-        rounds,
-    }
-}
-
-/// Jones–Plassmann D2GC: domination over the distance-2 neighborhood.
-pub fn color_d2gc_jp(g: &Graph, pool: &Pool, seed: u64) -> JpResult {
-    let n = g.n_vertices();
-    let colors = Colors::new(n);
-    let scratch: ThreadScratch<ThreadCtx> =
-        ThreadScratch::new(pool.threads(), |_| ThreadCtx::new(g.max_degree() + 16));
-    let mut active: Vec<u32> = (0..n as u32).collect();
-    let mut rounds = 0usize;
-    while !active.is_empty() {
-        rounds += 1;
-        assert!(rounds <= n + 1, "JP failed to converge");
-        let winners: Vec<u32> = {
-            let flags: Vec<std::sync::atomic::AtomicBool> = (0..active.len())
-                .map(|_| std::sync::atomic::AtomicBool::new(false))
-                .collect();
-            pool.for_dynamic(active.len(), 32, |_tid, range| {
-                for i in range {
-                    let w = active[i];
-                    let wu = w as usize;
-                    let mut dominated = false;
-                    'scan: for &u in g.nbor(wu) {
-                        if colors.get(u as usize) == UNCOLORED && beats(u, w, seed) {
-                            dominated = true;
-                            break 'scan;
-                        }
-                        for &x in g.nbor(u as usize) {
-                            if x != w
-                                && colors.get(x as usize) == UNCOLORED
-                                && beats(x, w, seed)
-                            {
-                                dominated = true;
-                                break 'scan;
-                            }
-                        }
-                    }
-                    if !dominated {
-                        flags[i].store(true, std::sync::atomic::Ordering::Relaxed);
-                    }
-                }
-            });
-            active
-                .iter()
-                .zip(&flags)
-                .filter(|(_, f)| f.load(std::sync::atomic::Ordering::Relaxed))
-                .map(|(&w, _)| w)
-                .collect()
-        };
-        debug_assert!(!winners.is_empty());
-        pool.for_dynamic(winners.len(), 32, |tid, range| {
-            scratch.with(tid, |ctx| {
-                for &w in &winners[range] {
-                    let wu = w as usize;
-                    ctx.fb.advance();
-                    for &u in g.nbor(wu) {
-                        let cu = colors.get(u as usize);
-                        if cu != UNCOLORED {
-                            ctx.fb.insert(cu);
-                        }
-                        for &x in g.nbor(u as usize) {
-                            if x != w {
-                                let cx = colors.get(x as usize);
-                                if cx != UNCOLORED {
-                                    ctx.fb.insert(cx);
-                                }
-                            }
-                        }
-                    }
-                    colors.set(wu, ctx.fb.first_fit_from(0));
+                    gather_forbidden(g, slots, w, ctx, &mut tally);
+                    colors.set(w as usize, ctx.fb.first_fit_from(0));
                 }
             });
         });
@@ -203,6 +110,7 @@ pub fn color_d2gc_jp(g: &Graph, pool: &Pool, seed: u64) -> JpResult {
 mod tests {
     use super::*;
     use crate::verify::{verify_bgpc, verify_d2gc};
+    use graph::{BipartiteGraph, Graph};
 
     #[test]
     fn bgpc_jp_valid_single_and_multi_thread() {
@@ -210,7 +118,7 @@ mod tests {
         let g = BipartiteGraph::from_matrix(&m);
         for threads in [1, 4] {
             let pool = Pool::new(threads);
-            let r = color_bgpc_jp(&g, &pool, 7);
+            let r = color_jp(&g, &pool, 7);
             verify_bgpc(&g, &r.colors).unwrap();
             assert!(r.num_colors >= g.max_net_size());
         }
@@ -222,11 +130,11 @@ mod tests {
         // state of *previous* rounds, so the result is thread-invariant.
         let m = sparse::gen::bipartite_uniform(40, 60, 500, 9);
         let g = BipartiteGraph::from_matrix(&m);
-        let a = color_bgpc_jp(&g, &Pool::new(1), 5);
-        let b = color_bgpc_jp(&g, &Pool::new(4), 5);
+        let a = color_jp(&g, &Pool::new(1), 5);
+        let b = color_jp(&g, &Pool::new(4), 5);
         assert_eq!(a.colors, b.colors);
         assert_eq!(a.rounds, b.rounds);
-        let c = color_bgpc_jp(&g, &Pool::new(2), 6);
+        let c = color_jp(&g, &Pool::new(2), 6);
         // different seed, typically different coloring
         let _ = c;
     }
@@ -236,7 +144,7 @@ mod tests {
         let m = sparse::gen::grid2d(9, 9, 1);
         let g = Graph::from_symmetric_matrix(&m);
         let pool = Pool::new(3);
-        let r = color_d2gc_jp(&g, &pool, 11);
+        let r = color_jp(&g, &pool, 11);
         verify_d2gc(&g, &r.colors).unwrap();
         assert!(r.num_colors > g.max_degree());
     }
@@ -247,7 +155,7 @@ mod tests {
         let m = sparse::Csr::from_rows(5, &[vec![0, 1, 2, 3, 4]]);
         let g = BipartiteGraph::from_matrix(&m);
         let pool = Pool::new(2);
-        let r = color_bgpc_jp(&g, &pool, 3);
+        let r = color_jp(&g, &pool, 3);
         verify_bgpc(&g, &r.colors).unwrap();
         assert_eq!(r.rounds, 5);
         assert_eq!(r.num_colors, 5);
@@ -261,7 +169,7 @@ mod tests {
         let m = sparse::gen::bipartite_uniform(300, 400, 2400, 1);
         let g = BipartiteGraph::from_matrix(&m);
         let pool = Pool::new(4);
-        let r = color_bgpc_jp(&g, &pool, 1);
+        let r = color_jp(&g, &pool, 1);
         verify_bgpc(&g, &r.colors).unwrap();
         let bound = g.max_net_size();
         assert!(r.rounds >= bound, "rounds {} < max net {}", r.rounds, bound);
@@ -276,7 +184,7 @@ mod tests {
     #[test]
     fn jp_empty_graph() {
         let g = BipartiteGraph::from_matrix(&sparse::Csr::empty(0, 0));
-        let r = color_bgpc_jp(&g, &Pool::new(2), 0);
+        let r = color_jp(&g, &Pool::new(2), 0);
         assert!(r.colors.is_empty());
         assert_eq!(r.rounds, 0);
     }

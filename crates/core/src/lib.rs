@@ -13,6 +13,8 @@
 //!   closed-neighborhood nets: vertex `v`'s net is `N[v] = {v} ∪ nbor(v)`,
 //!   so both problems run the same driver and kernels, written once over
 //!   the [`Neighborhood`] trait ([`neighborhood`] has the mapping).
+//! * **D1GC**: adjacent vertices differ — BGPC over one 2-pin net per
+//!   edge ([`d1gc`]).
 //!
 //! # The optimistic framework
 //!
@@ -30,9 +32,15 @@
 //! * [`color_bgpc`] / [`seq::color_bgpc_seq`] — parallel / sequential BGPC.
 //! * [`d2gc::color_d2gc`] / [`seq::color_d2gc_seq`] — parallel / sequential
 //!   D2GC.
+//! * [`d1gc::color_d1gc`] / [`d1gc::color_d1gc_seq`] — distance-1
+//!   coloring, run as BGPC over 2-pin edge nets ([`d1gc::edge_nets`]).
 //! * [`color_with_opts`], [`color_with_set`], [`try_color`],
 //!   [`recolor_incremental`] and [`seq::color_seq`] — the generic entry
-//!   points, for either problem.
+//!   points, for any [`Neighborhood`].
+//! * [`jp::color_jp`], [`recolor::reduce_colors_seq`] and
+//!   [`recolor::reduce_colors`] — Jones–Plassmann and the recoloring
+//!   post-passes, likewise generic.
+//! * [`dkgc::color_dkgc`] — distance-k coloring (k ≥ 3) by bounded BFS.
 //! * [`Schedule`] — which algorithm combination to run ([`Schedule::all`]
 //!   lists the paper's eight).
 //! * [`Balance`] — the B1/B2 cardinality-balancing heuristics (§V).

@@ -2,7 +2,7 @@
 //!
 //! The paper's related work (§VII, Sarıyüce et al.) improves a finished
 //! coloring by re-running greedy passes in color-aware orders. We provide
-//! the classic descending-class pass for both BGPC and D2GC: visit
+//! the classic descending-class pass for BGPC and D2GC alike: visit
 //! vertices from the largest color id downward and first-fit each against
 //! its current neighborhood. A vertex can only move to a *smaller* color,
 //! so the pass never increases the distinct-color count, and repeated
@@ -11,75 +11,42 @@
 //! The sequential pass is deterministic and guaranteed valid. A parallel
 //! speculative variant processes one color class at a time (class members
 //! are mutually independent, but may race for the same target color) and
-//! repairs the few conflicting movers with an id-ordered fixup, then
-//! re-verifies in debug builds.
+//! repairs the few conflicting movers with an id-ordered fixup. Both are
+//! written once over [`Neighborhood`], and both pick colors with the
+//! vertex kernel's distance-2 gather.
 
-use graph::{BipartiteGraph, Graph};
 use par::{Pool, ThreadScratch};
 
 use crate::ctx::ThreadCtx;
 use crate::metrics::count_distinct_colors;
-use crate::{BitStampSet, Color, Colors, UNCOLORED};
+use crate::neighborhood::Neighborhood;
+use crate::vertex::{gather_forbidden, Tally};
+use crate::{BitStampSet, Color, Colors};
 
-/// One sequential descending-class recoloring pass for BGPC. Returns the
-/// new distinct-color count. Never increases any vertex's color.
-pub fn reduce_colors_bgpc_seq(g: &BipartiteGraph, colors: &mut [Color]) -> usize {
+/// One sequential descending-class recoloring pass. Returns the new
+/// distinct-color count. Never increases any vertex's color.
+pub fn reduce_colors_seq<G: Neighborhood>(g: &G, colors: &mut [Color]) -> usize {
     debug_assert_eq!(colors.len(), g.n_vertices());
     let mut order: Vec<u32> = (0..g.n_vertices() as u32).collect();
     order.sort_by_key(|&u| std::cmp::Reverse(colors[u as usize]));
-    let mut fb = BitStampSet::with_capacity(g.max_net_size() + 16);
-    for &w in &order {
-        let wu = w as usize;
-        fb.advance();
-        for &v in g.nets(wu) {
-            for &u in g.vtxs(v as usize) {
-                if u != w {
-                    let cu = colors[u as usize];
-                    if cu != UNCOLORED {
-                        fb.insert(cu);
-                    }
-                }
-            }
-        }
-        let col = fb.first_fit_from(0);
-        debug_assert!(col <= colors[wu], "first-fit can only move down");
-        colors[wu] = col;
+    let shared = Colors::new(colors.len());
+    for (u, &c) in colors.iter().enumerate() {
+        shared.set(u, c);
     }
+    let mut ctx = ThreadCtx::<BitStampSet, G::Index>::new(g.max_neighborhood() + 16);
+    let mut tally = Tally::default();
+    for &w in &order {
+        gather_forbidden(g, shared.slots(), w, &mut ctx, &mut tally);
+        let col = ctx.fb.first_fit_from(0);
+        debug_assert!(col <= shared.get(w as usize), "first-fit can only move down");
+        shared.set(w as usize, col);
+    }
+    colors.copy_from_slice(&shared.snapshot());
     count_distinct_colors(colors)
 }
 
-/// Sequential descending-class recoloring for D2GC.
-pub fn reduce_colors_d2gc_seq(g: &Graph, colors: &mut [Color]) -> usize {
-    debug_assert_eq!(colors.len(), g.n_vertices());
-    let mut order: Vec<u32> = (0..g.n_vertices() as u32).collect();
-    order.sort_by_key(|&u| std::cmp::Reverse(colors[u as usize]));
-    let mut fb = BitStampSet::with_capacity(g.max_degree() + 16);
-    for &w in &order {
-        let wu = w as usize;
-        fb.advance();
-        for &u in g.nbor(wu) {
-            let cu = colors[u as usize];
-            if cu != UNCOLORED {
-                fb.insert(cu);
-            }
-            for &x in g.nbor(u as usize) {
-                if x != w {
-                    let cx = colors[x as usize];
-                    if cx != UNCOLORED {
-                        fb.insert(cx);
-                    }
-                }
-            }
-        }
-        let col = fb.first_fit_from(0);
-        debug_assert!(col <= colors[wu]);
-        colors[wu] = col;
-    }
-    count_distinct_colors(colors)
-}
-
-/// Parallel speculative recoloring pass for BGPC: classes are processed
-/// from the largest color id downward; class members recolor in parallel
+/// Parallel speculative recoloring pass: classes are processed from the
+/// largest color id downward; class members recolor in parallel
 /// (optimistically), and movers that collided are fixed up id-ordered.
 ///
 /// Validity is restored before returning; the distinct-color count never
@@ -87,11 +54,7 @@ pub fn reduce_colors_d2gc_seq(g: &Graph, colors: &mut [Color]) -> usize {
 /// original color (no other vertex can have taken it: movers only move
 /// strictly down, and classes are processed top-down, so color `k` is
 /// only vacated — never entered — while class `k` is in flight).
-pub fn reduce_colors_bgpc(
-    g: &BipartiteGraph,
-    colors_in: &mut Vec<Color>,
-    pool: &Pool,
-) -> usize {
+pub fn reduce_colors<G: Neighborhood>(g: &G, colors_in: &mut Vec<Color>, pool: &Pool) -> usize {
     let n = g.n_vertices();
     debug_assert_eq!(colors_in.len(), n);
     let max_color = colors_in.iter().copied().max().unwrap_or(-1);
@@ -108,9 +71,9 @@ pub fn reduce_colors_bgpc(
     for (u, &c) in colors_in.iter().enumerate() {
         colors.set(u, c);
     }
-    let scratch: ThreadScratch<ThreadCtx> = ThreadScratch::new(pool.threads(), |_| {
-        ThreadCtx::new(g.max_net_size() + 16)
-    });
+    let slots = colors.slots();
+    let scratch: ThreadScratch<ThreadCtx<BitStampSet, G::Index>> =
+        ThreadScratch::new(pool.threads(), |_| ThreadCtx::new(g.max_neighborhood() + 16));
 
     for c in (1..=max_color as usize).rev() {
         let class = &classes[c];
@@ -121,42 +84,23 @@ pub fn reduce_colors_bgpc(
         // Optimistic parallel move-down.
         pool.for_dynamic(class.len(), 16, |tid, range| {
             scratch.with(tid, |ctx| {
+                let mut tally = Tally::default();
                 for &w in &class[range] {
-                    let wu = w as usize;
-                    ctx.fb.advance();
-                    for &v in g.nets(wu) {
-                        for &u in g.vtxs(v as usize) {
-                            if u != w {
-                                let cu = colors.get(u as usize);
-                                if cu != UNCOLORED {
-                                    ctx.fb.insert(cu);
-                                }
-                            }
-                        }
-                    }
+                    gather_forbidden(g, slots, w, ctx, &mut tally);
                     let col = ctx.fb.first_fit_from(0);
                     if col < original {
-                        colors.set(wu, col);
+                        colors.set(w as usize, col);
                     }
                 }
             });
         });
-        // Id-ordered fixup: any mover that now conflicts reverts to its
-        // original class color (guaranteed free — see doc comment).
+        // Id-ordered fixup: any mover that now conflicts with a smaller
+        // id reverts to its original class color (guaranteed free — see
+        // doc comment).
         pool.for_dynamic(class.len(), 16, |_tid, range| {
             for &w in &class[range] {
-                let wu = w as usize;
-                let cw = colors.get(wu);
-                if cw == original {
-                    continue;
-                }
-                let conflicted = g.nets(wu).iter().any(|&v| {
-                    g.vtxs(v as usize)
-                        .iter()
-                        .any(|&u| u < w && colors.get(u as usize) == cw)
-                });
-                if conflicted {
-                    colors.set(wu, original);
+                if colors.get(w as usize) != original && collides(g, &colors, w, |u| u < w) {
+                    colors.set(w as usize, original);
                 }
             }
         });
@@ -166,18 +110,8 @@ pub fn reduce_colors_bgpc(
         loop {
             let mut changed = false;
             for &w in class {
-                let wu = w as usize;
-                let cw = colors.get(wu);
-                if cw == original {
-                    continue;
-                }
-                let conflicted = g.nets(wu).iter().any(|&v| {
-                    g.vtxs(v as usize)
-                        .iter()
-                        .any(|&u| u != w && colors.get(u as usize) == cw)
-                });
-                if conflicted {
-                    colors.set(wu, original);
+                if colors.get(w as usize) != original && collides(g, &colors, w, |u| u != w) {
+                    colors.set(w as usize, original);
                     changed = true;
                 }
             }
@@ -191,12 +125,20 @@ pub fn reduce_colors_bgpc(
     count_distinct_colors(colors_in)
 }
 
+/// Whether a pin of `w`'s nets that `rival` admits holds `w`'s color.
+fn collides<G: Neighborhood>(g: &G, colors: &Colors, w: u32, rival: impl Fn(u32) -> bool) -> bool {
+    let cw = colors.get(w as usize);
+    g.nets(w as usize)
+        .iter()
+        .any(|&v| g.any_pin(v as usize, |u| rival(u) && colors.get(u as usize) == cw))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::verify::{verify_bgpc, verify_d2gc};
     use crate::Schedule;
-    use graph::Ordering;
+    use graph::{BipartiteGraph, Graph, Ordering};
 
     fn instance() -> BipartiteGraph {
         BipartiteGraph::from_matrix(&sparse::gen::bipartite_uniform(60, 90, 1200, 9))
@@ -207,7 +149,7 @@ mod tests {
         let g = instance();
         let order = Ordering::Random(3).vertex_order_bgpc(&g);
         let (mut colors, k0) = crate::seq::color_bgpc_seq(&g, &order);
-        let k1 = reduce_colors_bgpc_seq(&g, &mut colors);
+        let k1 = reduce_colors_seq(&g, &mut colors);
         verify_bgpc(&g, &colors).unwrap();
         assert!(k1 <= k0, "{k1} > {k0}");
     }
@@ -219,25 +161,20 @@ mod tests {
         let g = BipartiteGraph::from_matrix(&m);
         let mut colors = vec![0, 1, 2, 3, 4, 5];
         verify_bgpc(&g, &colors).unwrap();
-        let k = reduce_colors_bgpc_seq(&g, &mut colors);
+        let k = reduce_colors_seq(&g, &mut colors);
         verify_bgpc(&g, &colors).unwrap();
         assert_eq!(k, 2, "three disjoint pairs need exactly 2 colors");
     }
 
     #[test]
-    fn seq_pass_is_idempotent_at_fixpoint() {
+    fn repeated_seq_passes_keep_the_color_count() {
         let g = instance();
         let order = Ordering::Natural.vertex_order_bgpc(&g);
         let (mut colors, _) = crate::seq::color_bgpc_seq(&g, &order);
-        let k1 = reduce_colors_bgpc_seq(&g, &mut colors);
-        let snapshot = colors.clone();
-        let k2 = reduce_colors_bgpc_seq(&g, &mut colors);
-        assert_eq!(k1, k2);
-        // colors may still permute within equal count; run once more to
-        // reach the fixpoint and require stability.
-        let k3 = reduce_colors_bgpc_seq(&g, &mut colors);
-        assert_eq!(k2, k3);
-        let _ = snapshot;
+        let k1 = reduce_colors_seq(&g, &mut colors);
+        let k2 = reduce_colors_seq(&g, &mut colors);
+        let k3 = reduce_colors_seq(&g, &mut colors);
+        assert_eq!((k1, k2), (k2, k3));
     }
 
     #[test]
@@ -248,7 +185,7 @@ mod tests {
         let r = crate::color_bgpc(&g, &order, &Schedule::n1_n2(), &pool);
         let k0 = r.num_colors;
         let mut colors = r.colors;
-        let k1 = reduce_colors_bgpc(&g, &mut colors, &pool);
+        let k1 = reduce_colors(&g, &mut colors, &pool);
         verify_bgpc(&g, &colors).unwrap();
         assert!(k1 <= k0, "parallel recolor increased colors: {k1} > {k0}");
     }
@@ -260,9 +197,9 @@ mod tests {
         let (colors0, _) = crate::seq::color_bgpc_seq(&g, &order);
         let pool = Pool::new(1);
         let mut a = colors0.clone();
-        let ka = reduce_colors_bgpc(&g, &mut a, &pool);
+        let ka = reduce_colors(&g, &mut a, &pool);
         let mut b = colors0;
-        let kb = reduce_colors_bgpc_seq(&g, &mut b);
+        let kb = reduce_colors_seq(&g, &mut b);
         verify_bgpc(&g, &a).unwrap();
         verify_bgpc(&g, &b).unwrap();
         // Different visit orders (class-major vs color-sorted), so exact
@@ -276,7 +213,7 @@ mod tests {
         let g = Graph::from_symmetric_matrix(&m);
         let order = Ordering::Random(2).vertex_order_d2(&g);
         let (mut colors, k0) = crate::seq::color_d2gc_seq(&g, &order);
-        let k1 = reduce_colors_d2gc_seq(&g, &mut colors);
+        let k1 = reduce_colors_seq(&g, &mut colors);
         verify_d2gc(&g, &colors).unwrap();
         assert!(k1 <= k0);
     }

@@ -1,7 +1,8 @@
 //! Degenerate-instance coverage: every schedule on the shapes most likely to break boundary arithmetic — an empty
 //! `V_A`, isolated (pin-less) nets and net-less vertices, a single
 //! vertex, a star (one net covering everything), and nets sized exactly
-//! on the 128-color forbidden-set dispatch boundary — plus the
+//! on the 128-color forbidden-set dispatch boundary; D1GC's edge nets
+//! on an empty graph, isolated vertices, one edge and a star — plus the
 //! degenerate-*delta* battery for the incremental engine (empty batch,
 //! duplicate edge, delete-nonexistent).
 
@@ -198,6 +199,34 @@ fn d2gc_star_on_the_dense_dispatch_boundary() {
         let m = Csr::from_rows(n, &rows);
         for k in run_all_d2gc(&m, 4) {
             assert_eq!(k, n, "star with {leaves} leaves needs {n} colors");
+        }
+    }
+}
+
+#[test]
+fn d1gc_edge_nets_on_degenerate_graphs() {
+    // D1GC colors BGPC over 2-pin edge nets: an empty graph has no nets
+    // and no vertices, isolated vertices have no nets, one edge is one
+    // net, and a star's center is a pin of every net.
+    let star: Vec<Vec<u32>> =
+        std::iter::once((1..9).collect()).chain((1..9).map(|_| vec![0])).collect();
+    for (name, m, want) in [
+        ("empty", Csr::from_rows(0, &[]), 0),
+        ("isolated", Csr::from_rows(3, &[vec![], vec![], vec![]]), 1),
+        ("one edge", Csr::from_rows(3, &[vec![1], vec![0], vec![]]), 2),
+        ("star", Csr::from_rows(9, &star), 2),
+    ] {
+        let g = Graph::from_symmetric_matrix(&m);
+        let order = Ordering::Natural.vertex_order_d2(&g);
+        for threads in [1, 2, 4] {
+            let pool = Pool::new(threads);
+            for schedule in Schedule::all() {
+                let r = bgpc::d1gc::color_d1gc(&g, &order, &schedule, &pool);
+                let label = format!("{name} {} @{threads}", schedule.name());
+                bgpc::d1gc::verify_d1gc(&g, &r.colors).unwrap_or_else(|e| panic!("{label}: {e}"));
+                assert!(r.degraded.is_none(), "{label} degraded");
+                assert_eq!(r.num_colors, want, "{label}");
+            }
         }
     }
 }

@@ -51,9 +51,9 @@ fn single_thread_balanced_runs_are_reproducible() {
 #[test]
 fn jp_is_invariant_to_thread_count_and_chunking() {
     let g = bgpc_instance();
-    let reference = bgpc::jp::color_bgpc_jp(&g, &Pool::new(1), 77);
+    let reference = bgpc::jp::color_jp(&g, &Pool::new(1), 77);
     for threads in [2, 3, 8] {
-        let r = bgpc::jp::color_bgpc_jp(&g, &Pool::new(threads), 77);
+        let r = bgpc::jp::color_jp(&g, &Pool::new(threads), 77);
         assert_eq!(r.colors, reference.colors, "threads {threads}");
         assert_eq!(r.rounds, reference.rounds);
     }

@@ -122,7 +122,7 @@ fn recolor_pass_never_invalidates_exhaustively() {
         let g = BipartiteGraph::from_matrix(&matrix);
         let order = Ordering::Natural.vertex_order_bgpc(&g);
         let (mut colors, k0) = bgpc::seq::color_bgpc_seq(&g, &order);
-        let k1 = bgpc::recolor::reduce_colors_bgpc_seq(&g, &mut colors);
+        let k1 = bgpc::recolor::reduce_colors_seq(&g, &mut colors);
         verify_bgpc(&g, &colors).unwrap_or_else(|e| panic!("{matrix:?}: {e}"));
         assert!(k1 <= k0);
     }

@@ -105,8 +105,8 @@ fn main() {
     // automatically), then sweep color by color.
     let order: Vec<u32> = (0..n as u32).collect();
     let pool = Pool::new(4);
-    let (colors, k) =
-        bgpc::d1gc::color_d1gc(&g, &order, &pool, 64, bgpc::Balance::Unbalanced);
+    let bgpc::ColoringResult { colors, num_colors: k, .. } =
+        bgpc::d1gc::color_d1gc(&g, &order, &bgpc::Schedule::v_v_64d(), &pool);
     bgpc::d1gc::verify_d1gc(&g, &colors).expect("valid D1 coloring");
     println!("mesh colored with {k} colors (red-black = 2 expected)");
 

@@ -43,7 +43,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // One recoloring post-pass often shaves a few more colors.
     let mut colors = result.colors;
-    let reduced = bgpc::recolor::reduce_colors_bgpc(&g, &mut colors, &pool);
+    let reduced = bgpc::recolor::reduce_colors(&g, &mut colors, &pool);
     bgpc::verify::verify_bgpc(&g, &colors)?;
     println!("after recoloring post-pass: {reduced} colors");
 

@@ -114,7 +114,7 @@ fn jp_and_speculative_agree_on_validity_at_scale() {
     let m = bgpc_suite::sparse::gen::bipartite_uniform(2_000, 3_000, 30_000, 7);
     let g = BipartiteGraph::from_matrix(&m);
     let pool = Pool::new(8);
-    let jp = bgpc::jp::color_bgpc_jp(&g, &pool, 42);
+    let jp = bgpc::jp::color_jp(&g, &pool, 42);
     bgpc::verify::verify_bgpc(&g, &jp.colors).unwrap();
     let order = Ordering::Natural.vertex_order_bgpc(&g);
     let spec = bgpc::color_bgpc(&g, &order, &Schedule::n1_n2(), &pool);
