@@ -171,9 +171,13 @@ fn color(args: ColorArgs) -> Result<(), Failure> {
     let schedule = &args.schedule;
     let relabel = args.relabel;
     let width = args.index_width.unwrap_or_else(|| IndexWidth::auto_for(matrix.nnz()));
+    // The distance-k BFS neither relabels nor picks an index width.
+    let layout = match args.problem {
+        Problem::Dk(_) => String::new(),
+        _ => format!(", {} indices, {} relabel", width.label(), relabel.label()),
+    };
     out!(
-        "pattern: {} x {}, {} nnz; problem {:?}, schedule {}, {} threads, {} order, \
-         {} indices, {} relabel",
+        "pattern: {} x {}, {} nnz; problem {:?}, schedule {}, {} threads, {} order{layout}",
         matrix.nrows(),
         matrix.ncols(),
         matrix.nnz(),
@@ -181,8 +185,6 @@ fn color(args: ColorArgs) -> Result<(), Failure> {
         schedule.name(),
         args.threads,
         args.ordering.label(),
-        width.label(),
-        relabel.label(),
     );
     let mut pool = if args.pin {
         // Pinning is best-effort: off Linux (or under a restricted

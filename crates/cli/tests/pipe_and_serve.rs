@@ -1,6 +1,7 @@
 //! Process-level CLI behavior that can't be tested in-process: broken
-//! stdout pipes (the `bgpc-cli … | head` scenario) and the `serve`
-//! daemon mode with its exit-code taxonomy (7 = service error).
+//! stdout pipes (the `bgpc-cli … | head` scenario), the text `color`
+//! prints to stdout, and the `serve` daemon mode with its exit-code
+//! taxonomy (7 = service error).
 
 use std::io::Read;
 use std::process::{Command, Stdio};
@@ -71,6 +72,33 @@ fn closed_stdout_pipe_during_color_run_is_clean() {
         .unwrap();
     assert!(status.success(), "got {status:?} with stderr: {stderr}");
     assert!(!stderr.contains("panicked"), "must not panic: {stderr}");
+}
+
+/// The `pattern:` banner line of a `color` run with the given flags.
+fn color_banner(flags: &[&str]) -> String {
+    let out = cli()
+        .arg("color")
+        .args(["--dataset", "af_shell10", "--scale", "0.002"])
+        .args(flags)
+        .output()
+        .expect("run bgpc-cli");
+    assert!(out.status.success(), "{flags:?}: {out:?}");
+    String::from_utf8(out.stdout)
+        .unwrap()
+        .lines()
+        .find(|l| l.starts_with("pattern:"))
+        .expect("a pattern: banner")
+        .to_string()
+}
+
+#[test]
+fn distance_k_banner_names_no_index_width_or_relabel() {
+    // The distance-k BFS uses neither, so its banner does not claim them.
+    let dk = color_banner(&["--problem", "d3"]);
+    assert!(dk.ends_with("natural order"), "{dk}");
+    assert!(!dk.contains("indices") && !dk.contains("relabel"), "{dk}");
+    let d2 = color_banner(&["--problem", "d2gc"]);
+    assert!(d2.contains("indices") && d2.contains("relabel"), "{d2}");
 }
 
 #[test]

@@ -134,9 +134,12 @@ mod tests {
         let b = color_jp(&g, &Pool::new(4), 5);
         assert_eq!(a.colors, b.colors);
         assert_eq!(a.rounds, b.rounds);
+        // Another seed is just as thread-invariant, and still verifies.
         let c = color_jp(&g, &Pool::new(2), 6);
-        // different seed, typically different coloring
-        let _ = c;
+        let d = color_jp(&g, &Pool::new(1), 6);
+        assert_eq!(c.colors, d.colors);
+        assert_eq!(c.rounds, d.rounds);
+        verify_bgpc(&g, &c.colors).unwrap();
     }
 
     #[test]

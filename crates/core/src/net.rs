@@ -16,9 +16,19 @@ use crate::forbidden::ForbiddenSet;
 use crate::neighborhood::Neighborhood;
 use crate::{Balance, Color, Colors, UNCOLORED};
 
-/// Dynamic chunk used for net-parallel loops. Nets vary in size far more
-/// than vertices, so a modest chunk keeps the load balanced.
-const NET_CHUNK: usize = 16;
+/// Dynamic chunk of the net-parallel loops: at least 16 nets, and large
+/// enough that each thread makes about 64 claims.
+///
+/// Neighbouring nets share pins (on a natural-order mesh, consecutive
+/// closed neighbourhoods overlap almost entirely), so threads claiming
+/// adjacent 16-net chunks write the same cache lines of the color array.
+/// Per-thread chunks keep the runs colored at the same time far apart in
+/// id space; 64 claims per thread still balance nets of uneven size.
+/// Instances with at most `1024 · threads` nets keep the 16-net chunk,
+/// and a single thread claims nets in the same order either way.
+fn net_chunk(n_nets: usize, threads: usize) -> usize {
+    n_nets.div_ceil(64 * threads).max(16)
+}
 
 /// Which net-based coloring algorithm to run. Table I of the paper
 /// compares all three on their first-iteration conflict counts.
@@ -78,7 +88,8 @@ fn color_net_single_pass<F: ForbiddenSet, G: Neighborhood>(
     reverse: bool,
 ) {
     let rec = pool.tracer();
-    pool.for_dynamic(g.n_nets(), NET_CHUNK, |tid, range| {
+    let chunk = net_chunk(g.n_nets(), pool.threads());
+    pool.for_dynamic(g.n_nets(), chunk, |tid, range| {
         par::faults::fire(G::FAULT_COLOR, tid);
         scratch.with(tid, |ctx| {
             let mut colored = 0u64;
@@ -136,7 +147,8 @@ fn color_net_two_pass<F: ForbiddenSet, G: Neighborhood>(
     balance: Balance,
 ) {
     let rec = pool.tracer();
-    pool.for_dynamic(g.n_nets(), NET_CHUNK, |tid, range| {
+    let chunk = net_chunk(g.n_nets(), pool.threads());
+    pool.for_dynamic(g.n_nets(), chunk, |tid, range| {
         par::faults::fire(G::FAULT_COLOR, tid);
         scratch.with(tid, |ctx| {
             let mut colored = 0u64;
@@ -220,7 +232,8 @@ pub fn remove_conflicts_net<F: ForbiddenSet, G: Neighborhood>(
     scratch: &ThreadScratch<ThreadCtx<F, G::Index>>,
 ) {
     let rec = pool.tracer();
-    pool.for_dynamic(g.n_nets(), NET_CHUNK, |tid, range| {
+    let chunk = net_chunk(g.n_nets(), pool.threads());
+    pool.for_dynamic(g.n_nets(), chunk, |tid, range| {
         par::faults::fire(G::FAULT_CONFLICT, tid);
         scratch.with(tid, |ctx| {
             let mut conflicts = 0u64;
@@ -551,5 +564,37 @@ mod tests {
             verify_bgpc(&bip, &balanced_net_then_vertex(&bip, balance)).unwrap();
             verify_d2gc(&d2, &balanced_net_then_vertex(&d2, balance)).unwrap();
         }
+    }
+
+    /// Chunks claimed by one traced iteration-0 net coloring of `g`.
+    fn net_phase_claims(g: &Graph, threads: usize) -> u64 {
+        let mut pool = Pool::new(threads);
+        let rec = std::sync::Arc::new(trace::Recorder::new(threads));
+        pool.set_tracer(std::sync::Arc::clone(&rec));
+        let colors = Colors::new(g.n_vertices());
+        color_workqueue_net(
+            g,
+            &colors,
+            &pool,
+            NetColoringVariant::TwoPassReverse,
+            Balance::Unbalanced,
+            &scratch(threads),
+        );
+        rec.totals().get(trace::Counter::ChunksClaimed)
+    }
+
+    #[test]
+    fn net_loops_claim_about_64_chunks_per_thread() {
+        let t = 2;
+        // Above 1024 · threads nets each thread claims about 64 chunks.
+        let big = Graph::from_symmetric_matrix(&sparse::gen::grid3d(16, 16, 16, 1));
+        assert!(big.n_nets() > 2048);
+        let claims = net_phase_claims(&big, t);
+        assert!(claims <= (64 * t + t) as u64, "{claims} claims");
+        // At or below it the chunk stays at 16 nets.
+        let small = Graph::from_symmetric_matrix(&sparse::gen::grid3d(10, 10, 10, 1));
+        assert!(small.n_nets() <= 1024 * t);
+        let sixteen_net_chunks = small.n_nets().div_ceil(16) as u64;
+        assert_eq!(net_phase_claims(&small, t), sixteen_net_chunks);
     }
 }
