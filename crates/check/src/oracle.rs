@@ -138,10 +138,13 @@ fn same_colors(a: &[Color], b: &[Color], what: &str) -> Result<(), String> {
 }
 
 /// Draws the pin count of the case's wide net: 0 (none) in three cases
-/// of four, else 65–128.
+/// of four, else 65–300. Nets past 64 pins need colors past the first
+/// word; past 128 they take the stamp-set dispatch
+/// ([`bgpc::forbidden::DENSE_FORBIDDEN_CUTOFF`]) and multi-word net color
+/// summaries.
 fn draw_wide_net(d: &mut impl Draw) -> usize {
     if d.usize_in(0..4) == 0 {
-        d.usize_in(65..129)
+        d.usize_in(65..301)
     } else {
         0
     }

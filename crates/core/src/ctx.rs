@@ -38,6 +38,10 @@ pub struct ThreadCtx<F: ForbiddenSet = BitStampSet, I: CsrIndex = u32> {
     /// instead of collecting the low 64 in a register word (see
     /// [`crate::vertex`]); cleared by [`Self::reset_for_run`].
     pub wide_palette: bool,
+    /// The forbidden set of a vertex coloring phase that reads net color
+    /// summaries ([`crate::vertex::NetSummaries`]). Always word-packed,
+    /// whatever `F` is: merging a summary is then one OR per word.
+    pub summary_fb: BitStampSet,
     /// Zero-sized marker for the instance's index width (see type docs).
     _width: PhantomData<fn() -> I>,
 }
@@ -48,6 +52,7 @@ impl<F: ForbiddenSet, I: CsrIndex> ThreadCtx<F, I> {
     pub fn new(color_capacity: usize) -> Self {
         Self {
             fb: F::with_capacity(color_capacity.max(16)),
+            summary_fb: BitStampSet::with_capacity(color_capacity.max(16)),
             balancer: BalancerState::default(),
             local_queue: Vec::new(),
             wlocal: Vec::new(),

@@ -65,10 +65,10 @@ impl ForbiddenKind {
 /// operation sequences against [`StampSet`] and [`BitStampSet`] and
 /// asserts identical answers.
 pub trait ForbiddenSet: Send {
-    /// Whether [`merge_low_word`](ForbiddenSet::merge_low_word) is a
-    /// single word OR, so the vertex kernel's distance-2 gather may
-    /// collect colors `0..64` in a register word instead of inserting
-    /// them one by one (see [`crate::vertex`]).
+    /// Whether [`merge_word`](ForbiddenSet::merge_word) is a single word
+    /// OR, so the vertex kernel's distance-2 gather may collect colors
+    /// `0..64` in a register word instead of inserting them one by one
+    /// (see [`crate::vertex`]).
     const LOW_WORD: bool = false;
 
     /// Creates a set able to hold colors `0..capacity` without growth.
@@ -82,13 +82,13 @@ pub trait ForbiddenSet: Send {
     /// Inserts a color, growing the backing storage if needed.
     fn insert(&mut self, color: Color);
 
-    /// Inserts every color `c < 64` whose bit `c` is set in `bits`.
+    /// Inserts every color `64·wi + b` whose bit `b` is set in `bits`.
     ///
     /// The default inserts bit by bit; [`BitStampSet`] ORs the word into
-    /// its first entry.
-    fn merge_low_word(&mut self, mut bits: u64) {
+    /// its entry `wi`.
+    fn merge_word(&mut self, wi: usize, mut bits: u64) {
         while bits != 0 {
-            self.insert(bits.trailing_zeros() as Color);
+            self.insert((64 * wi) as Color + bits.trailing_zeros() as Color);
             bits &= bits - 1;
         }
     }
@@ -320,28 +320,31 @@ impl BitStampSet {
         }
     }
 
-    /// ORs `bits` into colors `0..64` (the first word). Branch-free: the
-    /// stamp compare selects between the live word and zero.
+    /// ORs `bits` into colors `64·wi .. 64·wi + 64`. Branch-free on a
+    /// word in range: the stamp compare selects between the live word and
+    /// zero.
     #[inline]
-    pub fn merge_low_word(&mut self, bits: u64) {
+    pub fn merge_word(&mut self, wi: usize, bits: u64) {
         let mark = self.mark;
-        // `with_capacity` allocates at least one word and growth never
-        // shrinks, so the first entry always exists.
-        let e = &mut self.entries[0];
-        let live = if e.stamp == mark { e.bits } else { 0 };
-        *e = WordEntry {
-            stamp: mark,
-            bits: live | bits,
-        };
+        match self.entries.get_mut(wi) {
+            Some(e) => {
+                let live = if e.stamp == mark { e.bits } else { 0 };
+                *e = WordEntry {
+                    stamp: mark,
+                    bits: live | bits,
+                };
+            }
+            None => self.grow_insert(wi, bits),
+        }
     }
 
     /// Insert growth path, out of line to keep the hot path lean.
     #[cold]
-    fn grow_insert(&mut self, wi: usize, bit: u64) {
+    fn grow_insert(&mut self, wi: usize, bits: u64) {
         self.entries.resize((wi + 1).next_power_of_two(), EMPTY_ENTRY);
         self.entries[wi] = WordEntry {
             stamp: self.mark,
-            bits: bit,
+            bits,
         };
     }
 
@@ -427,8 +430,8 @@ impl ForbiddenSet for BitStampSet {
     }
 
     #[inline]
-    fn merge_low_word(&mut self, bits: u64) {
-        BitStampSet::merge_low_word(self, bits)
+    fn merge_word(&mut self, wi: usize, bits: u64) {
+        BitStampSet::merge_word(self, wi, bits)
     }
 
     #[inline]
@@ -668,18 +671,22 @@ mod tests {
             f.advance();
             f.insert(3);
             f.insert(70);
-            f.merge_low_word((1 << 0) | (1 << 5) | (1 << 63));
-            let mut out: Vec<bool> = (0..130).map(|c| f.contains(c)).collect();
+            f.merge_word(0, (1 << 0) | (1 << 5) | (1 << 63));
+            // Past the first word and past the capacity: growth.
+            f.merge_word(1, 1 << 2);
+            f.merge_word(3, (1 << 1) | (1 << 63));
+            let mut out: Vec<bool> = (0..260).map(|c| f.contains(c)).collect();
             // A merge after `advance` must not resurrect stale bits.
             f.advance();
-            f.merge_low_word(1 << 1);
-            out.extend((0..130).map(|c| f.contains(c)));
+            f.merge_word(0, 1 << 1);
+            f.merge_word(1, 1 << 4);
+            out.extend((0..260).map(|c| f.contains(c)));
             out
         }
         let spec = drive::<StampSet>();
         assert_eq!(spec, drive::<BitStampSet>());
         let live: Vec<usize> = (0..spec.len()).filter(|&i| spec[i]).collect();
-        assert_eq!(live, vec![0, 3, 5, 63, 70, 131]);
+        assert_eq!(live, vec![0, 3, 5, 63, 66, 70, 193, 255, 261, 328]);
         const { assert!(BitStampSet::LOW_WORD && !StampSet::LOW_WORD) };
     }
 

@@ -41,10 +41,15 @@ pub trait Neighborhood: Sync {
     fn n_nets(&self) -> usize;
     /// Number of pins of net `v`.
     fn net_size(&self, v: usize) -> usize;
+    /// Number of pins over all nets: what one pass over every net reads.
+    fn n_pins(&self) -> usize;
     /// The nets a vertex-based walk from `w` scans: every net `w` is a
     /// pin of (for D2GC, all but `w`'s own net `N[w]`, whose other pins
     /// the rest already cover).
     fn nets(&self, w: usize) -> &[u32];
+    /// The net `w` is a pin of that [`Neighborhood::nets`] leaves out:
+    /// `N[w]` for D2GC, none for BGPC.
+    fn home_net(&self, w: usize) -> Option<u32>;
     /// Calls `f` on every pin of net `v`, in pin order.
     fn for_each_pin(&self, v: usize, f: impl FnMut(u32));
     /// Whether `f` holds for some pin of net `v`, stopping at the first.
@@ -82,9 +87,16 @@ impl<I: CsrIndex> Neighborhood for BipartiteGraph<I> {
     fn net_size(&self, v: usize) -> usize {
         BipartiteGraph::net_size(self, v)
     }
+    fn n_pins(&self) -> usize {
+        BipartiteGraph::n_pins(self)
+    }
     #[inline(always)]
     fn nets(&self, w: usize) -> &[u32] {
         BipartiteGraph::nets(self, w)
+    }
+    #[inline(always)]
+    fn home_net(&self, _w: usize) -> Option<u32> {
+        None
     }
     #[inline(always)]
     fn for_each_pin(&self, v: usize, mut f: impl FnMut(u32)) {
@@ -130,9 +142,16 @@ impl<I: CsrIndex> Neighborhood for Graph<I> {
     fn net_size(&self, v: usize) -> usize {
         self.degree(v) + 1
     }
+    fn n_pins(&self) -> usize {
+        self.adjacency().nnz() + Graph::n_vertices(self)
+    }
     #[inline(always)]
     fn nets(&self, w: usize) -> &[u32] {
         self.nbor(w)
+    }
+    #[inline(always)]
+    fn home_net(&self, w: usize) -> Option<u32> {
+        Some(w as u32)
     }
     #[inline(always)]
     fn for_each_pin(&self, v: usize, mut f: impl FnMut(u32)) {
@@ -177,6 +196,8 @@ mod tests {
         assert_eq!(pins(&g, 1), vec![1, 2, 3]);
         assert_eq!(Neighborhood::net_size(&g, 1), 3);
         assert_eq!(Neighborhood::nets(&g, 2), &[0, 1]);
+        assert_eq!(Neighborhood::n_pins(&g), 5);
+        assert_eq!(g.home_net(2), None);
         assert_eq!(g.max_neighborhood(), 3);
         assert!(g.any_pin(0, |u| u == 2));
         assert!(!g.any_pin(0, |u| u == 1));
@@ -191,6 +212,8 @@ mod tests {
         assert_eq!(pins(&g, 0), vec![0, 1]);
         assert_eq!(Neighborhood::net_size(&g, 1), g.degree(1) + 1);
         assert_eq!(Neighborhood::nets(&g, 0), &[1]);
+        assert_eq!(Neighborhood::n_pins(&g), 7);
+        assert_eq!(g.home_net(0), Some(0));
         assert_eq!(g.max_neighborhood(), 2);
         // The middle vertex is a pin of its own net.
         assert!(g.any_pin(2, |u| u == 2));

@@ -26,7 +26,7 @@ use crate::{Balance, Color, Colors, UNCOLORED};
 /// id space; 64 claims per thread still balance nets of uneven size.
 /// Instances with at most `1024 · threads` nets keep the 16-net chunk,
 /// and a single thread claims nets in the same order either way.
-fn net_chunk(n_nets: usize, threads: usize) -> usize {
+pub(crate) fn net_chunk(n_nets: usize, threads: usize) -> usize {
     n_nets.div_ceil(64 * threads).max(16)
 }
 
@@ -548,7 +548,7 @@ mod tests {
         let mut w = collect_uncolored(g, &order, &colors, &pool, &mut sc);
         let mut rounds = 0;
         while !w.is_empty() {
-            crate::vertex::color_workqueue_vertex(g, &w, &colors, &pool, 4, balance, &sc);
+            crate::vertex::color_workqueue_vertex(g, &w, &colors, &pool, 4, balance, None, &sc);
             w = crate::vertex::remove_conflicts_vertex(g, &w, &colors, &pool, 4, None, &mut sc);
             rounds += 1;
             assert!(rounds < 100);

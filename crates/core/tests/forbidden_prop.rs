@@ -126,7 +126,7 @@ fn color_queue<F: ForbiddenSet, G: Neighborhood>(
         ctx.wide_palette = start_wide;
         ctx
     });
-    color_workqueue_vertex(g, w, &colors, &pool, chunk, balance, &scratch);
+    color_workqueue_vertex(g, w, &colors, &pool, chunk, balance, None, &scratch);
     let probes = pool
         .tracer()
         .expect("recorder installed")

@@ -38,7 +38,7 @@ fn color_with(
 ) -> Vec<Color> {
     let order: Vec<u32> = (0..g.n_vertices() as u32).collect();
     let colors = Colors::new(g.n_vertices());
-    color_workqueue_vertex(g, &order, &colors, pool, 64, balance, scratch);
+    color_workqueue_vertex(g, &order, &colors, pool, 64, balance, None, scratch);
     colors.snapshot()
 }
 
