@@ -29,7 +29,7 @@ use bgpc::verify::{verify_bgpc, verify_d2gc};
 use bgpc::{BitStampSet, CsrDelta, ForbiddenSet, RunnerOpts, Schedule, StampSet};
 use graph::{BipartiteGraph, Graph, Ordering};
 use par::Pool;
-use sparse::{Csr, CsrIndex, Dataset, IndexWidth, LocalityOrder};
+use sparse::{Csr, Dataset, LocalityOrder};
 
 /// Micro comparison row: dense first-fit cost per call.
 struct MicroRecord {
@@ -58,8 +58,6 @@ struct ScheduleRecord {
     /// pool clamps the request; a warning is printed when it does).
     pool_workers: usize,
     set_impl: String,
-    /// Row-pointer width the run used (`u32` or `u64`).
-    index_width: String,
     /// Locality relabeling applied before coloring (`none`/`degree`/`bfs`).
     order: String,
     /// Minimum wall time over the repetitions, milliseconds.
@@ -75,7 +73,6 @@ to_json_struct!(ScheduleRecord {
     threads,
     pool_workers,
     set_impl,
-    index_width,
     order,
     time_ms,
     num_colors,
@@ -231,8 +228,8 @@ fn micro_section(samples: usize) -> Vec<MicroRecord> {
 /// Runs one schedule `reps` times with forbidden-set `F`, verifying every
 /// run; returns the record with the minimum wall time.
 #[allow(clippy::too_many_arguments)]
-fn run_bgpc<F: ForbiddenSet, I: CsrIndex>(
-    g: &BipartiteGraph<I>,
+fn run_bgpc<F: ForbiddenSet>(
+    g: &BipartiteGraph,
     order: &[u32],
     dataset: &str,
     schedule: &Schedule,
@@ -267,7 +264,6 @@ fn run_bgpc<F: ForbiddenSet, I: CsrIndex>(
         threads,
         pool_workers: pool.threads(),
         set_impl: set_impl.into(),
-        index_width: I::LABEL.into(),
         order: "none".into(),
         time_ms: best_ms,
         num_colors,
@@ -276,13 +272,13 @@ fn run_bgpc<F: ForbiddenSet, I: CsrIndex>(
     }
 }
 
-/// One axis-sweep measurement: colors the relabeled pattern `pm` at width
-/// `I`, maps the coloring back through `perm`, and verifies it against the
+/// One axis-sweep measurement: colors the relabeled pattern `pm`, maps
+/// the coloring back through `perm`, and verifies it against the
 /// *original* graph — the sweep cannot report a fast-but-wrong relabeled
 /// run. Uses the runner's per-instance forbidden-set dispatch.
 #[allow(clippy::too_many_arguments)]
-fn axis_record_bgpc<I: CsrIndex>(
-    pm: &Csr<I>,
+fn axis_record_bgpc(
+    pm: &Csr,
     g0: &BipartiteGraph,
     perm: &Option<Vec<u32>>,
     dataset: &str,
@@ -305,9 +301,8 @@ fn axis_record_bgpc<I: CsrIndex>(
         };
         if let Err(e) = verify_bgpc(g0, &colors) {
             eprintln!(
-                "FATAL: invalid BGPC axis coloring ({dataset}, {}, {threads}t, {}, {}): {e}",
+                "FATAL: invalid BGPC axis coloring ({dataset}, {}, {threads}t, {}): {e}",
                 schedule.name(),
-                I::LABEL,
                 relabel.label(),
             );
             std::process::exit(1);
@@ -326,7 +321,6 @@ fn axis_record_bgpc<I: CsrIndex>(
         threads,
         pool_workers: pool.threads(),
         set_impl: "auto".into(),
-        index_width: I::LABEL.into(),
         order: relabel.label().into(),
         time_ms: best_ms,
         num_colors,
@@ -337,8 +331,8 @@ fn axis_record_bgpc<I: CsrIndex>(
 
 /// D2GC analogue of [`axis_record_bgpc`] over the symmetric relabeling.
 #[allow(clippy::too_many_arguments)]
-fn axis_record_d2gc<I: CsrIndex>(
-    pm: &Csr<I>,
+fn axis_record_d2gc(
+    pm: &Csr,
     g0: &Graph,
     perm: &Option<Vec<u32>>,
     dataset: &str,
@@ -361,9 +355,8 @@ fn axis_record_d2gc<I: CsrIndex>(
         };
         if let Err(e) = verify_d2gc(g0, &colors) {
             eprintln!(
-                "FATAL: invalid D2GC axis coloring ({dataset}, {}, {threads}t, {}, {}): {e}",
+                "FATAL: invalid D2GC axis coloring ({dataset}, {}, {threads}t, {}): {e}",
                 schedule.name(),
-                I::LABEL,
                 relabel.label(),
             );
             std::process::exit(1);
@@ -382,7 +375,6 @@ fn axis_record_d2gc<I: CsrIndex>(
         threads,
         pool_workers: pool.threads(),
         set_impl: "auto".into(),
-        index_width: I::LABEL.into(),
         order: relabel.label().into(),
         time_ms: best_ms,
         num_colors,
@@ -426,7 +418,6 @@ fn run_d2gc(
         threads,
         pool_workers: pool.threads(),
         set_impl: "BitStampSet".into(),
-        index_width: "u32".into(),
         order: "none".into(),
         time_ms: best_ms,
         num_colors,
@@ -645,9 +636,8 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut mode = "full";
     let mut out_path = String::from("BENCH_coloring.json");
-    // Axis restrictions for the width × order sweep; `None` means
-    // "sweep every value" so the default report holds all combinations.
-    let mut only_width: Option<IndexWidth> = None;
+    // Axis restriction for the relabeling sweep; `None` means "sweep every
+    // value" so the default report holds all of them.
     let mut only_order: Option<LocalityOrder> = None;
     let mut pin = false;
     let mut delta_axis = false;
@@ -671,14 +661,6 @@ fn main() {
                 trace_path = Some(flag_value(&args, i, "--trace"));
                 i += 2;
             }
-            "--index-width" => {
-                let v = flag_value(&args, i, "--index-width");
-                only_width = Some(IndexWidth::from_name(&v).unwrap_or_else(|| {
-                    eprintln!("bad --index-width `{v}` (expected u32|u64)");
-                    std::process::exit(2);
-                }));
-                i += 2;
-            }
             "--order" => {
                 let v = flag_value(&args, i, "--order");
                 only_order = Some(LocalityOrder::from_name(&v).unwrap_or_else(|| {
@@ -698,15 +680,13 @@ fn main() {
             other => {
                 eprintln!(
                     "unknown flag `{other}` (expected --smoke, --quick, --out PATH, \
-                     --trace PATH, --index-width W, --order O, --pin, --delta)"
+                     --trace PATH, --order O, --pin, --delta)"
                 );
                 std::process::exit(2);
             }
         }
     }
 
-    let widths: Vec<IndexWidth> =
-        only_width.map_or_else(|| vec![IndexWidth::U32, IndexWidth::U64], |w| vec![w]);
     let orders: Vec<LocalityOrder> =
         only_order.map_or_else(|| LocalityOrder::all().to_vec(), |o| vec![o]);
     let mk_pool = |t: usize| {
@@ -796,7 +776,7 @@ fn main() {
         for &t in &threads {
             let pool = mk_pool(t);
             for schedule in Schedule::all() {
-                schedules.push(run_bgpc::<BitStampSet, _>(
+                schedules.push(run_bgpc::<BitStampSet>(
                     &g,
                     &order,
                     dataset.name(),
@@ -810,7 +790,7 @@ fn main() {
             // Representation ablation on the two headline schedules: the
             // same driver with the per-color StampSet.
             for schedule in [Schedule::v_v(), Schedule::n1_n2()] {
-                schedules.push(run_bgpc::<StampSet, _>(
+                schedules.push(run_bgpc::<StampSet>(
                     &g,
                     &order,
                     dataset.name(),
@@ -823,37 +803,20 @@ fn main() {
             }
         }
     }
-    // Axis sweep (index width × locality relabeling) on the headline
-    // schedules. Every run is verified against the original, un-relabeled
-    // graph after mapping the coloring back.
+    // Locality-relabeling sweep on the headline schedules. Every run is
+    // verified against the original, un-relabeled graph after mapping the
+    // coloring back.
     for dataset in &bgpc_sets {
         let inst = dataset.build(scale, SEED);
         let g0 = BipartiteGraph::from_matrix(&inst.matrix);
         for &relabel in &orders {
             let (pm, perm) = relabel.apply_columns(&inst.matrix);
-            for &width in &widths {
-                for &t in &threads {
-                    let pool = mk_pool(t);
-                    for schedule in [Schedule::v_v_64d(), Schedule::n1_n2()] {
-                        let rec = match width {
-                            IndexWidth::U32 => axis_record_bgpc(
-                                &pm, &g0, &perm, dataset.name(), &schedule, &pool, t,
-                                relabel, reps,
-                            ),
-                            IndexWidth::U64 => axis_record_bgpc(
-                                &pm.to_index::<u64>(),
-                                &g0,
-                                &perm,
-                                dataset.name(),
-                                &schedule,
-                                &pool,
-                                t,
-                                relabel,
-                                reps,
-                            ),
-                        };
-                        schedules.push(rec);
-                    }
+            for &t in &threads {
+                let pool = mk_pool(t);
+                for schedule in [Schedule::v_v_64d(), Schedule::n1_n2()] {
+                    schedules.push(axis_record_bgpc(
+                        &pm, &g0, &perm, dataset.name(), &schedule, &pool, t, relabel, reps,
+                    ));
                 }
             }
         }
@@ -869,46 +832,28 @@ fn main() {
                 schedules.push(run_d2gc(&g, &order, dataset.name(), &schedule, &pool, t, reps));
             }
         }
-        // Same axis sweep for D2GC on its headline schedule, with the
-        // symmetric (row+column) relabeling.
+        // Same relabeling sweep for D2GC on its headline schedule, with
+        // the symmetric (row+column) relabeling.
         for &relabel in &orders {
             let (pm, perm) = relabel.apply_symmetric(&inst.matrix);
-            for &width in &widths {
-                for &t in &threads {
-                    let pool = mk_pool(t);
-                    let schedule = Schedule::v_v_64d();
-                    let rec = match width {
-                        IndexWidth::U32 => axis_record_d2gc(
-                            &pm, &g, &perm, dataset.name(), &schedule, &pool, t, relabel,
-                            reps,
-                        ),
-                        IndexWidth::U64 => axis_record_d2gc(
-                            &pm.to_index::<u64>(),
-                            &g,
-                            &perm,
-                            dataset.name(),
-                            &schedule,
-                            &pool,
-                            t,
-                            relabel,
-                            reps,
-                        ),
-                    };
-                    schedules.push(rec);
-                }
+            for &t in &threads {
+                let pool = mk_pool(t);
+                let schedule = Schedule::v_v_64d();
+                schedules.push(axis_record_d2gc(
+                    &pm, &g, &perm, dataset.name(), &schedule, &pool, t, relabel, reps,
+                ));
             }
         }
     }
 
     for s in &schedules {
         eprintln!(
-            "  {} {} {} {}t [{}/{}/{}]: {:.3} ms, {} colors, {} rounds",
+            "  {} {} {} {}t [{}/{}]: {:.3} ms, {} colors, {} rounds",
             s.problem,
             s.dataset,
             s.schedule,
             s.threads,
             s.set_impl,
-            s.index_width,
             s.order,
             s.time_ms,
             s.num_colors,

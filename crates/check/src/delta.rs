@@ -28,8 +28,8 @@
 //!   returns the base coloring bit-identically in zero rounds.
 //! * **One-thread equivalences** — at one thread the incremental path
 //!   must be deterministic (run-twice identical) and agree across the
-//!   two forbidden-set representations and the two CSR index widths,
-//!   mirroring the main oracle's battery.
+//!   two forbidden-set representations, mirroring the main oracle's
+//!   battery.
 //!
 //! Driven by `check_smoke --delta` (seeded sweep, standalone stage for
 //! `scripts/verify.sh`) and by the in-crate tests.
@@ -288,8 +288,8 @@ pub fn run_delta_bgpc_case(d: &mut impl Draw) -> Result<(), String> {
         ));
     }
 
-    // One-thread battery on the incremental path: determinism, the two
-    // forbidden-set representations, both index widths.
+    // One-thread battery on the incremental path: determinism and the two
+    // forbidden-set representations.
     let pool1 = Pool::new(1);
     let base1 = bgpc::color_bgpc(&g, &order, &schedule, &pool1);
     let opts = RunnerOpts::default();
@@ -305,19 +305,13 @@ pub fn run_delta_bgpc_case(d: &mut impl Draw) -> Result<(), String> {
         &g2, &base1.colors, dirty, &order2, &schedule, &pool1, opts.clone(),
     );
     let bitstamp = recolor_incremental_with_set::<BitStampSet, _>(
-        &g2, &base1.colors, dirty, &order2, &schedule, &pool1, opts.clone(),
+        &g2, &base1.colors, dirty, &order2, &schedule, &pool1, opts,
     );
     same_colors(
         &stamp.colors,
         &bitstamp.colors,
         &format!("{label}: StampSet vs BitStampSet @1"),
     )?;
-
-    let m64 = applied.matrix.to_index::<u64>();
-    let g64 = BipartiteGraph::from_matrix(&m64);
-    let wide =
-        recolor_incremental(&g64, &base1.colors, dirty, &order2, &schedule, &pool1, opts);
-    same_colors(&a.colors, &wide.colors, &format!("{label}: u32 vs u64 @1"))?;
 
     Ok(())
 }
@@ -465,19 +459,13 @@ pub fn run_delta_d2gc_case(d: &mut impl Draw) -> Result<(), String> {
         &g2, &base1.colors, &dirty, &order2, &schedule, &pool1, opts.clone(),
     );
     let bitstamp = recolor_incremental_with_set::<BitStampSet, _>(
-        &g2, &base1.colors, &dirty, &order2, &schedule, &pool1, opts.clone(),
+        &g2, &base1.colors, &dirty, &order2, &schedule, &pool1, opts,
     );
     same_colors(
         &stamp.colors,
         &bitstamp.colors,
         &format!("{label}: StampSet vs BitStampSet @1"),
     )?;
-
-    let m64 = applied.matrix.to_index::<u64>();
-    let g64 = Graph::from_symmetric_matrix(&m64);
-    let wide =
-        recolor_incremental(&g64, &base1.colors, &dirty, &order2, &schedule, &pool1, opts);
-    same_colors(&a.colors, &wide.colors, &format!("{label}: u32 vs u64 @1"))?;
 
     Ok(())
 }

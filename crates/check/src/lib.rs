@@ -14,7 +14,7 @@
 //!   for the real structures, and a deliberately-buggy queue the explorer
 //!   must catch (detection-power self-test).
 //! * [`oracle`] — a differential oracle running every schedule,
-//!   balancer, forbidden-set representation and index width against the
+//!   balancer and forbidden-set representation against the
 //!   sequential baseline on randomized instances, checking validity,
 //!   determinism and color-count bounds.
 //! * [`delta`] — the incremental-recoloring oracle: random mutation

@@ -3,7 +3,7 @@
 
 use bgpc::Schedule;
 use graph::Ordering;
-use sparse::{Dataset, IndexWidth, LocalityOrder};
+use sparse::{Dataset, LocalityOrder};
 
 /// Which coloring problem to solve.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -42,8 +42,6 @@ pub struct ColorArgs {
     pub ordering: Ordering,
     /// Team size.
     pub threads: usize,
-    /// Row-pointer index width (`None` = pick by nonzero count).
-    pub index_width: Option<IndexWidth>,
     /// Locality relabeling applied to the pattern before coloring; the
     /// reported coloring is always mapped back to original ids.
     pub relabel: LocalityOrder,
@@ -66,8 +64,7 @@ pub const COLOR_USAGE: &str = "\
 usage: bgpc-cli color [--mtx FILE | --bin FILE | --dataset NAME [--scale F] [--seed N]]
                       [--problem bgpc|d2gc|d1gc|dK] [--schedule NAME]
                       [--order natural|random:SEED|largest-first|smallest-last|incidence-degree]
-                      [--index-width auto|u32|u64] [--relabel none|degree|bfs]
-                      [--pin]
+                      [--relabel none|degree|bfs] [--pin]
                       [--threads N] [--recolor] [--output FILE]
                       [--trace FILE] [--metrics]
 
@@ -88,7 +85,6 @@ impl ColorArgs {
         let mut schedule = Schedule::n1_n2();
         let mut ordering = Ordering::Natural;
         let mut threads = par::available_threads();
-        let mut index_width: Option<IndexWidth> = None;
         let mut relabel = LocalityOrder::None;
         let mut pin = false;
         let mut recolor = false;
@@ -144,18 +140,6 @@ impl ColorArgs {
                     threads = value(i)?.parse().map_err(|e| format!("bad --threads: {e}"))?;
                     i += 2;
                 }
-                "--index-width" => {
-                    let v = value(i)?;
-                    index_width = if v.eq_ignore_ascii_case("auto") {
-                        None
-                    } else {
-                        Some(
-                            IndexWidth::from_name(v)
-                                .ok_or_else(|| format!("unknown index width `{v}`"))?,
-                        )
-                    };
-                    i += 2;
-                }
                 "--relabel" => {
                     relabel = LocalityOrder::from_name(value(i)?)
                         .ok_or_else(|| format!("unknown relabeling `{}`", args[i + 1]))?;
@@ -199,7 +183,6 @@ impl ColorArgs {
             let ignored = [
                 ("--recolor", recolor),
                 ("--relabel", relabel != LocalityOrder::None),
-                ("--index-width", index_width.is_some()),
             ];
             if let Some((flag, _)) = ignored.iter().find(|(_, set)| *set) {
                 return Err(format!("{flag} does not apply to --problem d{k}"));
@@ -211,7 +194,6 @@ impl ColorArgs {
             schedule,
             ordering,
             threads,
-            index_width,
             relabel,
             recolor,
             output,
@@ -320,12 +302,7 @@ mod tests {
 
     #[test]
     fn dk_refuses_the_flags_it_would_ignore() {
-        for flags in [
-            &["--recolor"][..],
-            &["--relabel", "degree"][..],
-            &["--index-width", "u64"][..],
-            &["--index-width", "u32"][..],
-        ] {
+        for flags in [&["--recolor"][..], &["--relabel", "degree"][..]] {
             let mut argv = s(&["--mtx", "a", "--problem", "d3"]);
             argv.extend(s(flags));
             let err = ColorArgs::parse(&argv).unwrap_err();
@@ -335,9 +312,7 @@ mod tests {
             assert!(ColorArgs::parse(&argv).is_ok());
         }
         // Their defaults are no request, so plain dK runs parse.
-        let a = ColorArgs::parse(&s(&[
-            "--mtx", "a", "--problem", "d4", "--relabel", "none", "--index-width", "auto",
-        ]));
+        let a = ColorArgs::parse(&s(&["--mtx", "a", "--problem", "d4", "--relabel", "none"]));
         assert_eq!(a.unwrap().problem, Problem::Dk(4));
     }
 
@@ -349,6 +324,9 @@ mod tests {
         assert!(ColorArgs::parse(&s(&["--mtx", "a", "--schedule", "zzz"])).is_err());
         assert!(ColorArgs::parse(&s(&["--mtx", "a", "--order", "zzz"])).is_err());
         assert!(ColorArgs::parse(&s(&["--nope"])).is_err());
+        // Row pointers are always u32, so the retired width flag is unknown.
+        let argv = s(&["--mtx", "a", "--index-width", "u32"]);
+        assert_eq!(ColorArgs::parse(&argv).unwrap_err(), format!("unknown flag `{}`", argv[2]));
     }
 
     #[test]
@@ -371,25 +349,14 @@ mod tests {
     }
 
     #[test]
-    fn parse_width_and_relabel_axes() {
-        let a = ColorArgs::parse(&s(&[
-            "--bin",
-            "m.bin",
-            "--index-width",
-            "u64",
-            "--relabel",
-            "bfs",
-        ]))
-        .unwrap();
+    fn parse_relabel_axis() {
+        let a = ColorArgs::parse(&s(&["--bin", "m.bin", "--relabel", "bfs"])).unwrap();
         assert_eq!(a.input, Input::Bin("m.bin".into()));
-        assert_eq!(a.index_width, Some(IndexWidth::U64));
         assert_eq!(a.relabel, LocalityOrder::Bfs);
 
-        let a = ColorArgs::parse(&s(&["--mtx", "a", "--index-width", "auto"])).unwrap();
-        assert_eq!(a.index_width, None);
+        let a = ColorArgs::parse(&s(&["--mtx", "a"])).unwrap();
         assert_eq!(a.relabel, LocalityOrder::None);
 
-        assert!(ColorArgs::parse(&s(&["--mtx", "a", "--index-width", "u128"])).is_err());
         assert!(ColorArgs::parse(&s(&["--mtx", "a", "--relabel", "zzz"])).is_err());
         assert!(ColorArgs::parse(&s(&["--mtx", "a", "--bin", "b"])).is_err());
     }

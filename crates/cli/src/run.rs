@@ -28,7 +28,7 @@ use bgpc::verify::ColorClassStats;
 use bgpc::Schedule;
 use graph::{BipartiteGraph, Graph, Ordering};
 use par::Pool;
-use sparse::{Csr, CsrIndex, Dataset, DegreeStats, IndexWidth};
+use sparse::{Csr, Dataset, DegreeStats};
 
 use crate::args::{ColorArgs, Input, Problem, COLOR_USAGE};
 
@@ -114,55 +114,56 @@ fn load(input: &Input) -> Result<Csr, Failure> {
     }
 }
 
-/// Runs the BGPC driver on an already-relabeled pattern at width `I`.
-fn run_bgpc_width<I: CsrIndex>(
-    m: Csr<I>,
+/// A pattern the graph layer rejected (exit 4).
+fn graph_failure(e: graph::GraphError) -> Failure {
+    Failure::new(EXIT_GRAPH, e.to_string())
+}
+
+/// Runs the BGPC driver on the graph of the relabeled pattern, or on `g`
+/// itself when there is no relabeling.
+fn run_bgpc(
+    g: &BipartiteGraph,
+    relabeled: Option<Csr>,
     schedule: &Schedule,
     ordering: Ordering,
     pool: &Pool,
 ) -> Result<bgpc::ColoringResult, Failure> {
-    let g = BipartiteGraph::try_from_matrix_owned(m)
-        .map_err(|e| Failure::new(EXIT_GRAPH, e.to_string()))?;
-    Ok(run_bgpc(&g, schedule, ordering, pool))
-}
-
-/// Runs the BGPC driver on a built graph.
-fn run_bgpc<I: CsrIndex>(
-    g: &BipartiteGraph<I>,
-    schedule: &Schedule,
-    ordering: Ordering,
-    pool: &Pool,
-) -> bgpc::ColoringResult {
+    let built;
+    let g = match relabeled {
+        Some(pm) => {
+            built = BipartiteGraph::try_from_matrix_owned(pm).map_err(graph_failure)?;
+            &built
+        }
+        None => g,
+    };
     let order = ordering.vertex_order_bgpc(g);
-    bgpc::color_with_opts(g, &order, schedule, pool, Default::default())
+    Ok(bgpc::color_with_opts(g, &order, schedule, pool, Default::default()))
 }
 
 /// The graph of a symmetric pattern (D1GC, D2GC and distance-k).
 fn symmetric_graph(m: &Csr) -> Result<Graph, Failure> {
-    Graph::try_from_symmetric_matrix(m).map_err(|e| Failure::new(EXIT_GRAPH, e.to_string()))
+    Graph::try_from_symmetric_matrix(m).map_err(graph_failure)
 }
 
-/// Runs the D2GC driver on an already-relabeled pattern at width `I`.
-fn run_d2gc_width<I: CsrIndex>(
-    m: &Csr<I>,
+/// Runs the D2GC driver on the graph of the relabeled pattern, or on `g`
+/// itself when there is no relabeling.
+fn run_d2gc(
+    g: &Graph,
+    relabeled: Option<&Csr>,
     schedule: &Schedule,
     ordering: Ordering,
     pool: &Pool,
 ) -> Result<bgpc::ColoringResult, Failure> {
-    let g = Graph::try_from_symmetric_matrix(m)
-        .map_err(|e| Failure::new(EXIT_GRAPH, e.to_string()))?;
-    Ok(run_d2gc(&g, schedule, ordering, pool))
-}
-
-/// Runs the D2GC driver on a built graph.
-fn run_d2gc<I: CsrIndex>(
-    g: &Graph<I>,
-    schedule: &Schedule,
-    ordering: Ordering,
-    pool: &Pool,
-) -> bgpc::ColoringResult {
+    let built;
+    let g = match relabeled {
+        Some(pm) => {
+            built = symmetric_graph(pm)?;
+            &built
+        }
+        None => g,
+    };
     let order = ordering.vertex_order_d2(g);
-    bgpc::color_with_opts(g, &order, schedule, pool, Default::default())
+    Ok(bgpc::color_with_opts(g, &order, schedule, pool, Default::default()))
 }
 
 /// Maps a coloring computed on a relabeled instance back to original ids.
@@ -190,11 +191,10 @@ fn color(args: ColorArgs) -> Result<(), Failure> {
 
     let schedule = &args.schedule;
     let relabel = args.relabel;
-    let width = args.index_width.unwrap_or_else(|| IndexWidth::auto_for(matrix.nnz()));
-    // The distance-k BFS neither relabels nor picks an index width.
+    // The distance-k BFS does not relabel.
     let layout = match args.problem {
         Problem::Dk(_) => String::new(),
-        _ => format!(", {} indices, {} relabel", width.label(), relabel.label()),
+        _ => format!(", {} relabel", relabel.label()),
     };
     out!(
         "pattern: {} x {}, {} nnz; problem {:?}, schedule {}, {} threads, {} order{layout}",
@@ -234,24 +234,16 @@ fn color(args: ColorArgs) -> Result<(), Failure> {
             let edge_nets = d1.as_ref().map(bgpc::d1gc::edge_net_matrix);
             let pattern = edge_nets.as_ref().unwrap_or(&matrix);
             // Original-id graph: a relabeled run's coloring is mapped back
-            // and re-verified against this one; an unrelabeled `u32` run
-            // colors it directly.
-            let g = BipartiteGraph::try_from_matrix(pattern)
-                .map_err(|e| Failure::new(EXIT_GRAPH, e.to_string()))?;
+            // and re-verified against this one; an unrelabeled run colors
+            // it directly.
+            let g = BipartiteGraph::try_from_matrix(pattern).map_err(graph_failure)?;
             let verify = |colors: &[i32]| match &d1 {
                 Some(d1) => bgpc::d1gc::verify_d1gc(d1, colors),
                 None => bgpc::verify::verify_bgpc(&g, colors),
             };
             let perm = relabel.column_perm(pattern);
             let relabeled = perm.as_ref().map(|p| pattern.permute_columns(p));
-            let r = match (relabeled, width) {
-                (None, IndexWidth::U32) => run_bgpc(&g, schedule, args.ordering, &pool),
-                (Some(pm), IndexWidth::U32) => run_bgpc_width(pm, schedule, args.ordering, &pool)?,
-                (pm, IndexWidth::U64) => {
-                    let pm = pm.as_ref().unwrap_or(pattern).to_index::<u64>();
-                    run_bgpc_width(pm, schedule, args.ordering, &pool)?
-                }
-            };
+            let r = run_bgpc(&g, relabeled, schedule, args.ordering, &pool)?;
             report_degradation(&r.degraded);
             let total_ms = r.total_time.as_secs_f64() * 1e3;
             let rounds = r.rounds();
@@ -272,14 +264,7 @@ fn color(args: ColorArgs) -> Result<(), Failure> {
             let g = symmetric_graph(&matrix)?;
             let perm = relabel.symmetric_perm(&matrix);
             let relabeled = perm.as_ref().map(|p| matrix.permute_symmetric(p));
-            let r = match (&relabeled, width) {
-                (None, IndexWidth::U32) => run_d2gc(&g, schedule, args.ordering, &pool),
-                (Some(pm), IndexWidth::U32) => run_d2gc_width(pm, schedule, args.ordering, &pool)?,
-                (pm, IndexWidth::U64) => {
-                    let pm = pm.as_ref().unwrap_or(&matrix).to_index::<u64>();
-                    run_d2gc_width(&pm, schedule, args.ordering, &pool)?
-                }
-            };
+            let r = run_d2gc(&g, relabeled.as_ref(), schedule, args.ordering, &pool)?;
             report_degradation(&r.degraded);
             let total_ms = r.total_time.as_secs_f64() * 1e3;
             let rounds = r.rounds();
@@ -877,8 +862,7 @@ fn run_shard(
     max_supersteps: Option<usize>,
 ) -> Result<(), Failure> {
     let matrix = load(input)?;
-    let g = BipartiteGraph::try_from_matrix(&matrix)
-        .map_err(|e| Failure::new(EXIT_GRAPH, e.to_string()))?;
+    let g = BipartiteGraph::try_from_matrix(&matrix).map_err(graph_failure)?;
     let n = g.n_vertices();
 
     // Either connect to the given fleet or spawn a local one. The guard
@@ -1042,24 +1026,20 @@ mod tests {
     }
 
     #[test]
-    fn axis_combinations_color_and_verify_in_original_ids() {
-        // Every relabeling × width combo still exits zero: the run colors
-        // the relabeled instance and re-verifies the unpermuted coloring
-        // against the original graph.
+    fn relabelings_color_and_verify_in_original_ids() {
+        // Every relabeling still exits zero: the run colors the relabeled
+        // instance and re-verifies the unpermuted coloring against the
+        // original graph.
         for relabel in ["none", "degree", "bfs"] {
-            for width in ["u32", "u64"] {
-                let code = cmd_color(&s(&[
-                    "--dataset",
-                    "af_shell10",
-                    "--scale",
-                    "0.002",
-                    "--relabel",
-                    relabel,
-                    "--index-width",
-                    width,
-                ]));
-                assert_eq!(code, 0, "{relabel}/{width}");
-            }
+            let code = cmd_color(&s(&[
+                "--dataset",
+                "af_shell10",
+                "--scale",
+                "0.002",
+                "--relabel",
+                relabel,
+            ]));
+            assert_eq!(code, 0, "{relabel}");
         }
     }
 
@@ -1103,7 +1083,7 @@ mod tests {
     #[test]
     fn d1gc_runs_every_schedule_with_the_bgpc_flags() {
         // D1GC goes through the BGPC driver over edge nets, so it honors
-        // the schedule, recoloring, relabeling and width flags; every
+        // the schedule, recoloring and relabeling flags; every
         // written coloring must pass the distance-1 oracle.
         let dir = std::env::temp_dir().join("bgpc-cli-d1-schedules");
         std::fs::create_dir_all(&dir).unwrap();
@@ -1127,8 +1107,6 @@ mod tests {
                 "--recolor",
                 "--relabel",
                 "degree",
-                "--index-width",
-                "u64",
                 "--output",
                 out.to_str().unwrap(),
             ]));
@@ -1146,7 +1124,7 @@ mod tests {
 
     #[test]
     fn distance_k_refuses_ignored_flags_with_usage_code() {
-        for flag in ["--recolor", "--relabel=degree", "--index-width=u64"] {
+        for flag in ["--recolor", "--relabel=degree"] {
             let mut argv = s(&["--dataset", "af_shell10", "--scale", "0.002", "--problem", "d3"]);
             argv.extend(flag.split('=').map(String::from));
             assert_eq!(cmd_color(&argv), EXIT_USAGE, "{flag}");

@@ -93,12 +93,34 @@ fn color_banner(flags: &[&str]) -> String {
 
 #[test]
 fn distance_k_banner_names_no_index_width_or_relabel() {
-    // The distance-k BFS uses neither, so its banner does not claim them.
+    // Row pointers are always u32, so no banner names an index width; the
+    // distance-k BFS does not relabel, so its banner does not claim that.
     let dk = color_banner(&["--problem", "d3"]);
     assert!(dk.ends_with("natural order"), "{dk}");
     assert!(!dk.contains("indices") && !dk.contains("relabel"), "{dk}");
     let d2 = color_banner(&["--problem", "d2gc"]);
-    assert!(d2.contains("indices") && d2.contains("relabel"), "{d2}");
+    assert!(!d2.contains("indices") && d2.ends_with("none relabel"), "{d2}");
+}
+
+#[test]
+fn oversized_matrix_market_dimensions_exit_with_input_code() {
+    // A row count past u32::MAX is an input error, not a panic (101).
+    let dir = std::env::temp_dir().join(format!("cli-mtx-dims-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("huge.mtx");
+    std::fs::write(
+        &path,
+        "%%MatrixMarket matrix coordinate pattern general\n4294967296 2 1\n1 1\n",
+    )
+    .unwrap();
+    let out = cli()
+        .args(["color", "--mtx", path.to_str().unwrap()])
+        .output()
+        .expect("run bgpc-cli");
+    std::fs::remove_dir_all(&dir).ok();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(3), "{stderr}");
+    assert!(stderr.contains("exceed the u32 index range"), "{stderr}");
 }
 
 #[test]

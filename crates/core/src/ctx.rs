@@ -1,9 +1,5 @@
 //! Per-thread workspace shared by all phases.
 
-use std::marker::PhantomData;
-
-use sparse::CsrIndex;
-
 use crate::balance::BalancerState;
 use crate::forbidden::{BitStampSet, ForbiddenSet};
 
@@ -17,10 +13,7 @@ use crate::forbidden::{BitStampSet, ForbiddenSet};
 /// The forbidden-set representation is a type parameter so kernels can be
 /// benchmarked against both [`crate::StampSet`] and the word-packed
 /// [`BitStampSet`]; production paths use the default ([`BitStampSet`]).
-/// The second parameter ties the workspace to the instance's CSR
-/// row-pointer width ([`CsrIndex`]): a scratch set built for a `u32`
-/// instance cannot be handed to a `u64` kernel by accident.
-pub struct ThreadCtx<F: ForbiddenSet = BitStampSet, I: CsrIndex = u32> {
+pub struct ThreadCtx<F: ForbiddenSet = BitStampSet> {
     /// Forbidden-color set `F`.
     pub fb: F,
     /// B1/B2 cursors (`colmax`, `colnext`).
@@ -42,11 +35,9 @@ pub struct ThreadCtx<F: ForbiddenSet = BitStampSet, I: CsrIndex = u32> {
     /// summaries ([`crate::vertex::NetSummaries`]). Always word-packed,
     /// whatever `F` is: merging a summary is then one OR per word.
     pub summary_fb: BitStampSet,
-    /// Zero-sized marker for the instance's index width (see type docs).
-    _width: PhantomData<fn() -> I>,
 }
 
-impl<F: ForbiddenSet, I: CsrIndex> ThreadCtx<F, I> {
+impl<F: ForbiddenSet> ThreadCtx<F> {
     /// Creates a context sized for colors up to `color_capacity` (the
     /// forbidden set grows on demand if exceeded).
     pub fn new(color_capacity: usize) -> Self {
@@ -58,7 +49,6 @@ impl<F: ForbiddenSet, I: CsrIndex> ThreadCtx<F, I> {
             wlocal: Vec::new(),
             stage: Vec::with_capacity(crate::workqueue::STAGE_CAPACITY),
             wide_palette: false,
-            _width: PhantomData,
         }
     }
 
@@ -111,12 +101,6 @@ mod tests {
     #[test]
     fn generic_over_set_representation() {
         let ctx: ThreadCtx<StampSet> = ThreadCtx::new(32);
-        assert!(ctx.fb.capacity() >= 32);
-    }
-
-    #[test]
-    fn generic_over_index_width() {
-        let ctx: ThreadCtx<StampSet, u64> = ThreadCtx::new(32);
         assert!(ctx.fb.capacity() >= 32);
     }
 }

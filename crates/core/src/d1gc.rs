@@ -11,14 +11,14 @@
 
 use graph::{BipartiteGraph, Graph};
 use par::Pool;
-use sparse::{Csr, CsrIndex};
+use sparse::Csr;
 
 use crate::{Color, ColoringResult, RunnerOpts, Schedule};
 
 /// The edge-net pattern of `g`: one row (net) per undirected edge
 /// `u < v` holding the pins `{u, v}`, edges in row-major order of the
 /// adjacency; the columns are `g`'s vertices.
-pub fn edge_net_matrix<I: CsrIndex>(g: &Graph<I>) -> Csr {
+pub fn edge_net_matrix(g: &Graph) -> Csr {
     let mut row_ptr = vec![0];
     let mut pins = Vec::with_capacity(2 * g.n_edges());
     for u in 0..g.n_vertices() {
@@ -31,23 +31,18 @@ pub fn edge_net_matrix<I: CsrIndex>(g: &Graph<I>) -> Csr {
 }
 
 /// `g` as a BGPC instance over its edge nets ([`edge_net_matrix`]).
-pub fn edge_nets<I: CsrIndex>(g: &Graph<I>) -> BipartiteGraph {
+pub fn edge_nets(g: &Graph) -> BipartiteGraph {
     BipartiteGraph::from_matrix_owned(edge_net_matrix(g))
 }
 
 /// Sequential greedy first-fit D1GC. Uses at most `Δ + 1` colors.
-pub fn color_d1gc_seq<I: CsrIndex>(g: &Graph<I>, order: &[u32]) -> (Vec<Color>, usize) {
+pub fn color_d1gc_seq(g: &Graph, order: &[u32]) -> (Vec<Color>, usize) {
     crate::seq::color_seq(&edge_nets(g), order)
 }
 
 /// Parallel speculative D1GC (Algorithms 1–3): the speculative driver
 /// with the given [`Schedule`] over `g`'s edge nets.
-pub fn color_d1gc<I: CsrIndex>(
-    g: &Graph<I>,
-    order: &[u32],
-    schedule: &Schedule,
-    pool: &Pool,
-) -> ColoringResult {
+pub fn color_d1gc(g: &Graph, order: &[u32], schedule: &Schedule, pool: &Pool) -> ColoringResult {
     crate::color_with_opts(&edge_nets(g), order, schedule, pool, RunnerOpts::default())
 }
 

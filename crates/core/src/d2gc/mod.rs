@@ -11,7 +11,6 @@
 
 use graph::Graph;
 use par::Pool;
-use sparse::CsrIndex;
 
 use crate::{ColoringResult, RunnerOpts, Schedule};
 
@@ -21,11 +20,6 @@ pub use crate::runner::{
 
 /// Runs the full speculative D2GC loop with the given [`Schedule`] — see
 /// [`crate::color_with_opts`].
-pub fn color_d2gc<I: CsrIndex>(
-    g: &Graph<I>,
-    order: &[u32],
-    schedule: &Schedule,
-    pool: &Pool,
-) -> ColoringResult {
+pub fn color_d2gc(g: &Graph, order: &[u32], schedule: &Schedule, pool: &Pool) -> ColoringResult {
     crate::color_with_opts(g, order, schedule, pool, RunnerOpts::default())
 }

@@ -51,7 +51,7 @@
 //! vertex takes the first color not used in its distance-2 neighborhood,
 //! which always exists below `Δ₂(G′) + 1`, and stable vertices only hold
 //! colors below `k_base`. `crates/check`'s differential oracle enforces
-//! this bound across schedules × forbidden sets × index widths.
+//! this bound across schedules and forbidden sets.
 //!
 //! # Example
 //!
@@ -87,7 +87,7 @@
 use std::fmt;
 
 use par::Pool;
-use sparse::{Csr, CsrIndex};
+use sparse::Csr;
 
 use crate::forbidden::ForbiddenSet;
 use crate::metrics::ColoringResult;
@@ -323,16 +323,16 @@ impl CsrDelta {
 /// The result of [`apply_delta`]: the mutated pattern plus the touched
 /// row/column sets from which the per-problem dirty sets derive.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct DeltaApplied<I: CsrIndex = u32> {
+pub struct DeltaApplied {
     /// The mutated pattern, revalidated like [`sparse::Csr::try_from_parts`].
-    pub matrix: Csr<I>,
+    pub matrix: Csr,
     /// Distinct rows (nets) with a touched edge, sorted.
     touched_rows: Vec<u32>,
     /// Distinct columns (vertices) with a touched edge, sorted.
     touched_cols: Vec<u32>,
 }
 
-impl<I: CsrIndex> DeltaApplied<I> {
+impl DeltaApplied {
     /// Dirty set for BGPC: the distinct column (colored-side) endpoints
     /// of touched edges. See the module docs for why this suffices.
     pub fn dirty_bgpc(&self) -> &[u32] {
@@ -369,10 +369,7 @@ impl<I: CsrIndex> DeltaApplied<I> {
 /// be in bounds, insertions must be absent, deletions present — each
 /// violation is a typed [`DeltaError`]. An empty delta is a no-op: the
 /// returned matrix equals the input and both touched sets are empty.
-pub fn apply_delta<I: CsrIndex>(
-    m: &Csr<I>,
-    delta: &CsrDelta,
-) -> Result<DeltaApplied<I>, DeltaError> {
+pub fn apply_delta(m: &Csr, delta: &CsrDelta) -> Result<DeltaApplied, DeltaError> {
     let (nrows, ncols) = (m.nrows(), m.ncols());
     for &(row, col) in delta.insertions().iter().chain(delta.deletions()) {
         if row as usize >= nrows {
@@ -441,7 +438,7 @@ pub fn apply_delta<I: CsrIndex>(
         row_ptr.push(col_idx.len());
     }
 
-    let matrix = Csr::<I>::try_from_raw(nrows, ncols, row_ptr, col_idx)
+    let matrix = Csr::try_from_parts(nrows, ncols, row_ptr, col_idx)
         .expect("merge of valid pattern and validated delta preserves CSR invariants");
 
     let mut touched_rows: Vec<u32> = Vec::with_capacity(delta.len());

@@ -54,7 +54,7 @@ pub fn color_jp<G: Neighborhood>(g: &G, pool: &Pool, seed: u64) -> JpResult {
     let n = g.n_vertices();
     let colors = Colors::new(n);
     let slots = colors.slots();
-    let scratch: ThreadScratch<ThreadCtx<BitStampSet, G::Index>> =
+    let scratch: ThreadScratch<ThreadCtx<BitStampSet>> =
         ThreadScratch::new(pool.threads(), |_| ThreadCtx::new(g.max_neighborhood() + 16));
     let mut active: Vec<u32> = (0..n as u32).collect();
     let mut rounds = 0usize;

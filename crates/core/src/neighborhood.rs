@@ -17,14 +17,10 @@
 //!   `nbor(u)`, skipping `w` — exactly the distance-2 neighborhood.
 
 use graph::{BipartiteGraph, Graph};
-use sparse::CsrIndex;
 
 /// A coloring instance seen as vertices, nets, and pins (see the module
 /// docs for the BGPC and D2GC readings).
 pub trait Neighborhood: Sync {
-    /// CSR row-pointer width of the instance; ties the per-thread
-    /// [`crate::ctx::ThreadCtx`] scratch to it.
-    type Index: CsrIndex;
     /// Fault point fired by every coloring-phase chunk
     /// ([`par::faults::fire`]).
     const FAULT_COLOR: &'static str;
@@ -69,8 +65,7 @@ pub trait Neighborhood: Sync {
 // The walks are the kernels' innermost loops, so both impls force
 // inlining: with plain `#[inline]` the D2GC N1-N2 coloring measured about
 // 8% slower at one thread.
-impl<I: CsrIndex> Neighborhood for BipartiteGraph<I> {
-    type Index = I;
+impl Neighborhood for BipartiteGraph {
     const FAULT_COLOR: &'static str = "bgpc.color";
     const FAULT_CONFLICT: &'static str = "bgpc.conflict";
     const PREFETCH_PINS: bool = true;
@@ -124,8 +119,7 @@ impl<I: CsrIndex> Neighborhood for BipartiteGraph<I> {
     }
 }
 
-impl<I: CsrIndex> Neighborhood for Graph<I> {
-    type Index = I;
+impl Neighborhood for Graph {
     const FAULT_COLOR: &'static str = "d2gc.color";
     const FAULT_CONFLICT: &'static str = "d2gc.conflict";
     const PREFETCH_PINS: bool = false;

@@ -63,7 +63,7 @@ pub fn color_workqueue_net<F: ForbiddenSet, G: Neighborhood>(
     pool: &Pool,
     variant: NetColoringVariant,
     balance: Balance,
-    scratch: &ThreadScratch<ThreadCtx<F, G::Index>>,
+    scratch: &ThreadScratch<ThreadCtx<F>>,
 ) {
     match variant {
         NetColoringVariant::SinglePassFirstFit => {
@@ -84,7 +84,7 @@ fn color_net_single_pass<F: ForbiddenSet, G: Neighborhood>(
     g: &G,
     colors: &Colors,
     pool: &Pool,
-    scratch: &ThreadScratch<ThreadCtx<F, G::Index>>,
+    scratch: &ThreadScratch<ThreadCtx<F>>,
     reverse: bool,
 ) {
     let rec = pool.tracer();
@@ -143,7 +143,7 @@ fn color_net_two_pass<F: ForbiddenSet, G: Neighborhood>(
     g: &G,
     colors: &Colors,
     pool: &Pool,
-    scratch: &ThreadScratch<ThreadCtx<F, G::Index>>,
+    scratch: &ThreadScratch<ThreadCtx<F>>,
     balance: Balance,
 ) {
     let rec = pool.tracer();
@@ -229,7 +229,7 @@ pub fn remove_conflicts_net<F: ForbiddenSet, G: Neighborhood>(
     g: &G,
     colors: &Colors,
     pool: &Pool,
-    scratch: &ThreadScratch<ThreadCtx<F, G::Index>>,
+    scratch: &ThreadScratch<ThreadCtx<F>>,
 ) {
     let rec = pool.tracer();
     let chunk = net_chunk(g.n_nets(), pool.threads());
@@ -279,10 +279,10 @@ pub fn collect_uncolored<F: ForbiddenSet, G: Neighborhood>(
     order: &[u32],
     colors: &Colors,
     pool: &Pool,
-    scratch: &mut ThreadScratch<ThreadCtx<F, G::Index>>,
+    scratch: &mut ThreadScratch<ThreadCtx<F>>,
 ) -> Vec<u32> {
     debug_assert_eq!(order.len(), g.n_vertices(), "order must cover every vertex");
-    let scratch_ref: &ThreadScratch<ThreadCtx<F, G::Index>> = scratch;
+    let scratch_ref: &ThreadScratch<ThreadCtx<F>> = scratch;
     pool.for_static(order.len(), |tid, range| {
         par::faults::fire(G::FAULT_CONFLICT, tid);
         scratch_ref.with(tid, |ctx| {
@@ -327,7 +327,7 @@ mod tests {
         Graph::from_symmetric_matrix(&sparse::gen::grid2d(8, 8, 1))
     }
 
-    fn run_net_until_valid<G: Neighborhood<Index = u32>>(
+    fn run_net_until_valid<G: Neighborhood>(
         g: &G,
         pool: &Pool,
         variant: NetColoringVariant,
@@ -531,7 +531,7 @@ mod tests {
     /// N1-N2 / V-N2, where net coloring runs once and the vertex phase
     /// finishes the job. Mirror that here: one balanced net round, then
     /// vertex rounds to convergence.
-    fn balanced_net_then_vertex<G: Neighborhood<Index = u32>>(g: &G, balance: Balance) -> Vec<i32> {
+    fn balanced_net_then_vertex<G: Neighborhood>(g: &G, balance: Balance) -> Vec<i32> {
         let pool = Pool::new(2);
         let colors = Colors::new(g.n_vertices());
         let mut sc = scratch(2);

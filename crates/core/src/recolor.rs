@@ -33,7 +33,7 @@ pub fn reduce_colors_seq<G: Neighborhood>(g: &G, colors: &mut [Color]) -> usize 
     for (u, &c) in colors.iter().enumerate() {
         shared.set(u, c);
     }
-    let mut ctx = ThreadCtx::<BitStampSet, G::Index>::new(g.max_neighborhood() + 16);
+    let mut ctx = ThreadCtx::<BitStampSet>::new(g.max_neighborhood() + 16);
     let mut tally = Tally::default();
     for &w in &order {
         gather_forbidden(g, shared.slots(), w, &mut ctx, &mut tally);
@@ -72,7 +72,7 @@ pub fn reduce_colors<G: Neighborhood>(g: &G, colors_in: &mut Vec<Color>, pool: &
         colors.set(u, c);
     }
     let slots = colors.slots();
-    let scratch: ThreadScratch<ThreadCtx<BitStampSet, G::Index>> =
+    let scratch: ThreadScratch<ThreadCtx<BitStampSet>> =
         ThreadScratch::new(pool.threads(), |_| ThreadCtx::new(g.max_neighborhood() + 16));
 
     for c in (1..=max_color as usize).rev() {

@@ -5,7 +5,6 @@ use std::time::{Duration, Instant};
 
 use graph::BipartiteGraph;
 use par::{Pool, ThreadScratch};
-use sparse::CsrIndex;
 
 use crate::ctx::ThreadCtx;
 use crate::error::{validate_order, ColoringError};
@@ -64,8 +63,8 @@ impl RunnerOpts {
 
 /// Runs the full speculative BGPC loop with the given [`Schedule`] — see
 /// [`color_with_opts`].
-pub fn color_bgpc<I: CsrIndex>(
-    g: &BipartiteGraph<I>,
+pub fn color_bgpc(
+    g: &BipartiteGraph,
     order: &[u32],
     schedule: &Schedule,
     pool: &Pool,
@@ -187,7 +186,7 @@ impl<G: Neighborhood> WithSet for Run<'_, G> {
                 (colors, w0, bound + 64)
             }
         };
-        let mut scratch: ThreadScratch<ThreadCtx<F, G::Index>> =
+        let mut scratch: ThreadScratch<ThreadCtx<F>> =
             ThreadScratch::new(pool.threads(), |_| ThreadCtx::new(capacity));
         // Balancer cursors and queues are per-run state: reset defensively
         // so the run is reproducible even if the scratch construction above
@@ -483,7 +482,7 @@ fn repair_sequential<G: Neighborhood>(g: &G, order: &[u32], colors: &Colors) {
     }
     // Colors the uncolored vertices with first-fit against the *current*
     // state — conflict-free by construction.
-    let mut ctx = ThreadCtx::<BitStampSet, G::Index>::new(g.max_neighborhood() + 64);
+    let mut ctx = ThreadCtx::<BitStampSet>::new(g.max_neighborhood() + 64);
     let mut tally = vertex::Tally::default();
     let slots = colors.slots();
     for &wv in order {

@@ -5,7 +5,6 @@
 //! paper reports.
 
 use graph::{BipartiteGraph, Graph};
-use sparse::CsrIndex;
 
 use crate::ctx::ThreadCtx;
 use crate::forbidden::ForbiddenSet;
@@ -17,12 +16,12 @@ use crate::{Color, Colors};
 
 /// Sequential first-fit BGPC over `order`. Returns the coloring and the
 /// number of distinct colors.
-pub fn color_bgpc_seq<I: CsrIndex>(g: &BipartiteGraph<I>, order: &[u32]) -> (Vec<Color>, usize) {
+pub fn color_bgpc_seq(g: &BipartiteGraph, order: &[u32]) -> (Vec<Color>, usize) {
     color_seq(g, order)
 }
 
 /// Sequential first-fit D2GC over `order`.
-pub fn color_d2gc_seq<I: CsrIndex>(g: &Graph<I>, order: &[u32]) -> (Vec<Color>, usize) {
+pub fn color_d2gc_seq(g: &Graph, order: &[u32]) -> (Vec<Color>, usize) {
     color_seq(g, order)
 }
 
@@ -47,7 +46,7 @@ pub fn color_seq_with_set<F: ForbiddenSet, G: Neighborhood>(
 ) -> (Vec<Color>, usize) {
     let colors = Colors::new(g.n_vertices());
     let slots = colors.slots();
-    let mut ctx = ThreadCtx::<F, G::Index>::new(g.seq_capacity());
+    let mut ctx = ThreadCtx::<F>::new(g.seq_capacity());
     let mut tally = Tally::default();
     for (k, &w) in order.iter().enumerate() {
         if let Some(&next) = order.get(k + PREFETCH_AHEAD) {

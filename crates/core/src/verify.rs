@@ -6,13 +6,12 @@
 //! against.
 
 use graph::{BipartiteGraph, Graph};
-use sparse::CsrIndex;
 
 use crate::{BitStampSet, Color, UNCOLORED};
 
 /// Checks that `colors` is a complete, valid bipartite partial coloring:
 /// every vertex colored, and no two vertices of any net share a color.
-pub fn verify_bgpc<I: CsrIndex>(g: &BipartiteGraph<I>, colors: &[Color]) -> Result<(), String> {
+pub fn verify_bgpc(g: &BipartiteGraph, colors: &[Color]) -> Result<(), String> {
     if colors.len() != g.n_vertices() {
         return Err(format!(
             "color array length {} != vertex count {}",
@@ -46,7 +45,7 @@ pub fn verify_bgpc<I: CsrIndex>(g: &BipartiteGraph<I>, colors: &[Color]) -> Resu
 /// vertex colored, and for every vertex `v`, the colors of `{v} ∪ nbor(v)`
 /// are pairwise distinct (which covers all distance-1 and distance-2
 /// pairs).
-pub fn verify_d2gc<I: CsrIndex>(g: &Graph<I>, colors: &[Color]) -> Result<(), String> {
+pub fn verify_d2gc(g: &Graph, colors: &[Color]) -> Result<(), String> {
     if colors.len() != g.n_vertices() {
         return Err(format!(
             "color array length {} != vertex count {}",

@@ -213,7 +213,7 @@ pub fn color_workqueue_vertex<F: ForbiddenSet, G: Neighborhood>(
     chunk: usize,
     balance: Balance,
     summaries: Option<&NetSummaries>,
-    scratch: &ThreadScratch<ThreadCtx<F, G::Index>>,
+    scratch: &ThreadScratch<ThreadCtx<F>>,
 ) {
     let rec = pool.tracer();
     let slots = colors.slots();
@@ -278,7 +278,7 @@ pub(crate) fn gather_forbidden<F: ForbiddenSet, G: Neighborhood>(
     g: &G,
     slots: &[AtomicI32],
     wv: u32,
-    ctx: &mut ThreadCtx<F, G::Index>,
+    ctx: &mut ThreadCtx<F>,
     tally: &mut Tally,
 ) {
     gather(
@@ -386,9 +386,9 @@ pub fn remove_conflicts_vertex<F: ForbiddenSet, G: Neighborhood>(
     pool: &Pool,
     chunk: usize,
     eager: Option<&SharedQueue>,
-    scratch: &mut ThreadScratch<ThreadCtx<F, G::Index>>,
+    scratch: &mut ThreadScratch<ThreadCtx<F>>,
 ) -> Vec<u32> {
-    let scratch_ref: &ThreadScratch<ThreadCtx<F, G::Index>> = scratch;
+    let scratch_ref: &ThreadScratch<ThreadCtx<F>> = scratch;
     let rec = pool.tracer();
     pool.for_dynamic(w.len(), chunk, |tid, range| {
         par::faults::fire(G::FAULT_CONFLICT, tid);
@@ -470,7 +470,7 @@ mod tests {
         ))
     }
 
-    fn run_until_valid<G: Neighborhood<Index = u32>>(
+    fn run_until_valid<G: Neighborhood>(
         g: &G,
         pool: &Pool,
         eager: bool,
@@ -513,7 +513,7 @@ mod tests {
     /// colors some uncolored vertices the way the phase does, some of them
     /// past `64·W` so their nets switch back to pin walks. Every vertex
     /// still uncolored must gather the set the pin walk gathers.
-    fn summary_gather_agrees<G: Neighborhood<Index = u32>>(
+    fn summary_gather_agrees<G: Neighborhood>(
         gen: &mut minicheck::Gen,
         g: &G,
         kinds: &NetKinds,

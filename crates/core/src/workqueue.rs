@@ -170,8 +170,8 @@ impl SharedQueue {
 /// Concatenates the thread-private `local_queue`s of a scratch set (the
 /// `64D` lazy strategy) into one vector, clearing them for reuse.
 /// Deterministic order: by thread id.
-pub fn merge_local_queues<F: ForbiddenSet, I: sparse::CsrIndex>(
-    locals: &mut par::ThreadScratch<ThreadCtx<F, I>>,
+pub fn merge_local_queues<F: ForbiddenSet>(
+    locals: &mut par::ThreadScratch<ThreadCtx<F>>,
 ) -> Vec<u32> {
     let total: usize = {
         let mut t = 0;

@@ -121,7 +121,7 @@ fn color_queue<F: ForbiddenSet, G: Neighborhood>(
     for (u, &c) in init.iter().enumerate() {
         colors.set(u, c);
     }
-    let mut scratch: ThreadScratch<ThreadCtx<F, G::Index>> = ThreadScratch::new(1, |_| {
+    let mut scratch: ThreadScratch<ThreadCtx<F>> = ThreadScratch::new(1, |_| {
         let mut ctx = ThreadCtx::new(16);
         ctx.wide_palette = start_wide;
         ctx

@@ -1,9 +1,8 @@
 //! Property test: relabel → color → invert-permutation round-trips.
 //!
-//! For random bipartite instances, every locality relabeling
-//! ([`LocalityOrder`]) and at both row-pointer widths (u32 and u64):
-//! coloring the *relabeled* instance and mapping the result back through
-//! the permutation must yield a coloring that
+//! For random bipartite instances and every locality relabeling
+//! ([`LocalityOrder`]): coloring the *relabeled* instance and mapping the
+//! result back through the permutation must yield a coloring that
 //! [`bgpc::verify::verify_bgpc`] accepts on the *original* graph.
 //! This pins the `perm[old] = new` convention end to end — a transposed
 //! permutation or an un-inverted mapping makes the oracle reject.
@@ -13,12 +12,12 @@ use bgpc::Schedule;
 use graph::BipartiteGraph;
 use minicheck::{check, prop_assert};
 use par::Pool;
-use sparse::{unpermute, Csr, CsrIndex, IndexWidth, LocalityOrder};
+use sparse::{unpermute, Csr, LocalityOrder};
 
-/// Colors the relabeled pattern at width `I` and returns the coloring
-/// mapped back to original column ids.
-fn color_relabeled<I: CsrIndex>(
-    pm: &Csr<I>,
+/// Colors the relabeled pattern and returns the coloring mapped back to
+/// original column ids.
+fn color_relabeled(
+    pm: &Csr,
     perm: &Option<Vec<u32>>,
     schedule: &Schedule,
     pool: &Pool,
@@ -56,23 +55,15 @@ fn relabeled_colorings_verify_on_the_original_graph() {
                 perm.is_some() == (relabel != LocalityOrder::None),
                 "identity relabeling must not fabricate a permutation"
             );
-            for width in [IndexWidth::U32, IndexWidth::U64] {
-                let colors = match width {
-                    IndexWidth::U32 => color_relabeled(&pm, &perm, &schedule, &pool),
-                    IndexWidth::U64 => {
-                        color_relabeled(&pm.to_index::<u64>(), &perm, &schedule, &pool)
-                    }
-                };
-                let ok = verify_bgpc(&g0, &colors);
-                prop_assert!(
-                    ok.is_ok(),
-                    "{}/{}/{} coloring invalid on the original graph: {}",
-                    relabel.label(),
-                    width.label(),
-                    schedule.name(),
-                    ok.unwrap_err()
-                );
-            }
+            let colors = color_relabeled(&pm, &perm, &schedule, &pool);
+            let ok = verify_bgpc(&g0, &colors);
+            prop_assert!(
+                ok.is_ok(),
+                "{}/{} coloring invalid on the original graph: {}",
+                relabel.label(),
+                schedule.name(),
+                ok.unwrap_err()
+            );
         }
         Ok(())
     });
@@ -92,33 +83,20 @@ fn relabeled_d2gc_colorings_verify_on_the_original_graph() {
 
         for relabel in LocalityOrder::all() {
             let (pm, perm) = relabel.apply_symmetric(&m);
-            for width in [IndexWidth::U32, IndexWidth::U64] {
-                fn d2_colors<I: CsrIndex>(
-                    pm: &Csr<I>,
-                    schedule: &Schedule,
-                    pool: &Pool,
-                ) -> Vec<i32> {
-                    let gp = graph::Graph::from_symmetric_matrix(pm);
-                    let order: Vec<u32> = (0..gp.n_vertices() as u32).collect();
-                    bgpc::d2gc::color_d2gc(&gp, &order, schedule, pool).colors
-                }
-                let colors = match width {
-                    IndexWidth::U32 => d2_colors(&pm, &schedule, &pool),
-                    IndexWidth::U64 => d2_colors(&pm.to_index::<u64>(), &schedule, &pool),
-                };
-                let colors = match &perm {
-                    Some(p) => unpermute(&colors, p),
-                    None => colors,
-                };
-                let ok = bgpc::verify::verify_d2gc(&g0, &colors);
-                prop_assert!(
-                    ok.is_ok(),
-                    "{}/{} d2gc coloring invalid on the original graph: {}",
-                    relabel.label(),
-                    width.label(),
-                    ok.unwrap_err()
-                );
-            }
+            let gp = graph::Graph::from_symmetric_matrix(&pm);
+            let order: Vec<u32> = (0..gp.n_vertices() as u32).collect();
+            let colors = bgpc::d2gc::color_d2gc(&gp, &order, &schedule, &pool).colors;
+            let colors = match &perm {
+                Some(p) => unpermute(&colors, p),
+                None => colors,
+            };
+            let ok = bgpc::verify::verify_d2gc(&g0, &colors);
+            prop_assert!(
+                ok.is_ok(),
+                "{} d2gc coloring invalid on the original graph: {}",
+                relabel.label(),
+                ok.unwrap_err()
+            );
         }
         Ok(())
     });

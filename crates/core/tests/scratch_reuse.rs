@@ -34,7 +34,7 @@ fn color_with(
     g: &BipartiteGraph,
     balance: Balance,
     pool: &Pool,
-    scratch: &ThreadScratch<ThreadCtx<BitStampSet, u32>>,
+    scratch: &ThreadScratch<ThreadCtx<BitStampSet>>,
 ) -> Vec<Color> {
     let order: Vec<u32> = (0..g.n_vertices() as u32).collect();
     let colors = Colors::new(g.n_vertices());
@@ -48,7 +48,7 @@ fn balancer_cursors_survive_a_run_without_reset() {
     // actually move the cursors. If this stops holding, the reuse tests
     // below test nothing.
     let pool = Pool::new(1);
-    let mut scratch: ThreadScratch<ThreadCtx<BitStampSet, u32>> =
+    let mut scratch: ThreadScratch<ThreadCtx<BitStampSet>> =
         ThreadScratch::new(1, |_| ThreadCtx::new(64 + 64));
     let _ = color_with(&star(48), Balance::B2, &pool, &scratch);
     let moved = {
@@ -63,13 +63,13 @@ fn reset_restores_fresh_workspace_results_back_to_back() {
     let pool = Pool::new(1);
     for balance in [Balance::B1, Balance::B2] {
         // Baseline: the small instance colored with a fresh workspace.
-        let fresh: ThreadScratch<ThreadCtx<BitStampSet, u32>> =
+        let fresh: ThreadScratch<ThreadCtx<BitStampSet>> =
             ThreadScratch::new(1, |_| ThreadCtx::new(64 + 64));
         let baseline = color_with(&small(), balance, &pool, &fresh);
 
         // Reused workspace: big run first, then reset, then the small
         // instance — must be identical to the fresh-workspace result.
-        let mut reused: ThreadScratch<ThreadCtx<BitStampSet, u32>> =
+        let mut reused: ThreadScratch<ThreadCtx<BitStampSet>> =
             ThreadScratch::new(1, |_| ThreadCtx::new(64 + 64));
         let _ = color_with(&star(48), balance, &pool, &reused);
         for ctx in reused.iter_mut() {

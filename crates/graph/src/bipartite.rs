@@ -1,6 +1,6 @@
 //! The BGPC input structure.
 
-use sparse::{Csr, CsrIndex};
+use sparse::Csr;
 
 use crate::error::{validate_pattern, GraphError};
 
@@ -22,25 +22,20 @@ use crate::error::{validate_pattern, GraphError};
 /// assert_eq!(g.nets(1), &[0, 1]);
 /// assert_eq!(g.max_net_size(), 2); // the color lower bound
 /// ```
-///
-/// Like [`Csr`], the adjacency structures are parameterized by the
-/// row-pointer width `I` (`u32` default, `u64` fallback for ≥ 2³²-pin
-/// instances); the kernels stay generic and the runners dispatch per
-/// instance.
 #[derive(Clone, Debug)]
-pub struct BipartiteGraph<I: CsrIndex = u32> {
+pub struct BipartiteGraph {
     /// net → vertices (the input matrix: rows are nets).
-    net_to_vtx: Csr<I>,
+    net_to_vtx: Csr,
     /// vertex → nets (the transpose).
-    vtx_to_net: Csr<I>,
+    vtx_to_net: Csr,
 }
 
-impl<I: CsrIndex> BipartiteGraph<I> {
+impl BipartiteGraph {
     /// Builds the bipartite view of a pattern: rows become nets, columns
     /// become the vertices to color (the paper's setup: "we colored the
     /// columns of these matrices where the rows are considered as the
     /// nets").
-    pub fn from_matrix(matrix: &Csr<I>) -> Self {
+    pub fn from_matrix(matrix: &Csr) -> Self {
         Self {
             vtx_to_net: matrix.transpose(),
             net_to_vtx: matrix.clone(),
@@ -48,7 +43,7 @@ impl<I: CsrIndex> BipartiteGraph<I> {
     }
 
     /// Builds from an owned pattern, avoiding one clone.
-    pub fn from_matrix_owned(matrix: Csr<I>) -> Self {
+    pub fn from_matrix_owned(matrix: Csr) -> Self {
         Self {
             vtx_to_net: matrix.transpose(),
             net_to_vtx: matrix,
@@ -58,13 +53,13 @@ impl<I: CsrIndex> BipartiteGraph<I> {
     /// Validating constructor for untrusted patterns: rejects out-of-bounds
     /// or duplicate column indices and dimensions beyond the `u32` index
     /// space instead of panicking (or worse, silently mis-indexing) later.
-    pub fn try_from_matrix(matrix: &Csr<I>) -> Result<Self, GraphError> {
+    pub fn try_from_matrix(matrix: &Csr) -> Result<Self, GraphError> {
         validate_pattern(matrix)?;
         Ok(Self::from_matrix(matrix))
     }
 
     /// Owned variant of [`try_from_matrix`](Self::try_from_matrix).
-    pub fn try_from_matrix_owned(matrix: Csr<I>) -> Result<Self, GraphError> {
+    pub fn try_from_matrix_owned(matrix: Csr) -> Result<Self, GraphError> {
         validate_pattern(&matrix)?;
         Ok(Self::from_matrix_owned(matrix))
     }
@@ -152,12 +147,12 @@ impl<I: CsrIndex> BipartiteGraph<I> {
     }
 
     /// The underlying net → vertex pattern.
-    pub fn net_matrix(&self) -> &Csr<I> {
+    pub fn net_matrix(&self) -> &Csr {
         &self.net_to_vtx
     }
 
     /// The underlying vertex → net pattern.
-    pub fn vtx_matrix(&self) -> &Csr<I> {
+    pub fn vtx_matrix(&self) -> &Csr {
         &self.vtx_to_net
     }
 }

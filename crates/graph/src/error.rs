@@ -61,9 +61,7 @@ impl std::error::Error for GraphError {}
 
 /// Validates that a pattern's dimensions fit `u32` indices and that its
 /// CSR invariants hold (no out-of-bounds or duplicate columns).
-pub(crate) fn validate_pattern<I: sparse::CsrIndex>(
-    matrix: &sparse::Csr<I>,
-) -> Result<(), GraphError> {
+pub(crate) fn validate_pattern(matrix: &sparse::Csr) -> Result<(), GraphError> {
     if matrix.nrows() > u32::MAX as usize {
         return Err(GraphError::DimensionOverflow {
             what: "rows",

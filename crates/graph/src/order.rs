@@ -10,7 +10,6 @@
 //! relabeled.
 
 use rng::Pcg32;
-use sparse::CsrIndex;
 
 use crate::{BipartiteGraph, Graph};
 
@@ -34,7 +33,7 @@ pub enum Ordering {
 
 impl Ordering {
     /// Processing order for the `V_A` side of a bipartite graph.
-    pub fn vertex_order_bgpc<I: CsrIndex>(&self, g: &BipartiteGraph<I>) -> Vec<u32> {
+    pub fn vertex_order_bgpc(&self, g: &BipartiteGraph) -> Vec<u32> {
         let n = g.n_vertices();
         match self {
             Ordering::Natural => natural(n),
@@ -57,7 +56,7 @@ impl Ordering {
     }
 
     /// Processing order for a unipartite graph colored at distance 2.
-    pub fn vertex_order_d2<I: CsrIndex>(&self, g: &Graph<I>) -> Vec<u32> {
+    pub fn vertex_order_d2(&self, g: &Graph) -> Vec<u32> {
         let n = g.n_vertices();
         match self {
             Ordering::Natural => natural(n),
@@ -260,7 +259,7 @@ impl BucketQueue {
 /// `deg(u) = Σ_{v ∈ nets(u)} (|vtxs(v)| − 1)`. Removing `u` decrements the
 /// degree of every live co-member of each of `u`'s nets — total work
 /// `O(Σ_v |vtxs(v)|²)`, the same bound as ColPack's D2 ordering pass.
-fn smallest_last_bgpc<I: CsrIndex>(g: &BipartiteGraph<I>) -> Vec<u32> {
+fn smallest_last_bgpc(g: &BipartiteGraph) -> Vec<u32> {
     let n = g.n_vertices();
     let degrees: Vec<usize> = (0..n).map(|u| g.d2_degree_bound(u)).collect();
     let mut q = BucketQueue::new(degrees);
@@ -283,7 +282,7 @@ fn smallest_last_bgpc<I: CsrIndex>(g: &BipartiteGraph<I>) -> Vec<u32> {
 /// Smallest-last for D2GC with `deg(u) = Σ_{v ∈ nbor(u)} |nbor(v)|`
 /// (each vertex acts as the "net" of its own neighborhood, mirroring the
 /// BGPC rule).
-fn smallest_last_d2<I: CsrIndex>(g: &Graph<I>) -> Vec<u32> {
+fn smallest_last_d2(g: &Graph) -> Vec<u32> {
     let n = g.n_vertices();
     let degrees: Vec<usize> = (0..n)
         .map(|u| g.nbor(u).iter().map(|&v| g.degree(v as usize)).sum())

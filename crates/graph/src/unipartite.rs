@@ -1,16 +1,15 @@
 //! The D2GC input structure.
 
-use sparse::{Csr, CsrIndex};
+use sparse::Csr;
 
 /// A simple undirected graph in CSR form (no self-loops, symmetric
-/// adjacency) — the D2GC input. Parameterized by the CSR row-pointer
-/// width `I` exactly like [`Csr`] (`u32` default, `u64` fallback).
+/// adjacency) — the D2GC input.
 #[derive(Clone, Debug)]
-pub struct Graph<I: CsrIndex = u32> {
-    adj: Csr<I>,
+pub struct Graph {
+    adj: Csr,
 }
 
-impl<I: CsrIndex> Graph<I> {
+impl Graph {
     /// Builds a graph from a square, structurally symmetric pattern;
     /// diagonal entries are dropped.
     ///
@@ -18,7 +17,7 @@ impl<I: CsrIndex> Graph<I> {
     /// Panics if the pattern is not square or not symmetric (after
     /// diagonal removal). Use [`Graph::from_square_matrix`] to symmetrize
     /// arbitrary square inputs.
-    pub fn from_symmetric_matrix(matrix: &Csr<I>) -> Self {
+    pub fn from_symmetric_matrix(matrix: &Csr) -> Self {
         let adj = matrix.strip_diagonal();
         assert!(
             adj.is_structurally_symmetric(),
@@ -29,7 +28,7 @@ impl<I: CsrIndex> Graph<I> {
 
     /// Builds a graph from any square pattern by symmetrizing `A ∪ Aᵀ`
     /// and dropping the diagonal.
-    pub fn from_square_matrix(matrix: &Csr<I>) -> Self {
+    pub fn from_square_matrix(matrix: &Csr) -> Self {
         Self {
             adj: matrix.symmetrize().strip_diagonal(),
         }
@@ -38,7 +37,7 @@ impl<I: CsrIndex> Graph<I> {
     /// Validating constructor for untrusted patterns: rejects malformed
     /// CSR structure, oversized dimensions, non-square shapes and (after
     /// diagonal removal) asymmetric adjacency with a structured error.
-    pub fn try_from_symmetric_matrix(matrix: &Csr<I>) -> Result<Self, crate::GraphError> {
+    pub fn try_from_symmetric_matrix(matrix: &Csr) -> Result<Self, crate::GraphError> {
         crate::error::validate_pattern(matrix)?;
         if matrix.nrows() != matrix.ncols() {
             return Err(crate::GraphError::NotSquare {
@@ -55,7 +54,7 @@ impl<I: CsrIndex> Graph<I> {
 
     /// Builds directly from an adjacency CSR that already satisfies the
     /// invariants (validated in debug builds).
-    pub fn from_adjacency(adj: Csr<I>) -> Self {
+    pub fn from_adjacency(adj: Csr) -> Self {
         debug_assert!(adj.is_structurally_symmetric());
         debug_assert!((0..adj.nrows()).all(|i| !adj.contains(i, i as u32)));
         Self { adj }
@@ -119,7 +118,7 @@ impl<I: CsrIndex> Graph<I> {
     }
 
     /// The adjacency pattern.
-    pub fn adjacency(&self) -> &Csr<I> {
+    pub fn adjacency(&self) -> &Csr {
         &self.adj
     }
 }

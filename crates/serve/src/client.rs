@@ -289,7 +289,7 @@ impl ServeClient {
 
 /// Encodes a CSR pattern into the Submit graph payload (hardened
 /// [`sparse::bin_io`] bytes).
-pub fn encode_graph<I: sparse::CsrIndex>(m: &sparse::Csr<I>) -> Vec<u8> {
+pub fn encode_graph(m: &sparse::Csr) -> Vec<u8> {
     let mut buf = Vec::new();
     sparse::bin_io::write_bin(&mut buf, m).expect("Vec writes are infallible");
     buf

@@ -32,7 +32,7 @@
 use std::io::{Read, Write};
 use std::path::Path;
 
-use crate::{Csr, CsrIndex};
+use crate::Csr;
 
 const MAGIC: &[u8; 8] = b"BGPCCSR2";
 /// Current format version (the word after the magic).
@@ -190,9 +190,8 @@ impl<R: Read> HashingReader<R> {
 
 /// Writes a pattern in the binary cache format (version
 /// [`FORMAT_VERSION`], checksum trailer included). The on-disk
-/// row-pointer width is always u64, independent of the in-memory
-/// [`CsrIndex`] width.
-pub fn write_bin<W: Write, I: CsrIndex>(w: W, m: &Csr<I>) -> std::io::Result<()> {
+/// row-pointer width is u64, wider than the in-memory `u32`.
+pub fn write_bin<W: Write>(w: W, m: &Csr) -> std::io::Result<()> {
     let mut w = HashingWriter::new(w);
     w.write_all(MAGIC)?;
     w.write_all(&FORMAT_VERSION.to_le_bytes())?;
@@ -201,7 +200,7 @@ pub fn write_bin<W: Write, I: CsrIndex>(w: W, m: &Csr<I>) -> std::io::Result<()>
     w.write_all(&(m.ncols() as u64).to_le_bytes())?;
     w.write_all(&(m.nnz() as u64).to_le_bytes())?;
     for &p in m.row_ptr() {
-        w.write_all(&(p.to_usize() as u64).to_le_bytes())?;
+        w.write_all(&u64::from(p).to_le_bytes())?;
     }
     for &j in m.col_idx() {
         w.write_all(&j.to_le_bytes())?;
@@ -276,7 +275,7 @@ pub fn read_bin<R: Read>(r: R) -> Result<Csr, BinError> {
 }
 
 /// Writes to a file path.
-pub fn write_bin_file<I: CsrIndex>(path: impl AsRef<Path>, m: &Csr<I>) -> std::io::Result<()> {
+pub fn write_bin_file(path: impl AsRef<Path>, m: &Csr) -> std::io::Result<()> {
     let f = std::fs::File::create(path)?;
     let mut w = std::io::BufWriter::new(f);
     write_bin(&mut w, m)?;

@@ -1,100 +1,9 @@
-//! Pattern-only compressed sparse row storage, parameterized by the
-//! row-pointer index width.
+//! Pattern-only compressed sparse row storage with `u32` row pointers
+//! and column indices.
 
 use std::fmt;
 
 use crate::prefetch;
-
-/// Row-pointer index type for [`Csr`].
-///
-/// The coloring kernels are bandwidth-bound: every vertex visit loads a
-/// pair of row pointers before it touches the adjacency row, so halving
-/// the pointer width (`u32` instead of the platform `usize`) measurably
-/// cuts the bytes the hot loops move. `u32` covers every instance below
-/// 2³² nonzeros — all of the paper's inputs — and `u64` is the fallback
-/// for anything larger (see [`IndexWidth::auto_for`]).
-pub trait CsrIndex:
-    Copy + Clone + Eq + Ord + Send + Sync + fmt::Debug + std::hash::Hash + 'static
-{
-    /// Human-readable width name (`"u32"` / `"u64"`), used for dispatch
-    /// flags and benchmark records.
-    const LABEL: &'static str;
-    /// Largest nonzero count this width can address.
-    const MAX_NNZ: usize;
-    /// Converts from `usize`. Callers must guarantee `x <= MAX_NNZ`.
-    fn from_usize(x: usize) -> Self;
-    /// Widens to `usize` (always lossless).
-    fn to_usize(self) -> usize;
-}
-
-impl CsrIndex for u32 {
-    const LABEL: &'static str = "u32";
-    const MAX_NNZ: usize = u32::MAX as usize;
-    #[inline(always)]
-    fn from_usize(x: usize) -> Self {
-        debug_assert!(x <= Self::MAX_NNZ);
-        x as u32
-    }
-    #[inline(always)]
-    fn to_usize(self) -> usize {
-        self as usize
-    }
-}
-
-impl CsrIndex for u64 {
-    const LABEL: &'static str = "u64";
-    const MAX_NNZ: usize = usize::MAX;
-    #[inline(always)]
-    fn from_usize(x: usize) -> Self {
-        x as u64
-    }
-    #[inline(always)]
-    fn to_usize(self) -> usize {
-        self as usize
-    }
-}
-
-/// Row-pointer width selector used by runners and the benchmark harness
-/// to dispatch between [`Csr<u32>`] and [`Csr<u64>`] per instance.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum IndexWidth {
-    /// 32-bit row pointers (default; instances below 2³² nonzeros).
-    U32,
-    /// 64-bit row pointers (fallback for huge instances).
-    U64,
-}
-
-/// Largest nonzero count a `u32` row pointer can address — the
-/// [`IndexWidth::auto_for`] cutoff.
-pub const U32_MAX_NNZ: usize = u32::MAX as usize;
-
-impl IndexWidth {
-    /// The narrowest width that can address `nnz` nonzeros.
-    pub fn auto_for(nnz: usize) -> Self {
-        if nnz <= U32_MAX_NNZ {
-            IndexWidth::U32
-        } else {
-            IndexWidth::U64
-        }
-    }
-
-    /// Width name as used in flags and benchmark records.
-    pub fn label(self) -> &'static str {
-        match self {
-            IndexWidth::U32 => "u32",
-            IndexWidth::U64 => "u64",
-        }
-    }
-
-    /// Parses a width name (`u32`/`u64`, case-insensitive).
-    pub fn from_name(name: &str) -> Option<Self> {
-        match name.to_ascii_lowercase().as_str() {
-            "u32" | "32" => Some(IndexWidth::U32),
-            "u64" | "64" => Some(IndexWidth::U64),
-            _ => None,
-        }
-    }
-}
 
 /// A violated CSR invariant, reported by [`Csr::try_from_parts`] and
 /// [`Csr::validate`] with enough structure for callers (the graph layer,
@@ -137,12 +46,10 @@ pub enum CsrError {
         /// Declared column count.
         ncols: usize,
     },
-    /// The nonzero count does not fit the requested row-pointer width.
+    /// The nonzero count does not fit a `u32` row pointer.
     IndexOverflow {
         /// Nonzero count of the pattern.
         nnz: usize,
-        /// Label of the width that cannot address it.
-        width: &'static str,
     },
 }
 
@@ -161,8 +68,8 @@ impl fmt::Display for CsrError {
             CsrError::ColumnOutOfBounds { row, col, ncols } => {
                 write!(f, "row {row} has column {col} >= ncols {ncols}")
             }
-            CsrError::IndexOverflow { nnz, width } => {
-                write!(f, "{nnz} nonzeros exceed the {width} row-pointer range")
+            CsrError::IndexOverflow { nnz } => {
+                write!(f, "{nnz} nonzeros exceed the u32 row-pointer range")
             }
         }
     }
@@ -226,12 +133,11 @@ fn check_parts(
 /// A sparse pattern in compressed sparse row format.
 ///
 /// Only the nonzero *structure* is stored — coloring never looks at values.
-/// Column indices are `u32` (the perf-book "smaller integers" idiom: the
-/// index arrays dominate the memory traffic of every coloring kernel, and
-/// none of the paper's instances approach 2³² columns); row pointers are
-/// width-parameterized via [`CsrIndex`], defaulting to `u32` and widening
-/// to `u64` only for instances with 2³² or more nonzeros (see
-/// [`Csr::to_index`] / [`IndexWidth`]).
+/// Row pointers and column indices are both `u32` (the perf-book "smaller
+/// integers" idiom: the index arrays dominate the memory traffic of every
+/// coloring kernel). A `u32` row pointer addresses 2³² − 1 nonzeros; the
+/// paper's largest matrix, uk-2002, uses 7% of that, and every constructor
+/// refuses a larger pattern with [`CsrError::IndexOverflow`].
 ///
 /// ```
 /// use sparse::Csr;
@@ -239,8 +145,6 @@ fn check_parts(
 /// assert_eq!(m.nrows(), 2);
 /// assert_eq!(m.row(0), &[0, 2]);
 /// assert_eq!(m.transpose().row(2), &[0]);
-/// let wide: sparse::Csr<u64> = m.to_index();
-/// assert_eq!(wide.row(0), m.row(0));
 /// ```
 ///
 /// Invariants (checked by [`Csr::validate`], relied on everywhere):
@@ -250,17 +154,16 @@ fn check_parts(
 /// * within each row, column indices are strictly increasing (sorted, no
 ///   duplicates).
 #[derive(Clone, PartialEq, Eq)]
-pub struct Csr<I: CsrIndex = u32> {
+pub struct Csr {
     nrows: usize,
     ncols: usize,
-    row_ptr: Vec<I>,
+    row_ptr: Vec<u32>,
     col_idx: Vec<u32>,
 }
 
-impl<I: CsrIndex> fmt::Debug for Csr<I> {
+impl fmt::Debug for Csr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Csr")
-            .field("index", &I::LABEL)
             .field("nrows", &self.nrows)
             .field("ncols", &self.ncols)
             .field("nnz", &self.nnz())
@@ -268,11 +171,7 @@ impl<I: CsrIndex> fmt::Debug for Csr<I> {
     }
 }
 
-/// Narrow-index constructors. Construction always starts at the `u32`
-/// default (every builder — COO, generators, Matrix Market — produces
-/// in-memory patterns far below 2³² nonzeros); [`Csr::to_index`] widens
-/// when a runner dispatches to the `u64` fallback.
-impl Csr<u32> {
+impl Csr {
     /// Builds a CSR from raw parts, validating every invariant.
     ///
     /// # Panics
@@ -284,20 +183,40 @@ impl Csr<u32> {
 
     /// Builds a CSR from raw parts, returning the first violated invariant
     /// as a structured [`CsrError`] instead of panicking — the constructor
-    /// for untrusted input paths.
+    /// for untrusted input paths. Checks that the nonzero count fits a
+    /// `u32` row pointer, then narrows the pointers.
     pub fn try_from_parts(
         nrows: usize,
         ncols: usize,
         row_ptr: Vec<usize>,
         col_idx: Vec<u32>,
     ) -> Result<Self, CsrError> {
-        Self::try_from_raw(nrows, ncols, row_ptr, col_idx)
+        check_parts(nrows, ncols, &row_ptr, &col_idx)?;
+        if col_idx.len() > u32::MAX as usize {
+            return Err(CsrError::IndexOverflow { nnz: col_idx.len() });
+        }
+        Ok(Self {
+            nrows,
+            ncols,
+            row_ptr: row_ptr.into_iter().map(|p| p as u32).collect(),
+            col_idx,
+        })
     }
 
     /// Builds a CSR from per-row column lists. Rows are sorted and
     /// deduplicated.
     pub fn from_rows(ncols: usize, rows: &[Vec<u32>]) -> Self {
-        Self::from_rows_generic(ncols, rows)
+        let mut row_ptr = Vec::with_capacity(rows.len() + 1);
+        row_ptr.push(0usize);
+        let mut col_idx = Vec::new();
+        for row in rows {
+            let mut cols = row.clone();
+            cols.sort_unstable();
+            cols.dedup();
+            col_idx.extend_from_slice(&cols);
+            row_ptr.push(col_idx.len());
+        }
+        Self::from_parts(rows.len(), ncols, row_ptr, col_idx)
     }
 
     /// An empty pattern with the given shape.
@@ -309,79 +228,12 @@ impl Csr<u32> {
             col_idx: Vec::new(),
         }
     }
-}
-
-impl<I: CsrIndex> Csr<I> {
-    /// Width-generic [`Csr::try_from_parts`]: validates the invariants,
-    /// checks the nonzero count fits `I`, and narrows the row pointers.
-    pub fn try_from_raw(
-        nrows: usize,
-        ncols: usize,
-        row_ptr: Vec<usize>,
-        col_idx: Vec<u32>,
-    ) -> Result<Self, CsrError> {
-        check_parts(nrows, ncols, &row_ptr, &col_idx)?;
-        if col_idx.len() > I::MAX_NNZ {
-            return Err(CsrError::IndexOverflow {
-                nnz: col_idx.len(),
-                width: I::LABEL,
-            });
-        }
-        Ok(Self {
-            nrows,
-            ncols,
-            row_ptr: row_ptr.into_iter().map(I::from_usize).collect(),
-            col_idx,
-        })
-    }
-
-    /// Width-generic [`Csr::from_rows`].
-    fn from_rows_generic(ncols: usize, rows: &[Vec<u32>]) -> Self {
-        let mut row_ptr = Vec::with_capacity(rows.len() + 1);
-        row_ptr.push(0usize);
-        let mut col_idx = Vec::new();
-        for row in rows {
-            let mut cols = row.clone();
-            cols.sort_unstable();
-            cols.dedup();
-            col_idx.extend_from_slice(&cols);
-            row_ptr.push(col_idx.len());
-        }
-        Self::try_from_raw(rows.len(), ncols, row_ptr, col_idx)
-            .unwrap_or_else(|e| panic!("invalid CSR parts: {e}"))
-    }
 
     /// Re-checks all structural invariants (the constructors establish
     /// them; this is for tests and assertions on long-lived patterns).
     pub fn validate(&self) -> Result<(), CsrError> {
-        let row_ptr: Vec<usize> = self.row_ptr.iter().map(|p| p.to_usize()).collect();
+        let row_ptr: Vec<usize> = self.row_ptr.iter().map(|&p| p as usize).collect();
         check_parts(self.nrows, self.ncols, &row_ptr, &self.col_idx)
-    }
-
-    /// Converts the row pointers to another index width.
-    ///
-    /// # Panics
-    /// Panics if the nonzero count does not fit `J` (narrowing below the
-    /// actual nnz; impossible when following [`IndexWidth::auto_for`]).
-    pub fn to_index<J: CsrIndex>(&self) -> Csr<J> {
-        self.try_to_index()
-            .unwrap_or_else(|e| panic!("index width conversion failed: {e}"))
-    }
-
-    /// Fallible [`Csr::to_index`].
-    pub fn try_to_index<J: CsrIndex>(&self) -> Result<Csr<J>, CsrError> {
-        if self.nnz() > J::MAX_NNZ {
-            return Err(CsrError::IndexOverflow {
-                nnz: self.nnz(),
-                width: J::LABEL,
-            });
-        }
-        Ok(Csr {
-            nrows: self.nrows,
-            ncols: self.ncols,
-            row_ptr: self.row_ptr.iter().map(|p| J::from_usize(p.to_usize())).collect(),
-            col_idx: self.col_idx.clone(),
-        })
     }
 
     /// Number of rows.
@@ -405,24 +257,24 @@ impl<I: CsrIndex> Csr<I> {
     /// The column indices of row `i`.
     #[inline]
     pub fn row(&self, i: usize) -> &[u32] {
-        &self.col_idx[self.row_ptr[i].to_usize()..self.row_ptr[i + 1].to_usize()]
+        &self.col_idx[self.row_ptr[i] as usize..self.row_ptr[i + 1] as usize]
     }
 
     /// Number of entries in row `i`.
     #[inline]
     pub fn row_len(&self, i: usize) -> usize {
-        self.row_ptr[i + 1].to_usize() - self.row_ptr[i].to_usize()
+        self.row_ptr[i + 1] as usize - self.row_ptr[i] as usize
     }
 
     /// Offset of row `i`'s first entry in [`Csr::col_idx`].
     #[inline]
     pub fn row_start(&self, i: usize) -> usize {
-        self.row_ptr[i].to_usize()
+        self.row_ptr[i] as usize
     }
 
-    /// Raw row pointer array (`nrows + 1` entries, width `I`).
+    /// Raw row pointer array (`nrows + 1` entries).
     #[inline]
-    pub fn row_ptr(&self) -> &[I] {
+    pub fn row_ptr(&self) -> &[u32] {
         &self.row_ptr
     }
 
@@ -439,7 +291,7 @@ impl<I: CsrIndex> Csr<I> {
     #[inline(always)]
     pub fn prefetch_row(&self, i: usize) {
         if i < self.nrows {
-            let start = self.row_ptr[i].to_usize();
+            let start = self.row_ptr[i] as usize;
             prefetch::prefetch_read(&self.col_idx, start);
         }
     }
@@ -455,7 +307,7 @@ impl<I: CsrIndex> Csr<I> {
     }
 
     /// Transposes the pattern with a counting sort — O(nnz + nrows + ncols).
-    pub fn transpose(&self) -> Csr<I> {
+    pub fn transpose(&self) -> Csr {
         let mut counts = vec![0usize; self.ncols + 1];
         for &j in &self.col_idx {
             counts[j as usize + 1] += 1;
@@ -463,7 +315,7 @@ impl<I: CsrIndex> Csr<I> {
         for j in 0..self.ncols {
             counts[j + 1] += counts[j];
         }
-        let row_ptr: Vec<I> = counts.iter().map(|&p| I::from_usize(p)).collect();
+        let row_ptr: Vec<u32> = counts.iter().map(|&p| p as u32).collect();
         let mut col_idx = vec![0u32; self.nnz()];
         let mut cursor = counts;
         // Walking rows in order makes each transposed row come out sorted.
@@ -496,7 +348,7 @@ impl<I: CsrIndex> Csr<I> {
     ///
     /// # Panics
     /// Panics if the matrix is not square.
-    pub fn symmetrize(&self) -> Csr<I> {
+    pub fn symmetrize(&self) -> Csr {
         assert_eq!(
             self.nrows, self.ncols,
             "symmetrize requires a square pattern"
@@ -530,14 +382,14 @@ impl<I: CsrIndex> Csr<I> {
             merged.extend_from_slice(&b[y..]);
             rows.push(merged);
         }
-        Self::from_rows_generic(self.ncols, &rows)
+        Self::from_rows(self.ncols, &rows)
     }
 
     /// Removes diagonal entries (useful when interpreting a square pattern
     /// as an adjacency structure).
-    pub fn strip_diagonal(&self) -> Csr<I> {
+    pub fn strip_diagonal(&self) -> Csr {
         let mut row_ptr = Vec::with_capacity(self.nrows + 1);
-        row_ptr.push(I::from_usize(0));
+        row_ptr.push(0);
         let mut col_idx = Vec::with_capacity(self.nnz());
         for i in 0..self.nrows {
             for &j in self.row(i) {
@@ -545,7 +397,7 @@ impl<I: CsrIndex> Csr<I> {
                     col_idx.push(j);
                 }
             }
-            row_ptr.push(I::from_usize(col_idx.len()));
+            row_ptr.push(col_idx.len() as u32);
         }
         Csr {
             nrows: self.nrows,
@@ -561,7 +413,7 @@ impl<I: CsrIndex> Csr<I> {
     ///
     /// # Panics
     /// Panics if the pattern is not square or `perm` is not a permutation.
-    pub fn permute_symmetric(&self, perm: &[u32]) -> Csr<I> {
+    pub fn permute_symmetric(&self, perm: &[u32]) -> Csr {
         assert_eq!(self.nrows, self.ncols, "symmetric permutation needs a square pattern");
         assert_eq!(perm.len(), self.nrows, "permutation length mismatch");
         debug_assert!(is_permutation(perm));
@@ -570,7 +422,7 @@ impl<I: CsrIndex> Csr<I> {
             let new_i = perm[i] as usize;
             rows[new_i] = self.row(i).iter().map(|&j| perm[j as usize]).collect();
         }
-        Self::from_rows_generic(self.ncols, &rows)
+        Self::from_rows(self.ncols, &rows)
     }
 
     /// Permutes the columns of the pattern: new column id of old column `j`
@@ -578,7 +430,7 @@ impl<I: CsrIndex> Csr<I> {
     ///
     /// # Panics
     /// Panics if `perm` is not a permutation of `0..ncols`.
-    pub fn permute_columns(&self, perm: &[u32]) -> Csr<I> {
+    pub fn permute_columns(&self, perm: &[u32]) -> Csr {
         assert_eq!(perm.len(), self.ncols, "permutation length mismatch");
         debug_assert!(crate::csr::is_permutation(perm));
         let mut rows: Vec<Vec<u32>> = Vec::with_capacity(self.nrows);
@@ -587,7 +439,7 @@ impl<I: CsrIndex> Csr<I> {
             row.sort_unstable();
             rows.push(row);
         }
-        Self::from_rows_generic(self.ncols, &rows)
+        Self::from_rows(self.ncols, &rows)
     }
 }
 
@@ -776,35 +628,6 @@ mod tests {
             Csr::try_from_parts(1, 3, vec![0, 2], vec![1, 1]).unwrap_err(),
             CsrError::RowNotSorted { row: 0 }
         ));
-    }
-
-    #[test]
-    fn index_width_conversion_roundtrips() {
-        let m = small();
-        let wide: Csr<u64> = m.to_index();
-        assert_eq!(wide.nrows(), m.nrows());
-        assert_eq!(wide.nnz(), m.nnz());
-        for i in 0..m.nrows() {
-            assert_eq!(wide.row(i), m.row(i));
-        }
-        wide.validate().unwrap();
-        let back: Csr<u32> = wide.to_index();
-        assert_eq!(back, m);
-        // wide-index structural ops stay wide
-        let t: Csr<u64> = wide.transpose();
-        assert_eq!(t.row(2), &[0, 1]);
-        t.validate().unwrap();
-    }
-
-    #[test]
-    fn index_width_auto_dispatch_rule() {
-        assert_eq!(IndexWidth::auto_for(0), IndexWidth::U32);
-        assert_eq!(IndexWidth::auto_for(u32::MAX as usize), IndexWidth::U32);
-        assert_eq!(IndexWidth::auto_for(u32::MAX as usize + 1), IndexWidth::U64);
-        assert_eq!(IndexWidth::from_name("U32"), Some(IndexWidth::U32));
-        assert_eq!(IndexWidth::from_name("u64"), Some(IndexWidth::U64));
-        assert_eq!(IndexWidth::from_name("u16"), None);
-        assert_eq!(IndexWidth::U32.label(), "u32");
     }
 
     #[test]

@@ -21,9 +21,8 @@
 //!   invert/unpermute helpers so colorings are reported in original ids.
 //! * [`prefetch`] — software prefetch hints for the irregular CSR gathers.
 //!
-//! [`Csr`] is parameterized by its row-pointer width ([`CsrIndex`]): `u32`
-//! by default, `u64` as the fallback for instances with ≥ 2³² nonzeros
-//! (see [`IndexWidth`]).
+//! [`Csr`] stores `u32` row pointers and column indices; a pattern with
+//! more than `u32::MAX` nonzeros is refused at construction.
 
 pub mod bin_io;
 pub mod coo;
@@ -36,7 +35,7 @@ pub mod prefetch;
 pub mod stats;
 
 pub use coo::Coo;
-pub use csr::{Csr, CsrError, CsrIndex, IndexWidth};
+pub use csr::{Csr, CsrError};
 pub use datasets::{Dataset, Instance};
 pub use perm::{invert_perm, unpermute, LocalityOrder};
 pub use stats::DegreeStats;

@@ -102,14 +102,29 @@ pub fn read_pattern<R: Read>(reader: R) -> Result<Csr, MmError> {
         )));
     }
 
-    let mut coo = Coo::with_capacity(nrows, ncols, if symmetric { nnz * 2 } else { nnz });
+    // The header is untrusted: refuse counts no `Csr` can hold before
+    // building anything, and cap the reservations it sizes — a short file
+    // may claim billions of entries, and `push` grows geometrically.
+    let max = u32::MAX as usize;
+    if nrows > max || ncols > max {
+        return Err(parse_err(format!(
+            "dimensions {nrows}x{ncols} exceed the u32 index range"
+        )));
+    }
+    if nnz > max {
+        return Err(parse_err(format!(
+            "{nnz} entries exceed the u32 row-pointer range"
+        )));
+    }
+    let reserve = nnz.min(1 << 22);
+    let mut coo = Coo::with_capacity(nrows, ncols, if symmetric { reserve * 2 } else { reserve });
     let mut seen = 0usize;
     // Duplicate entries silently collapse in CSR conversion but inflate
     // the declared pattern (net degrees, nnz accounting), so they are a
     // malformed file, not a tolerable redundancy. Symmetric storage keys
     // on the unordered pair: listing both (i, j) and (j, i) mirrors to
     // the same two entries and is equally a duplicate.
-    let mut keys = std::collections::HashSet::with_capacity(nnz);
+    let mut keys = std::collections::HashSet::with_capacity(reserve);
     for line in lines {
         let line = line?;
         let trimmed = line.trim();
@@ -316,6 +331,17 @@ mod tests {
             "%%MatrixMarket matrix coordinate pattern general\n2 2 {huge}\n1 1\n"
         ));
         assert!(msg.contains("bad nnz count"), "{msg}");
+        // parses as usize but leaves the u32 index space: refused before
+        // the builder is made
+        let past = u32::MAX as u64 + 1;
+        let msg = expect_parse_error(&format!(
+            "%%MatrixMarket matrix coordinate pattern general\n{past} 2 1\n1 1\n"
+        ));
+        assert!(msg.contains("exceed the u32 index range"), "{msg}");
+        let msg = expect_parse_error(&format!(
+            "%%MatrixMarket matrix coordinate pattern general\n2 {past} 1\n1 1\n"
+        ));
+        assert!(msg.contains("exceed the u32 index range"), "{msg}");
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! result back so colorings are always reported in original ids. The
 //! processing-order knob (`graph::Ordering`) composes on top.
 
-use crate::csr::{Csr, CsrIndex};
+use crate::csr::Csr;
 
 /// Sentinel marking a vertex found by the current frontier but not yet
 /// labeled (distinct from `u32::MAX` = "never seen").
@@ -60,7 +60,7 @@ impl LocalityOrder {
 
     /// Column permutation for a bipartite pattern: `perm[old] = new`.
     /// `None` means the identity (no relabeling requested).
-    pub fn column_perm<I: CsrIndex>(self, m: &Csr<I>) -> Option<Vec<u32>> {
+    pub fn column_perm(self, m: &Csr) -> Option<Vec<u32>> {
         match self {
             LocalityOrder::None => None,
             LocalityOrder::Degree => Some(degree_column_perm(m)),
@@ -70,7 +70,7 @@ impl LocalityOrder {
 
     /// Symmetric relabeling for a square adjacency pattern (D2GC):
     /// `perm[old] = new`. `None` means the identity.
-    pub fn symmetric_perm<I: CsrIndex>(self, m: &Csr<I>) -> Option<Vec<u32>> {
+    pub fn symmetric_perm(self, m: &Csr) -> Option<Vec<u32>> {
         match self {
             LocalityOrder::None => None,
             LocalityOrder::Degree => Some(degree_symmetric_perm(m)),
@@ -80,7 +80,7 @@ impl LocalityOrder {
 
     /// Applies the column relabeling: returns the permuted pattern and the
     /// permutation used (identity relabeling returns a plain clone).
-    pub fn apply_columns<I: CsrIndex>(self, m: &Csr<I>) -> (Csr<I>, Option<Vec<u32>>) {
+    pub fn apply_columns(self, m: &Csr) -> (Csr, Option<Vec<u32>>) {
         match self.column_perm(m) {
             Some(perm) => (m.permute_columns(&perm), Some(perm)),
             None => (m.clone(), None),
@@ -88,7 +88,7 @@ impl LocalityOrder {
     }
 
     /// Applies the symmetric relabeling (square patterns, D2GC).
-    pub fn apply_symmetric<I: CsrIndex>(self, m: &Csr<I>) -> (Csr<I>, Option<Vec<u32>>) {
+    pub fn apply_symmetric(self, m: &Csr) -> (Csr, Option<Vec<u32>>) {
         match self.symmetric_perm(m) {
             Some(perm) => (m.permute_symmetric(&perm), Some(perm)),
             None => (m.clone(), None),
@@ -97,7 +97,7 @@ impl LocalityOrder {
 }
 
 /// Per-column degrees (number of rows each column appears in).
-fn column_degrees<I: CsrIndex>(m: &Csr<I>) -> Vec<u32> {
+fn column_degrees(m: &Csr) -> Vec<u32> {
     let mut deg = vec![0u32; m.ncols()];
     for &j in m.col_idx() {
         deg[j as usize] += 1;
@@ -106,13 +106,13 @@ fn column_degrees<I: CsrIndex>(m: &Csr<I>) -> Vec<u32> {
 }
 
 /// Stable descending-degree column permutation: `perm[old] = new`.
-pub fn degree_column_perm<I: CsrIndex>(m: &Csr<I>) -> Vec<u32> {
+pub fn degree_column_perm(m: &Csr) -> Vec<u32> {
     let deg = column_degrees(m);
     perm_from_sorted(&deg)
 }
 
 /// Stable descending-degree symmetric permutation for a square pattern.
-pub fn degree_symmetric_perm<I: CsrIndex>(m: &Csr<I>) -> Vec<u32> {
+pub fn degree_symmetric_perm(m: &Csr) -> Vec<u32> {
     assert_eq!(m.nrows(), m.ncols(), "symmetric relabeling needs a square pattern");
     let deg: Vec<u32> = (0..m.nrows()).map(|i| m.row_len(i) as u32).collect();
     perm_from_sorted(&deg)
@@ -137,7 +137,7 @@ fn perm_from_sorted(key: &[u32]) -> Vec<u32> {
 /// step, the classic CM tie-break. Disconnected components are each swept
 /// from their own minimum-degree seed, so the result is always a full
 /// permutation.
-pub fn bfs_column_perm<I: CsrIndex>(m: &Csr<I>) -> Vec<u32> {
+pub fn bfs_column_perm(m: &Csr) -> Vec<u32> {
     let ncols = m.ncols();
     let deg = column_degrees(m);
     let t = m.transpose(); // column -> incident rows
@@ -188,7 +188,7 @@ pub fn bfs_column_perm<I: CsrIndex>(m: &Csr<I>) -> Vec<u32> {
 
 /// Cuthill–McKee permutation of a square adjacency pattern (the D2GC
 /// analogue of [`bfs_column_perm`]), neighbors labeled degree-ascending.
-pub fn bfs_symmetric_perm<I: CsrIndex>(m: &Csr<I>) -> Vec<u32> {
+pub fn bfs_symmetric_perm(m: &Csr) -> Vec<u32> {
     assert_eq!(m.nrows(), m.ncols(), "symmetric relabeling needs a square pattern");
     let n = m.nrows();
     let mut perm = vec![u32::MAX; n];

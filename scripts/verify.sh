@@ -60,7 +60,7 @@ step_begin "check smoke: --delta incremental-recoloring differential oracle"
 # everything else untouched), dirty-set recoloring verified on the mutated
 # graph with no base-vertex degradation, the documented quality bound for
 # unbalanced schedules, empty-delta identity, and the one-thread battery
-# (determinism, forbidden-set/width equivalence).
+# (determinism, forbidden-set equivalence).
 ./target/release/check_smoke --seed "$CHECK_SEED" --cases 120 --delta
 step_end "check-smoke-delta"
 
