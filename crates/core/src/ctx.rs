@@ -20,16 +20,20 @@ pub struct ThreadCtx<F: ForbiddenSet = BitStampSet> {
     pub balancer: BalancerState,
     /// Lazy (64D) conflict queue for this thread.
     pub local_queue: Vec<u32>,
-    /// `W_local` — the two-pass net coloring's to-be-colored buffer.
+    /// `W_local` — the two-pass net coloring's to-be-colored buffer,
+    /// kept at least as long as the largest net walked: the marking pass
+    /// writes every pin and counts only those that need a color.
     pub wlocal: Vec<u32>,
     /// Staging buffer for the eager shared queue: conflicts batch here and
     /// flush with one `fetch_add` per [`crate::workqueue::STAGE_CAPACITY`]
     /// entries instead of one per conflict.
     pub stage: Vec<u32>,
-    /// Sticky: set once this thread's distance-2 gather meets a color
-    /// ≥ 64. From then on the vertex kernel inserts colors one by one
-    /// instead of collecting the low 64 in a register word (see
-    /// [`crate::vertex`]); cleared by [`Self::reset_for_run`].
+    /// Sticky: set once this thread meets a color ≥ 64 in a
+    /// register-word walk, the vertex kernel's distance-2 gather or the
+    /// net passes of Algorithms 7 and 8. From then on all three insert
+    /// colors one by one instead of collecting the low 64 in a register
+    /// word (see [`crate::vertex`] and [`crate::net`]); cleared by
+    /// [`Self::reset_for_run`].
     pub wide_palette: bool,
     /// The forbidden set of a vertex coloring phase that reads net color
     /// summaries ([`crate::vertex::NetSummaries`]). Always word-packed,

@@ -66,9 +66,10 @@ impl ForbiddenKind {
 /// asserts identical answers.
 pub trait ForbiddenSet: Send {
     /// Whether [`merge_word`](ForbiddenSet::merge_word) is a single word
-    /// OR, so the vertex kernel's distance-2 gather may collect colors
-    /// `0..64` in a register word instead of inserting them one by one
-    /// (see [`crate::vertex`]).
+    /// OR, so the vertex kernel's distance-2 gather and the net passes of
+    /// Algorithms 7 and 8 may collect colors `0..64` in a register word
+    /// instead of inserting them one by one (see [`crate::vertex`] and
+    /// [`crate::net`]).
     const LOW_WORD: bool = false;
 
     /// Creates a set able to hold colors `0..capacity` without growth.

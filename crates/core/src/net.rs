@@ -8,6 +8,27 @@
 //! graph size, versus the quadratic-in-net-size vertex-based traversal.
 //! The price is optimism — threads only see conflicts local to the net they
 //! are scanning — which the conflict-removal iterations repair.
+//!
+//! In the first iteration's net passes a pin is colored or [`UNCOLORED`]
+//! in no predictable pattern (the coloring reaches pins in net order, and
+//! the conflict removal after it clears about a third of them as it
+//! goes), so a per-pin "is it colored?" branch mispredicts. With a
+//! [`BitStampSet`] the two full-net passes of the schedules, Algorithm
+//! 7's conflict removal and Algorithm 8's marking pass, therefore collect
+//! the colors below 64 in a register word, as the vertex kernel's
+//! distance-2 gather does (see [`crate::vertex`]): each pin's color is
+//! read as `u32`, so [`UNCOLORED`] becomes `u32::MAX` and sets no bit,
+//! and a set bit means the color already occurs earlier in the net.
+//! Colors ≥ 64 take one branch to the forbidden set and set the thread's
+//! sticky [`ThreadCtx::wide_palette`] flag, shared with the vertex
+//! kernel; from then on the thread inserts colors one by one for the rest
+//! of the run. The first pin holding a color still keeps it, so colorings
+//! are the one-by-one passes'. The Algorithm 6 single-pass variants
+//! (Table I only) keep their plain loop.
+//!
+//! [`BitStampSet`]: crate::BitStampSet
+
+use std::sync::atomic::Ordering;
 
 use par::{Pool, ThreadScratch};
 
@@ -139,6 +160,13 @@ fn color_net_single_pass<F: ForbiddenSet, G: Neighborhood>(
 /// Algorithm 8: mark forbidden colors and collect `W_local` in a first
 /// pass, then color `W_local` with reverse first-fit (or the B1/B2
 /// adaptation) in a second pass.
+///
+/// The marking pass writes every pin into `W_local`, a buffer at least
+/// as long as the net, and advances its length only for a pin that needs
+/// a color, so the append takes no branch. With a register word (see the
+/// module docs) a pin needs a color when it is [`UNCOLORED`] or its bit
+/// is already set; the word is merged into the forbidden set once,
+/// before the coloring pass.
 fn color_net_two_pass<F: ForbiddenSet, G: Neighborhood>(
     g: &G,
     colors: &Colors,
@@ -147,6 +175,7 @@ fn color_net_two_pass<F: ForbiddenSet, G: Neighborhood>(
     balance: Balance,
 ) {
     let rec = pool.tracer();
+    let slots = colors.slots();
     let chunk = net_chunk(g.n_nets(), pool.threads());
     pool.for_dynamic(g.n_nets(), chunk, |tid, range| {
         par::faults::fire(G::FAULT_COLOR, tid);
@@ -155,23 +184,38 @@ fn color_net_two_pass<F: ForbiddenSet, G: Neighborhood>(
             let mut probes = 0u64;
             for v in range {
                 ctx.fb.advance();
-                ctx.wlocal.clear();
-                g.for_each_pin(v, |u| {
-                    let cu = colors.get(u as usize);
-                    if cu != UNCOLORED && !ctx.fb.contains(cu) {
-                        ctx.fb.insert(cu);
-                    } else {
-                        ctx.wlocal.push(u);
-                    }
-                    if trace::COMPILED {
-                        probes += 1;
-                    }
-                });
-                if ctx.wlocal.is_empty() {
-                    continue;
+                let size = g.net_size(v);
+                if ctx.wlocal.len() < size {
+                    ctx.wlocal.resize(size, 0);
+                }
+                let mut len = 0usize;
+                if F::LOW_WORD && !ctx.wide_palette {
+                    let mut low = 0u64;
+                    g.for_each_pin(v, |u| {
+                        let c = slots[u as usize].load(Ordering::Relaxed) as u32;
+                        let push = (c == u32::MAX)
+                            | seen_before(c, &mut low, &mut ctx.fb, &mut ctx.wide_palette);
+                        ctx.wlocal[len] = u;
+                        len += push as usize;
+                    });
+                    ctx.fb.merge_word(0, low);
+                } else {
+                    g.for_each_pin(v, |u| {
+                        let cu = slots[u as usize].load(Ordering::Relaxed);
+                        let push = cu == UNCOLORED || ctx.fb.contains(cu);
+                        if !push {
+                            ctx.fb.insert(cu);
+                        }
+                        ctx.wlocal[len] = u;
+                        len += push as usize;
+                    });
                 }
                 if trace::COMPILED {
-                    colored += ctx.wlocal.len() as u64;
+                    probes += size as u64;
+                    colored += len as u64;
+                }
+                if len == 0 {
+                    continue;
                 }
                 // Take the local queue so the second pass iterates a slice
                 // (no per-element index bound check) while `ctx.fb` stays
@@ -183,8 +227,8 @@ fn color_net_two_pass<F: ForbiddenSet, G: Neighborhood>(
                         // the cursor cannot underflow, because the scan
                         // skips at most |vtxs(v)| − |W_local| forbidden
                         // in-range colors and assigns |W_local| colors.
-                        let mut col: Color = g.net_size(v) as Color - 1;
-                        for &u in &wlocal {
+                        let mut col: Color = size as Color - 1;
+                        for &u in &wlocal[..len] {
                             col = ctx.fb.reverse_first_fit_from(col);
                             debug_assert!(col >= 0, "Lemma 1 violated");
                             colors.set(u as usize, col);
@@ -196,7 +240,7 @@ fn color_net_two_pass<F: ForbiddenSet, G: Neighborhood>(
                         // color with the thread's balancing cursors, and
                         // forbid it so the run stays distinct within the
                         // net.
-                        for &u in &wlocal {
+                        for &u in &wlocal[..len] {
                             let col = balance.pick(v as u32, &ctx.fb, &mut ctx.balancer);
                             colors.set(u as usize, col);
                             ctx.fb.insert(col);
@@ -217,6 +261,26 @@ fn color_net_two_pass<F: ForbiddenSet, G: Neighborhood>(
     });
 }
 
+/// The register-word step of a net pass: records the color `c` of a pin,
+/// read as `u32`, and returns whether an earlier pin of the net holds it.
+///
+/// A color below 64 is tested and set in `low` without a branch;
+/// [`UNCOLORED`] (`u32::MAX`) sets no bit and is never seen before. A
+/// color ≥ 64 takes the one branch, to the forbidden set `fb`, and sets
+/// the sticky `wide` flag ([`ThreadCtx::wide_palette`]).
+#[inline(always)]
+fn seen_before<F: ForbiddenSet>(c: u32, low: &mut u64, fb: &mut F, wide: &mut bool) -> bool {
+    let bit = ((c < 64) as u64) << (c & 63);
+    let mut seen = *low & bit != 0;
+    *low |= bit;
+    if c.wrapping_add(1) > 64 {
+        seen = fb.contains(c as Color);
+        fb.insert(c as Color);
+        *wide = true;
+    }
+    seen
+}
+
 /// Algorithm 7 — net-based conflict removal.
 ///
 /// Scans every net once; the first pin holding a given color keeps it,
@@ -225,6 +289,9 @@ fn color_net_two_pass<F: ForbiddenSet, G: Neighborhood>(
 /// required" — the optimism the paper accepts. For D2GC the middle vertex
 /// is the first pin, so it always survives its own net's scan (it may
 /// still lose in a neighbor's).
+///
+/// With a register word (see the module docs) a colored pin is a
+/// duplicate when its bit is already set; only duplicates branch.
 pub fn remove_conflicts_net<F: ForbiddenSet, G: Neighborhood>(
     g: &G,
     colors: &Colors,
@@ -232,6 +299,7 @@ pub fn remove_conflicts_net<F: ForbiddenSet, G: Neighborhood>(
     scratch: &ThreadScratch<ThreadCtx<F>>,
 ) {
     let rec = pool.tracer();
+    let slots = colors.slots();
     let chunk = net_chunk(g.n_nets(), pool.threads());
     pool.for_dynamic(g.n_nets(), chunk, |tid, range| {
         par::faults::fire(G::FAULT_CONFLICT, tid);
@@ -240,22 +308,37 @@ pub fn remove_conflicts_net<F: ForbiddenSet, G: Neighborhood>(
             let mut probes = 0u64;
             for v in range {
                 ctx.fb.advance();
-                g.for_each_pin(v, |u| {
-                    let cu = colors.get(u as usize);
-                    if cu != UNCOLORED {
-                        if ctx.fb.contains(cu) {
+                if F::LOW_WORD && !ctx.wide_palette {
+                    let mut low = 0u64;
+                    g.for_each_pin(v, |u| {
+                        let c = slots[u as usize].load(Ordering::Relaxed) as u32;
+                        let dup = seen_before(c, &mut low, &mut ctx.fb, &mut ctx.wide_palette);
+                        if dup {
                             colors.clear(u as usize);
-                            if trace::COMPILED {
-                                conflicts += 1;
-                            }
-                        } else {
-                            ctx.fb.insert(cu);
-                            if trace::COMPILED {
-                                probes += 1;
+                        }
+                        if trace::COMPILED {
+                            conflicts += dup as u64;
+                            probes += ((c != u32::MAX) & !dup) as u64;
+                        }
+                    });
+                } else {
+                    g.for_each_pin(v, |u| {
+                        let cu = slots[u as usize].load(Ordering::Relaxed);
+                        if cu != UNCOLORED {
+                            if ctx.fb.contains(cu) {
+                                colors.clear(u as usize);
+                                if trace::COMPILED {
+                                    conflicts += 1;
+                                }
+                            } else {
+                                ctx.fb.insert(cu);
+                                if trace::COMPILED {
+                                    probes += 1;
+                                }
                             }
                         }
-                    }
-                });
+                    });
+                }
             }
             if trace::COMPILED {
                 if let Some(r) = rec {
@@ -476,6 +559,62 @@ mod tests {
         assert_eq!(colors.get(0), 5, "first pin keeps the color");
         assert_eq!(colors.get(1), UNCOLORED, "duplicate uncolored");
         assert_eq!(colors.get(2), 3);
+    }
+
+    #[test]
+    fn register_word_passes_match_the_spec_across_color_64() {
+        // One net: 62 and 64 each occur twice, 63 and 65 once, and two
+        // pins are uncolored.
+        let init = [62, UNCOLORED, 64, 63, 62, 65, UNCOLORED, 64];
+        let g = BipartiteGraph::from_matrix(&Csr::from_rows(8, &[(0..8).collect()]));
+        let pool = Pool::new(1);
+        let colors = Colors::new(8);
+        let load = || init.iter().enumerate().for_each(|(u, &c)| colors.set(u, c));
+        let spec: ThreadScratch<ThreadCtx<crate::StampSet>> =
+            ThreadScratch::new(1, |_| ThreadCtx::new(32));
+        let mut word = scratch(1);
+
+        load();
+        remove_conflicts_net(&g, &colors, &pool, &spec);
+        let spec_removed = colors.snapshot();
+        load();
+        remove_conflicts_net(&g, &colors, &pool, &word);
+        assert_eq!(colors.snapshot(), spec_removed);
+        let u = UNCOLORED;
+        assert_eq!(spec_removed, vec![62, u, 64, 63, u, 65, u, u]);
+        assert!(
+            word.iter_mut().all(|ctx| ctx.wide_palette),
+            "64 and 65 set the flag"
+        );
+        word.iter_mut().for_each(|ctx| ctx.reset_for_run());
+        assert!(word.iter_mut().all(|ctx| !ctx.wide_palette));
+
+        // Algorithm 8 recolors the same four pins, reverse first-fit
+        // from 7, on the (reset) word path and the spec alike.
+        let recolored = vec![62, 7, 64, 63, 6, 65, 5, 4];
+        load();
+        color_two_pass(&g, &colors, &pool, &spec);
+        assert_eq!(colors.snapshot(), recolored);
+        load();
+        color_two_pass(&g, &colors, &pool, &word);
+        assert_eq!(colors.snapshot(), recolored);
+        assert!(word.iter_mut().all(|ctx| ctx.wide_palette));
+    }
+
+    fn color_two_pass<F: ForbiddenSet, G: Neighborhood>(
+        g: &G,
+        colors: &Colors,
+        pool: &Pool,
+        sc: &ThreadScratch<ThreadCtx<F>>,
+    ) {
+        color_workqueue_net(
+            g,
+            colors,
+            pool,
+            NetColoringVariant::TwoPassReverse,
+            Balance::Unbalanced,
+            sc,
+        );
     }
 
     #[test]

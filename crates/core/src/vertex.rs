@@ -23,8 +23,9 @@
 //! [`UNCOLORED`], and a per-pin "is it colored?" branch mispredicts on
 //! that mix. A thread that meets a color ≥ 64 falls back for the rest of
 //! the run to inserting colors one by one (the sticky
-//! [`ThreadCtx::wide_palette`] flag), which is cheaper once most colors
-//! miss the register word.
+//! [`ThreadCtx::wide_palette`] flag, which the net passes of
+//! [`crate::net`] share), which is cheaper once most colors miss the
+//! register word.
 //!
 //! [`BitStampSet`]: crate::BitStampSet
 

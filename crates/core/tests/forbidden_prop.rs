@@ -8,15 +8,17 @@
 //! including across epoch boundaries (stale-word reuse) and 64-bit word
 //! boundaries.
 //!
-//! The vertex kernel's distance-2 gather has two paths for a
-//! [`BitStampSet`] (the register-word gather and, once a thread has seen
-//! a color ≥ 64, the sticky one-by-one fallback); both must pick the
-//! colors the [`StampSet`] spec picks.
+//! The vertex kernel's distance-2 gather and the two full-net passes
+//! (Algorithm 7's conflict removal, Algorithm 8's marking pass) have two
+//! paths for a [`BitStampSet`] (the register word and, once a thread has
+//! seen a color ≥ 64, the sticky one-by-one fallback); both must leave
+//! the colors and counters the [`StampSet`] spec leaves.
 
 use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::Arc;
 
 use bgpc::ctx::ThreadCtx;
+use bgpc::net::{color_workqueue_net, remove_conflicts_net, NetColoringVariant};
 use bgpc::vertex::color_workqueue_vertex;
 use bgpc::{Balance, BitStampSet, Color, Colors, ForbiddenSet, Neighborhood, StampSet};
 use graph::{BipartiteGraph, Graph};
@@ -185,39 +187,150 @@ fn gathers_agree<G: Neighborhood>(
     Ok(())
 }
 
+/// A random BGPC pattern; half the time with one more net over about
+/// 80% of the vertices, wide enough to hold colors past the first word.
+fn random_bipartite(gen: &mut Gen) -> Csr {
+    let verts = gen.usize_in(1..150);
+    let nets = gen.usize_in(1..30);
+    let nnz = gen.usize_in(0..nets * verts.min(12) + 1);
+    let m = sparse::gen::bipartite_uniform(nets, verts, nnz, gen.u64_in(0..u64::MAX));
+    let mut rows: Vec<Vec<u32>> = (0..m.nrows()).map(|r| m.row(r).to_vec()).collect();
+    if gen.bool_with(0.5) {
+        rows.push((0..verts as u32).filter(|_| gen.bool_with(0.8)).collect());
+    }
+    Csr::from_rows(verts, &rows)
+}
+
+/// A random symmetric D2GC pattern; half the time vertex 0 is a hub
+/// whose closed neighborhood holds every vertex.
+fn random_symmetric(gen: &mut Gen) -> Csr {
+    let n = gen.usize_in(2..120);
+    let edges = gen.usize_in(0..(2 * n).min(n * (n - 1) / 2) + 1);
+    let m = sparse::gen::erdos_renyi(n, edges, gen.u64_in(0..u64::MAX));
+    let mut rows: Vec<Vec<u32>> = (0..n).map(|r| m.row(r).to_vec()).collect();
+    if gen.bool_with(0.5) {
+        for row in rows.iter_mut().skip(1) {
+            if row.first() != Some(&0) {
+                row.insert(0, 0);
+            }
+        }
+        rows[0] = (1..n as u32).collect();
+    }
+    Csr::from_rows(n, &rows)
+}
+
 #[test]
 fn vertex_gathers_agree_on_random_partial_colorings() {
-    // Both problems: BGPC with a net wide enough to hold colors past the
-    // first word, D2GC with a hub whose closed neighborhood does.
     let fallbacks = AtomicUsize::new(0);
     check("vertex_gather_equivalence_bgpc", 128, |gen| {
-        let verts = gen.usize_in(1..150);
-        let nets = gen.usize_in(1..30);
-        let nnz = gen.usize_in(0..nets * verts.min(12) + 1);
-        let m = sparse::gen::bipartite_uniform(nets, verts, nnz, gen.u64_in(0..u64::MAX));
-        let mut rows: Vec<Vec<u32>> = (0..m.nrows()).map(|r| m.row(r).to_vec()).collect();
-        if gen.bool_with(0.5) {
-            rows.push((0..verts as u32).filter(|_| gen.bool_with(0.8)).collect());
-        }
-        let g = BipartiteGraph::from_matrix(&Csr::from_rows(verts, &rows));
+        let g = BipartiteGraph::from_matrix(&random_bipartite(gen));
         gathers_agree(gen, &g, &fallbacks)
     });
     check("vertex_gather_equivalence_d2gc", 128, |gen| {
-        let n = gen.usize_in(2..120);
-        let edges = gen.usize_in(0..(2 * n).min(n * (n - 1) / 2) + 1);
-        let m = sparse::gen::erdos_renyi(n, edges, gen.u64_in(0..u64::MAX));
-        let mut rows: Vec<Vec<u32>> = (0..n).map(|r| m.row(r).to_vec()).collect();
-        if gen.bool_with(0.5) {
-            // Vertex 0 becomes a hub over every vertex.
-            for row in rows.iter_mut().skip(1) {
-                if row.first() != Some(&0) {
-                    row.insert(0, 0);
-                }
-            }
-            rows[0] = (1..n as u32).collect();
-        }
-        let g = Graph::from_symmetric_matrix(&Csr::from_rows(n, &rows));
+        let g = Graph::from_symmetric_matrix(&random_symmetric(gen));
         gathers_agree(gen, &g, &fallbacks)
+    });
+    assert!(
+        fallbacks.load(AtomicOrdering::Relaxed) > 0,
+        "no case reached a color of 64 or more"
+    );
+}
+
+/// One 1-thread net pass from the partial coloring `init`: Algorithm 7
+/// when `balance` is `None`, else Algorithm 8 with that balance. Returns
+/// the colors, the `ConflictsDetected`, `ForbiddenProbes` and
+/// `VerticesColored` counts and whether the thread ended on the
+/// wide-palette fallback.
+fn net_pass<F: ForbiddenSet, G: Neighborhood>(
+    g: &G,
+    init: &[Color],
+    balance: Option<Balance>,
+    start_wide: bool,
+) -> (Vec<Color>, [u64; 3], bool) {
+    let mut pool = Pool::new(1);
+    pool.set_tracer(Arc::new(trace::Recorder::new(1)));
+    let colors = Colors::new(init.len());
+    for (u, &c) in init.iter().enumerate() {
+        colors.set(u, c);
+    }
+    let mut scratch: ThreadScratch<ThreadCtx<F>> = ThreadScratch::new(1, |_| {
+        let mut ctx = ThreadCtx::new(16);
+        ctx.wide_palette = start_wide;
+        ctx
+    });
+    match balance {
+        None => remove_conflicts_net(g, &colors, &pool, &scratch),
+        Some(b) => color_workqueue_net(
+            g,
+            &colors,
+            &pool,
+            NetColoringVariant::TwoPassReverse,
+            b,
+            &scratch,
+        ),
+    }
+    let totals = pool.tracer().expect("recorder installed").totals();
+    let counts = [
+        trace::Counter::ConflictsDetected,
+        trace::Counter::ForbiddenProbes,
+        trace::Counter::VerticesColored,
+    ]
+    .map(|c| totals.get(c));
+    let wide = scratch.iter_mut().any(|ctx| ctx.wide_palette);
+    (colors.snapshot(), counts, wide)
+}
+
+/// Runs both net passes under the three sets on one instance and
+/// compares them.
+fn net_passes_agree<G: Neighborhood>(
+    gen: &mut Gen,
+    g: &G,
+    fallbacks: &AtomicUsize,
+) -> minicheck::PropResult {
+    let (init, _) = partial_coloring(gen, g.n_vertices());
+    for balance in [
+        None,
+        Some(Balance::Unbalanced),
+        Some(Balance::B1),
+        Some(Balance::B2),
+    ] {
+        let spec = net_pass::<StampSet, G>(g, &init, balance, false);
+        let word = net_pass::<BitStampSet, G>(g, &init, balance, false);
+        let sticky = net_pass::<BitStampSet, G>(g, &init, balance, true);
+        prop_assert!(!spec.2, "StampSet never takes the register-word path");
+        prop_assert!(sticky.2, "the fallback flag is sticky");
+        if word.2 {
+            fallbacks.fetch_add(1, AtomicOrdering::Relaxed);
+        }
+        prop_assert!(
+            spec.0 == word.0,
+            "{balance:?}: register-word pass diverged from the spec"
+        );
+        prop_assert!(
+            spec.0 == sticky.0,
+            "{balance:?}: sticky fallback diverged from the spec"
+        );
+        prop_assert!(
+            spec.1 == word.1 && spec.1 == sticky.1,
+            "{balance:?}: counts diverged: spec {:?}, word {:?}, sticky {:?}",
+            spec.1,
+            word.1,
+            sticky.1
+        );
+    }
+    Ok(())
+}
+
+#[test]
+fn net_passes_agree_on_random_partial_colorings() {
+    let fallbacks = AtomicUsize::new(0);
+    check("net_pass_equivalence_bgpc", 128, |gen| {
+        let g = BipartiteGraph::from_matrix(&random_bipartite(gen));
+        net_passes_agree(gen, &g, &fallbacks)
+    });
+    check("net_pass_equivalence_d2gc", 128, |gen| {
+        let g = Graph::from_symmetric_matrix(&random_symmetric(gen));
+        net_passes_agree(gen, &g, &fallbacks)
     });
     assert!(
         fallbacks.load(AtomicOrdering::Relaxed) > 0,
