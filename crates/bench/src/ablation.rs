@@ -1,9 +1,10 @@
 //! Ablation sweeps beyond the paper's own grid — the design-choice
 //! experiments DESIGN.md commits to: dynamic chunk size, conflict-queue
-//! strategy, net-coloring variant, and the recoloring post-pass.
+//! strategy, net-coloring variant, the recoloring post-pass, and the
+//! forbidden-set representation.
 
 use bgpc::net::NetColoringVariant;
-use bgpc::Schedule;
+use bgpc::{BitStampSet, ForbiddenKind, ForbiddenSet, Neighborhood, RunnerOpts, Schedule, StampSet};
 use graph::{BipartiteGraph, Ordering};
 use par::Pool;
 use sparse::Dataset;
@@ -251,7 +252,81 @@ pub fn jp_sweep(cfg: &ReproConfig) -> (String, Vec<JpRow>) {
     (table.render(), rows)
 }
 
+/// End-to-end forbidden-set comparison on one dataset and schedule: the
+/// evidence for [`bgpc::forbidden::DENSE_FORBIDDEN_CUTOFF`].
+#[derive(Clone, Debug)]
+pub struct ForbiddenRow {
+    /// Dataset name.
+    pub dataset: String,
+    /// [`Neighborhood::max_neighborhood`] (max net size).
+    pub max_neighborhood: usize,
+    /// The representation [`ForbiddenKind::auto_for`] picks for it.
+    pub auto: String,
+    /// Schedule name.
+    pub schedule: String,
+    /// Wall time with [`StampSet`] forced, minimum over reps, ms.
+    pub stamp_ms: f64,
+    /// Wall time with [`BitStampSet`] forced, minimum over reps, ms.
+    pub bitstamp_ms: f64,
+}
+
+/// Colors every configured dataset with `V-V` and `N1-N2`, once with each
+/// forbidden-set representation forced, verifying every run.
+pub fn forbidden_sweep(cfg: &ReproConfig) -> (String, Vec<ForbiddenRow>) {
+    let pool = Pool::new(cfg.max_threads());
+    let mut table = TextTable::new(&[
+        "Matrix", "max nbhd", "auto", "Schedule", "StampSet ms", "BitStampSet ms", "Stamp/Bit",
+    ]);
+    let mut rows = Vec::new();
+    for &dataset in &cfg.datasets {
+        let inst = dataset.build(cfg.scale, cfg.seed);
+        let g = bgpc_graph(&inst);
+        let order = bgpc_order(&g, Ordering::Natural);
+        let max_neighborhood = g.max_neighborhood();
+        let auto = format!("{:?}", ForbiddenKind::auto_for(max_neighborhood));
+        for schedule in [Schedule::v_v(), Schedule::n1_n2()] {
+            let row = ForbiddenRow {
+                dataset: dataset.name().to_string(),
+                max_neighborhood,
+                auto: auto.clone(),
+                schedule: schedule.name(),
+                stamp_ms: best_ms_with::<StampSet>(&g, &order, &schedule, &pool, cfg.reps),
+                bitstamp_ms: best_ms_with::<BitStampSet>(&g, &order, &schedule, &pool, cfg.reps),
+            };
+            table.row(vec![
+                row.dataset.clone(),
+                max_neighborhood.to_string(),
+                auto.clone(),
+                row.schedule.clone(),
+                f2(row.stamp_ms),
+                f2(row.bitstamp_ms),
+                f2(row.stamp_ms / row.bitstamp_ms),
+            ]);
+            rows.push(row);
+        }
+    }
+    (table.render(), rows)
+}
+
+/// Best wall time of `reps` verified runs with representation `F` forced.
+fn best_ms_with<F: ForbiddenSet>(
+    g: &BipartiteGraph,
+    order: &[u32],
+    schedule: &Schedule,
+    pool: &Pool,
+    reps: usize,
+) -> f64 {
+    (0..reps.max(1))
+        .map(|_| {
+            let r = bgpc::color_with_set::<F, _>(g, order, schedule, pool, RunnerOpts::default());
+            bgpc::verify::verify_bgpc(g, &r.colors).unwrap();
+            r.total_time.as_secs_f64() * 1e3
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
 crate::to_json_struct!(AblationRow { variant, time_ratio, colors_ratio });
+crate::to_json_struct!(ForbiddenRow { dataset, max_neighborhood, auto, schedule, stamp_ms, bitstamp_ms });
 crate::to_json_struct!(RecolorRow { dataset, colors_before, colors_after_seq, colors_after_par, recolor_ms });
 crate::to_json_struct!(JpRow { dataset, jp_rounds, jp_colors, jp_ms, spec_rounds, spec_colors, spec_ms });
 
@@ -294,6 +369,15 @@ mod tests {
         // handful. On any nontrivial instance JP uses more rounds.
         assert!(row.jp_rounds > row.spec_rounds, "{row:?}");
         assert!(row.jp_colors > 0 && row.spec_colors > 0);
+    }
+
+    #[test]
+    fn forbidden_sweep_reports_the_dispatch() {
+        let (text, rows) = forbidden_sweep(&tiny_cfg());
+        assert_eq!(rows.len(), 2);
+        let want = format!("{:?}", ForbiddenKind::auto_for(rows[0].max_neighborhood));
+        assert!(rows.iter().all(|r| r.auto == want && r.stamp_ms > 0.0 && r.bitstamp_ms > 0.0));
+        assert!(text.contains("N1-N2"));
     }
 
     #[test]

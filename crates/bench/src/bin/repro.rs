@@ -4,12 +4,13 @@
 //! repro <target> [flags]
 //!
 //! targets: all, table1, table2, table3, table4, table5, table6,
-//!          figure1, figure2, figure3
+//!          figure1, figure2, figure3, ablations, analysis, dist, delta
 //! flags:   --scale F  --seed N  --threads a,b,c  --datasets x,y  --reps N
 //! ```
 //!
 //! Text output goes to stdout; JSON records are written next to the
-//! repository's EXPERIMENTS.md under `results/`.
+//! repository's EXPERIMENTS.md under `results/` when run through cargo,
+//! else under `./results`.
 
 use std::path::PathBuf;
 
@@ -27,7 +28,7 @@ fn main() {
         Ok(cfg) => cfg,
         Err(e) => {
             eprintln!("error: {e}");
-            eprintln!("usage: repro [all|table1..table6|figure1..figure3] [--scale F] [--seed N] [--threads a,b,c] [--datasets x,y] [--reps N]");
+            eprintln!("usage: repro [all|table1..table6|figure1..figure3|ablations|analysis|dist|delta] [--scale F] [--seed N] [--threads a,b,c] [--datasets x,y] [--reps N]");
             std::process::exit(2);
         }
     };
@@ -145,6 +146,11 @@ fn main() {
         let (text, rows) = bench::ablation::jp_sweep(&cfg);
         println!("{text}");
         checked_write(&out_dir, "ablation_jp", &rows);
+
+        section("Ablation — forbidden-set representation (StampSet vs BitStampSet)");
+        let (text, rows) = bench::ablation::forbidden_sweep(&cfg);
+        println!("{text}");
+        checked_write(&out_dir, "ablation_forbidden", &rows);
     }
 
     if run("analysis") {
@@ -160,6 +166,13 @@ fn main() {
         let (text, rows) = bench::distrib::dist_sweep(&cfg);
         println!("{text}");
         checked_write(&out_dir, "dist", &rows);
+    }
+    if run("delta") {
+        ran_any = true;
+        section("Extension — incremental update vs full recolor (coPapersDBLP analogue)");
+        let (text, rows) = bench::delta::delta_sweep(&cfg);
+        println!("{text}");
+        checked_write(&out_dir, "delta", &rows);
     }
 
     if !ran_any {

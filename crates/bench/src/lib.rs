@@ -15,6 +15,7 @@
 pub mod ablation;
 pub mod analysis;
 pub mod config;
+pub mod delta;
 pub mod distrib;
 pub mod figures;
 pub mod json;

@@ -15,7 +15,7 @@
 //!
 //! * `--seed N` — base seed (default 20260806).
 //! * `--cases N` — differential-oracle cases (default 200).
-//! * `--deep` — long mode for `bench.sh --check-deep`: more random
+//! * `--deep` — long mode (`check_smoke --deep --cases 2000`): more random
 //!   schedules, more oracle cases, plus stall-perturbation runs.
 //! * `--delta` — run *only* the incremental-recoloring oracle sweep
 //!   ([`check::delta`]): random mutation batches applied with

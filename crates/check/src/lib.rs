@@ -32,7 +32,7 @@
 //!   superstep accounting against the in-process single-node baseline.
 //!
 //! The `check_smoke` binary wires all of it into a seeded, time-boxed
-//! tier-1 gate (`scripts/verify.sh`); `scripts/bench.sh --check-deep`
+//! tier-1 gate (`scripts/verify.sh`); `check_smoke --deep --cases 2000`
 //! runs the long randomized sweep. On failure both print the seed that
 //! replays the offending case.
 

@@ -55,8 +55,6 @@ pub struct ColorArgs {
     /// Print per-iteration thread counters and the imbalance table (also
     /// installs a recorder).
     pub metrics: bool,
-    /// Pin team members to CPUs in core-major topology order.
-    pub pin: bool,
 }
 
 /// Usage text for the `color` command.
@@ -64,7 +62,7 @@ pub const COLOR_USAGE: &str = "\
 usage: bgpc-cli color [--mtx FILE | --bin FILE | --dataset NAME [--scale F] [--seed N]]
                       [--problem bgpc|d2gc|d1gc|dK] [--schedule NAME]
                       [--order natural|random:SEED|largest-first|smallest-last|incidence-degree]
-                      [--relabel none|degree|bfs] [--pin]
+                      [--relabel none|degree]
                       [--threads N] [--recolor] [--output FILE]
                       [--trace FILE] [--metrics]
 
@@ -86,7 +84,6 @@ impl ColorArgs {
         let mut ordering = Ordering::Natural;
         let mut threads = par::available_threads();
         let mut relabel = LocalityOrder::None;
-        let mut pin = false;
         let mut recolor = false;
         let mut output = None;
         let mut trace = None;
@@ -145,10 +142,6 @@ impl ColorArgs {
                         .ok_or_else(|| format!("unknown relabeling `{}`", args[i + 1]))?;
                     i += 2;
                 }
-                "--pin" => {
-                    pin = true;
-                    i += 1;
-                }
                 "--recolor" => {
                     recolor = true;
                     i += 1;
@@ -199,7 +192,6 @@ impl ColorArgs {
             output,
             trace,
             metrics,
-            pin,
         })
     }
 }
@@ -350,20 +342,22 @@ mod tests {
 
     #[test]
     fn parse_relabel_axis() {
-        let a = ColorArgs::parse(&s(&["--bin", "m.bin", "--relabel", "bfs"])).unwrap();
+        let a = ColorArgs::parse(&s(&["--bin", "m.bin", "--relabel", "degree"])).unwrap();
         assert_eq!(a.input, Input::Bin("m.bin".into()));
-        assert_eq!(a.relabel, LocalityOrder::Bfs);
+        assert_eq!(a.relabel, LocalityOrder::Degree);
 
         let a = ColorArgs::parse(&s(&["--mtx", "a"])).unwrap();
         assert_eq!(a.relabel, LocalityOrder::None);
 
         assert!(ColorArgs::parse(&s(&["--mtx", "a", "--relabel", "zzz"])).is_err());
         assert!(ColorArgs::parse(&s(&["--mtx", "a", "--bin", "b"])).is_err());
-    }
 
-    #[test]
-    fn parse_pin_flag() {
-        assert!(ColorArgs::parse(&s(&["--mtx", "a", "--pin"])).unwrap().pin);
-        assert!(!ColorArgs::parse(&s(&["--mtx", "a"])).unwrap().pin);
+        // No breadth-first relabeling, under any of its names, and no pinning.
+        for name in ["bfs", "cm", "rcm"] {
+            let err = ColorArgs::parse(&s(&["--mtx", "a", "--relabel", name])).unwrap_err();
+            assert_eq!(err, format!("unknown relabeling `{name}`"));
+        }
+        let err = ColorArgs::parse(&s(&["--mtx", "a", "--pin"])).unwrap_err();
+        assert_eq!(err, "unknown flag `--pin`");
     }
 }

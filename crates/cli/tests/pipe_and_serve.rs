@@ -103,6 +103,26 @@ fn distance_k_banner_names_no_index_width_or_relabel() {
 }
 
 #[test]
+fn retired_layout_flags_exit_with_usage_code() {
+    // The breadth-first relabeling (under any of its names) and CPU
+    // pinning are usage errors, not silent fallbacks to a plain run.
+    for flags in [
+        &["--relabel", "bfs"][..],
+        &["--relabel", "cm"][..],
+        &["--relabel", "rcm"][..],
+        &["--pin"][..],
+    ] {
+        let out = cli()
+            .args(["color", "--dataset", "af_shell10", "--scale", "0.002"])
+            .args(flags)
+            .output()
+            .expect("run bgpc-cli");
+        assert_eq!(out.status.code(), Some(2), "{flags:?}: {out:?}");
+        assert!(out.stdout.is_empty(), "{flags:?} must not color anything");
+    }
+}
+
+#[test]
 fn oversized_matrix_market_dimensions_exit_with_input_code() {
     // A row count past u32::MAX is an input error, not a panic (101).
     let dir = std::env::temp_dir().join(format!("cli-mtx-dims-{}", std::process::id()));

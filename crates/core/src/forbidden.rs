@@ -26,8 +26,9 @@ use crate::{Color, UNCOLORED};
 /// by the distance-2 degree, so a vertex's first-fit scan can never probe
 /// more colors than its kernels inserted — on giant-net instances the
 /// per-edge insert traffic dwarfs any scan savings, and the stamp array's
-/// single-store insert wins end to end (see `BENCH_coloring.json`, which
-/// records both representations per schedule).
+/// single-store insert wins end to end (see `results/ablation_forbidden.json`,
+/// written by `repro ablations`, which times both representations per
+/// dataset on `V-V` and `N1-N2`).
 ///
 /// Read only by [`ForbiddenKind::auto_for`], the rule the one
 /// per-instance dispatch applies for every driver (parallel, seeded and

@@ -451,9 +451,16 @@ mod tests {
         let pool = Pool::new(4);
         let colors = run_net_until_valid(&g, &pool, NetColoringVariant::TwoPassReverse);
         verify_bgpc(&g, &colors).unwrap();
+        // Net-only rounds need not converge on a D2GC mesh, so the mesh
+        // runs net phases first and vertex phases to convergence, as the
+        // schedules do.
         let g = mesh();
-        let colors = run_net_until_valid(&g, &pool, NetColoringVariant::TwoPassReverse);
-        verify_d2gc(&g, &colors).unwrap();
+        let order: Vec<u32> = (0..g.n_vertices() as u32).collect();
+        let schedule =
+            crate::Schedule::n2_n2().with_net_variant(NetColoringVariant::TwoPassReverse);
+        let r = crate::d2gc::color_d2gc(&g, &order, &schedule, &pool);
+        assert!(r.degraded.is_none());
+        verify_d2gc(&g, &r.colors).unwrap();
     }
 
     #[test]

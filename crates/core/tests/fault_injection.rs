@@ -125,14 +125,6 @@ fn bgpc_specific_worker_panic_mid_region_recovers() {
 }
 
 #[test]
-fn pinned_worker_panic_mid_region_recovers() {
-    let _g = serial();
-    // Pinning is best-effort, so the test is valid whether or not
-    // affinity took; containment and repair must not depend on it.
-    worker_2_panic_mid_region_recovers(&Pool::new_pinned(4), "pinned V-V worker 2");
-}
-
-#[test]
 fn bgpc_stall_injection_slows_but_does_not_degrade() {
     let _g = serial();
     let g = bgpc_instance();

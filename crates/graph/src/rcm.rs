@@ -4,8 +4,9 @@
 //! matrices. It matters to coloring experiments because the "natural"
 //! orders of the paper's mesh matrices are already banded — RCM lets us
 //! reproduce that property on synthetic instances whose generator order is
-//! not (e.g. a shuffled power-law graph), and it is an extra ordering axis
-//! for the ablation benches.
+//! not (e.g. a shuffled power-law graph). Only `bgpc-cli stats` uses it,
+//! to report a pattern's bandwidth before and after RCM; no coloring path
+//! relabels with it.
 
 use crate::Graph;
 

@@ -28,8 +28,9 @@
 //!   then record per-thread busy time and the chunked drivers count claims.
 //!   Without a recorder (the default) the hooks cost one branch per region
 //!   — see the `trace` crate for the full cost model.
-//! * [`Pool::new_pinned`] and [`topo`] add a CPU-topology model: team
-//!   members are pinned core-major (graceful no-op off Linux).
+//!
+//! Team members are not pinned to CPUs; placement is left to the OS
+//! scheduler ([`Pool::pinned`] is always `false`).
 //!
 //! # Example
 //!
@@ -51,7 +52,6 @@ pub mod faults;
 mod padded;
 mod pool;
 mod scratch;
-pub mod topo;
 
 pub use cursor::ChunkCursor;
 pub use padded::CachePadded;

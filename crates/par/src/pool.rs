@@ -8,7 +8,6 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
 use crate::cursor::ChunkCursor;
-use crate::topo::{CpuTopology, PinPlan};
 
 /// Locks a mutex, recovering the guard if a previous holder panicked.
 ///
@@ -182,31 +181,11 @@ pub struct Pool {
     /// Observability sink; `None` (the default) keeps every hook to a
     /// single branch per region — see [`Pool::set_tracer`].
     tracer: Option<Arc<trace::Recorder>>,
-    /// Topology plan for pinned teams — worker→CPU placement (see
-    /// [`Pool::new_pinned`]).
-    plan: Option<Arc<PinPlan>>,
 }
 
 impl Pool {
     /// Creates a pool with `threads` logical threads (minimum 1).
     pub fn new(threads: usize) -> Self {
-        Self::build(threads, None)
-    }
-
-    /// Creates a pool whose members are pinned to CPUs in core-major
-    /// topology order (caller → CPU of tid 0, worker `tid` → the `tid`-th
-    /// CPU; see [`crate::topo`]). On platforms without `sched_setaffinity`
-    /// the team runs unpinned — [`pinned`](Pool::pinned) reports which.
-    ///
-    /// Pinning the *caller* narrows its affinity for the pool's lifetime;
-    /// create pinned pools from threads dedicated to the coloring run.
-    pub fn new_pinned(threads: usize) -> Self {
-        let plan = Arc::new(PinPlan::new(&CpuTopology::detect(), threads.max(1)));
-        plan.pin(0);
-        Self::build(threads, Some(plan))
-    }
-
-    fn build(threads: usize, plan: Option<Arc<PinPlan>>) -> Self {
         let threads = threads.max(1);
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
@@ -222,15 +201,9 @@ impl Pool {
         let workers = (1..threads)
             .map(|tid| {
                 let shared = Arc::clone(&shared);
-                let plan = plan.clone();
                 std::thread::Builder::new()
                     .name(format!("par-worker-{tid}"))
-                    .spawn(move || {
-                        if let Some(p) = &plan {
-                            p.pin(tid);
-                        }
-                        worker_loop(&shared, tid)
-                    })
+                    .spawn(move || worker_loop(&shared, tid))
                     .expect("failed to spawn pool worker")
             })
             .collect();
@@ -239,7 +212,6 @@ impl Pool {
             workers,
             threads,
             tracer: None,
-            plan,
         }
     }
 
@@ -248,11 +220,11 @@ impl Pool {
         self.threads
     }
 
-    /// Whether the team was created with [`new_pinned`](Pool::new_pinned)
-    /// *and* every affinity call succeeded. `false` for unpinned pools and
-    /// on platforms where pinning gracefully no-ops.
+    /// Whether team members are pinned to CPUs: always `false`, since the
+    /// pool leaves placement to the OS scheduler. Kept so run records can
+    /// stamp it.
     pub fn pinned(&self) -> bool {
-        self.plan.as_ref().is_some_and(|p| p.pinned())
+        false
     }
 
     /// Installs an observability recorder on the team.
@@ -741,21 +713,6 @@ mod tests {
             .count();
         assert_eq!(regions, 4);
         assert!(totals.get(trace::Counter::BusyNs) > 0);
-    }
-
-    #[test]
-    fn pinned_pool_runs_and_reports_status() {
-        let pool = Pool::new_pinned(4);
-        assert_eq!(pool.threads(), 4);
-        // On Linux pinning succeeds; elsewhere it cleanly reports false.
-        // Either way the team must schedule correctly.
-        let n = 10_007;
-        let covered = AtomicUsize::new(0);
-        pool.for_dynamic(n, 13, |_tid, r| {
-            covered.fetch_add(r.len(), Ordering::Relaxed);
-        });
-        assert_eq!(covered.into_inner(), n);
-        assert!(!Pool::new(2).pinned(), "unpinned pools report false");
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! The BGPC kernels gather over CSR adjacency in whatever vertex order the
 //! instance shipped with; on hub-heavy patterns (RMAT, rating matrices)
 //! consecutive vertex ids share almost no cache lines. Relabeling the
-//! columns — degree-sort or a BFS/Cuthill–McKee sweep — packs vertices
-//! that co-occur in nets into nearby ids, so the gathers hit warmer lines.
+//! columns by descending degree packs the hubs together at the front, so
+//! the densest gathers share cache lines.
 //!
 //! These are *relabelings*, not processing orders: the matrix itself is
 //! permuted (`Csr::permute_columns` / `Csr::permute_symmetric`), the
@@ -13,10 +13,6 @@
 //! processing-order knob (`graph::Ordering`) composes on top.
 
 use crate::csr::Csr;
-
-/// Sentinel marking a vertex found by the current frontier but not yet
-/// labeled (distinct from `u32::MAX` = "never seen").
-const DISCOVERED: u32 = u32::MAX - 1;
 
 /// Which locality relabeling to apply before coloring.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -27,16 +23,12 @@ pub enum LocalityOrder {
     /// Stable sort of columns by descending degree: hubs land together at
     /// the front, so the densest gathers share cache lines.
     Degree,
-    /// Cuthill–McKee-style BFS sweep from low-degree seeds, alternating
-    /// columns and rows: co-occurring columns get nearby ids, shrinking
-    /// the working set of each net's gather.
-    Bfs,
 }
 
 impl LocalityOrder {
     /// All relabelings, for sweep/axis enumeration.
-    pub fn all() -> [LocalityOrder; 3] {
-        [LocalityOrder::None, LocalityOrder::Degree, LocalityOrder::Bfs]
+    pub fn all() -> [LocalityOrder; 2] {
+        [LocalityOrder::None, LocalityOrder::Degree]
     }
 
     /// Name as used in flags and benchmark records.
@@ -44,7 +36,6 @@ impl LocalityOrder {
         match self {
             LocalityOrder::None => "none",
             LocalityOrder::Degree => "degree",
-            LocalityOrder::Bfs => "bfs",
         }
     }
 
@@ -53,7 +44,6 @@ impl LocalityOrder {
         match name.to_ascii_lowercase().as_str() {
             "none" | "natural" => Some(LocalityOrder::None),
             "degree" => Some(LocalityOrder::Degree),
-            "bfs" | "cm" | "rcm" => Some(LocalityOrder::Bfs),
             _ => None,
         }
     }
@@ -64,7 +54,6 @@ impl LocalityOrder {
         match self {
             LocalityOrder::None => None,
             LocalityOrder::Degree => Some(degree_column_perm(m)),
-            LocalityOrder::Bfs => Some(bfs_column_perm(m)),
         }
     }
 
@@ -74,7 +63,6 @@ impl LocalityOrder {
         match self {
             LocalityOrder::None => None,
             LocalityOrder::Degree => Some(degree_symmetric_perm(m)),
-            LocalityOrder::Bfs => Some(bfs_symmetric_perm(m)),
         }
     }
 
@@ -129,103 +117,6 @@ fn perm_from_sorted(key: &[u32]) -> Vec<u32> {
     perm
 }
 
-/// Cuthill–McKee-style column permutation of a bipartite pattern.
-///
-/// Sweeps breadth-first from the unvisited column of minimum degree,
-/// alternating column → incident rows → their columns; newly discovered
-/// columns are labeled in degree-ascending order within each frontier
-/// step, the classic CM tie-break. Disconnected components are each swept
-/// from their own minimum-degree seed, so the result is always a full
-/// permutation.
-pub fn bfs_column_perm(m: &Csr) -> Vec<u32> {
-    let ncols = m.ncols();
-    let deg = column_degrees(m);
-    let t = m.transpose(); // column -> incident rows
-    let mut perm = vec![u32::MAX; ncols];
-    let mut row_seen = vec![false; m.nrows()];
-    let mut next_label = 0u32;
-
-    // Seeds in ascending degree order; each unvisited seed starts a
-    // component sweep.
-    let mut seeds: Vec<u32> = (0..ncols as u32).collect();
-    seeds.sort_by_key(|&c| deg[c as usize]);
-
-    let mut queue: std::collections::VecDeque<u32> = std::collections::VecDeque::new();
-    let mut discovered: Vec<u32> = Vec::new();
-    for seed in seeds {
-        if perm[seed as usize] != u32::MAX {
-            continue;
-        }
-        perm[seed as usize] = next_label;
-        next_label += 1;
-        queue.push_back(seed);
-        while let Some(c) = queue.pop_front() {
-            discovered.clear();
-            for &r in t.row(c as usize) {
-                let r = r as usize;
-                if row_seen[r] {
-                    continue;
-                }
-                row_seen[r] = true;
-                for &j in m.row(r) {
-                    if perm[j as usize] == u32::MAX {
-                        perm[j as usize] = DISCOVERED;
-                        discovered.push(j);
-                    }
-                }
-            }
-            discovered.sort_by_key(|&j| (deg[j as usize], j));
-            for &j in &discovered {
-                perm[j as usize] = next_label;
-                next_label += 1;
-                queue.push_back(j);
-            }
-        }
-    }
-    debug_assert_eq!(next_label as usize, ncols);
-    perm
-}
-
-/// Cuthill–McKee permutation of a square adjacency pattern (the D2GC
-/// analogue of [`bfs_column_perm`]), neighbors labeled degree-ascending.
-pub fn bfs_symmetric_perm(m: &Csr) -> Vec<u32> {
-    assert_eq!(m.nrows(), m.ncols(), "symmetric relabeling needs a square pattern");
-    let n = m.nrows();
-    let mut perm = vec![u32::MAX; n];
-    let mut next_label = 0u32;
-
-    let mut seeds: Vec<u32> = (0..n as u32).collect();
-    seeds.sort_by_key(|&v| m.row_len(v as usize));
-
-    let mut queue: std::collections::VecDeque<u32> = std::collections::VecDeque::new();
-    let mut discovered: Vec<u32> = Vec::new();
-    for seed in seeds {
-        if perm[seed as usize] != u32::MAX {
-            continue;
-        }
-        perm[seed as usize] = next_label;
-        next_label += 1;
-        queue.push_back(seed);
-        while let Some(v) = queue.pop_front() {
-            discovered.clear();
-            for &u in m.row(v as usize) {
-                if perm[u as usize] == u32::MAX {
-                    perm[u as usize] = DISCOVERED;
-                    discovered.push(u);
-                }
-            }
-            discovered.sort_by_key(|&u| (m.row_len(u as usize), u));
-            for &u in &discovered {
-                perm[u as usize] = next_label;
-                next_label += 1;
-                queue.push_back(u);
-            }
-        }
-    }
-    debug_assert_eq!(next_label as usize, n);
-    perm
-}
-
 /// Inverts a permutation: `invert_perm(p)[p[i]] == i`.
 pub fn invert_perm(perm: &[u32]) -> Vec<u32> {
     let mut inv = vec![0u32; perm.len()];
@@ -270,38 +161,13 @@ mod tests {
     }
 
     #[test]
-    fn bfs_perm_is_a_permutation_and_deterministic() {
-        let m = rating();
-        let perm = bfs_column_perm(&m);
-        assert!(is_permutation(&perm));
-        assert_eq!(perm, bfs_column_perm(&m));
-        // isolated col 4 still gets a label (own component)
-        assert!(perm[4] < 6);
-    }
-
-    #[test]
-    fn bfs_groups_connected_columns() {
-        // two disconnected column groups: {0,1} and {2,3}
-        let m = Csr::from_rows(4, &[vec![0, 1], vec![2, 3]]);
-        let perm = bfs_column_perm(&m);
-        assert!(is_permutation(&perm));
-        let group_a: Vec<u32> = vec![perm[0], perm[1]];
-        let group_b: Vec<u32> = vec![perm[2], perm[3]];
-        // each group occupies contiguous labels
-        assert_eq!((group_a.iter().max().unwrap() - group_a.iter().min().unwrap()), 1);
-        assert_eq!((group_b.iter().max().unwrap() - group_b.iter().min().unwrap()), 1);
-    }
-
-    #[test]
     fn symmetric_perms_are_permutations() {
         let m = Csr::from_rows(
             4,
             &[vec![1], vec![0, 2, 3], vec![1], vec![1]],
         );
-        for order in [LocalityOrder::Degree, LocalityOrder::Bfs] {
-            let perm = order.symmetric_perm(&m).unwrap();
-            assert!(is_permutation(&perm), "{order:?}");
-        }
+        let perm = LocalityOrder::Degree.symmetric_perm(&m).unwrap();
+        assert!(is_permutation(&perm));
         // hub vertex 1 leads the degree relabeling
         assert_eq!(degree_symmetric_perm(&m)[1], 0);
         assert!(LocalityOrder::None.symmetric_perm(&m).is_none());
@@ -337,6 +203,8 @@ mod tests {
         for order in LocalityOrder::all() {
             assert_eq!(LocalityOrder::from_name(order.label()), Some(order));
         }
-        assert_eq!(LocalityOrder::from_name("zzz"), None);
+        for retired in ["zzz", "bfs", "cm", "rcm"] {
+            assert_eq!(LocalityOrder::from_name(retired), None);
+        }
     }
 }

@@ -3,8 +3,8 @@
 //! Usage: `trace_schema_check FILE [--quiet]`
 //!
 //! Exit codes: 0 = valid, 1 = schema violation, 2 = usage/IO error.
-//! CI's trace smoke (`scripts/bench.sh --trace`, `scripts/verify.sh`)
-//! runs this against the file the CLI's `--trace` flag emits.
+//! The bench-smoke step of `scripts/verify.sh` runs this against the file
+//! `bgpc-cli color --trace` emits.
 
 use std::process::ExitCode;
 

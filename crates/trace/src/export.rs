@@ -1,5 +1,4 @@
-//! Exporters: chrome-trace JSON, structured run summaries, and the
-//! human-readable imbalance table.
+//! Exporters: chrome-trace JSON and the human-readable imbalance table.
 
 use std::fmt::Write as _;
 
@@ -94,93 +93,6 @@ pub fn chrome_trace_json(rec: &Recorder, process_name: &str) -> String {
     out
 }
 
-/// Per-thread slice of a [`RunSummary`].
-#[derive(Clone, Copy, Debug)]
-pub struct ThreadSummary {
-    /// Team thread id.
-    pub tid: usize,
-    /// Final counter values for this thread.
-    pub sheet: CounterSheet,
-}
-
-/// A structured whole-run report derived from a [`Recorder`] — the bench
-/// harness merges its JSON form into `BENCH_coloring.json`.
-#[derive(Clone, Debug)]
-pub struct RunSummary {
-    /// Team size the recorder tracked.
-    pub threads: usize,
-    /// Per-thread final counters.
-    pub per_thread: Vec<ThreadSummary>,
-    /// Team-total counters.
-    pub totals: CounterSheet,
-    /// Busy-time imbalance: `max(busy) / mean(busy)` (1.0 = perfectly
-    /// balanced; 0.0 when nothing was recorded).
-    pub imbalance: f64,
-    /// Spans lost to ring wrap-around.
-    pub spans_dropped: u64,
-}
-
-impl RunSummary {
-    /// Builds the summary from a recorder. Call only between parallel
-    /// regions (see [`Recorder`]'s partitioning contract).
-    pub fn from_recorder(rec: &Recorder) -> Self {
-        let sheets = rec.snapshot_counters();
-        let mut totals = CounterSheet::new();
-        for s in &sheets {
-            totals.merge(s);
-        }
-        let busy: Vec<u64> = sheets.iter().map(|s| s.get(Counter::BusyNs)).collect();
-        let max = busy.iter().copied().max().unwrap_or(0);
-        let mean = if busy.is_empty() {
-            0.0
-        } else {
-            busy.iter().sum::<u64>() as f64 / busy.len() as f64
-        };
-        let imbalance = if mean > 0.0 { max as f64 / mean } else { 0.0 };
-        Self {
-            threads: sheets.len(),
-            per_thread: sheets
-                .iter()
-                .enumerate()
-                .map(|(tid, &sheet)| ThreadSummary { tid, sheet })
-                .collect(),
-            totals,
-            imbalance,
-            spans_dropped: rec.spans_dropped(),
-        }
-    }
-
-    /// Serializes the summary as a JSON object (self-contained — callers
-    /// embed the string verbatim).
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(1024);
-        let _ = write!(
-            out,
-            "{{\"threads\": {}, \"imbalance\": {:.4}, \"spans_dropped\": {}, \"totals\": {{",
-            self.threads, self.imbalance, self.spans_dropped
-        );
-        for (i, c) in Counter::ALL.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(out, "\"{}\": {}", c.label(), self.totals.get(*c));
-        }
-        out.push_str("}, \"per_thread\": [");
-        for (i, t) in self.per_thread.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(out, "{{\"tid\": {}", t.tid);
-            for c in Counter::ALL {
-                let _ = write!(out, ", \"{}\": {}", c.label(), t.sheet.get(c));
-            }
-            out.push('}');
-        }
-        out.push_str("]}");
-        out
-    }
-}
-
 /// Formats the per-thread imbalance table: busy time, work counters, and
 /// the max/mean busy ratio the paper's balance heuristics target.
 ///
@@ -252,19 +164,6 @@ mod tests {
     }
 
     #[test]
-    fn summary_totals_and_imbalance() {
-        let rec = sample_recorder();
-        let s = RunSummary::from_recorder(&rec);
-        assert_eq!(s.threads, 2);
-        assert_eq!(s.totals.get(Counter::VerticesColored), 22);
-        // busy = [2ms, 1ms]: max/mean = 2 / 1.5
-        assert!((s.imbalance - 2.0 / 1.5).abs() < 1e-9);
-        let json = s.to_json();
-        crate::reader::parse(&json).expect("summary JSON parses");
-        assert!(json.contains("\"vertices_colored\": 22"));
-    }
-
-    #[test]
     fn imbalance_table_lists_each_thread() {
         let rec = sample_recorder();
         let table = imbalance_table(&rec.snapshot_counters());
@@ -277,8 +176,6 @@ mod tests {
         let rec = Recorder::new(1);
         let json = chrome_trace_json(&rec, "empty");
         crate::reader::ChromeTrace::parse(&json).expect("valid");
-        let s = RunSummary::from_recorder(&rec);
-        assert_eq!(s.imbalance, 0.0);
-        assert!(imbalance_table(&rec.snapshot_counters()).contains("max/mean"));
+        assert!(imbalance_table(&rec.snapshot_counters()).contains("(max/mean): 0.00"));
     }
 }

@@ -18,9 +18,9 @@
 //!   still flushes its timing before the unwind leaves the region
 //!   (`try_run` fault containment is preserved).
 //! - Exporters — [`chrome_trace_json`] (loadable in `chrome://tracing` and
-//!   Perfetto), [`imbalance_table`] (human-readable per-thread busy time
-//!   with a max/mean ratio), and [`RunSummary`] (a structured report merged
-//!   into `BENCH_coloring.json` by the bench harness).
+//!   Perfetto; `bgpc-cli color --trace FILE` writes one) and
+//!   [`imbalance_table`] (human-readable per-thread busy time with a
+//!   max/mean ratio).
 //! - [`reader`] — a dependency-free chrome-trace parser used by the
 //!   `trace_schema_check` binary and by tests to validate emitted files.
 //!
@@ -43,7 +43,7 @@ mod recorder;
 mod ring;
 
 pub use counter::{Counter, CounterSheet};
-pub use export::{chrome_trace_json, imbalance_table, RunSummary, ThreadSummary};
+pub use export::{chrome_trace_json, imbalance_table};
 pub use recorder::{BusyGuard, Recorder};
 pub use ring::{Event, EventRing, SpanKind};
 

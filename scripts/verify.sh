@@ -73,24 +73,41 @@ step_begin "check smoke: --dist sharded-coloring differential oracle"
 ./target/release/check_smoke --seed "$CHECK_SEED" --cases 60 --dist
 step_end "check-smoke-dist"
 
-step_begin "bench smoke: bench_coloring --smoke (verifies every coloring)"
-# The smoke run exits nonzero if any schedule produces an invalid
-# coloring; its JSON goes under target/ so it never clobbers the
-# checked-in BENCH_coloring.json from scripts/bench.sh. --trace routes
-# one instrumented run through the whole observability pipeline.
-./target/release/bench_coloring --smoke --out target/BENCH_smoke.json \
-  --trace target/BENCH_smoke.trace.json
-if command -v python3 >/dev/null 2>&1; then
-  python3 -m json.tool target/BENCH_smoke.json >/dev/null
-  echo "bench smoke JSON parses"
-else
-  # Fallback: the emitted report always ends with a closing brace.
-  grep -q '}' target/BENCH_smoke.json
-  echo "bench smoke JSON present (python3 unavailable; shallow check)"
-fi
-# Schema-check the emitted chrome trace and print the smoke run's
-# per-thread busy/imbalance table.
-./target/release/trace_schema_check target/BENCH_smoke.trace.json
+step_begin "bench smoke: repro table3/table5/delta + CLI trace (verifies every coloring)"
+# repro verifies every coloring it times and exits nonzero on an invalid
+# one: Table III (BGPC, every schedule) on one BGPC instance, Table V
+# (D2GC) on one D2GC instance, and the incremental-update sweep (both
+# problems, both answers verified on the mutated graph). It runs from a
+# directory under target/, where it writes ./results, so the checked-in
+# results/ is never touched. The CLI then colors one instance with a
+# recorder installed (it re-verifies the coloring), and the exported
+# chrome trace is schema-checked.
+SMOKE_DIR=target/bench-smoke
+rm -rf "$SMOKE_DIR"
+mkdir -p "$SMOKE_DIR"
+(
+  cd "$SMOKE_DIR"
+  REPRO="../release/repro"
+  SMOKE_FLAGS=(--scale 0.002 --threads 1,2)
+  env -u CARGO_MANIFEST_DIR "$REPRO" table3 "${SMOKE_FLAGS[@]}" --datasets coPapersDBLP
+  env -u CARGO_MANIFEST_DIR "$REPRO" table5 "${SMOKE_FLAGS[@]}" --datasets nlpkkt120
+  env -u CARGO_MANIFEST_DIR "$REPRO" delta "${SMOKE_FLAGS[@]}"
+) > "$SMOKE_DIR/repro.txt"
+for name in table3 table3_runs table5 table5_runs delta; do
+  json="$SMOKE_DIR/results/$name.json"
+  if command -v python3 >/dev/null 2>&1; then
+    python3 -m json.tool "$json" >/dev/null
+  else
+    # Fallback: every emitted record list ends with a closing bracket.
+    grep -q ']' "$json"
+  fi
+done
+echo "bench smoke JSON parses ($SMOKE_DIR/results)"
+./target/release/bgpc-cli color --dataset coPapersDBLP --scale 0.002 \
+  --schedule N1-N2 --threads 2 --trace "$SMOKE_DIR/smoke.trace.json"
+# Schema-check the emitted chrome trace and print the run's per-thread
+# busy/imbalance table.
+./target/release/trace_schema_check "$SMOKE_DIR/smoke.trace.json"
 step_end "bench-smoke"
 SMOKE_SECS=$LAST_STEP_SECS
 
@@ -118,6 +135,16 @@ else
   echo "$RECORD" > "$BASELINE_FILE"
   echo "-- recorded bench smoke baseline: ${RECORD}s -> ${BASELINE_FILE}"
 fi
+
+step_begin "perf trajectory: cumulative perfbench ratios (no timing)"
+# Reads the checked-in pair records and prints each workload's product of
+# change/parent median ratios; fails only if the file does not parse.
+if command -v python3 >/dev/null 2>&1; then
+  python3 scripts/trajectory.py BENCH_perfbench.json
+else
+  echo "-- python3 unavailable; trajectory skipped"
+fi
+step_end "trajectory"
 
 step_begin "serve smoke: daemon round-trip, kill -9, crash-safe cache recovery"
 # End-to-end service hardening check against the real CLI daemon:
