@@ -13,10 +13,13 @@
 //! the nets of at most `W` pins.
 //!
 //! The pin walk is written once, in `gather`: the coloring phase runs it
-//! for the nets without a summary, and `gather_forbidden` runs it over
+//! for the nets without a summary, `gather_forbidden` runs it over
 //! every net for the sequential baseline ([`crate::seq`]),
 //! Jones–Plassmann, the recoloring passes and the degraded-run repair
-//! ([`crate::runner`]), none of which reads a summary. With a
+//! ([`crate::runner`]), none of which reads a summary, and
+//! [`VertexPicker`] runs it, with or without summaries, for callers
+//! outside this crate that color one vertex at a time (the sharded
+//! coloring's worker and repair). With a
 //! [`BitStampSet`] it collects the
 //! colors below 64 in a register word with no data-dependent branch:
 //! around a re-queued vertex the pins are a random mix of colored and
@@ -34,7 +37,7 @@ use std::sync::atomic::{AtomicI32, AtomicU32, AtomicU64, Ordering};
 use par::{Pool, ThreadScratch};
 
 use crate::ctx::ThreadCtx;
-use crate::forbidden::ForbiddenSet;
+use crate::forbidden::{BitStampSet, ForbiddenSet};
 use crate::neighborhood::Neighborhood;
 use crate::net::net_chunk;
 use crate::workqueue::{merge_local_queues, SharedQueue};
@@ -48,6 +51,27 @@ pub const PREFETCH_AHEAD: usize = 4;
 
 /// The summary slot of a net whose pins the coloring phase walks.
 const WALK: u32 = u32::MAX;
+
+/// A slot of the color array that the gather and the summary build
+/// read: the shared atomic array of the parallel phases, or the plain
+/// array of a sequential caller ([`VertexPicker`]).
+pub(crate) trait ColorSlot {
+    fn color(&self) -> Color;
+}
+
+impl ColorSlot for AtomicI32 {
+    #[inline(always)]
+    fn color(&self) -> Color {
+        self.load(Ordering::Relaxed)
+    }
+}
+
+impl ColorSlot for Color {
+    #[inline(always)]
+    fn color(&self) -> Color {
+        *self
+    }
+}
 
 /// Per-net color bitmaps ("summaries") read by one vertex coloring phase.
 ///
@@ -94,6 +118,23 @@ impl NetSummaries {
 
     /// Rebuilds the summaries from the current colors, in one
     /// net-parallel pass.
+    pub(crate) fn build<G: Neighborhood>(&mut self, g: &G, colors: &Colors, pool: &Pool) {
+        let slots = colors.slots();
+        self.lay_out(g, slots);
+        let this = &*self;
+        pool.for_dynamic(
+            g.n_nets(),
+            net_chunk(g.n_nets(), pool.threads()),
+            |_, range| {
+                for v in range {
+                    this.fill(g, v, slots);
+                }
+            },
+        );
+    }
+
+    /// Sizes the summaries for the colors in `slots` and picks the nets
+    /// that get one.
     ///
     /// The width is `W = ⌈1.25 · palette / 64⌉` words, at least one,
     /// where the palette is the larger of the colors in use and the
@@ -102,12 +143,8 @@ impl NetSummaries {
     /// first phase, with nothing colored yet, from guessing one word and
     /// switching most nets back to pin walks.) Every net with more than
     /// `W` pins gets a summary; every other net is walked.
-    ///
-    /// Each summary's low word is gathered in a register, like the pin
-    /// walk's; only colors ≥ 64 touch memory.
-    pub(crate) fn build<G: Neighborhood>(&mut self, g: &G, colors: &Colors, pool: &Pool) {
-        let slots = colors.slots();
-        let max_color = slots.iter().map(|c| c.load(Ordering::Relaxed)).max();
+    fn lay_out<G: Neighborhood, T: ColorSlot>(&mut self, g: &G, slots: &[T]) {
+        let max_color = slots.iter().map(T::color).max();
         let in_use = (max_color.unwrap_or(UNCOLORED) + 1) as usize;
         let width = (in_use.max(self.least_palette) * 5).div_ceil(4 * 64).max(1);
         self.width = width;
@@ -125,28 +162,26 @@ impl NetSummaries {
         if self.words.len() < count * width {
             self.words.resize_with(count * width, || AtomicU64::new(0));
         }
-        let this = &*self;
-        pool.for_dynamic(
-            g.n_nets(),
-            net_chunk(g.n_nets(), pool.threads()),
-            |_, range| {
-                for v in range {
-                    let Some(sum) = this.summary(v) else { continue };
-                    for word in &sum[1..] {
-                        word.store(0, Ordering::Relaxed);
-                    }
-                    let mut low = 0u64;
-                    g.for_each_pin(v, |u| {
-                        let c = slots[u as usize].load(Ordering::Relaxed) as u32;
-                        low |= ((c < 64) as u64) << (c & 63);
-                        if c.wrapping_add(1) > 64 {
-                            set_bit(&sum[c as usize / 64], c as usize);
-                        }
-                    });
-                    sum[0].store(low, Ordering::Relaxed);
-                }
-            },
-        );
+    }
+
+    /// Gathers net `v`'s summary from the colors of its pins; a walked
+    /// net has none. The low word is gathered in a register, like the
+    /// pin walk's; only colors ≥ 64 touch memory.
+    #[inline(always)]
+    fn fill<G: Neighborhood, T: ColorSlot>(&self, g: &G, v: usize, slots: &[T]) {
+        let Some(sum) = self.summary(v) else { return };
+        for word in &sum[1..] {
+            word.store(0, Ordering::Relaxed);
+        }
+        let mut low = 0u64;
+        g.for_each_pin(v, |u| {
+            let c = slots[u as usize].color() as u32;
+            low |= ((c < 64) as u64) << (c & 63);
+            if c.wrapping_add(1) > 64 {
+                set_bit(&sum[c as usize / 64], c as usize);
+            }
+        });
+        sum[0].store(low, Ordering::Relaxed);
     }
 
     /// Net `v`'s summary, or `None` when the phase walks its pins.
@@ -308,9 +343,9 @@ pub(crate) fn gather_forbidden<F: ForbiddenSet, G: Neighborhood>(
 /// own color if `wv` has one, so the set equals the pin walk's for
 /// uncolored vertices.
 #[inline(always)]
-fn gather<S: ForbiddenSet, G: Neighborhood>(
+fn gather<S: ForbiddenSet, G: Neighborhood, T: ColorSlot>(
     g: &G,
-    slots: &[AtomicI32],
+    slots: &[T],
     wv: u32,
     fb: &mut S,
     wide: &mut bool,
@@ -340,7 +375,7 @@ fn gather<S: ForbiddenSet, G: Neighborhood>(
         } else if word {
             g.for_each_pin(v as usize, |u| {
                 let self_pin = ((u == wv) as u32).wrapping_neg();
-                let c = slots[u as usize].load(Ordering::Relaxed) as u32 | self_pin;
+                let c = slots[u as usize].color() as u32 | self_pin;
                 low |= ((c < 64) as u64) << (c & 63);
                 if trace::COMPILED {
                     tally.probes += (c != u32::MAX) as u64;
@@ -353,7 +388,7 @@ fn gather<S: ForbiddenSet, G: Neighborhood>(
         } else {
             g.for_each_pin(v as usize, |u| {
                 if u != wv {
-                    let cu = slots[u as usize].load(Ordering::Relaxed);
+                    let cu = slots[u as usize].color();
                     if cu != UNCOLORED {
                         fb.insert(cu);
                         if trace::COMPILED {
@@ -366,6 +401,84 @@ fn gather<S: ForbiddenSet, G: Neighborhood>(
     }
     if word {
         fb.merge_word(0, low);
+    }
+}
+
+/// The coloring phase's gather and pick for a sequential caller that
+/// colors one vertex at a time in a plain color array: the shard worker
+/// of the `serve` crate and the sharded coordinator's repair.
+///
+/// [`VertexPicker::pick`] gathers a vertex's distance-2 colors with
+/// `gather`, from the summaries when the picker holds them and else by
+/// pin walk, takes the `k`-th available color and records it. A summary
+/// holds every color its pins have had since it was built, so a pick
+/// through the summaries is the pin walk's only while colors are only
+/// added, each by a pick, and every picked vertex is uncolored. Build
+/// them with [`VertexPicker::summarize`] at the start of such a stretch,
+/// and drop them with [`VertexPicker::walk_pins`] before a color is
+/// overwritten any other way.
+pub struct VertexPicker {
+    fb: BitStampSet,
+    /// The gather's sticky wide-palette flag ([`ThreadCtx::wide_palette`]).
+    wide: bool,
+    summaries: Option<NetSummaries>,
+}
+
+impl VertexPicker {
+    /// A picker for `g` that walks pins.
+    pub fn new<G: Neighborhood>(g: &G) -> Self {
+        Self {
+            fb: BitStampSet::with_capacity(g.seq_capacity()),
+            wide: false,
+            summaries: None,
+        }
+    }
+
+    /// Builds the net summaries of `g` from `colors`; later picks read
+    /// them until [`VertexPicker::walk_pins`].
+    pub fn summarize<G: Neighborhood>(&mut self, g: &G, colors: &[Color]) {
+        let mut sums = NetSummaries::new(g);
+        sums.lay_out(g, colors);
+        // A fresh layout's words are zero, which is every summary while
+        // nothing is colored (round 1 of a shard starts so).
+        if colors.iter().any(|&c| c != UNCOLORED) {
+            for v in 0..g.n_nets() {
+                sums.fill(g, v, colors);
+            }
+        }
+        self.summaries = Some(sums);
+    }
+
+    /// Drops the summaries: later picks walk pins.
+    pub fn walk_pins(&mut self) {
+        self.summaries = None;
+    }
+
+    /// Colors `w` with the `k`-th smallest color (`k = 0` is first-fit)
+    /// that no other pin of its nets holds in `colors`, and returns it.
+    pub fn pick<G: Neighborhood>(
+        &mut self,
+        g: &G,
+        colors: &mut [Color],
+        w: u32,
+        k: usize,
+    ) -> Color {
+        let sums = self.summaries.as_ref();
+        debug_assert!(
+            sums.is_none() || colors[w as usize] == UNCOLORED,
+            "a summarized pick of a colored vertex"
+        );
+        let mut tally = Tally::default();
+        gather(g, &*colors, w, &mut self.fb, &mut self.wide, &mut tally, sums);
+        let mut col = self.fb.first_fit_from(0);
+        for _ in 0..k {
+            col = self.fb.first_fit_from(col + 1);
+        }
+        colors[w as usize] = col;
+        if let Some(s) = sums {
+            s.record(g, w, col);
+        }
+        col
     }
 }
 

@@ -26,13 +26,14 @@
 
 use std::net::TcpStream;
 
-use bgpc::{Color, StampSet, UNCOLORED};
+use bgpc::vertex::VertexPicker;
+use bgpc::{Color, UNCOLORED};
 use graph::BipartiteGraph;
 use serve::protocol::{
     read_frame, write_frame, FlushReply, FrameKind, ShardRequest, SuperstepRequest,
     DEFAULT_MAX_FRAME,
 };
-use serve::shard::{pick_color, ConflictScan};
+use serve::shard::ConflictScan;
 
 use crate::{DistRunner, Partition};
 
@@ -326,8 +327,9 @@ pub(crate) fn run_rounds(
 }
 
 /// Sequentially re-colors every id-ordered conflict loser (and any
-/// uncolored straggler) against the merged global state; returns how
-/// many vertices were repaired.
+/// uncolored straggler) first-fit against the merged global state;
+/// returns how many vertices were repaired. The losers are uncolored
+/// first, so colors are only added and the picks read net summaries.
 fn repair_conflicts(g: &BipartiteGraph, colors: &mut [Color]) -> usize {
     let all: Vec<u32> = (0..g.n_vertices() as u32).collect();
     let mut scan = ConflictScan::new(g);
@@ -339,9 +341,10 @@ fn repair_conflicts(g: &BipartiteGraph, colors: &mut [Color]) -> usize {
     for &w in &losers {
         colors[w as usize] = UNCOLORED;
     }
-    let mut fb = StampSet::with_capacity(g.max_net_size() + 16);
+    let mut picker = VertexPicker::new(g);
+    picker.summarize(g, colors);
     for &w in &losers {
-        colors[w as usize] = pick_color(g, colors, w, &mut fb, 0);
+        picker.pick(g, colors, w, 0);
     }
     losers.len()
 }

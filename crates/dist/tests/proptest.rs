@@ -1,13 +1,18 @@
 //! Property tests for the BSP distributed baseline: any partition of any
 //! bipartite pattern must converge to a valid coloring, one rank must
-//! equal the sequential greedy, and the shard worker's net-based passes
-//! must agree with the per-vertex distance-2 rules they replace.
+//! equal the sequential greedy, the shard worker's net-based passes
+//! must agree with the per-vertex distance-2 rules they replace, and the
+//! core kernel's picks, through which the worker colors, must agree
+//! with a plain pin walk.
 //!
 //! Built on the in-repo `minicheck` choice-stream harness.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+
 use minicheck::{check, prop_assert, prop_assert_eq, Gen};
 
-use bgpc::{Color, UNCOLORED};
+use bgpc::vertex::VertexPicker;
+use bgpc::{Color, StampSet, UNCOLORED};
 use dist::{DistRunner, Partition};
 use graph::BipartiteGraph;
 use serve::shard::{ConflictScan, InterestedRanks};
@@ -198,4 +203,115 @@ fn net_passes_agree_with_the_per_vertex_specs() {
         }
         Ok(())
     });
+}
+
+/// Oracle of the shard worker's pick: the `k`-th smallest color
+/// (`k = 0` is first-fit) that no distance-2 neighbor of `w` holds in
+/// `view`, by a walk of every pin into a `StampSet`. This was the
+/// worker's own pick before it colored through the core kernel.
+fn pick_color(g: &BipartiteGraph, view: &[Color], w: u32, fb: &mut StampSet, k: usize) -> Color {
+    fb.advance();
+    for &net in g.nets(w as usize) {
+        for &u in g.vtxs(net as usize) {
+            let cu = view[u as usize];
+            if u != w && cu != UNCOLORED {
+                fb.insert(cu);
+            }
+        }
+    }
+    let mut col = fb.first_fit_from(0);
+    for _ in 0..k {
+        col = fb.first_fit_from(col + 1);
+    }
+    col
+}
+
+/// A random pattern of up to 200 vertices plus up to three dense nets,
+/// so that summaries span one to three words.
+fn arb_wide_bipartite(g: &mut Gen) -> Csr {
+    let ncols = g.usize_in(1..200);
+    let nrows = g.usize_in(0..24);
+    let mut rows: Vec<Vec<u32>> =
+        (0..nrows).map(|_| g.vec_of(0..12, |g| g.u32_in(0..ncols as u32))).collect();
+    for _ in 0..g.usize_in(0..4) {
+        let p = g.usize_in(1..10) as f64 / 10.0;
+        rows.push((0..ncols as u32).filter(|_| g.bool_with(p)).collect());
+    }
+    Csr::from_rows(ncols, &rows)
+}
+
+/// `0..n` in random order.
+fn shuffled(g: &mut Gen, n: usize) -> Vec<u32> {
+    let mut v: Vec<u32> = (0..n as u32).collect();
+    for i in (1..n).rev() {
+        v.swap(i, g.usize_in(0..i + 1));
+    }
+    v
+}
+
+#[test]
+fn core_picks_agree_with_the_pin_walk_oracle() {
+    // Coverage: cases with multi-word summaries, and picks at or past
+    // 64·W (which switch their nets back to pin walks) that later picks
+    // then read.
+    let multi_word = AtomicUsize::new(0);
+    let switched_then_read = AtomicUsize::new(0);
+    check("core_picks_agree_with_the_pin_walk_oracle", 128, |gen| {
+        let matrix = arb_wide_bipartite(gen);
+        let g = BipartiteGraph::from_matrix(&matrix);
+        let n = g.n_vertices();
+        let mut oracle = StampSet::with_capacity(16);
+
+        // Grow-only, through the summaries: from an all-uncolored view,
+        // every vertex once in random order, as round 1, the interior and
+        // the repair color. W as the core sizes it for a fresh view.
+        let width = (g.max_net_size() * 5).div_ceil(4 * 64).max(1);
+        if width > 1 {
+            multi_word.fetch_add(1, Ordering::Relaxed);
+        }
+        let mut view = vec![UNCOLORED; n];
+        let mut picker = VertexPicker::new(&g);
+        picker.summarize(&g, &view);
+        let mut past_width = false;
+        for w in shuffled(gen, n) {
+            let k = gen.usize_in(0..64);
+            let want = pick_color(&g, &view, w, &mut oracle, k);
+            let got = picker.pick(&g, &mut view, w, k);
+            prop_assert!(got == want, "grow-only pick of {w}, k = {k}: {got}, oracle {want}");
+            prop_assert_eq!(view[w as usize], got);
+            if past_width {
+                switched_then_read.fetch_add(1, Ordering::Relaxed);
+            }
+            past_width |= got as usize >= 64 * width;
+        }
+
+        // Stale losers, through the pin walk: a few rounds of random
+        // views in which the queued vertices still hold their old colors
+        // (a small palette forces repeats), each queue in random order.
+        picker.walk_pins();
+        for _ in 0..3 {
+            let palette = gen.u32_in(1..80);
+            for c in view.iter_mut() {
+                if gen.bool_with(0.3) {
+                    let d = gen.u32_in(0..palette + 1) as Color;
+                    *c = if d == palette as Color { UNCOLORED } else { d };
+                }
+            }
+            let queue: Vec<u32> =
+                shuffled(gen, n).into_iter().filter(|_| gen.bool_with(0.5)).collect();
+            for w in queue {
+                let k = gen.usize_in(0..64);
+                let want = pick_color(&g, &view, w, &mut oracle, k);
+                let got = picker.pick(&g, &mut view, w, k);
+                prop_assert!(got == want, "stale-view pick of {w}, k = {k}: {got}, oracle {want}");
+                prop_assert_eq!(view[w as usize], got);
+            }
+        }
+        Ok(())
+    });
+    assert!(multi_word.load(Ordering::Relaxed) > 0, "no case drew a multi-word summary");
+    assert!(
+        switched_then_read.load(Ordering::Relaxed) > 0,
+        "no case picked past 64·W and then picked again"
+    );
 }

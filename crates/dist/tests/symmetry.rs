@@ -7,8 +7,8 @@
 //! colours again and collide again: measured on `banded(2000, 3, 1.0, 1)`
 //! at 4 and 8 shards, the run climbs from 5 rounds to the
 //! `MAX_SUPERSTEPS` cap plus the repair round (513). The jitter window of
-//! `serve::shard::pick_color` breaks that symmetry; these runs finish in
-//! at most 8 rounds with it.
+//! the shard worker's recolour draw (`serve::shard::JITTER_WINDOW_MAX`)
+//! breaks that symmetry; these runs finish in at most 8 rounds with it.
 
 use bgpc::verify::verify_bgpc;
 use dist::{DistRunner, Partition};

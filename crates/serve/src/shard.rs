@@ -25,13 +25,27 @@
 //! * A **harvest** round returns the shard's owned `(vertex, color)`
 //!   assignment instead of coloring.
 //!
-//! Both distance-2 passes are net-based, one read per pin rather than a
-//! walk of every vertex's distance-2 neighborhood: the install lists the
-//! ranks interested in each owned vertex from per-net rank lists
-//! ([`InterestedRanks`]), and each round's detection scans every net
-//! touched by a pending vertex once ([`ConflictScan`]). Both give exactly
-//! what the per-vertex rules give, in the same order, so colorings,
-//! rounds and messages do not depend on it.
+//! Every pick goes through the core's vertex kernel
+//! ([`bgpc::vertex::VertexPicker`]): the same distance-2 gather as the
+//! shared-memory coloring phase, then the `k`-th available color. From
+//! the start of round 1 until the interior is colored, the view starts
+//! fresh and colors are only added, each by a pick of an uncolored
+//! vertex, so the gather reads each net's colors from its summary, a
+//! few words kept up to date by every pick, instead of walking its pins;
+//! the picks are the pin walk's. The summaries are dropped once
+//! [`ShardWorker::finish_deferred`] returns. Later rounds walk pins:
+//! there a routed update can replace a remote color, and a loser gives
+//! up its stale color when it is re-colored (until then, the losers
+//! picked before it avoid that color). A summary only ever gains
+//! colors, so it could drop neither.
+//!
+//! Both conflict-side distance-2 passes are net-based, one read per pin
+//! rather than a walk of every vertex's distance-2 neighborhood: the
+//! install lists the ranks interested in each owned vertex from per-net
+//! rank lists ([`InterestedRanks`]), and each round's detection scans
+//! every net touched by a pending vertex once ([`ConflictScan`]). Both
+//! give exactly what the per-vertex rules give, in the same order, so
+//! colorings, rounds and messages do not depend on it.
 //!
 //! Conflict detection is sound because every color a remote distance-2
 //! neighbor has ever taken was flushed to this shard before the round in
@@ -42,7 +56,7 @@
 
 use std::sync::Arc;
 
-use bgpc::vertex::PREFETCH_AHEAD;
+use bgpc::vertex::{VertexPicker, PREFETCH_AHEAD};
 use bgpc::{Color, StampSet, UNCOLORED};
 use graph::BipartiteGraph;
 
@@ -74,35 +88,6 @@ fn jitter(w: u32, superstep: u32) -> usize {
     }
     let window = (superstep as usize * 4).min(JITTER_WINDOW_MAX);
     (mix(w as u64, superstep as u64) % window as u64) as usize
-}
-
-/// The `k`-th smallest color that no distance-2 neighbor of `w` holds in
-/// `view` (`k = 0` is first-fit). `fb` is scratch.
-pub fn pick_color(
-    g: &BipartiteGraph,
-    view: &[Color],
-    w: u32,
-    fb: &mut StampSet,
-    k: usize,
-) -> Color {
-    fb.advance();
-    let nets = g.nets(w as usize);
-    for (j, &net) in nets.iter().enumerate() {
-        if let Some(&next) = nets.get(j + 1) {
-            g.prefetch_vtxs(next as usize);
-        }
-        for &u in g.vtxs(net as usize) {
-            let cu = view[u as usize];
-            if u != w && cu != UNCOLORED {
-                fb.insert(cu);
-            }
-        }
-    }
-    let mut col = fb.first_fit_from(0);
-    for _ in 0..k {
-        col = fb.first_fit_from(col + 1);
-    }
-    col
 }
 
 /// Per vertex, the ranks other than its owner that own a distance-2
@@ -323,10 +308,15 @@ pub struct ShardWorker {
     interested: InterestedRanks,
     /// Scratch of the net-based conflict detection.
     scan: ConflictScan,
-    fb: StampSet,
+    /// The core's distance-2 gather and pick; it holds net summaries
+    /// from the start of round 1 until the deferred interior is colored.
+    picker: VertexPicker,
     /// Interior coloring deferred until after round 1's reply is
     /// written; see [`ShardWorker::finish_deferred`].
     interior_deferred: bool,
+    /// The number of the last non-harvest superstep run, `None` until
+    /// the first.
+    last_superstep: Option<u32>,
 }
 
 impl ShardWorker {
@@ -358,7 +348,7 @@ impl ShardWorker {
             .filter(|&v| owners[v as usize] == shard)
             .partition(|&v| !interested.of(v as usize).is_empty());
         let scan = ConflictScan::new(&graph);
-        let fb = StampSet::with_capacity(graph.max_net_size() + 16);
+        let picker = VertexPicker::new(&*graph);
         Ok(ShardWorker {
             shard,
             graph,
@@ -369,8 +359,9 @@ impl ShardWorker {
             boundary,
             interested,
             scan,
-            fb,
+            picker,
             interior_deferred: false,
+            last_superstep: None,
         })
     }
 
@@ -388,9 +379,13 @@ impl ShardWorker {
     /// [`ShardWorker::finish_deferred`] — that ordering is the
     /// interior/boundary overlap.
     ///
-    /// Refuses, before touching the view, a request carrying an update
-    /// color outside `UNCOLORED..n + JITTER_WINDOW_MAX` (`n` vertices):
-    /// no pick can produce one, and the forbidden set would grow to it.
+    /// Refuses, before touching the view, a request the round loop never
+    /// sends: an update color outside `UNCOLORED..n + JITTER_WINDOW_MAX`
+    /// (`n` vertices; no pick can produce one, and the forbidden set
+    /// would grow to it), an update naming a vertex this shard owns, a
+    /// superstep number that does not increase, and a superstep numbered
+    /// 0 or 1 after the first. Round 1 colors through net summaries,
+    /// which hold only while colors are only added to a fresh view.
     pub fn superstep(&mut self, req: &SuperstepRequest) -> Result<FlushReply, String> {
         if req.harvest {
             // Owned assignment, tagged with our own shard id.
@@ -412,8 +407,23 @@ impl ShardWorker {
                 "update color {c} for vertex {v} outside {UNCOLORED}..{limit}"
             ));
         }
+        let s = req.superstep;
+        if let Some(last) = self.last_superstep {
+            if s <= last || s <= 1 {
+                return Err(format!("superstep {s} after superstep {last}"));
+            }
+        }
+        if let Some(&(v, _)) =
+            req.updates.iter().find(|&&(v, _)| self.owners.get(v as usize) == Some(&self.shard))
+        {
+            return Err(format!("update for vertex {v}, which shard {} owns", self.shard));
+        }
+        self.last_superstep = Some(s);
+
         // Deliver the routed remote colors first: conflict detection for
-        // last round's coloring needs them.
+        // last round's coloring needs them. They may overwrite colors, so
+        // the summaries go first.
+        self.picker.walk_pins();
         for &(v, c) in &req.updates {
             if let Some(slot) = self.view.get_mut(v as usize) {
                 *slot = c;
@@ -421,14 +431,15 @@ impl ShardWorker {
         }
 
         // Re-queue last round's losers under the id-ordered rule.
-        let g = &self.graph;
+        let g = &*self.graph;
         self.scan.detect(g, &self.view, &self.pending);
         let mut queue: Vec<u32> =
             self.pending.iter().copied().filter(|&w| self.scan.lost(w)).collect();
         let conflicts = queue.len() as u32;
-        if req.superstep <= 1 {
+        if s <= 1 {
             queue = self.boundary.clone();
             self.interior_deferred = true;
+            self.picker.summarize(g, &self.view);
         }
 
         // Color the queue with the jittered draw: plain first-fit would
@@ -439,13 +450,12 @@ impl ShardWorker {
             if let Some(&next) = queue.get(k + PREFETCH_AHEAD) {
                 g.prefetch_nets(next as usize);
             }
-            let col = pick_color(g, &self.view, w, &mut self.fb, jitter(w, req.superstep));
-            self.view[w as usize] = col;
+            let col = self.picker.pick(g, &mut self.view, w, jitter(w, s));
             for &dest in self.interested.of(w as usize) {
                 messages.push((dest, w, col));
             }
         }
-        let colored = queue.len() + if req.superstep <= 1 { self.interior.len() } else { 0 };
+        let colored = queue.len() + if s <= 1 { self.interior.len() } else { 0 };
         self.pending = queue;
         Ok(FlushReply { colored: colored as u32, conflicts, messages })
     }
@@ -454,19 +464,22 @@ impl ShardWorker {
     /// the Flush frame is written, so interior work overlaps with the
     /// coordinator routing boundary messages (the next Superstep frame
     /// simply waits in the socket buffer). Interior vertices only ever
-    /// see owned colors, so plain first-fit is conflict-free.
+    /// see owned colors, so plain first-fit is conflict-free. No update
+    /// has arrived since round 1 began, so the interior is colored
+    /// through round 1's summaries, which are dropped afterwards.
     pub fn finish_deferred(&mut self) {
         if !self.interior_deferred {
             return;
         }
         self.interior_deferred = false;
-        let g = &self.graph;
+        let g = &*self.graph;
         for (k, &w) in self.interior.iter().enumerate() {
             if let Some(&next) = self.interior.get(k + PREFETCH_AHEAD) {
                 g.prefetch_nets(next as usize);
             }
-            self.view[w as usize] = pick_color(g, &self.view, w, &mut self.fb, 0);
+            self.picker.pick(g, &mut self.view, w, 0);
         }
+        self.picker.walk_pins();
     }
 }
 

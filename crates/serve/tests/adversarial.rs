@@ -247,3 +247,52 @@ fn superstep_update_colors_out_of_range_are_refused() {
     let out = c.submit(&job).expect("daemon must still serve a normal job");
     bgpc::verify::verify_bgpc(&graph::BipartiteGraph::from_matrix(&m), &out.colors).unwrap();
 }
+
+#[test]
+fn superstep_requests_the_round_loop_never_sends_are_refused() {
+    // Round 1 colors through net summaries, which hold only while colors
+    // are only added to a fresh view: a second round 1, a superstep
+    // number that does not increase, or an update overwriting an owned
+    // color would each corrupt the view, so each is refused before it
+    // reaches it.
+    let d = start("badsteps", Duration::from_secs(5));
+    let m = sparse::gen::bipartite_uniform(10, 12, 40, 1);
+    let mut graph_bytes = Vec::new();
+    sparse::bin_io::write_bin(&mut graph_bytes, &m).unwrap();
+    // Shard 0 owns the even vertices.
+    let owners: Vec<u32> = (0..12).map(|v| v % 2).collect();
+    // Each case is a run of (superstep, updates) requests; the last one
+    // is refused.
+    type Steps = Vec<(u32, Vec<(u32, i32)>)>;
+    let cases: [(&str, Steps); 6] = [
+        ("round 1 twice", vec![(1, vec![]), (1, vec![])]),
+        ("superstep 0 after round 1", vec![(1, vec![]), (2, vec![]), (0, vec![])]),
+        ("superstep number repeats", vec![(1, vec![]), (2, vec![]), (2, vec![])]),
+        ("superstep number falls", vec![(1, vec![]), (3, vec![(1, 0)]), (2, vec![])]),
+        ("owned vertex updated", vec![(1, vec![]), (2, vec![(3, 1), (4, 0)])]),
+        ("owned vertex updated in round 1", vec![(1, vec![(0, 2)])]),
+    ];
+    for (label, steps) in &cases {
+        let mut s = connect(&d);
+        let req = ShardRequest {
+            shard: 0,
+            n_shards: 2,
+            owners: owners.clone(),
+            graph_bytes: graph_bytes.clone(),
+        };
+        write_frame(&mut s, FrameKind::Shard, &req.encode(), 0).unwrap();
+        assert_eq!(read_reply(&mut s).0, FrameKind::Pong);
+        for (i, (superstep, updates)) in steps.iter().enumerate() {
+            let step = SuperstepRequest {
+                superstep: *superstep,
+                harvest: false,
+                updates: updates.clone(),
+            };
+            write_frame(&mut s, FrameKind::Superstep, &step.encode(), 0).unwrap();
+            let (kind, payload) = read_reply(&mut s);
+            let want = if i + 1 < steps.len() { FrameKind::Flush } else { FrameKind::InvalidJob };
+            assert_eq!(kind, want, "{label}, step {i}: {}", String::from_utf8_lossy(&payload));
+        }
+        assert_alive(&d);
+    }
+}

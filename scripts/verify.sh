@@ -73,11 +73,13 @@ step_begin "check smoke: --dist sharded-coloring differential oracle"
 ./target/release/check_smoke --seed "$CHECK_SEED" --cases 60 --dist
 step_end "check-smoke-dist"
 
-step_begin "bench smoke: repro table3/table5/delta + CLI trace (verifies every coloring)"
+step_begin "bench smoke: repro table3/table5/delta/dist + CLI trace (verifies every coloring)"
 # repro verifies every coloring it times and exits nonzero on an invalid
 # one: Table III (BGPC, every schedule) on one BGPC instance, Table V
-# (D2GC) on one D2GC instance, and the incremental-update sweep (both
-# problems, both answers verified on the mutated graph). It runs from a
+# (D2GC) on one D2GC instance, the incremental-update sweep (both
+# problems, both answers verified on the mutated graph), and the sharded
+# sweep at 1, 2 and 4 ranks on two instances with hundreds to thousands
+# of colors (every assembled coloring verified). It runs from a
 # directory under target/, where it writes ./results, so the checked-in
 # results/ is never touched. The CLI then colors one instance with a
 # recorder installed (it re-verifies the coloring), and the exported
@@ -92,8 +94,10 @@ mkdir -p "$SMOKE_DIR"
   env -u CARGO_MANIFEST_DIR "$REPRO" table3 "${SMOKE_FLAGS[@]}" --datasets coPapersDBLP
   env -u CARGO_MANIFEST_DIR "$REPRO" table5 "${SMOKE_FLAGS[@]}" --datasets nlpkkt120
   env -u CARGO_MANIFEST_DIR "$REPRO" delta "${SMOKE_FLAGS[@]}"
+  env -u CARGO_MANIFEST_DIR "$REPRO" dist --scale 0.002 --threads 1,2,4 \
+    --datasets coPapersDBLP,20M_movielens
 ) > "$SMOKE_DIR/repro.txt"
-for name in table3 table3_runs table5 table5_runs delta; do
+for name in table3 table3_runs table5 table5_runs delta dist; do
   json="$SMOKE_DIR/results/$name.json"
   if command -v python3 >/dev/null 2>&1; then
     python3 -m json.tool "$json" >/dev/null
