@@ -2,11 +2,13 @@
 //! runner.
 //!
 //! Each *case* draws a randomized bipartite instance, a shard count from
-//! {1, 2, 4, 8} and a partitioner (block / cyclic / random), then colors
-//! it twice: once through the [`dist::Coordinator`] over real `serve`
-//! worker daemons (every superstep crosses TCP), and once through the
-//! in-memory [`dist::DistRunner`] on the same partition. The oracle
-//! checks:
+//! {1, 2, 4, 8} and two partitions (block / cyclic / random). Under each
+//! partition it colors the instance twice: through one
+//! [`dist::Coordinator`] over real `serve` worker daemons (every
+//! superstep crosses TCP), and through the in-memory
+//! [`dist::DistRunner`]. The second sharded run repeats the pattern on
+//! the same connections, so its workers re-install their shards over the
+//! graph the first run shipped. The oracle checks, for each run:
 //!
 //! * **Validity in original ids** — the sharded coloring must pass
 //!   [`bgpc::verify::verify_bgpc`] against the drawn pattern.
@@ -112,23 +114,39 @@ pub fn run_sharded_case(d: &mut impl Draw, addrs: &[String]) -> Result<(), Strin
     let m = sparse::gen::bipartite_uniform(nets, verts, nnz, mseed);
     let g = BipartiteGraph::from_matrix(&m);
     let n = g.n_vertices();
-    let (partition, pname) = draw_partition(d, n, shards);
-    let label =
-        format!("sharded bgpc {pname} p={shards} on {nets}x{verts} nnz={nnz} seed={mseed}");
-
     let mut coord = Coordinator::connect(&addrs[..shards])
-        .map_err(|e| format!("{label}: connecting workers: {e}"))?;
+        .map_err(|e| format!("sharded bgpc p={shards}: connecting workers: {e}"))?;
+    for run in ["install", "re-install"] {
+        let (partition, pname) = draw_partition(d, n, shards);
+        let label = format!(
+            "sharded bgpc {pname} p={shards} ({run}) on {nets}x{verts} nnz={nnz} seed={mseed}"
+        );
+        check_run(&mut coord, &m, &g, partition, &label)?;
+    }
+    Ok(())
+}
+
+/// Colors `m` under `partition` through `coord` and checks the outcome
+/// against every oracle of the module docs.
+fn check_run(
+    coord: &mut Coordinator,
+    m: &sparse::Csr,
+    g: &BipartiteGraph,
+    partition: Partition,
+    label: &str,
+) -> Result<(), String> {
+    let shards = partition.n_ranks();
     let outcome = coord
-        .color(&m, &partition)
+        .color(m, &partition)
         .map_err(|e| format!("{label}: coordinator rejected the instance: {e}"))?;
     if let Some(reason) = &outcome.degraded {
         return Err(format!("{label}: degraded on a healthy fleet: {reason}"));
     }
-    verify_bgpc(&g, &outcome.colors)
+    verify_bgpc(g, &outcome.colors)
         .map_err(|e| format!("{label}: sharded coloring invalid in original ids: {e}"))?;
 
     // Quality: first-fit plus the capped jitter window bounds every pick.
-    let bound = max_d2_degree_bgpc(&g) + 1 + JITTER_WINDOW_MAX;
+    let bound = max_d2_degree_bgpc(g) + 1 + JITTER_WINDOW_MAX;
     if outcome.num_colors > bound {
         return Err(format!(
             "{label}: {} colors exceeds the Δ₂+1+{JITTER_WINDOW_MAX} bound of {bound}",
@@ -167,7 +185,7 @@ pub fn run_sharded_case(d: &mut impl Draw, addrs: &[String]) -> Result<(), Strin
 
     // Differential baseline: the in-memory runner on the same partition
     // runs the same state machine, so it must match exactly.
-    let baseline = DistRunner::new(&g, partition).run();
+    let baseline = DistRunner::new(g, partition).run();
     if baseline.colors != outcome.colors || baseline.supersteps != outcome.supersteps {
         return Err(format!(
             "{label}: in-memory run ({} colors, supersteps {:?}) differs from sharded \
@@ -219,6 +237,23 @@ mod tests {
     fn a_short_sharded_sweep_is_clean() {
         let n = run_sharded_sweep(0x5A4D, 8).unwrap_or_else(|f| panic!("{f}"));
         assert_eq!(n, 8);
+    }
+
+    #[test]
+    fn the_second_run_of_every_case_re_installs() {
+        use std::sync::atomic::Ordering::Relaxed;
+        let fleet = WorkerFleet::start(MAX_SHARDS).unwrap();
+        for case in 0..8 {
+            let mut d = PcgDraw(Pcg32::seed_from_u64(split_mix64(0x5A4D + case)));
+            run_sharded_case(&mut d, fleet.addrs()).unwrap();
+        }
+        let (mut full, mut reused) = (0, 0);
+        for daemon in &fleet.daemons {
+            full += daemon.stats().shard_installs.load(Relaxed);
+            reused += daemon.stats().shard_reuses.load(Relaxed);
+        }
+        assert!(full > 0);
+        assert_eq!(reused, full, "one re-install per full install");
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //!
 //! [`Coordinator`] turns N `serve` daemons into the ranks of a real
 //! scale-out run: it connects over TCP and installs one shard per worker
-//! ([`serve::ShardRequest`], owner-computes via [`Partition`]).
+//! ([`serve::ShardRequest`], owner-computes via [`Partition`]), shipping
+//! the graph once per pattern: a repeat run on the same pattern only
+//! re-installs the shards over the graph the workers hold.
 //! [`DistRunner`] holds the same [`ShardWorker`](serve::ShardWorker)s
 //! in memory. Both then run the one round loop: supersteps
 //! ([`serve::SuperstepRequest`] / [`serve::FlushReply`]) until a round
@@ -87,6 +89,11 @@ pub struct Coordinator {
     workers: Vec<Worker>,
     max_frame: u32,
     max_supersteps: usize,
+    /// The graph every worker holds after the last clean sharded run;
+    /// `None` before one and after any failure. Coloring the same
+    /// pattern again re-installs the shards over it instead of shipping
+    /// the graph.
+    installed: Option<BipartiteGraph>,
 }
 
 struct Worker {
@@ -108,6 +115,7 @@ impl Coordinator {
             workers,
             max_frame: DEFAULT_MAX_FRAME,
             max_supersteps: MAX_SUPERSTEPS,
+            installed: None,
         })
     }
 
@@ -130,25 +138,42 @@ impl Coordinator {
     /// Returns `Err` only when the *instance* is unusable (invalid
     /// pattern). Worker failures degrade instead: the instance is
     /// re-colored in memory and the outcome tagged with the reason.
+    ///
+    /// The graph is shipped once per pattern: when `matrix` equals the
+    /// pattern of the last clean run (exact equality, no fingerprint),
+    /// each worker gets a `Shard` frame without graph bytes and keeps
+    /// the graph it holds. A failed run forgets the pattern, so the next
+    /// call installs in full.
     pub fn color(
         &mut self,
         matrix: &sparse::Csr,
         partition: &Partition,
     ) -> Result<ShardOutcome, String> {
-        let g = BipartiteGraph::try_from_matrix(matrix).map_err(|e| e.to_string())?;
+        let installed = self.installed.take().filter(|g| g.net_matrix() == matrix);
+        let reuse = installed.is_some();
+        let g = match installed {
+            Some(g) => g,
+            None => BipartiteGraph::try_from_matrix(matrix).map_err(|e| e.to_string())?,
+        };
         assert_eq!(partition.len(), g.n_vertices(), "partition covers every vertex");
         assert_eq!(
             partition.n_ranks(),
             self.workers.len(),
             "one shard per connected worker"
         );
-        Ok(self.try_sharded(&g, matrix, partition).unwrap_or_else(|fail| {
-            let mut outcome = DistRunner::new(&g, partition.clone())
-                .with_max_supersteps(self.max_supersteps)
-                .run();
-            outcome.degraded = Some(format!("{fail}; recovered with a single-node run"));
-            outcome
-        }))
+        match self.try_sharded(&g, reuse, partition) {
+            Ok(outcome) => {
+                self.installed = Some(g);
+                Ok(outcome)
+            }
+            Err(fail) => {
+                let mut outcome = DistRunner::new(&g, partition.clone())
+                    .with_max_supersteps(self.max_supersteps)
+                    .run();
+                outcome.degraded = Some(format!("{fail}; recovered with a single-node run"));
+                Ok(outcome)
+            }
+        }
     }
 
     fn send(&mut self, rank: usize, kind: FrameKind, payload: &[u8]) -> Result<(), String> {
@@ -188,16 +213,20 @@ impl Coordinator {
         Ok(replies)
     }
 
+    /// Installs one shard per worker, shipping `g`'s pattern unless the
+    /// workers already hold it (`reuse`), then runs the round loop.
     fn try_sharded(
         &mut self,
         g: &BipartiteGraph,
-        matrix: &sparse::Csr,
+        reuse: bool,
         partition: &Partition,
     ) -> Result<ShardOutcome, String> {
         let p = self.workers.len();
         let mut graph_bytes = Vec::new();
-        sparse::bin_io::write_bin(&mut graph_bytes, matrix)
-            .map_err(|e| format!("encoding graph bytes failed: {e}"))?;
+        if !reuse {
+            sparse::bin_io::write_bin(&mut graph_bytes, g.net_matrix())
+                .map_err(|e| format!("encoding graph bytes failed: {e}"))?;
+        }
 
         // Install one shard per worker; each ack is a Pong.
         for rank in 0..p {
@@ -457,6 +486,57 @@ mod tests {
         assert_eq!(outcome.colors, healthy.colors);
         assert_eq!(outcome.supersteps, healthy.supersteps);
         t.join().unwrap();
+        for d in daemons.iter_mut() {
+            d.shutdown();
+        }
+    }
+
+    #[test]
+    fn a_failed_run_makes_the_next_install_ship_the_graph() {
+        // A proxy in front of one worker daemon records the graph bytes
+        // of every Shard frame and answers the first superstep after the
+        // second install itself, with the InvalidJob of a worker failing
+        // a superstep.
+        let (mut daemons, addrs) = start_workers(1, "memo");
+        let proxy = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let proxy_addr = proxy.local_addr().unwrap().to_string();
+        let upstream = addrs[0].clone();
+        let t = std::thread::spawn(move || {
+            let (mut down, _) = proxy.accept().unwrap();
+            let mut up = TcpStream::connect(upstream).unwrap();
+            let mut installs = Vec::new();
+            let mut failed = false;
+            while let Ok((kind, payload)) = read_frame(&mut down, DEFAULT_MAX_FRAME) {
+                if kind == FrameKind::Shard {
+                    installs.push(ShardRequest::decode(&payload).unwrap().graph_bytes.len());
+                }
+                if kind == FrameKind::Superstep && installs.len() == 2 && !failed {
+                    failed = true;
+                    write_frame(&mut down, FrameKind::InvalidJob, b"superstep failed", 0).unwrap();
+                    continue;
+                }
+                write_frame(&mut up, kind, &payload, 0).unwrap();
+                let (kind, payload) = read_frame(&mut up, DEFAULT_MAX_FRAME).unwrap();
+                write_frame(&mut down, kind, &payload, 0).unwrap();
+            }
+            installs
+        });
+        let m = instance();
+        let partition = Partition::block(BipartiteGraph::from_matrix(&m).n_vertices(), 1);
+        let mut coord = Coordinator::connect(&[proxy_addr]).expect("connect");
+        let clean = coord.color(&m, &partition).expect("color");
+        assert!(clean.degraded.is_none());
+        let failed = coord.color(&m, &partition).expect("color degrades, not errors");
+        assert!(failed.degraded.is_some(), "the injected failure must degrade");
+        let again = coord.color(&m, &partition).expect("color");
+        assert!(again.degraded.is_none(), "{:?}", again.degraded);
+        assert_eq!(again.colors, clean.colors);
+        drop(coord);
+        let installs = t.join().unwrap();
+        assert_eq!(installs.len(), 3);
+        assert!(installs[0] > 0, "the first run ships the graph");
+        assert_eq!(installs[1], 0, "a clean run lets the next one re-install");
+        assert_eq!(installs[2], installs[0], "a failed run forgets the installed graph");
         for d in daemons.iter_mut() {
             d.shutdown();
         }

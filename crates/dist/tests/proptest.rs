@@ -1,21 +1,25 @@
 //! Property tests for the BSP distributed baseline: any partition of any
 //! bipartite pattern must converge to a valid coloring, one rank must
 //! equal the sequential greedy, the shard worker's net-based passes
-//! must agree with the per-vertex distance-2 rules they replace, and the
+//! must agree with the per-vertex distance-2 rules they replace, the
 //! core kernel's picks, through which the worker colors, must agree
-//! with a plain pin walk.
+//! with a plain pin walk, and a re-installed worker must answer exactly
+//! as a freshly installed one.
 //!
 //! Built on the in-repo `minicheck` choice-stream harness.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use minicheck::{check, prop_assert, prop_assert_eq, Gen};
 
 use bgpc::vertex::VertexPicker;
 use bgpc::{Color, StampSet, UNCOLORED};
-use dist::{DistRunner, Partition};
+use dist::{DistRunner, Partition, MAX_SUPERSTEPS};
 use graph::BipartiteGraph;
+use serve::protocol::{FlushReply, SuperstepRequest};
 use serve::shard::{ConflictScan, InterestedRanks};
+use serve::ShardWorker;
 use sparse::Csr;
 
 fn arb_bipartite(g: &mut Gen) -> Csr {
@@ -314,4 +318,107 @@ fn core_picks_agree_with_the_pin_walk_oracle() {
         switched_then_read.load(Ordering::Relaxed) > 0,
         "no case picked past 64·W and then picked again"
     );
+}
+
+/// A block, cyclic or random partition of `n` vertices into `p` ranks.
+fn arb_partition_of(g: &mut Gen, n: usize, p: usize) -> Partition {
+    let seed = g.u64_in(0..1000);
+    match seed % 3 {
+        0 => Partition::block(n, p),
+        1 => Partition::cyclic(n, p),
+        _ => Partition::random(n, p, seed),
+    }
+}
+
+/// One freshly built worker per rank of `partition`, sharing `g`.
+fn fresh_workers(g: &Arc<BipartiteGraph>, partition: &Partition) -> Vec<ShardWorker> {
+    let p = partition.n_ranks() as u32;
+    (0..p)
+        .map(|r| ShardWorker::new(r, p, partition.owners().to_vec(), Arc::clone(g)).unwrap())
+        .collect()
+}
+
+/// Drives `workers` in lockstep as the round loop does: supersteps from 1
+/// until a quiescent round or `rounds` of them, each reply's messages
+/// routed to the next round, then with `harvest` a harvest round.
+/// Returns every reply's encoding in round and rank order.
+fn drive(workers: &mut [ShardWorker], rounds: u32, harvest: bool) -> Vec<Vec<u8>> {
+    let mut inbox: Vec<Vec<(u32, i32)>> = vec![Vec::new(); workers.len()];
+    let mut transcript = Vec::new();
+    let mut s = 1;
+    while s <= rounds {
+        let mut next: Vec<Vec<(u32, i32)>> = vec![Vec::new(); workers.len()];
+        let mut colored = 0;
+        for (w, updates) in workers.iter_mut().zip(inbox.iter_mut()) {
+            let req =
+                SuperstepRequest { superstep: s, harvest: false, updates: std::mem::take(updates) };
+            let reply = w.superstep(&req).expect("the round loop's requests are valid");
+            w.finish_deferred();
+            colored += reply.colored;
+            for &(dest, v, c) in &reply.messages {
+                next[dest as usize].push((v, c));
+            }
+            transcript.push(reply.encode());
+        }
+        inbox = next;
+        s += 1;
+        if colored == 0 {
+            break;
+        }
+    }
+    if harvest {
+        for w in workers.iter_mut() {
+            let req = SuperstepRequest { superstep: s, harvest: true, updates: Vec::new() };
+            transcript.push(w.superstep(&req).unwrap().encode());
+        }
+    }
+    transcript
+}
+
+#[test]
+fn a_reinstalled_worker_answers_as_a_fresh_one() {
+    // Coverage: first runs that colored at or past 64 (a pin walk that
+    // meets such a color sets the gather's sticky wide-palette flag), and
+    // instances whose round-1 summaries span several words.
+    let wide = AtomicUsize::new(0);
+    let multi_word = AtomicUsize::new(0);
+    check("a_reinstalled_worker_answers_as_a_fresh_one", 128, |gen| {
+        let matrix = arb_wide_bipartite(gen);
+        let g = Arc::new(BipartiteGraph::from_matrix(&matrix));
+        let n = g.n_vertices();
+        if (g.max_net_size() * 5).div_ceil(4 * 64) > 1 {
+            multi_word.fetch_add(1, Ordering::Relaxed);
+        }
+        let p = gen.usize_in(1..6);
+        let first = arb_partition_of(gen, n, p);
+        let second = if gen.bool_with(0.5) { first.clone() } else { arb_partition_of(gen, n, p) };
+
+        // A first run to quiescence, stopped after round 1 or 2, or
+        // capped there and harvested.
+        let mut workers = fresh_workers(&g, &first);
+        let (rounds, harvest) = match gen.usize_in(0..3) {
+            0 => (MAX_SUPERSTEPS as u32, true),
+            1 => (gen.u32_in(1..3), false),
+            _ => (gen.u32_in(1..3), true),
+        };
+        let first_run = drive(&mut workers, rounds, harvest);
+        if first_run
+            .iter()
+            .any(|r| FlushReply::decode(r).unwrap().messages.iter().any(|&(_, _, c)| c >= 64))
+        {
+            wide.fetch_add(1, Ordering::Relaxed);
+        }
+        let round1 = SuperstepRequest { superstep: 1, harvest: false, updates: Vec::new() };
+        prop_assert!(workers[0].superstep(&round1).is_err(), "a second round 1 without a re-install");
+
+        for (r, w) in workers.iter_mut().enumerate() {
+            w.reinstall(r as u32, p as u32, second.owners().to_vec()).unwrap();
+        }
+        let mut reference = fresh_workers(&g, &second);
+        let cap = MAX_SUPERSTEPS as u32;
+        prop_assert_eq!(drive(&mut workers, cap, true), drive(&mut reference, cap, true));
+        Ok(())
+    });
+    assert!(wide.load(Ordering::Relaxed) > 0, "no first run colored at or past 64");
+    assert!(multi_word.load(Ordering::Relaxed) > 0, "no case drew a multi-word summary");
 }

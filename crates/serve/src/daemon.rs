@@ -279,13 +279,29 @@ fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
                 }
             }
             FrameKind::Shard => {
-                let install = ShardRequest::decode(&payload)
-                    .map_err(|e| e.to_string())
-                    .and_then(crate::shard::ShardWorker::install);
+                let req = ShardRequest::decode(&payload).map_err(|e| e.to_string());
+                drop(payload);
+                let install = req.and_then(|req| {
+                    if req.graph_bytes.is_empty() {
+                        // No graph bytes: re-install over the graph
+                        // this connection already holds.
+                        let worker = shard
+                            .as_mut()
+                            .ok_or_else(|| "re-install before any Shard install".to_string())?;
+                        worker.reinstall(req.shard, req.n_shards, req.owners)?;
+                        Ok(&shared.stats.shard_reuses)
+                    } else {
+                        // Drop the old shard first, so that two graphs
+                        // are never alive at once; a failed install
+                        // closes the connection anyway.
+                        shard = None;
+                        shard = Some(crate::shard::ShardWorker::install(req)?);
+                        Ok(&shared.stats.shard_installs)
+                    }
+                });
                 match install {
-                    Ok(w) => {
-                        shard = Some(w);
-                        ServeStats::bump(&shared.stats.shard_installs);
+                    Ok(counter) => {
+                        ServeStats::bump(counter);
                         if !respond(&mut stream, FrameKind::Pong, b"") {
                             return;
                         }

@@ -56,7 +56,8 @@ pub enum FrameKind {
     /// dirty vertices and marks the reply `cache_hit`.
     Update = 0x05,
     /// Coordinator → worker: install a shard for sharded coloring
-    /// (payload: [`ShardRequest`] — shard id, owner array, graph bytes).
+    /// (payload: [`ShardRequest`] — shard id, owner array, graph bytes;
+    /// no graph bytes re-installs over the connection's graph).
     /// Acknowledged with [`FrameKind::Pong`]; the worker then answers
     /// [`FrameKind::Superstep`] frames on the same connection.
     Shard = 0x06,
@@ -527,7 +528,11 @@ impl JobResult {
 /// needs complete distance-2 neighborhoods, so replicating the structure
 /// and partitioning only the coloring work is the simplest correct
 /// owner-computes split. The graph travels as checksummed
-/// [`sparse::bin_io`] bytes, same as Submit.
+/// [`sparse::bin_io`] bytes, same as Submit, once per graph and
+/// connection: empty `graph_bytes` (no valid `bin_io` payload is empty)
+/// re-installs the shard over the graph the connection already holds,
+/// under this request's shard id and owner array, and is refused on a
+/// connection that holds none.
 #[derive(Clone, Debug)]
 pub struct ShardRequest {
     /// This worker's shard id, `< n_shards`.
@@ -537,7 +542,8 @@ pub struct ShardRequest {
     /// Vertex-to-shard owner array (one entry per vertex, values
     /// `< n_shards`).
     pub owners: Vec<u32>,
-    /// The pattern in `sparse::bin_io` format (checksummed).
+    /// The pattern in `sparse::bin_io` format (checksummed), or empty
+    /// to keep the graph installed on this connection.
     pub graph_bytes: Vec<u8>,
 }
 

@@ -3,11 +3,13 @@
 //! [`ShardWorker`] is the only implementation of one rank's share of the
 //! speculative color, detect and re-queue loop. The `dist` crate's
 //! coordinator drives it with [`SuperstepRequest`]s, either over TCP (a
-//! `Shard` frame installs one worker per daemon connection) or in memory
-//! (`dist::DistRunner` holds one worker per rank). The worker owns the
-//! vertices the owner array assigns to its shard id; conflict detection
-//! runs one round behind the coloring, because the remote colors it
-//! needs arrive with the next request:
+//! `Shard` frame installs one worker per daemon connection, and one
+//! without graph bytes re-installs it over the graph it holds, see
+//! [`ShardWorker::reinstall`]) or in memory (`dist::DistRunner` holds
+//! one worker per rank). The worker owns the vertices the owner array
+//! assigns to its shard id; conflict detection runs one round behind the
+//! coloring, because the remote colors it needs arrive with the next
+//! request:
 //!
 //! * **Round 1** speculatively colors every owned *boundary* vertex
 //!   (first-fit against the local view) and flushes the results; owned
@@ -286,28 +288,15 @@ impl ConflictScan {
     }
 }
 
-/// One rank of a sharded coloring run.
-pub struct ShardWorker {
-    shard: u32,
-    graph: Arc<BipartiteGraph>,
-    owners: Vec<u32>,
+/// The state one run of the round loop builds up on a worker; an
+/// install or a re-install starts it afresh.
+struct RunState {
     /// This shard's knowledge of every vertex's color (authoritative for
     /// owned vertices, last-flushed for remote ones).
     view: Vec<Color>,
     /// Owned vertices colored in the previous round, conflict status
     /// unknown until the next round's updates arrive.
     pending: Vec<u32>,
-    /// Owned vertices whose whole distance-2 neighborhood is owned —
-    /// they can never conflict and are colored once, after round 1's
-    /// flush is on the wire.
-    interior: Vec<u32>,
-    /// Owned vertices with at least one remote distance-2 neighbor.
-    boundary: Vec<u32>,
-    /// For each owned vertex, the remote shards that must learn its
-    /// color (empty for interior and non-owned vertices).
-    interested: InterestedRanks,
-    /// Scratch of the net-based conflict detection.
-    scan: ConflictScan,
     /// The core's distance-2 gather and pick; it holds net summaries
     /// from the start of round 1 until the deferred interior is colored.
     picker: VertexPicker,
@@ -317,6 +306,46 @@ pub struct ShardWorker {
     /// The number of the last non-harvest superstep run, `None` until
     /// the first.
     last_superstep: Option<u32>,
+}
+
+impl RunState {
+    fn fresh(graph: &BipartiteGraph) -> RunState {
+        RunState {
+            view: vec![UNCOLORED; graph.n_vertices()],
+            pending: Vec::new(),
+            picker: VertexPicker::new(graph),
+            interior_deferred: false,
+            last_superstep: None,
+        }
+    }
+}
+
+/// Rejects an owner id `>= n_shards`.
+fn check_owner_ids(owners: &[u32], n_shards: u32) -> Result<(), String> {
+    match owners.iter().find(|&&o| o >= n_shards) {
+        Some(&bad) => Err(format!("owner id {bad} out of range for {n_shards} shards")),
+        None => Ok(()),
+    }
+}
+
+/// One rank of a sharded coloring run.
+pub struct ShardWorker {
+    shard: u32,
+    graph: Arc<BipartiteGraph>,
+    owners: Vec<u32>,
+    /// Owned vertices whose whole distance-2 neighborhood is owned —
+    /// they can never conflict and are colored once, after round 1's
+    /// flush is on the wire.
+    interior: Vec<u32>,
+    /// Owned vertices with at least one remote distance-2 neighbor.
+    boundary: Vec<u32>,
+    /// For each owned vertex, the remote shards that must learn its
+    /// color (empty for interior and non-owned vertices).
+    interested: InterestedRanks,
+    /// Scratch of the net-based conflict detection. Its round stamps
+    /// only ever grow, so it carries over from one run to the next.
+    scan: ConflictScan,
+    run: RunState,
 }
 
 impl ShardWorker {
@@ -340,38 +369,41 @@ impl ShardWorker {
                 n
             ));
         }
-        if let Some(&bad) = owners.iter().find(|&&o| o >= n_shards) {
-            return Err(format!("owner id {bad} out of range for {n_shards} shards"));
-        }
+        check_owner_ids(&owners, n_shards)?;
         let interested = InterestedRanks::build(&graph, &owners, Some(shard));
         let (boundary, interior): (Vec<u32>, Vec<u32>) = (0..n as u32)
             .filter(|&v| owners[v as usize] == shard)
             .partition(|&v| !interested.of(v as usize).is_empty());
         let scan = ConflictScan::new(&graph);
-        let picker = VertexPicker::new(&*graph);
-        Ok(ShardWorker {
-            shard,
-            graph,
-            owners,
-            view: vec![UNCOLORED; n],
-            pending: Vec::new(),
-            interior,
-            boundary,
-            interested,
-            scan,
-            picker,
-            interior_deferred: false,
-            last_superstep: None,
-        })
+        let run = RunState::fresh(&graph);
+        Ok(ShardWorker { shard, graph, owners, interior, boundary, interested, scan, run })
     }
 
     /// Builds a worker from an install request: decodes the checksummed
     /// graph bytes and hands them to [`ShardWorker::new`].
     pub fn install(req: ShardRequest) -> Result<ShardWorker, String> {
-        let matrix = sparse::bin_io::read_bin(req.graph_bytes.as_slice())
+        let ShardRequest { shard, n_shards, owners, graph_bytes } = req;
+        let matrix = sparse::bin_io::read_bin(graph_bytes.as_slice())
             .map_err(|e| format!("shard graph bytes: {e}"))?;
+        drop(graph_bytes);
         let graph = BipartiteGraph::try_from_matrix_owned(matrix).map_err(|e| e.to_string())?;
-        ShardWorker::new(req.shard, req.n_shards, req.owners, Arc::new(graph))
+        ShardWorker::new(shard, n_shards, owners, Arc::new(graph))
+    }
+
+    /// Makes this worker what [`ShardWorker::new`] would build for
+    /// `shard` of `n_shards` under `owners` over the graph it already
+    /// holds, whatever part of a run it has been through. Under the same
+    /// shard id and owner array only the run state starts afresh; under
+    /// another partition the worker is rebuilt over the same shared
+    /// graph. A rejected request leaves the worker as it was.
+    pub fn reinstall(&mut self, shard: u32, n_shards: u32, owners: Vec<u32>) -> Result<(), String> {
+        if shard == self.shard && owners == self.owners {
+            check_owner_ids(&owners, n_shards)?;
+            self.run = RunState::fresh(&self.graph);
+        } else {
+            *self = ShardWorker::new(shard, n_shards, owners, Arc::clone(&self.graph))?;
+        }
+        Ok(())
     }
 
     /// Runs one superstep and builds the Flush reply. The caller must
@@ -394,12 +426,12 @@ impl ShardWorker {
                 .iter()
                 .enumerate()
                 .filter(|&(_, &o)| o == self.shard)
-                .map(|(v, _)| (self.shard, v as u32, self.view[v]))
+                .map(|(v, _)| (self.shard, v as u32, self.run.view[v]))
                 .collect();
             return Ok(FlushReply { colored: 0, conflicts: 0, messages });
         }
 
-        let limit = self.view.len() as i64 + JITTER_WINDOW_MAX as i64;
+        let limit = self.run.view.len() as i64 + JITTER_WINDOW_MAX as i64;
         if let Some(&(v, c)) =
             req.updates.iter().find(|&&(_, c)| c < UNCOLORED || c as i64 >= limit)
         {
@@ -408,7 +440,7 @@ impl ShardWorker {
             ));
         }
         let s = req.superstep;
-        if let Some(last) = self.last_superstep {
+        if let Some(last) = self.run.last_superstep {
             if s <= last || s <= 1 {
                 return Err(format!("superstep {s} after superstep {last}"));
             }
@@ -418,28 +450,28 @@ impl ShardWorker {
         {
             return Err(format!("update for vertex {v}, which shard {} owns", self.shard));
         }
-        self.last_superstep = Some(s);
+        self.run.last_superstep = Some(s);
 
         // Deliver the routed remote colors first: conflict detection for
         // last round's coloring needs them. They may overwrite colors, so
         // the summaries go first.
-        self.picker.walk_pins();
+        self.run.picker.walk_pins();
         for &(v, c) in &req.updates {
-            if let Some(slot) = self.view.get_mut(v as usize) {
+            if let Some(slot) = self.run.view.get_mut(v as usize) {
                 *slot = c;
             }
         }
 
         // Re-queue last round's losers under the id-ordered rule.
         let g = &*self.graph;
-        self.scan.detect(g, &self.view, &self.pending);
+        self.scan.detect(g, &self.run.view, &self.run.pending);
         let mut queue: Vec<u32> =
-            self.pending.iter().copied().filter(|&w| self.scan.lost(w)).collect();
+            self.run.pending.iter().copied().filter(|&w| self.scan.lost(w)).collect();
         let conflicts = queue.len() as u32;
         if s <= 1 {
             queue = self.boundary.clone();
-            self.interior_deferred = true;
-            self.picker.summarize(g, &self.view);
+            self.run.interior_deferred = true;
+            self.run.picker.summarize(g, &self.run.view);
         }
 
         // Color the queue with the jittered draw: plain first-fit would
@@ -450,13 +482,13 @@ impl ShardWorker {
             if let Some(&next) = queue.get(k + PREFETCH_AHEAD) {
                 g.prefetch_nets(next as usize);
             }
-            let col = self.picker.pick(g, &mut self.view, w, jitter(w, s));
+            let col = self.run.picker.pick(g, &mut self.run.view, w, jitter(w, s));
             for &dest in self.interested.of(w as usize) {
                 messages.push((dest, w, col));
             }
         }
         let colored = queue.len() + if s <= 1 { self.interior.len() } else { 0 };
-        self.pending = queue;
+        self.run.pending = queue;
         Ok(FlushReply { colored: colored as u32, conflicts, messages })
     }
 
@@ -468,18 +500,18 @@ impl ShardWorker {
     /// has arrived since round 1 began, so the interior is colored
     /// through round 1's summaries, which are dropped afterwards.
     pub fn finish_deferred(&mut self) {
-        if !self.interior_deferred {
+        if !self.run.interior_deferred {
             return;
         }
-        self.interior_deferred = false;
+        self.run.interior_deferred = false;
         let g = &*self.graph;
         for (k, &w) in self.interior.iter().enumerate() {
             if let Some(&next) = self.interior.get(k + PREFETCH_AHEAD) {
                 g.prefetch_nets(next as usize);
             }
-            self.picker.pick(g, &mut self.view, w, 0);
+            self.run.picker.pick(g, &mut self.run.view, w, 0);
         }
-        self.picker.walk_pins();
+        self.run.picker.walk_pins();
     }
 }
 
@@ -572,6 +604,20 @@ mod tests {
     }
 
     #[test]
+    fn a_reinstall_under_the_same_owners_still_checks_the_shard_count() {
+        let m = sparse::gen::bipartite_uniform(10, 12, 40, 1);
+        let owners: Vec<u32> = (0..12).map(|v| v % 2).collect();
+        let mut w = install(&m, owners.clone(), 0, 2);
+        let round1 = SuperstepRequest { superstep: 1, harvest: false, updates: vec![] };
+        w.superstep(&round1).unwrap();
+        let bad = w.reinstall(0, 1, owners.clone());
+        assert!(bad.err().unwrap().contains("out of range"));
+        assert!(w.superstep(&round1).is_err(), "a refused re-install keeps the run state");
+        w.reinstall(0, 2, owners).unwrap();
+        w.superstep(&round1).unwrap();
+    }
+
+    #[test]
     fn single_shard_colors_everything_in_one_round() {
         let m = sparse::gen::bipartite_uniform(30, 40, 300, 1);
         let g = BipartiteGraph::from_matrix(&m);
@@ -612,8 +658,8 @@ mod tests {
             .unwrap();
         assert_eq!(reply.colored, 10, "all owned vertices count as colored");
         assert!(reply.messages.is_empty(), "no boundary, no messages");
-        assert!(w.view[..10].iter().all(|&c| c == UNCOLORED), "interior not yet colored");
+        assert!(w.run.view[..10].iter().all(|&c| c == UNCOLORED), "interior not yet colored");
         w.finish_deferred();
-        assert!(w.view[..10].iter().all(|&c| c != UNCOLORED), "interior colored after flush");
+        assert!(w.run.view[..10].iter().all(|&c| c != UNCOLORED), "interior colored after flush");
     }
 }

@@ -38,8 +38,11 @@ pub struct ServeStats {
     pub worker_panics: AtomicU64,
     /// Connections accepted.
     pub connections: AtomicU64,
-    /// Shard installs accepted (the `Shard` verb).
+    /// Full shard installs accepted (a `Shard` frame with graph bytes).
     pub shard_installs: AtomicU64,
+    /// Shard re-installs over the graph a connection already holds (a
+    /// `Shard` frame without graph bytes).
+    pub shard_reuses: AtomicU64,
     /// Supersteps executed across all installed shards.
     pub supersteps: AtomicU64,
 }
@@ -76,6 +79,7 @@ impl ServeStats {
             ("worker_panics", g(&self.worker_panics)),
             ("connections", g(&self.connections)),
             ("shard_installs", g(&self.shard_installs)),
+            ("shard_reuses", g(&self.shard_reuses)),
             ("supersteps", g(&self.supersteps)),
         ]
     }

@@ -296,3 +296,63 @@ fn superstep_requests_the_round_loop_never_sends_are_refused() {
         assert_alive(&d);
     }
 }
+
+/// A `Shard` payload without graph bytes: a re-install over the graph
+/// the connection holds.
+fn reinstall(owners: Vec<u32>) -> Vec<u8> {
+    ShardRequest { shard: 0, n_shards: 2, owners, graph_bytes: Vec::new() }.encode()
+}
+
+/// Asserts the daemon closed `s` after its last reply.
+fn assert_closed(mut s: TcpStream) {
+    let mut rest = Vec::new();
+    let _ = s.read_to_end(&mut rest);
+    assert!(rest.is_empty(), "connection must be closed after a refused install");
+}
+
+#[test]
+fn reinstall_on_a_fresh_connection_is_an_invalid_job() {
+    let d = start("reinstallfresh", Duration::from_secs(5));
+    let mut s = connect(&d);
+    write_frame(&mut s, FrameKind::Shard, &reinstall(vec![0; 12]), 0).unwrap();
+    let (kind, payload) = read_reply(&mut s);
+    assert_eq!(kind, FrameKind::InvalidJob, "{}", String::from_utf8_lossy(&payload));
+    assert_closed(s);
+    assert_alive(&d);
+    assert_eq!(d.stats().shard_reuses.load(std::sync::atomic::Ordering::Relaxed), 0);
+}
+
+#[test]
+fn reinstall_with_a_wrong_owner_count_is_an_invalid_job() {
+    // A valid re-install after round 1 is acknowledged and lets round 1
+    // run again; one whose owner array does not cover the installed
+    // graph is refused and drops the connection.
+    let d = start("reinstallowners", Duration::from_secs(5));
+    let m = sparse::gen::bipartite_uniform(10, 12, 40, 1);
+    let mut graph_bytes = Vec::new();
+    sparse::bin_io::write_bin(&mut graph_bytes, &m).unwrap();
+    let owners: Vec<u32> = (0..12).map(|v| v % 2).collect();
+    let mut s = connect(&d);
+    let install = ShardRequest { shard: 0, n_shards: 2, owners: owners.clone(), graph_bytes };
+    let round1 = SuperstepRequest { superstep: 1, harvest: false, updates: vec![] }.encode();
+    write_frame(&mut s, FrameKind::Shard, &install.encode(), 0).unwrap();
+    assert_eq!(read_reply(&mut s).0, FrameKind::Pong);
+    for install in [None, Some(reinstall(owners))] {
+        if let Some(payload) = install {
+            write_frame(&mut s, FrameKind::Shard, &payload, 0).unwrap();
+            assert_eq!(read_reply(&mut s).0, FrameKind::Pong);
+        }
+        write_frame(&mut s, FrameKind::Superstep, &round1, 0).unwrap();
+        assert_eq!(read_reply(&mut s).0, FrameKind::Flush);
+    }
+    write_frame(&mut s, FrameKind::Shard, &reinstall(vec![0; 5]), 0).unwrap();
+    let (kind, payload) = read_reply(&mut s);
+    assert_eq!(kind, FrameKind::InvalidJob);
+    let msg = String::from_utf8_lossy(&payload).into_owned();
+    assert!(msg.contains("owner array"), "got {msg:?}");
+    assert_closed(s);
+    assert_alive(&d);
+    let stats = d.stats();
+    assert_eq!(stats.shard_installs.load(std::sync::atomic::Ordering::Relaxed), 1);
+    assert_eq!(stats.shard_reuses.load(std::sync::atomic::Ordering::Relaxed), 1);
+}
