@@ -35,21 +35,12 @@ use par::{Pool, ThreadScratch};
 use crate::ctx::ThreadCtx;
 use crate::forbidden::ForbiddenSet;
 use crate::neighborhood::Neighborhood;
+use crate::schedule::claim_chunk;
 use crate::{Balance, Color, Colors, UNCOLORED};
 
-/// Dynamic chunk of the net-parallel loops: at least 16 nets, and large
-/// enough that each thread makes about 64 claims.
-///
-/// Neighbouring nets share pins (on a natural-order mesh, consecutive
-/// closed neighbourhoods overlap almost entirely), so threads claiming
-/// adjacent 16-net chunks write the same cache lines of the color array.
-/// Per-thread chunks keep the runs colored at the same time far apart in
-/// id space; 64 claims per thread still balance nets of uneven size.
-/// Instances with at most `1024 · threads` nets keep the 16-net chunk,
-/// and a single thread claims nets in the same order either way.
-pub(crate) fn net_chunk(n_nets: usize, threads: usize) -> usize {
-    n_nets.div_ceil(64 * threads).max(16)
-}
+/// The fewest nets a net-parallel loop claims at once (see
+/// [`claim_chunk`]).
+pub(crate) const NET_CHUNK: usize = 16;
 
 /// Which net-based coloring algorithm to run. Table I of the paper
 /// compares all three on their first-iteration conflict counts.
@@ -109,7 +100,7 @@ fn color_net_single_pass<F: ForbiddenSet, G: Neighborhood>(
     reverse: bool,
 ) {
     let rec = pool.tracer();
-    let chunk = net_chunk(g.n_nets(), pool.threads());
+    let chunk = claim_chunk(g.n_nets(), pool.threads(), NET_CHUNK);
     pool.for_dynamic(g.n_nets(), chunk, |tid, range| {
         par::faults::fire(G::FAULT_COLOR, tid);
         scratch.with(tid, |ctx| {
@@ -176,7 +167,7 @@ fn color_net_two_pass<F: ForbiddenSet, G: Neighborhood>(
 ) {
     let rec = pool.tracer();
     let slots = colors.slots();
-    let chunk = net_chunk(g.n_nets(), pool.threads());
+    let chunk = claim_chunk(g.n_nets(), pool.threads(), NET_CHUNK);
     pool.for_dynamic(g.n_nets(), chunk, |tid, range| {
         par::faults::fire(G::FAULT_COLOR, tid);
         scratch.with(tid, |ctx| {
@@ -300,7 +291,7 @@ pub fn remove_conflicts_net<F: ForbiddenSet, G: Neighborhood>(
 ) {
     let rec = pool.tracer();
     let slots = colors.slots();
-    let chunk = net_chunk(g.n_nets(), pool.threads());
+    let chunk = claim_chunk(g.n_nets(), pool.threads(), NET_CHUNK);
     pool.for_dynamic(g.n_nets(), chunk, |tid, range| {
         par::faults::fire(G::FAULT_CONFLICT, tid);
         scratch.with(tid, |ctx| {

@@ -29,6 +29,23 @@ pub enum PhaseKind {
     Net,
 }
 
+/// The dynamic chunk of a parallel loop over `len` items: at least `min`
+/// items, and large enough that each of `threads` threads makes about 64
+/// claims.
+///
+/// Neighbouring nets share pins and neighbouring vertices share nets (on
+/// a natural-order mesh, consecutive closed neighbourhoods overlap almost
+/// entirely), so threads that claim adjacent small chunks write the same
+/// cache lines of the color array and of the vertex coloring's
+/// [`NetSummaries`](crate::vertex::NetSummaries). Per-thread chunks keep
+/// the runs colored at the same time far apart in id space; 64 claims per
+/// thread still balance items of uneven cost. Loops of at most
+/// `64 · min · threads` items keep `min`, and a single thread claims
+/// items in the same order either way.
+pub(crate) fn claim_chunk(len: usize, threads: usize, min: usize) -> usize {
+    len.div_ceil(64 * threads).max(min)
+}
+
 /// A full schedule: phase choices per iteration plus scheduling knobs.
 #[derive(Clone, Debug)]
 pub struct Schedule {
@@ -41,7 +58,10 @@ pub struct Schedule {
     pub net_conflict_iters: usize,
     /// Dynamic chunk size for vertex-based parallel loops. `1` matches
     /// OpenMP's `schedule(dynamic)` default used by plain `V-V`; the tuned
-    /// variants use 64.
+    /// variants use 64. The vertex coloring loop takes it as a floor: it
+    /// claims `max(chunk, ⌈|W| / (64 · threads)⌉)` queued vertices at once
+    /// (`schedule::claim_chunk`), except that a chunk of 1 stays per-vertex.
+    /// The conflict scan claims exactly `chunk`.
     pub chunk: usize,
     /// `true` = thread-private conflict queues merged after the join (the
     /// `64D` lazy construction); `false` = ColPack's eager shared queue.

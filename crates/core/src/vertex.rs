@@ -39,7 +39,8 @@ use par::{Pool, ThreadScratch};
 use crate::ctx::ThreadCtx;
 use crate::forbidden::{BitStampSet, ForbiddenSet};
 use crate::neighborhood::Neighborhood;
-use crate::net::net_chunk;
+use crate::net::NET_CHUNK;
+use crate::schedule::claim_chunk;
 use crate::workqueue::{merge_local_queues, SharedQueue};
 use crate::{Balance, Color, Colors, UNCOLORED};
 
@@ -122,15 +123,12 @@ impl NetSummaries {
         let slots = colors.slots();
         self.lay_out(g, slots);
         let this = &*self;
-        pool.for_dynamic(
-            g.n_nets(),
-            net_chunk(g.n_nets(), pool.threads()),
-            |_, range| {
-                for v in range {
-                    this.fill(g, v, slots);
-                }
-            },
-        );
+        let chunk = claim_chunk(g.n_nets(), pool.threads(), NET_CHUNK);
+        pool.for_dynamic(g.n_nets(), chunk, |_, range| {
+            for v in range {
+                this.fill(g, v, slots);
+            }
+        });
     }
 
     /// Sizes the summaries for the colors in `slots` and picks the nets
@@ -240,6 +238,13 @@ fn set_bit(word: &AtomicU64, c: usize) {
 /// and from the pins of every other net (all of them when `summaries` is
 /// `None`). Races with concurrent writers are expected and repaired by the
 /// following conflict-removal phase.
+///
+/// `chunk` is the schedule's chunk, taken as a floor: each thread claims
+/// about 64 runs of contiguous queue, `max(chunk, ⌈|W| / (64 ·
+/// threads)⌉)` vertices each (`schedule::claim_chunk`), so the vertices
+/// colored at the same moment sit far apart and the threads do not write
+/// each other's color and summary cache lines. A chunk of 1 (`V-V`,
+/// ColPack's `schedule(dynamic,1)`) keeps per-vertex claims.
 #[allow(clippy::too_many_arguments)]
 pub fn color_workqueue_vertex<F: ForbiddenSet, G: Neighborhood>(
     g: &G,
@@ -253,6 +258,11 @@ pub fn color_workqueue_vertex<F: ForbiddenSet, G: Neighborhood>(
 ) {
     let rec = pool.tracer();
     let slots = colors.slots();
+    let chunk = if chunk == 1 {
+        1
+    } else {
+        claim_chunk(w.len(), pool.threads(), chunk)
+    };
     pool.for_dynamic(w.len(), chunk, |tid, range| {
         par::faults::fire(G::FAULT_COLOR, tid);
         scratch.with(tid, |ctx| {
@@ -877,5 +887,37 @@ mod tests {
         let g = Graph::from_symmetric_matrix(&sparse::gen::erdos_renyi(60, 150, 3));
         let colors = run_until_valid(&g, &Pool::new(3), true);
         verify_d2gc(&g, &colors).unwrap();
+    }
+
+    /// Chunks claimed by one traced coloring of every vertex of `g`.
+    fn vertex_phase_claims(g: &Graph, threads: usize, chunk: usize) -> u64 {
+        let mut pool = Pool::new(threads);
+        let rec = std::sync::Arc::new(trace::Recorder::new(threads));
+        pool.set_tracer(std::sync::Arc::clone(&rec));
+        let colors = Colors::new(g.n_vertices());
+        let scratch: ThreadScratch<ThreadCtx> =
+            ThreadScratch::new(threads, |_| ThreadCtx::new(32));
+        let w: Vec<u32> = (0..g.n_vertices() as u32).collect();
+        color_workqueue_vertex(g, &w, &colors, &pool, chunk, Balance::Unbalanced, None, &scratch);
+        rec.totals().get(trace::Counter::ChunksClaimed)
+    }
+
+    #[test]
+    fn vertex_coloring_claims_about_64_chunks_per_thread() {
+        let t = 2;
+        // Above 64 · 64 · threads queued vertices each thread claims
+        // about 64 chunks.
+        let big = Graph::from_symmetric_matrix(&sparse::gen::grid3d(24, 24, 24, 1));
+        assert!(big.n_vertices() > 64 * 64 * t);
+        let claims = vertex_phase_claims(&big, t, 64);
+        assert!(claims <= (64 * t + t) as u64, "{claims} claims");
+        // At or below it the chunk stays at the schedule's 64 vertices,
+        // and a chunk of 1 (`V-V`) stays per-vertex at any queue size.
+        let small = Graph::from_symmetric_matrix(&sparse::gen::grid3d(16, 16, 16, 1));
+        assert!(small.n_vertices() <= 64 * 64 * t);
+        let n = small.n_vertices() as u64;
+        assert_eq!(vertex_phase_claims(&small, t, 64), n.div_ceil(64));
+        assert_eq!(vertex_phase_claims(&small, t, 1), n);
+        assert_eq!(vertex_phase_claims(&big, t, 1), big.n_vertices() as u64);
     }
 }

@@ -24,7 +24,9 @@
 //! protocol violation, invalid harvest) aborts the sharded attempt, and
 //! the coordinator re-runs the instance in memory. The result is the
 //! coloring a healthy fleet would have returned, tagged with a
-//! [`ShardOutcome::degraded`] reason.
+//! [`ShardOutcome::degraded`] reason. A failed attempt may leave replies
+//! unread on the other connections, so the next run reconnects every
+//! worker before it installs.
 
 use std::net::TcpStream;
 
@@ -94,6 +96,9 @@ pub struct Coordinator {
     /// pattern again re-installs the shards over it instead of shipping
     /// the graph.
     installed: Option<BipartiteGraph>,
+    /// Set by a failed run, which may leave replies unread on any
+    /// connection: the next run reconnects every worker first.
+    reconnect: bool,
 }
 
 struct Worker {
@@ -107,15 +112,14 @@ impl Coordinator {
     pub fn connect(addrs: &[String]) -> std::io::Result<Coordinator> {
         let mut workers = Vec::with_capacity(addrs.len());
         for addr in addrs {
-            let stream = TcpStream::connect(addr)?;
-            let _ = stream.set_nodelay(true);
-            workers.push(Worker { addr: addr.clone(), stream });
+            workers.push(Worker { addr: addr.clone(), stream: open(addr)? });
         }
         Ok(Coordinator {
             workers,
             max_frame: DEFAULT_MAX_FRAME,
             max_supersteps: MAX_SUPERSTEPS,
             installed: None,
+            reconnect: false,
         })
     }
 
@@ -142,8 +146,9 @@ impl Coordinator {
     /// The graph is shipped once per pattern: when `matrix` equals the
     /// pattern of the last clean run (exact equality, no fingerprint),
     /// each worker gets a `Shard` frame without graph bytes and keeps
-    /// the graph it holds. A failed run forgets the pattern, so the next
-    /// call installs in full.
+    /// the graph it holds. A failed run forgets the pattern, and the next
+    /// call reconnects every worker and installs in full; a worker that
+    /// cannot be reached then degrades that call.
     pub fn color(
         &mut self,
         matrix: &sparse::Csr,
@@ -167,6 +172,7 @@ impl Coordinator {
                 Ok(outcome)
             }
             Err(fail) => {
+                self.reconnect = true;
                 let mut outcome = DistRunner::new(&g, partition.clone())
                     .with_max_supersteps(self.max_supersteps)
                     .run();
@@ -187,7 +193,15 @@ impl Coordinator {
         let (kind, payload) = read_frame(&mut w.stream, self.max_frame)
             .map_err(|e| format!("worker {rank} ({}) read failed: {e}", w.addr))?;
         if kind != want {
-            let detail = String::from_utf8_lossy(&payload).into_owned();
+            // Only the error kinds carry a message; any other payload is
+            // a binary frame, named by its length.
+            let detail = match kind {
+                FrameKind::InvalidJob
+                | FrameKind::GraphError
+                | FrameKind::ServerError
+                | FrameKind::ProtocolError => String::from_utf8_lossy(&payload).into_owned(),
+                _ => format!("{} payload bytes", payload.len()),
+            };
             return Err(format!(
                 "worker {rank} ({}) answered {kind:?} instead of {want:?}: {detail}",
                 w.addr
@@ -221,6 +235,13 @@ impl Coordinator {
         reuse: bool,
         partition: &Partition,
     ) -> Result<ShardOutcome, String> {
+        if self.reconnect {
+            for (rank, w) in self.workers.iter_mut().enumerate() {
+                w.stream = open(&w.addr)
+                    .map_err(|e| format!("worker {rank} ({}) reconnect failed: {e}", w.addr))?;
+            }
+            self.reconnect = false;
+        }
         let p = self.workers.len();
         let mut graph_bytes = Vec::new();
         if !reuse {
@@ -244,6 +265,13 @@ impl Coordinator {
         }
         run_rounds(g, partition, self.max_supersteps, |reqs| self.round(reqs))
     }
+}
+
+/// Opens one worker connection.
+fn open(addr: &str) -> std::io::Result<TcpStream> {
+    let stream = TcpStream::connect(addr)?;
+    let _ = stream.set_nodelay(true);
+    Ok(stream)
 }
 
 /// The round loop over installed shards, one per rank of `partition`:
@@ -491,39 +519,65 @@ mod tests {
         }
     }
 
-    #[test]
-    fn a_failed_run_makes_the_next_install_ship_the_graph() {
-        // A proxy in front of one worker daemon records the graph bytes
-        // of every Shard frame and answers the first superstep after the
-        // second install itself, with the InvalidJob of a worker failing
-        // a superstep.
-        let (mut daemons, addrs) = start_workers(1, "memo");
-        let proxy = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let proxy_addr = proxy.local_addr().unwrap().to_string();
-        let upstream = addrs[0].clone();
+    /// A proxy in front of the worker daemon at `upstream` that relays
+    /// the frames of each connection it accepts, one after another, over
+    /// a fresh upstream connection, until a connection closes without a
+    /// frame. It answers a Superstep frame itself, with the InvalidJob
+    /// of a worker failing a superstep, when `fail(installs, steps)`
+    /// holds: `installs` counts the Shard frames so far and `steps` the
+    /// Superstep frames since the last of them. The thread returns the
+    /// graph-byte length of every Shard frame.
+    fn proxy(
+        upstream: String,
+        fail: fn(usize, usize) -> bool,
+    ) -> (String, std::thread::JoinHandle<Vec<usize>>) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
         let t = std::thread::spawn(move || {
-            let (mut down, _) = proxy.accept().unwrap();
-            let mut up = TcpStream::connect(upstream).unwrap();
             let mut installs = Vec::new();
-            let mut failed = false;
-            while let Ok((kind, payload)) = read_frame(&mut down, DEFAULT_MAX_FRAME) {
-                if kind == FrameKind::Shard {
-                    installs.push(ShardRequest::decode(&payload).unwrap().graph_bytes.len());
+            let mut steps = 0;
+            for down in listener.incoming() {
+                let mut down = down.unwrap();
+                let mut up = TcpStream::connect(&upstream).unwrap();
+                let mut frames = 0;
+                while let Ok((kind, payload)) = read_frame(&mut down, DEFAULT_MAX_FRAME) {
+                    frames += 1;
+                    if kind == FrameKind::Shard {
+                        installs.push(ShardRequest::decode(&payload).unwrap().graph_bytes.len());
+                        steps = 0;
+                    }
+                    if kind == FrameKind::Superstep {
+                        let failing = fail(installs.len(), steps);
+                        steps += 1;
+                        if failing {
+                            write_frame(&mut down, FrameKind::InvalidJob, b"superstep failed", 0)
+                                .unwrap();
+                            continue;
+                        }
+                    }
+                    write_frame(&mut up, kind, &payload, 0).unwrap();
+                    let (kind, payload) = read_frame(&mut up, DEFAULT_MAX_FRAME).unwrap();
+                    write_frame(&mut down, kind, &payload, 0).unwrap();
                 }
-                if kind == FrameKind::Superstep && installs.len() == 2 && !failed {
-                    failed = true;
-                    write_frame(&mut down, FrameKind::InvalidJob, b"superstep failed", 0).unwrap();
-                    continue;
+                if frames == 0 {
+                    break;
                 }
-                write_frame(&mut up, kind, &payload, 0).unwrap();
-                let (kind, payload) = read_frame(&mut up, DEFAULT_MAX_FRAME).unwrap();
-                write_frame(&mut down, kind, &payload, 0).unwrap();
             }
             installs
         });
+        (addr, t)
+    }
+
+    #[test]
+    fn a_failed_run_makes_the_next_install_ship_the_graph() {
+        // The first superstep after the second install fails.
+        let (mut daemons, addrs) = start_workers(1, "memo");
+        let (proxy_addr, t) = proxy(addrs[0].clone(), |installs, steps| {
+            installs == 2 && steps == 0
+        });
         let m = instance();
         let partition = Partition::block(BipartiteGraph::from_matrix(&m).n_vertices(), 1);
-        let mut coord = Coordinator::connect(&[proxy_addr]).expect("connect");
+        let mut coord = Coordinator::connect(std::slice::from_ref(&proxy_addr)).expect("connect");
         let clean = coord.color(&m, &partition).expect("color");
         assert!(clean.degraded.is_none());
         let failed = coord.color(&m, &partition).expect("color degrades, not errors");
@@ -532,6 +586,7 @@ mod tests {
         assert!(again.degraded.is_none(), "{:?}", again.degraded);
         assert_eq!(again.colors, clean.colors);
         drop(coord);
+        drop(TcpStream::connect(&proxy_addr).unwrap());
         let installs = t.join().unwrap();
         assert_eq!(installs.len(), 3);
         assert!(installs[0] > 0, "the first run ships the graph");
@@ -540,6 +595,62 @@ mod tests {
         for d in daemons.iter_mut() {
             d.shutdown();
         }
+    }
+
+    #[test]
+    fn a_failed_run_leaves_no_reply_unread() {
+        // Worker 0's first superstep fails after worker 1 was sent its
+        // own, so worker 1's Flush is never read in that run.
+        let (mut daemons, addrs) = start_workers(2, "resync");
+        let (proxy_addr, t) = proxy(addrs[0].clone(), |installs, steps| {
+            installs == 1 && steps == 0
+        });
+        let m = instance();
+        let g = BipartiteGraph::from_matrix(&m);
+        let partition = Partition::block(g.n_vertices(), 2);
+        let mut coord =
+            Coordinator::connect(&[proxy_addr.clone(), addrs[1].clone()]).expect("connect");
+        let failed = coord.color(&m, &partition).expect("color degrades, not errors");
+        assert!(failed.degraded.is_some(), "the injected failure must degrade");
+        let mut clean = Coordinator::connect(&addrs).expect("connect");
+        let healthy = clean.color(&m, &partition).expect("color");
+        assert!(healthy.degraded.is_none());
+        for call in 0..2 {
+            let next = coord.color(&m, &partition).expect("color");
+            assert!(next.degraded.is_none(), "call {call}: {:?}", next.degraded);
+            assert_eq!(next.colors, healthy.colors);
+        }
+        drop(coord);
+        drop(TcpStream::connect(&proxy_addr).unwrap());
+        assert_eq!(t.join().unwrap().len(), 3);
+        for d in daemons.iter_mut() {
+            d.shutdown();
+        }
+    }
+
+    #[test]
+    fn a_binary_reply_is_named_by_its_length() {
+        // A rogue worker answers the install with a Flush of binary bytes.
+        let rogue = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let rogue_addr = rogue.local_addr().unwrap().to_string();
+        let flush = FlushReply { colored: 3, conflicts: 0, messages: vec![(0, 1, 2); 10] }.encode();
+        let len = flush.len();
+        let t = std::thread::spawn(move || {
+            let (mut s, _) = rogue.accept().unwrap();
+            let _ = read_frame(&mut s, DEFAULT_MAX_FRAME).unwrap();
+            write_frame(&mut s, FrameKind::Flush, &flush, 0).unwrap();
+        });
+        let m = instance();
+        let g = BipartiteGraph::from_matrix(&m);
+        let mut coord = Coordinator::connect(&[rogue_addr]).expect("connect");
+        let outcome = coord
+            .color(&m, &Partition::block(g.n_vertices(), 1))
+            .expect("color degrades, not errors");
+        let reason = outcome.degraded.expect("a stray Flush must degrade");
+        assert!(!reason.contains('\0'), "reason: {reason:?}");
+        assert!(reason.contains(&format!("{len} payload bytes")), "reason: {reason}");
+        verify_bgpc(&g, &outcome.colors).unwrap();
+        t.join().unwrap();
     }
 
     #[test]

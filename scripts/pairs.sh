@@ -13,13 +13,21 @@
 # kept in DIR/runs.jsonl.
 #
 # Prints, per workload, each end-to-end metric of BENCHMARK.json as
-# median [q1, q3] on both sides, the change's relative gap and how many
-# pairs the change won (ties count for neither side), then every run.
+# median [q1, q3] on both sides, the change's relative gap, how many
+# pairs the change won (ties count for neither side) and a verdict, then
+# every run. The verdict is the first that applies of:
+#   gain          the change won at least 9/10 of the pairs and the
+#                 medians differ by more than the parent's IQR;
+#   worse         the change's median is worse than the parent's by more
+#                 than the metric's BENCHMARK.json bound;
+#   unresolved    the parent's IQR/median exceeds the bound and not every
+#                 change run reads better than every parent run;
+#   within bound  otherwise.
 # Appends one record per workload to FILE (default BENCH_perfbench.json
 # at the repository root, a JSON list): both commits, nproc, the CPU
 # model, the ISA features perfbench reports, the seeds and run length,
-# and per metric both sides' medians and quartiles, their ratio and the
-# pair wins.
+# and per metric both sides' medians and quartiles, their ratio, the
+# pair wins and the verdict.
 #
 # Defaults: every workload of BENCHMARK.json, 10 pairs, BENCHMARK.json's
 # run_seconds, first seed 1. It reads perfbench/ and BENCHMARK.json and
@@ -131,6 +139,19 @@ def fmt(x):
     return f"{x:.4g}"
 
 
+def verdict(ps, cs, pairs, wins, bound, higher):
+    (pm, pq1, pq3), (cm, _, _) = quartiles(ps), quartiles(cs)
+    sign = -1 if higher else 1  # > 0: the change reads worse
+    if 10 * wins >= 9 * pairs and sign * (pm - cm) > pq3 - pq1:
+        return "gain"
+    if sign * (cm - pm) > bound * abs(pm):
+        return "worse"
+    beats_all = max(cs) < min(ps) if not higher else min(cs) > max(ps)
+    if pq3 - pq1 > bound * abs(pm) and not beats_all:
+        return "unresolved"
+    return "within bound"
+
+
 records = []
 for w in dict.fromkeys(r["workload"] for r in runs):
     seeds = sorted({r["seed"] for r in runs if r["workload"] == w})
@@ -138,8 +159,8 @@ for w in dict.fromkeys(r["workload"] for r in runs):
         (r["seed"], r["side"]): r for r in runs if r["workload"] == w
     }
     print(f"\n### {w}: {len(seeds)} pairs, seeds {seeds[0]}-{seeds[-1]}, {seconds} s runs\n")
-    print("| workload | metric | parent | change | change | change better |")
-    print("|---|---|---|---|---|---|")
+    print("| workload | metric | parent | change | change | change better | verdict |")
+    print("|---|---|---|---|---|---|---|")
     rec = {
         "workload": w,
         "parent": parent,
@@ -168,9 +189,10 @@ for w in dict.fromkeys(r["workload"] for r in runs):
         ties = sum(c == p for p, c in pairs)
         gap = "0" if cm == pm else f"{100 * (cm - pm) / pm:+.1f}%" if pm else "n/a"
         tie_note = f" ({ties} ties)" if ties else ""
+        v = verdict(ps, cs, len(pairs), wins, m["bound"], higher)
         print(
             f"| {w} | `{name}` | {fmt(pm)} [{fmt(pq1)}, {fmt(pq3)}] | "
-            f"{fmt(cm)} [{fmt(cq1)}, {fmt(cq3)}] | {gap} | {wins}/{len(pairs)}{tie_note} |"
+            f"{fmt(cm)} [{fmt(cq1)}, {fmt(cq3)}] | {gap} | {wins}/{len(pairs)}{tie_note} | {v} |"
         )
         rec["metrics"][name] = {
             "parent": {"median": pm, "q1": pq1, "q3": pq3},
@@ -179,6 +201,7 @@ for w in dict.fromkeys(r["workload"] for r in runs):
             "change_better": wins,
             "ties": ties,
             "pairs": len(pairs),
+            "verdict": v,
         }
     print("\n| seed | first | " + " | ".join(f"`{m['name']}` parent / change" for m in metrics) + " |")
     print("|---|---|" + "---|" * len(metrics))
