@@ -1,16 +1,11 @@
 //! Microbenchmark: cost of the tracing subsystem on the hot coloring
-//! loop, in its three states (see `crates/trace` docs for the cost model):
+//! loop, in its two states (see `crates/trace` docs for the cost model):
 //!
 //! * **off** — no recorder installed (the default). The kernels still
 //!   maintain their stack-local counter accumulators, but skip the
 //!   per-chunk flush; the pool skips the busy guard.
 //! * **on** — a `trace::Recorder` installed: per-chunk sheet merges, busy
 //!   guards, and phase spans all active.
-//! * **sink-off** (not measurable here) — building the workspace with
-//!   `--features trace/sink-off` turns `trace::COMPILED` into `false`, so
-//!   even the local accumulators constant-fold away. Compare this bench's
-//!   "off" row across the two builds to confirm the disabled mode is
-//!   zero-cost.
 //!
 //! The acceptance budget is <2% overhead for "on" versus "off" (min over
 //! samples, which suppresses scheduler noise). The bench prints the

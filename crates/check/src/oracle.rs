@@ -11,7 +11,10 @@
 //!   tripped).
 //! * **Sequential equivalence** — at one thread, the `V-V` schedule (and
 //!   `V-V-64D` for D2GC) must reproduce the sequential greedy baseline
-//!   *exactly*: same order, same first-fit, no conflicts to repair.
+//!   *exactly*: same order, same first-fit, no conflicts to repair. Both
+//!   read net color summaries, so both must also equal a first-fit by
+//!   pin walk (a [`VertexPicker`] that never
+//!   summarizes).
 //! * **Implementation equivalence** — at one thread the two
 //!   forbidden-set representations ([`bgpc::StampSet`] vs
 //!   [`bgpc::BitStampSet`]) must produce identical colorings.
@@ -36,7 +39,8 @@
 
 use bgpc::runner::RunnerOpts;
 use bgpc::verify::{verify_bgpc, verify_d2gc};
-use bgpc::{Balance, BitStampSet, Color, Schedule, StampSet};
+use bgpc::vertex::VertexPicker;
+use bgpc::{Balance, BitStampSet, Color, Neighborhood, Schedule, StampSet, UNCOLORED};
 use graph::{BipartiteGraph, Graph, Ordering};
 use par::Pool;
 use rng::{split_mix64, Pcg32};
@@ -136,6 +140,17 @@ fn same_colors(a: &[Color], b: &[Color], what: &str) -> Result<(), String> {
     Ok(())
 }
 
+/// Sequential first-fit over `order` by pin walk: a [`VertexPicker`]
+/// that never summarizes.
+fn pin_walk<G: Neighborhood>(g: &G, order: &[u32]) -> Vec<Color> {
+    let mut colors = vec![UNCOLORED; g.n_vertices()];
+    let mut picker = VertexPicker::new(g);
+    for &w in order {
+        picker.pick(g, &mut colors, w, 0);
+    }
+    colors
+}
+
 /// Draws the pin count of the case's wide net: 0 (none) in three cases
 /// of four, else 65–300. Nets past 64 pins need colors past the first
 /// word; past 128 they take the stamp-set dispatch
@@ -217,6 +232,9 @@ pub fn run_bgpc_case(d: &mut impl Draw) -> Result<(), String> {
     let par1 = bgpc::color_bgpc(&g, &order, &vv, &pool1);
     let (seq_colors, seq_k) = bgpc::seq::color_bgpc_seq(&g, &order);
     same_colors(&par1.colors, &seq_colors, &format!("{label}: V-V@1 vs seq"))?;
+    let walk = pin_walk(&g, &order);
+    same_colors(&par1.colors, &walk, &format!("{label}: V-V@1 vs pin walk"))?;
+    same_colors(&seq_colors, &walk, &format!("{label}: seq vs pin walk"))?;
     if par1.num_colors != seq_k {
         return Err(format!(
             "{label}: V-V@1 used {} colors, seq used {seq_k}",
@@ -310,6 +328,9 @@ pub fn run_d2gc_case(d: &mut impl Draw) -> Result<(), String> {
         &seq_colors,
         &format!("{label}: V-V-64D@1 vs seq"),
     )?;
+    let walk = pin_walk(&g, &order);
+    same_colors(&par1.colors, &walk, &format!("{label}: V-V-64D@1 vs pin walk"))?;
+    same_colors(&seq_colors, &walk, &format!("{label}: seq vs pin walk"))?;
     if par1.num_colors != seq_k {
         return Err(format!(
             "{label}: V-V-64D@1 used {} colors, seq used {seq_k}",

@@ -92,7 +92,7 @@ use sparse::Csr;
 use crate::forbidden::ForbiddenSet;
 use crate::metrics::ColoringResult;
 use crate::neighborhood::Neighborhood;
-use crate::runner::{with_forbidden_set, Run, RunnerOpts, WithSet};
+use crate::runner::{Run, RunnerOpts};
 use crate::{Color, Colors, Schedule, UNCOLORED};
 
 /// A rejected delta, with enough structure to say exactly which edge of
@@ -511,7 +511,7 @@ pub fn recolor_incremental<G: Neighborhood>(
     pool: &Pool,
     opts: RunnerOpts,
 ) -> ColoringResult {
-    with_forbidden_set(g, seeded_run(g, base_colors, dirty, order, schedule, pool, opts))
+    seeded_run(g, base_colors, dirty, order, schedule, pool, opts).run_auto()
 }
 
 /// [`recolor_incremental`] with the forbidden-set representation `F`

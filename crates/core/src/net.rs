@@ -125,24 +125,18 @@ fn color_net_single_pass<F: ForbiddenSet, G: Neighborhood>(
                         }
                         colors.set(u as usize, col);
                         ctx.fb.insert(col);
-                        if trace::COMPILED {
-                            colored += 1;
-                        }
+                        colored += 1;
                     } else {
                         ctx.fb.insert(cu);
                     }
-                    if trace::COMPILED {
-                        probes += 1;
-                    }
+                    probes += 1;
                 });
             }
-            if trace::COMPILED {
-                if let Some(r) = rec {
-                    let mut local = trace::CounterSheet::new();
-                    local.add(trace::Counter::VerticesColored, colored);
-                    local.add(trace::Counter::ForbiddenProbes, probes);
-                    r.merge(tid, &local);
-                }
+            if let Some(r) = rec {
+                let mut local = trace::CounterSheet::new();
+                local.add(trace::Counter::VerticesColored, colored);
+                local.add(trace::Counter::ForbiddenProbes, probes);
+                r.merge(tid, &local);
             }
         });
     });
@@ -201,10 +195,8 @@ fn color_net_two_pass<F: ForbiddenSet, G: Neighborhood>(
                         len += push as usize;
                     });
                 }
-                if trace::COMPILED {
-                    probes += size as u64;
-                    colored += len as u64;
-                }
+                probes += size as u64;
+                colored += len as u64;
                 if len == 0 {
                     continue;
                 }
@@ -240,13 +232,11 @@ fn color_net_two_pass<F: ForbiddenSet, G: Neighborhood>(
                 }
                 ctx.wlocal = wlocal;
             }
-            if trace::COMPILED {
-                if let Some(r) = rec {
-                    let mut local = trace::CounterSheet::new();
-                    local.add(trace::Counter::VerticesColored, colored);
-                    local.add(trace::Counter::ForbiddenProbes, probes);
-                    r.merge(tid, &local);
-                }
+            if let Some(r) = rec {
+                let mut local = trace::CounterSheet::new();
+                local.add(trace::Counter::VerticesColored, colored);
+                local.add(trace::Counter::ForbiddenProbes, probes);
+                r.merge(tid, &local);
             }
         });
     });
@@ -307,10 +297,8 @@ pub fn remove_conflicts_net<F: ForbiddenSet, G: Neighborhood>(
                         if dup {
                             colors.clear(u as usize);
                         }
-                        if trace::COMPILED {
-                            conflicts += dup as u64;
-                            probes += ((c != u32::MAX) & !dup) as u64;
-                        }
+                        conflicts += dup as u64;
+                        probes += ((c != u32::MAX) & !dup) as u64;
                     });
                 } else {
                     g.for_each_pin(v, |u| {
@@ -318,26 +306,20 @@ pub fn remove_conflicts_net<F: ForbiddenSet, G: Neighborhood>(
                         if cu != UNCOLORED {
                             if ctx.fb.contains(cu) {
                                 colors.clear(u as usize);
-                                if trace::COMPILED {
-                                    conflicts += 1;
-                                }
+                                conflicts += 1;
                             } else {
                                 ctx.fb.insert(cu);
-                                if trace::COMPILED {
-                                    probes += 1;
-                                }
+                                probes += 1;
                             }
                         }
                     });
                 }
             }
-            if trace::COMPILED {
-                if let Some(r) = rec {
-                    let mut local = trace::CounterSheet::new();
-                    local.add(trace::Counter::ConflictsDetected, conflicts);
-                    local.add(trace::Counter::ForbiddenProbes, probes);
-                    r.merge(tid, &local);
-                }
+            if let Some(r) = rec {
+                let mut local = trace::CounterSheet::new();
+                local.add(trace::Counter::ConflictsDetected, conflicts);
+                local.add(trace::Counter::ForbiddenProbes, probes);
+                r.merge(tid, &local);
             }
         });
     });

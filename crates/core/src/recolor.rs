@@ -20,7 +20,7 @@ use par::{Pool, ThreadScratch};
 use crate::ctx::ThreadCtx;
 use crate::metrics::count_distinct_colors;
 use crate::neighborhood::Neighborhood;
-use crate::vertex::{gather_forbidden, Tally};
+use crate::vertex::{gather_forbidden, Tally, VertexPicker};
 use crate::{BitStampSet, Color, Colors};
 
 /// One sequential descending-class recoloring pass. Returns the new
@@ -29,19 +29,13 @@ pub fn reduce_colors_seq<G: Neighborhood>(g: &G, colors: &mut [Color]) -> usize 
     debug_assert_eq!(colors.len(), g.n_vertices());
     let mut order: Vec<u32> = (0..g.n_vertices() as u32).collect();
     order.sort_by_key(|&u| std::cmp::Reverse(colors[u as usize]));
-    let shared = Colors::new(colors.len());
-    for (u, &c) in colors.iter().enumerate() {
-        shared.set(u, c);
-    }
-    let mut ctx = ThreadCtx::<BitStampSet>::new(g.max_neighborhood() + 16);
-    let mut tally = Tally::default();
+    // Colors move down, so net summaries would keep stale ones: walk pins.
+    let mut picker = VertexPicker::new(g);
     for &w in &order {
-        gather_forbidden(g, shared.slots(), w, &mut ctx, &mut tally);
-        let col = ctx.fb.first_fit_from(0);
-        debug_assert!(col <= shared.get(w as usize), "first-fit can only move down");
-        shared.set(w as usize, col);
+        let was = colors[w as usize];
+        let col = picker.pick(g, colors, w, 0);
+        debug_assert!(col <= was, "first-fit can only move down");
     }
-    colors.copy_from_slice(&shared.snapshot());
     count_distinct_colors(colors)
 }
 

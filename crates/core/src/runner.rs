@@ -15,7 +15,7 @@ use crate::metrics::{
 };
 use crate::neighborhood::Neighborhood;
 use crate::schedule::PhaseKind;
-use crate::vertex::NetSummaries;
+use crate::vertex::{NetSummaries, VertexPicker};
 use crate::workqueue::SharedQueue;
 use crate::{net, vertex, BitStampSet, Color, Colors, Schedule, StampSet, UNCOLORED};
 
@@ -114,8 +114,7 @@ pub fn color_with_opts<G: Neighborhood>(
     pool: &Pool,
     opts: RunnerOpts,
 ) -> ColoringResult {
-    let run = Run { g, order, seed: None, schedule, pool, opts };
-    with_forbidden_set(g, run)
+    Run { g, order, seed: None, schedule, pool, opts }.run_auto()
 }
 
 /// [`color_with_opts`] with the forbidden-set representation `F` forced —
@@ -129,25 +128,6 @@ pub fn color_with_set<F: ForbiddenSet, G: Neighborhood>(
     opts: RunnerOpts,
 ) -> ColoringResult {
     Run { g, order, seed: None, schedule, pool, opts }.run::<F>()
-}
-
-/// A computation generic over the forbidden-set representation, so
-/// [`with_forbidden_set`] can choose the representation at run time.
-pub(crate) trait WithSet {
-    /// What the computation returns.
-    type Output;
-    /// Runs the computation with representation `F`.
-    fn run<F: ForbiddenSet>(self) -> Self::Output;
-}
-
-/// The per-instance forbidden-set dispatch: runs `job` with the
-/// representation [`ForbiddenKind::auto_for`] picks for the instance's
-/// [`Neighborhood::max_neighborhood`].
-pub(crate) fn with_forbidden_set<G: Neighborhood, J: WithSet>(g: &G, job: J) -> J::Output {
-    match ForbiddenKind::auto_for(g.max_neighborhood()) {
-        ForbiddenKind::Stamp => job.run::<StampSet>(),
-        ForbiddenKind::BitStamp => job.run::<BitStampSet>(),
-    }
 }
 
 /// One speculative run's inputs.
@@ -167,11 +147,19 @@ pub(crate) struct Run<'a, G> {
     pub(crate) opts: RunnerOpts,
 }
 
-impl<G: Neighborhood> WithSet for Run<'_, G> {
-    type Output = ColoringResult;
+impl<G: Neighborhood> Run<'_, G> {
+    /// The per-instance forbidden-set dispatch: runs with the
+    /// representation [`ForbiddenKind::auto_for`] picks for the instance's
+    /// [`Neighborhood::max_neighborhood`].
+    pub(crate) fn run_auto(self) -> ColoringResult {
+        match ForbiddenKind::auto_for(self.g.max_neighborhood()) {
+            ForbiddenKind::Stamp => self.run::<StampSet>(),
+            ForbiddenKind::BitStamp => self.run::<BitStampSet>(),
+        }
+    }
 
     /// The speculative color-then-repair loop.
-    fn run<F: ForbiddenSet>(self) -> ColoringResult {
+    pub(crate) fn run<F: ForbiddenSet>(self) -> ColoringResult {
         let Run { g, order, seed, schedule, pool, opts } = self;
         let n = g.n_vertices();
         debug_assert_eq!(order.len(), n, "order must cover every vertex");
@@ -310,10 +298,7 @@ impl<G: Neighborhood> WithSet for Run<'_, G> {
                     }
 
                     m.per_thread = per_thread_slices(&snap_start, &snap_color, rec);
-                    if trace::COMPILED
-                        && m.conflict_kind == PhaseKind::Vertex
-                        && !m.per_thread.is_empty()
-                    {
+                    if m.conflict_kind == PhaseKind::Vertex && !m.per_thread.is_empty() {
                         // Trace/queue invariant: the vertex-based conflict
                         // phase pushes each loser exactly once, so the merged
                         // per-thread conflict counts must equal |W_next|.
@@ -481,17 +466,16 @@ fn repair_sequential<G: Neighborhood>(g: &G, order: &[u32], colors: &Colors) {
         });
     }
     // Colors the uncolored vertices with first-fit against the *current*
-    // state — conflict-free by construction.
-    let mut ctx = ThreadCtx::<BitStampSet>::new(g.max_neighborhood() + 64);
-    let mut tally = vertex::Tally::default();
-    let slots = colors.slots();
+    // state — conflict-free by construction. From here colors are only
+    // added, each by a pick of an uncolored vertex, so the picks read the
+    // summaries of the snapshot and equal a pin walk's.
+    let mut snapshot = colors.snapshot();
+    let mut picker = VertexPicker::new(g);
+    picker.summarize(g, &snapshot);
     for &wv in order {
-        let wu = wv as usize;
-        if colors.get(wu) != UNCOLORED {
-            continue;
+        if snapshot[wv as usize] == UNCOLORED {
+            colors.set(wv as usize, picker.pick(g, &mut snapshot, wv, 0));
         }
-        vertex::gather_forbidden(g, slots, wv, &mut ctx, &mut tally);
-        colors.set(wu, ctx.fb.first_fit_from(0));
     }
 }
 
@@ -560,6 +544,8 @@ mod tests {
         let (seq_colors, seq_k) = crate::seq::color_bgpc_seq(&g, &order);
         assert_eq!(r.colors, seq_colors, "1-thread V-V must equal sequential");
         assert_eq!(r.num_colors, seq_k);
+        let walk = crate::seq::tests::pin_walk(&g, &order);
+        assert_eq!(seq_colors, walk, "sequential must equal the pin walk");
         assert_eq!(r.rounds(), 1, "no conflicts possible with one thread");
         assert_eq!(r.remaining_after_first(), 0);
     }

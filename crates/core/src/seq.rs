@@ -3,16 +3,19 @@
 //! One thread, one pass, first-fit: no speculation, no conflicts, no
 //! conflict-removal phase. These are the denominators of every speedup the
 //! paper reports.
+//!
+//! The pass is a [`VertexPicker`] over summaries built on the
+//! all-[`UNCOLORED`] array: each vertex of `order` is
+//! uncolored when its turn comes and colors are only added, so every pick
+//! reads the colors a pin walk would (see [`VertexPicker`]) and costs
+//! about `W` words per summarized net instead of its pins.
 
 use graph::{BipartiteGraph, Graph};
 
-use crate::ctx::ThreadCtx;
-use crate::forbidden::ForbiddenSet;
 use crate::metrics::count_distinct_colors;
 use crate::neighborhood::Neighborhood;
-use crate::runner::{with_forbidden_set, WithSet};
-use crate::vertex::{gather_forbidden, Tally, PREFETCH_AHEAD};
-use crate::{Color, Colors};
+use crate::vertex::{VertexPicker, PREFETCH_AHEAD};
+use crate::{Color, UNCOLORED};
 
 /// Sequential first-fit BGPC over `order`. Returns the coloring and the
 /// number of distinct colors.
@@ -25,47 +28,65 @@ pub fn color_d2gc_seq(g: &Graph, order: &[u32]) -> (Vec<Color>, usize) {
     color_seq(g, order)
 }
 
-/// Sequential first-fit over `order` for either problem, with the
-/// forbidden-set representation picked per instance exactly like the
-/// parallel driver's.
+/// Sequential first-fit over `order` for either problem; `order` must not
+/// repeat a vertex.
 pub fn color_seq<G: Neighborhood>(g: &G, order: &[u32]) -> (Vec<Color>, usize) {
-    struct Seq<'a, G>(&'a G, &'a [u32]);
-    impl<G: Neighborhood> WithSet for Seq<'_, G> {
-        type Output = (Vec<Color>, usize);
-        fn run<F: ForbiddenSet>(self) -> Self::Output {
-            color_seq_with_set::<F, G>(self.0, self.1)
-        }
-    }
-    with_forbidden_set(g, Seq(g, order))
-}
-
-/// [`color_seq`] with the forbidden-set representation `F` forced.
-pub fn color_seq_with_set<F: ForbiddenSet, G: Neighborhood>(
-    g: &G,
-    order: &[u32],
-) -> (Vec<Color>, usize) {
-    let colors = Colors::new(g.n_vertices());
-    let slots = colors.slots();
-    let mut ctx = ThreadCtx::<F>::new(g.seq_capacity());
-    let mut tally = Tally::default();
+    let mut colors = vec![UNCOLORED; g.n_vertices()];
+    let mut picker = VertexPicker::new(g);
+    picker.summarize(g, &colors);
     for (k, &w) in order.iter().enumerate() {
         if let Some(&next) = order.get(k + PREFETCH_AHEAD) {
             g.prefetch_nets(next as usize);
         }
-        gather_forbidden(g, slots, w, &mut ctx, &mut tally);
-        colors.set(w as usize, ctx.fb.first_fit_from(0));
+        picker.pick(g, &mut colors, w, 0);
     }
-    let colors = colors.snapshot();
     let k = count_distinct_colors(&colors);
     (colors, k)
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::verify::{verify_bgpc, verify_d2gc};
     use graph::Ordering;
     use sparse::Csr;
+
+    /// Sequential first-fit over `order` by pin walk: a picker that never
+    /// summarizes, the reference every summarized first-fit must equal.
+    pub(crate) fn pin_walk<G: Neighborhood>(g: &G, order: &[u32]) -> Vec<Color> {
+        let mut colors = vec![UNCOLORED; g.n_vertices()];
+        let mut picker = VertexPicker::new(g);
+        for &w in order {
+            picker.pick(g, &mut colors, w, 0);
+        }
+        colors
+    }
+
+    /// Summaries of `W ≥ 2` words (the largest net past 51 pins), a
+    /// palette past 128 colors and past `64·W`, so nets also switch back
+    /// to pin walks mid-pass: seq must still be the pin walk's coloring.
+    #[test]
+    fn multi_word_summaries_match_the_pin_walk() {
+        fn check<G: Neighborhood>(g: &G, orders: [Vec<u32>; 2]) {
+            let width = (g.max_neighborhood() * 5).div_ceil(4 * 64);
+            assert!(width >= 2, "summaries of one word");
+            for order in orders {
+                let (colors, k) = color_seq(g, &order);
+                assert!(k > 128 && k > 64 * width, "palette of {k} colors, W = {width}");
+                assert_eq!(colors, pin_walk(g, &order));
+            }
+        }
+        let g = BipartiteGraph::from_matrix(&sparse::gen::bipartite_uniform(500, 400, 30000, 3));
+        check(
+            &g,
+            [Ordering::Natural, Ordering::Random(5)].map(|o| o.vertex_order_bgpc(&g)),
+        );
+        let g = Graph::from_symmetric_matrix(&sparse::gen::erdos_renyi(400, 12000, 5));
+        check(
+            &g,
+            [Ordering::Natural, Ordering::Random(5)].map(|o| o.vertex_order_d2(&g)),
+        );
+    }
 
     #[test]
     fn bgpc_single_net_uses_exactly_lower_bound() {

@@ -14,12 +14,13 @@
 //!
 //! The pin walk is written once, in `gather`: the coloring phase runs it
 //! for the nets without a summary, `gather_forbidden` runs it over
-//! every net for the sequential baseline ([`crate::seq`]),
-//! Jones–Plassmann, the recoloring passes and the degraded-run repair
-//! ([`crate::runner`]), none of which reads a summary, and
-//! [`VertexPicker`] runs it, with or without summaries, for callers
-//! outside this crate that color one vertex at a time (the sharded
-//! coloring's worker and repair). With a
+//! every net for Jones–Plassmann and the parallel recoloring pass
+//! ([`crate::recolor::reduce_colors`]), neither of which reads a summary,
+//! and [`VertexPicker`] runs it, with or without summaries, for every
+//! sequential first-fit: the sequential baseline ([`crate::seq`]) and
+//! the degraded-run repair ([`crate::runner`]) with summaries, the
+//! sequential recoloring pass ([`crate::recolor::reduce_colors_seq`])
+//! without, and the sharded coloring's worker and repair. With a
 //! [`BitStampSet`] it collects the
 //! colors below 64 in a register word with no data-dependent branch:
 //! around a re-queued vertex the pins are a random mix of colored and
@@ -267,16 +268,12 @@ pub fn color_workqueue_vertex<F: ForbiddenSet, G: Neighborhood>(
         par::faults::fire(G::FAULT_COLOR, tid);
         scratch.with(tid, |ctx| {
             let items = &w[range];
-            // Counter sinks live in registers and are flushed once per
-            // chunk; with the trace crate's `sink-off` feature the
-            // `trace::COMPILED` constant folds them away entirely.
+            // Counter sinks live in registers and are flushed once per chunk.
             let mut tally = Tally::default();
             for (k, &wv) in items.iter().enumerate() {
                 if let Some(&next) = items.get(k + PREFETCH_AHEAD) {
                     g.prefetch_nets(next as usize);
-                    if trace::COMPILED {
-                        tally.prefetches += 1;
-                    }
+                    tally.prefetches += 1;
                 }
                 let wide = &mut ctx.wide_palette;
                 let col = match summaries {
@@ -293,14 +290,12 @@ pub fn color_workqueue_vertex<F: ForbiddenSet, G: Neighborhood>(
                 };
                 colors.set(wv as usize, col);
             }
-            if trace::COMPILED {
-                if let Some(r) = rec {
-                    let mut local = trace::CounterSheet::new();
-                    local.add(trace::Counter::VerticesColored, items.len() as u64);
-                    local.add(trace::Counter::ForbiddenProbes, tally.probes);
-                    local.add(trace::Counter::PrefetchIssues, tally.prefetches);
-                    r.merge(tid, &local);
-                }
+            if let Some(r) = rec {
+                let mut local = trace::CounterSheet::new();
+                local.add(trace::Counter::VerticesColored, items.len() as u64);
+                local.add(trace::Counter::ForbiddenProbes, tally.probes);
+                local.add(trace::Counter::PrefetchIssues, tally.prefetches);
+                r.merge(tid, &local);
             }
         });
     });
@@ -370,26 +365,20 @@ fn gather<S: ForbiddenSet, G: Neighborhood, T: ColorSlot>(
         if G::PREFETCH_PINS {
             if let Some(&vnext) = nets.get(j + 1) {
                 g.prefetch_pins(vnext as usize);
-                if trace::COMPILED {
-                    tally.prefetches += 1;
-                }
+                tally.prefetches += 1;
             }
         }
         if let Some(sum) = summaries.and_then(|s| s.summary(v as usize)) {
             for (i, bits) in sum.iter().enumerate() {
                 fb.merge_word(i, bits.load(Ordering::Relaxed));
             }
-            if trace::COMPILED {
-                tally.probes += sum.len() as u64;
-            }
+            tally.probes += sum.len() as u64;
         } else if word {
             g.for_each_pin(v as usize, |u| {
                 let self_pin = ((u == wv) as u32).wrapping_neg();
                 let c = slots[u as usize].color() as u32 | self_pin;
                 low |= ((c < 64) as u64) << (c & 63);
-                if trace::COMPILED {
-                    tally.probes += (c != u32::MAX) as u64;
-                }
+                tally.probes += (c != u32::MAX) as u64;
                 if c.wrapping_add(1) > 64 {
                     fb.insert(c as Color);
                     *wide = true;
@@ -401,9 +390,7 @@ fn gather<S: ForbiddenSet, G: Neighborhood, T: ColorSlot>(
                     let cu = slots[u as usize].color();
                     if cu != UNCOLORED {
                         fb.insert(cu);
-                        if trace::COMPILED {
-                            tally.probes += 1;
-                        }
+                        tally.probes += 1;
                     }
                 }
             });
@@ -415,8 +402,10 @@ fn gather<S: ForbiddenSet, G: Neighborhood, T: ColorSlot>(
 }
 
 /// The coloring phase's gather and pick for a sequential caller that
-/// colors one vertex at a time in a plain color array: the shard worker
-/// of the `serve` crate and the sharded coordinator's repair.
+/// colors one vertex at a time in a plain color array: the sequential
+/// baseline, the degraded-run repair, the sequential recoloring pass,
+/// the shard worker of the `serve` crate and the sharded coordinator's
+/// repair.
 ///
 /// [`VertexPicker::pick`] gathers a vertex's distance-2 colors with
 /// `gather`, from the summaries when the picker holds them and else by
@@ -523,9 +512,7 @@ pub fn remove_conflicts_vertex<F: ForbiddenSet, G: Neighborhood>(
             for (k, &wv) in items.iter().enumerate() {
                 if let Some(&next) = items.get(k + PREFETCH_AHEAD) {
                     g.prefetch_nets(next as usize);
-                    if trace::COMPILED {
-                        prefetches += 1;
-                    }
+                    prefetches += 1;
                 }
                 let wu = wv as usize;
                 let cw = colors.get(wu);
@@ -538,18 +525,14 @@ pub fn remove_conflicts_vertex<F: ForbiddenSet, G: Neighborhood>(
                         Some(q) => q.push_staged(&mut ctx.stage, wv),
                         None => ctx.local_queue.push(wv),
                     }
-                    if trace::COMPILED {
-                        conflicts += 1;
-                    }
+                    conflicts += 1;
                 }
             }
-            if trace::COMPILED {
-                if let Some(r) = rec {
-                    let mut local = trace::CounterSheet::new();
-                    local.add(trace::Counter::ConflictsDetected, conflicts);
-                    local.add(trace::Counter::PrefetchIssues, prefetches);
-                    r.merge(tid, &local);
-                }
+            if let Some(r) = rec {
+                let mut local = trace::CounterSheet::new();
+                local.add(trace::Counter::ConflictsDetected, conflicts);
+                local.add(trace::Counter::PrefetchIssues, prefetches);
+                r.merge(tid, &local);
             }
         });
     });

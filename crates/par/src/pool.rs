@@ -379,9 +379,7 @@ impl Pool {
         self.run(|tid| {
             let mut claims = 0u64;
             while let Some(range) = cursor.claim() {
-                if trace::COMPILED {
-                    claims += 1;
-                }
+                claims += 1;
                 f(tid, range);
             }
             if let Some(r) = rec {

@@ -29,10 +29,8 @@
 //! Tracing is **disabled by default at run time**: a pool without an
 //! installed [`Recorder`] skips every hook behind one `Option` check per
 //! region, and kernels accumulate into stack-local integers that die in
-//! registers. For a **compile-time** guarantee the `sink-off` feature
-//! turns [`COMPILED`] into `false`, folding every accumulation site to
-//! nothing. The `trace_overhead` microbench in `crates/bench` demonstrates
-//! both bounds (<2% enabled, unmeasurable disabled).
+//! registers. The `trace_overhead` microbench in `crates/bench` measures
+//! the enabled cost against the disabled one (budget: <2%).
 
 #![warn(missing_docs)]
 
@@ -46,11 +44,3 @@ pub use counter::{Counter, CounterSheet};
 pub use export::{chrome_trace_json, imbalance_table};
 pub use recorder::{BusyGuard, Recorder};
 pub use ring::{Event, EventRing, SpanKind};
-
-/// `true` unless the `sink-off` feature compiled the counter sinks out.
-///
-/// Instrumentation sites in the kernels are written as
-/// `if trace::COMPILED { probes += 1; }`; with `sink-off` the constant
-/// folds the increment away entirely, giving a hard zero-cost guarantee
-/// on top of the runtime-disabled path.
-pub const COMPILED: bool = cfg!(not(feature = "sink-off"));
