@@ -31,8 +31,8 @@ use crate::{Color, UNCOLORED};
 /// dataset on `V-V` and `N1-N2`).
 ///
 /// Read only by [`ForbiddenKind::auto_for`], the rule the one
-/// per-instance dispatch applies for every driver (parallel, seeded and
-/// sequential, BGPC and D2GC).
+/// per-instance dispatch applies for the speculative drivers (fresh and
+/// seeded, BGPC and D2GC).
 pub const DENSE_FORBIDDEN_CUTOFF: usize = 128;
 
 /// Forbidden-set representation choice.

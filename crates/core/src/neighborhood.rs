@@ -53,8 +53,8 @@ pub trait Neighborhood: Sync {
     /// The neighborhood bound that sizes forbidden sets and picks their
     /// representation: max net size for BGPC, max degree for D2GC.
     fn max_neighborhood(&self) -> usize;
-    /// First-allocation capacity of the sequential baseline's forbidden
-    /// set.
+    /// First-allocation capacity of the forbidden set of a sequential
+    /// first-fit ([`crate::vertex::VertexPicker`]).
     fn seq_capacity(&self) -> usize;
     /// Hints the cache to pull `nets(w)`.
     fn prefetch_nets(&self, w: usize);
